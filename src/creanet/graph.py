@@ -9,6 +9,7 @@ by the smaller source index so rebuilds are bit-identical.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,6 +22,10 @@ from .similarity import SimilarityParams, kernel_block
 # Destination rows are scored against their candidate set in slabs of this many
 # rows to bound peak memory at roughly 256 * n * 8 bytes.
 _DST_CHUNK = 256
+
+# The CSV edge writers format this many rows per write, bounding the Python
+# strings alive at once.
+_CSV_CHUNK = 1 << 16
 
 TEMPORAL_PRIORS = ("none", "window")
 
@@ -133,13 +138,56 @@ def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarra
     return np.concatenate((above, ties))
 
 
+def _slab_top_k(block: np.ndarray, cand: np.ndarray, column: np.ndarray,
+                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Top-K picks of every row of one kernel slab, each row's picks sorted by source.
+
+    One `argpartition` selects the k largest weights of every row at once. A
+    row keeps that selection when exactly k of its weights reach its k-th
+    weight: then no tie straddles the cut, and since there are more than k
+    non-negative weights, the k-th one is positive. The other rows (ties at
+    the cut, underflowed zeros) go through `_select_top_k` one by one.
+    `column` maps an artifact index to its column in `block`. Returns (row,
+    count, src, weight): the slab rows that have picks, how many each has,
+    and the picks of those rows one after another.
+    """
+    r, c = block.shape
+    if c > k:
+        top = np.argpartition(block, c - k, axis=1)[:, c - k:]
+        kth = block[np.arange(r), top[:, 0]]
+        fast = np.count_nonzero(block >= kth[:, None], axis=1) == k
+    else:
+        top = np.broadcast_to(np.arange(c), (r, c))
+        fast = block.min(axis=1) > 0.0
+    fast_rows = np.flatnonzero(fast)
+    fast_src = np.sort(cand[top[fast_rows]], axis=1)
+    rows = [fast_rows]
+    counts = [np.full(fast_rows.size, top.shape[1], dtype=np.int64)]
+    src_parts = [fast_src.ravel()]
+    w_parts = [block[fast_rows[:, None], column[fast_src]].ravel()]
+    for i in np.flatnonzero(~fast):
+        w = block[i]
+        keep = w > 0.0
+        wk = w[keep]
+        ck = cand[keep]
+        sel = _select_top_k(wk, ck, k)
+        sel = sel[np.argsort(ck[sel])]
+        rows.append(np.array([i]))
+        counts.append(np.array([sel.size]))
+        src_parts.append(ck[sel])
+        w_parts.append(wk[sel])
+    return (np.concatenate(rows), np.concatenate(counts),
+            np.concatenate(src_parts), np.concatenate(w_parts))
+
+
 def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGraph:
     """Connect every artifact to its strictly earlier candidates, keep top-K incoming.
 
     Candidate sources for artifact j are all artifacts dated strictly before j
     (optionally restricted to the `temporal_window_k` latest ones). The kernel
     weight is computed for every candidate and the K largest are kept; weights
-    that underflow to zero are dropped.
+    that underflow to zero are dropped. Each slab's picks are written straight
+    to their destination's place in canonical (dst, src) order.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
@@ -148,9 +196,8 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
     n = corpus.n
 
     order, starts, ends = _year_groups(years)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
+    column = np.empty(n, dtype=np.int64)
+    slabs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     for g in range(starts.size):
         gs, ge = int(starts[g]), int(ends[g])
@@ -160,36 +207,65 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
             cand = _window_candidates(order, starts, ends, g, params.temporal_window_k)
         else:
             cand = order[:gs]
+        column[cand] = np.arange(cand.size)
         for cs in range(gs, ge, _DST_CHUNK):
             rows = order[cs:min(cs + _DST_CHUNK, ge)]
             block = kernel_block(feats[rows], feats[cand], params.sigma)
-            for r, j in enumerate(rows):
-                w = block[r]
-                keep = w > 0.0
-                wk = w[keep]
-                ck = cand[keep]
-                sel = _select_top_k(wk, ck, params.k)
-                src_parts.append(ck[sel])
-                dst_parts.append(np.full(sel.size, j, dtype=np.int64))
-                w_parts.append(wk[sel])
+            r, count, src, w = _slab_top_k(block, cand, column, params.k)
+            slabs.append((rows[r], count, src, w))
 
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        weight = np.concatenate(w_parts)
-        edge_order = np.lexsort((src, dst))
-        src, dst, weight = src[edge_order], dst[edge_order], weight[edge_order]
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-        weight = np.empty(0, dtype=np.float64)
+    # Destination j's edges occupy [indptr[j], indptr[j + 1]), already source-sorted.
+    in_degree = np.zeros(n, dtype=np.int64)
+    for dst, count, _, _ in slabs:
+        in_degree[dst] = count
+    indptr = np.concatenate(([0], np.cumsum(in_degree)))
+    src = np.empty(indptr[-1], dtype=np.int64)
+    weight = np.empty(indptr[-1], dtype=np.float64)
+    for dst, count, s, w in slabs:
+        first = np.cumsum(count) - count
+        pos = np.repeat(indptr[dst] - first, count) + np.arange(s.size)
+        src[pos] = s
+        weight[pos] = w
+    dst = np.repeat(np.arange(n, dtype=np.int64), in_degree)
     return PaintingGraph(n=n, src=src, dst=dst, weight=weight)
+
+
+def _csv_fields(values: Sequence[str]) -> np.ndarray:
+    """Each value as `csv.writer` writes it inside a row (quoted where needed)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        fields[i] = buf.getvalue()[:-len(",\r\n")]
+    return fields
+
+
+def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str],
+                     src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                     label: tuple[Sequence[str], np.ndarray] | None = None) -> None:
+    """Rows `src_id,dst_id,weight[,label]`, the bytes one `csv.writer` row per edge gives.
+
+    Ids are formatted once, weights with `repr`, and rows a chunk of columns
+    at a time. `label` pairs label names with each edge's index into them.
+    """
+    id_fields = _csv_fields(ids)
+    if label is not None:
+        names = np.asarray(label[0], dtype=object)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, src.size, _CSV_CHUNK):
+            hi = lo + _CSV_CHUNK
+            columns = [id_fields[src[lo:hi]].tolist(), id_fields[dst[lo:hi]].tolist(),
+                       map(repr, weight[lo:hi].tolist())]
+            if label is not None:
+                columns.append(names[label[1][lo:hi].astype(np.intp)].tolist())
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")
 
 
 def write_graph_csv(graph: PaintingGraph, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight` in canonical (dst, src) order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src_id", "dst_id", "weight"])
-        for s, d, w in zip(graph.src, graph.dst, graph.weight):
-            writer.writerow([ids[s], ids[d], repr(float(w))])
+    _write_edge_rows(path, ("src_id", "dst_id", "weight"), ids, graph.src, graph.dst, graph.weight)

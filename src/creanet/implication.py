@@ -9,15 +9,15 @@ forward. Edge direction in the result encodes score flow, not time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .graph import PaintingGraph
+from .graph import PaintingGraph, _write_edge_rows
 
 BALANCING_MODES = ("global", "local")
 BALANCE_ANCHORS = ("destination", "source")
@@ -100,7 +100,7 @@ def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p!r}")
     rank = math.ceil(p / 100.0 * values.size)
-    return float(np.sort(values, kind="stable")[rank - 1])
+    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def compute_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec) -> np.ndarray:
@@ -140,6 +140,34 @@ def compute_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpe
     return m
 
 
+def _counting_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, n), by an O(len + n) counting sort.
+
+    scipy's CSR -> CSC conversion buckets a one-row matrix's entries by column
+    in their original order, which is exactly a stable counting sort.
+    """
+    row = sparse.csr_matrix((np.arange(keys.size), keys, [0, keys.size]), shape=(1, n))
+    return row.tocsc().data
+
+
+def _balanced_runs(graph: PaintingGraph, m: np.ndarray,
+                   anchor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Surviving edges as (src, dst, weight, kept count): kept edges, then reversed ones.
+
+    Kept edges keep the graph's canonical order. Reversed edges arrive sorted
+    by their new source; a stable counting sort by new destination makes them
+    canonical too.
+    """
+    b = graph.weight - m[graph.dst if anchor == "destination" else graph.src]
+    keep = b > 0.0
+    flip = np.flatnonzero(b < 0.0)
+    flip = flip[_counting_order(graph.src[flip], graph.n)]
+    src = np.concatenate((graph.src[keep], graph.dst[flip]))
+    dst = np.concatenate((graph.dst[keep], graph.src[flip]))
+    weight = np.concatenate((b[keep], -b[flip]))
+    return src, dst, weight, int(keep.sum())
+
+
 def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.ndarray,
                               anchor: str = "destination") -> ImplicationNetwork:
     """Apply b = w - m(anchor node) to every edge; keep, drop, or reverse.
@@ -156,24 +184,22 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     if years.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} years, got shape {years.shape}")
 
-    b = graph.weight - m[graph.dst if anchor == "destination" else graph.src]
-    keep = b > 0.0
-    flip = b < 0.0
-    src = np.concatenate((graph.src[keep], graph.dst[flip]))
-    dst = np.concatenate((graph.dst[keep], graph.src[flip]))
-    weight = np.concatenate((b[keep], -b[flip]))
-    prior = years[dst] < years[src]
-
-    edge_order = np.lexsort((src, dst))
+    src, dst, weight, kept = _balanced_runs(graph, m, anchor)
+    # Both runs are in canonical order. numpy's stable sort is a timsort, which
+    # finds the two runs and merges them in one linear pass.
+    order = np.argsort(dst * np.int64(graph.n) + src, kind="stable")
+    src = src[order]
+    dst = dst[order]
+    weight = weight[order]
     return ImplicationNetwork(
         n=graph.n,
-        src=src[edge_order],
-        dst=dst[edge_order],
-        weight=weight[edge_order],
-        prior=prior[edge_order],
-        kept_count=int(keep.sum()),
-        reversed_count=int(flip.sum()),
-        dropped_count=int(graph.n_edges - keep.sum() - flip.sum()),
+        src=src,
+        dst=dst,
+        weight=weight,
+        prior=years[dst] < years[src],
+        kept_count=kept,
+        reversed_count=src.size - kept,
+        dropped_count=graph.n_edges - src.size,
     )
 
 
@@ -195,8 +221,5 @@ def empty_network(n: int) -> ImplicationNetwork:
 
 def write_cin_csv(net: ImplicationNetwork, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight,label` in canonical (dst, src) order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src_id", "dst_id", "weight", "label"])
-        for s, d, w, p in zip(net.src, net.dst, net.weight, net.prior):
-            writer.writerow([ids[s], ids[d], repr(float(w)), LABEL_PRIOR if p else LABEL_SUBSEQUENT])
+    _write_edge_rows(path, ("src_id", "dst_id", "weight", "label"), ids, net.src, net.dst,
+                     net.weight, label=((LABEL_SUBSEQUENT, LABEL_PRIOR), net.prior))

@@ -17,18 +17,24 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import GraphParams, PaintingGraph, build_graph
-from .implication import BalanceSpec, ImplicationNetwork, balance_graph, empty_network
+from .implication import (BalanceSpec, ImplicationNetwork, build_implication_network,
+                          compute_thresholds, empty_network, nearest_rank_percentile)
 from .scoring import (ScoreVector, normalize, solve_closed_form, solve_power,
                       solve_split, solve_split_closed_form)
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Scores for one aspect plus the stats of every intermediate stage."""
+    """Scores for one aspect plus the stats of every intermediate stage.
+
+    `thresholds` holds the balancing threshold m of every artifact, or None
+    when the graph has no edges and balancing had nothing to judge.
+    """
 
     aspect: str
     sigma: float
     graph: PaintingGraph
+    thresholds: np.ndarray | None
     network: ImplicationNetwork
     dangling_count: int
     score: ScoreVector
@@ -55,12 +61,15 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
     graph = build_graph(corpus, aspect, params)
 
     if graph.n_edges == 0:
+        thresholds = None
         network = empty_network(corpus.n)
     else:
         spec = BalanceSpec(mode=config.balancing_mode, percentile_p=config.percentile_p,
                            local_window_years=config.local_window_years,
                            min_local_sample=config.min_local_sample)
-        network = balance_graph(graph, corpus.years, spec, anchor=config.balance_anchor)
+        thresholds = compute_thresholds(graph, corpus.years, spec)
+        network = build_implication_network(graph, thresholds, corpus.years,
+                                            anchor=config.balance_anchor)
 
     if config.scoring == "combined":
         op = normalize(network, "all")
@@ -79,7 +88,7 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
             score = solve_split(op_prior, op_subseq, config.alpha, config.beta,
                                 tol=config.tol, max_iters=config.max_iters)
 
-    return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph,
+    return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
                           network=network, dangling_count=dangling_count, score=score)
 
 
@@ -116,6 +125,21 @@ def write_scores_csv(results: dict[str, PipelineResult], corpus: Corpus,
                                  repr(float(result.score.scores[i])), int(ranks[i])])
 
 
+def _threshold_stats(thresholds: np.ndarray | None, mode: str) -> dict:
+    """The balancing threshold of a run: the global m, or min/median/max of local m.
+
+    The median is nearest-rank, so it is a threshold some artifact was judged
+    by. Values are None when the graph had no edges.
+    """
+    if mode == "global":
+        return {"threshold": None if thresholds is None else float(thresholds[0])}
+    if thresholds is None:
+        return dict.fromkeys(("threshold_min", "threshold_median", "threshold_max"))
+    return {"threshold_min": float(thresholds.min()),
+            "threshold_median": nearest_rank_percentile(thresholds, 50.0),
+            "threshold_max": float(thresholds.max())}
+
+
 def run_metadata(results: dict[str, PipelineResult], corpus: Corpus,
                  config: RunConfig) -> dict:
     """Config echo plus graph and solver stats, JSON-ready (plain types only)."""
@@ -131,6 +155,7 @@ def run_metadata(results: dict[str, PipelineResult], corpus: Corpus,
             "dropped": r.network.dropped_count,
             "reversed_fraction": (r.network.reversed_count / edges) if edges else 0.0,
             "dangling_count": r.dangling_count,
+            **_threshold_stats(r.thresholds, config.balancing_mode),
             "solver": {
                 "name": r.score.solver,
                 "iterations": r.score.iterations,

@@ -1,0 +1,393 @@
+"""The simple graph build, CIN assembly, percentile and CSV writers, kept as oracles.
+
+The library picks each slab's top K with one partial selection, writes the
+picks straight into destination order, assembles the implication network with
+a counting sort plus one merge, reads percentiles with a partition and writes
+edge dumps a column at a time. The implementations they replaced live here,
+and every test asserts that both give the same bits. The corpora force every
+path: weight ties straddling the k-th cut, underflowed weights, candidate sets
+no larger than k, the window prior, single-year groups, slabs that mix fast and
+fallback rows, both anchors, global and local balancing, and p = 100.
+"""
+
+import csv
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import creanet as cn
+from creanet import graph as graph_module
+from creanet import implication as implication_module
+from creanet.similarity import kernel_block
+
+from conftest import make_corpus, random_corpus
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the implementations the library replaced.
+
+def reference_select_top_k(weights, sources, k):
+    """Positions of the k largest weights; ties at the cut favor the smaller source index."""
+    if weights.size <= k:
+        return np.arange(weights.size)
+    kth = np.partition(weights, weights.size - k)[weights.size - k]
+    above = np.flatnonzero(weights > kth)
+    need = k - above.size
+    if need == 0:
+        return above
+    ties = np.flatnonzero(weights == kth)
+    ties = ties[np.argsort(sources[ties])][:need]
+    return np.concatenate((above, ties))
+
+
+def reference_build_graph(corpus, aspect, params):
+    """Per-row top-K selection over the same kernel slabs, then one lexsort."""
+    feats = corpus.features[aspect].vectors
+    order, starts, ends = graph_module._year_groups(corpus.years)
+    src_parts, dst_parts, w_parts = [], [], []
+    for g in range(starts.size):
+        gs, ge = int(starts[g]), int(ends[g])
+        if gs == 0:
+            continue
+        if params.temporal_prior == "window" and gs > params.temporal_window_k:
+            cand = graph_module._window_candidates(order, starts, ends, g, params.temporal_window_k)
+        else:
+            cand = order[:gs]
+        for cs in range(gs, ge, graph_module._DST_CHUNK):
+            rows = order[cs:min(cs + graph_module._DST_CHUNK, ge)]
+            block = kernel_block(feats[rows], feats[cand], params.sigma)
+            for r, j in enumerate(rows):
+                w = block[r]
+                keep = w > 0.0
+                wk = w[keep]
+                ck = cand[keep]
+                sel = reference_select_top_k(wk, ck, params.k)
+                src_parts.append(ck[sel])
+                dst_parts.append(np.full(sel.size, j, dtype=np.int64))
+                w_parts.append(wk[sel])
+    if src_parts:
+        src = np.concatenate(src_parts)
+        dst = np.concatenate(dst_parts)
+        weight = np.concatenate(w_parts)
+        edge_order = np.lexsort((src, dst))
+        src, dst, weight = src[edge_order], dst[edge_order], weight[edge_order]
+    else:
+        src = np.empty(0, dtype=np.int64)
+        dst = np.empty(0, dtype=np.int64)
+        weight = np.empty(0, dtype=np.float64)
+    return cn.PaintingGraph(n=corpus.n, src=src, dst=dst, weight=weight)
+
+
+def reference_build_implication_network(graph, m, years, anchor="destination"):
+    """Keep, drop or reverse every edge, then lexsort the survivors."""
+    m = np.asarray(m, dtype=np.float64)
+    years = np.asarray(years, dtype=np.int64)
+    b = graph.weight - m[graph.dst if anchor == "destination" else graph.src]
+    keep = b > 0.0
+    flip = b < 0.0
+    src = np.concatenate((graph.src[keep], graph.dst[flip]))
+    dst = np.concatenate((graph.dst[keep], graph.src[flip]))
+    weight = np.concatenate((b[keep], -b[flip]))
+    prior = years[dst] < years[src]
+    edge_order = np.lexsort((src, dst))
+    return cn.ImplicationNetwork(
+        n=graph.n, src=src[edge_order], dst=dst[edge_order], weight=weight[edge_order],
+        prior=prior[edge_order], kept_count=int(keep.sum()), reversed_count=int(flip.sum()),
+        dropped_count=int(graph.n_edges - keep.sum() - flip.sum()))
+
+
+def reference_percentile(values, p):
+    """Nearest-rank percentile read off a stable full sort."""
+    values = np.asarray(values, dtype=np.float64)
+    rank = math.ceil(p / 100.0 * values.size)
+    return float(np.sort(values, kind="stable")[rank - 1])
+
+
+def reference_write_graph_csv(graph, ids, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src_id", "dst_id", "weight"])
+        for s, d, w in zip(graph.src, graph.dst, graph.weight):
+            writer.writerow([ids[s], ids[d], repr(float(w))])
+
+
+def reference_write_cin_csv(net, ids, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src_id", "dst_id", "weight", "label"])
+        for s, d, w, p in zip(net.src, net.dst, net.weight, net.prior):
+            writer.writerow([ids[s], ids[d], repr(float(w)), "prior" if p else "subsequent"])
+
+
+# ---------------------------------------------------------------------------
+# Helpers.
+
+def assert_same_graph(got, want):
+    assert got.n == want.n
+    assert np.array_equal(got.src, want.src)
+    assert np.array_equal(got.dst, want.dst)
+    assert got.weight.tobytes() == want.weight.tobytes()
+
+
+def assert_same_network(got, want):
+    assert np.array_equal(got.src, want.src)
+    assert np.array_equal(got.dst, want.dst)
+    assert got.weight.tobytes() == want.weight.tobytes()
+    assert np.array_equal(got.prior, want.prior)
+    assert (got.kept_count, got.reversed_count, got.dropped_count) == \
+        (want.kept_count, want.reversed_count, want.dropped_count)
+
+
+def count_fallback_rows(corpus, params):
+    """Build the graph and count the rows that went through the per-row selection."""
+    with mock.patch.object(graph_module, "_select_top_k",
+                           wraps=graph_module._select_top_k) as spy:
+        graph = cn.build_graph(corpus, "visual", params)
+    return graph, spy.call_count
+
+
+def quantised_corpus(seed, n, dim, levels, year_lo, year_hi):
+    """Integer-grid features: many pairs share a distance, hence a weight."""
+    rng = np.random.default_rng(seed)
+    years = rng.integers(year_lo, year_hi + 1, size=n)
+    return make_corpus(years, rng.integers(0, levels + 1, size=(n, dim)).astype(np.float64))
+
+
+@st.composite
+def corpora(draw):
+    n = draw(st.integers(1, 60))
+    n_years = draw(st.integers(1, 15))
+    years = 1500 + np.array(draw(st.lists(st.integers(0, n_years - 1), min_size=n, max_size=n)))
+    dim = draw(st.integers(1, 3))
+    levels = draw(st.sampled_from([0, 1, 2, 3]))  # 0: continuous features, else an integer grid
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if levels:
+        feats = rng.integers(0, levels + 1, size=(n, dim)).astype(np.float64)
+    else:
+        feats = rng.normal(size=(n, dim))
+    return make_corpus(years, feats)
+
+
+graph_params = st.builds(
+    lambda k, sigma, window: cn.GraphParams(
+        k=k, sigma=sigma, temporal_prior="none" if window is None else "window",
+        temporal_window_k=window or 500),
+    k=st.integers(1, 10),
+    # 0.01 underflows every weight but identical features; 0.3 and 1.0 keep grid ties
+    sigma=st.sampled_from([0.01, 0.3, 1.0, 4.0]),
+    window=st.one_of(st.none(), st.integers(1, 12)),
+)
+
+
+# ---------------------------------------------------------------------------
+# Graph build.
+
+class TestGraphAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), graph_params)
+    def test_random_corpora(self, corpus, params):
+        assert_same_graph(cn.build_graph(corpus, "visual", params),
+                          reference_build_graph(corpus, "visual", params))
+
+    def test_slab_mixes_fast_and_fallback_rows(self):
+        # one destination slab of 200 rows against 60 grid-valued candidates: some
+        # rows see a weight tie across the k-th cut, the rest have a clean cut
+        rng = np.random.default_rng(3)
+        feats = rng.integers(0, 4, size=(260, 2)).astype(np.float64)
+        feats[60:] += rng.normal(scale=0.2, size=(200, 2)) * (rng.random((200, 1)) < 0.5)
+        corpus = make_corpus([1500] * 60 + [1600] * 200, feats)
+        params = cn.GraphParams(k=3, sigma=1.0)
+        graph, fallback_rows = count_fallback_rows(corpus, params)
+        assert 0 < fallback_rows < 200
+        assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+
+    def test_underflowed_rows_fall_back(self):
+        # sigma far below the grid spacing: only identical features keep a weight
+        corpus = quantised_corpus(seed=4, n=150, dim=2, levels=2, year_lo=1500, year_hi=1510)
+        params = cn.GraphParams(k=4, sigma=0.01)
+        graph, fallback_rows = count_fallback_rows(corpus, params)
+        assert fallback_rows > 0
+        assert graph.n_edges > 0
+        assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+
+    def test_candidate_sets_no_larger_than_k(self):
+        corpus = random_corpus(seed=5, n=120, dim=3, year_lo=1500, year_hi=1530)
+        for k in (40, 119, 500):
+            params = cn.GraphParams(k=k, sigma=1.0)
+            assert_same_graph(cn.build_graph(corpus, "visual", params),
+                              reference_build_graph(corpus, "visual", params))
+
+    def test_several_slabs_per_year_group(self):
+        # 700 destinations in one year: three slabs share one candidate set
+        rng = np.random.default_rng(6)
+        years = np.array([1500] * 300 + [1600] * 700)
+        corpus = make_corpus(years, rng.normal(size=(1000, 4)))
+        for prior, window in (("none", 500), ("window", 120)):
+            params = cn.GraphParams(k=25, sigma=1.5, temporal_prior=prior, temporal_window_k=window)
+            assert_same_graph(cn.build_graph(corpus, "visual", params),
+                              reference_build_graph(corpus, "visual", params))
+
+    def test_window_prior_with_ties(self):
+        corpus = quantised_corpus(seed=7, n=400, dim=2, levels=3, year_lo=1500, year_hi=1540)
+        for window in (1, 9, 60):
+            params = cn.GraphParams(k=5, sigma=0.8, temporal_prior="window", temporal_window_k=window)
+            assert_same_graph(cn.build_graph(corpus, "visual", params),
+                              reference_build_graph(corpus, "visual", params))
+
+    def test_single_artifact_year_groups(self):
+        rng = np.random.default_rng(8)
+        corpus = make_corpus(1500 + rng.permutation(90), rng.normal(size=(90, 3)))
+        for k in (1, 7):
+            params = cn.GraphParams(k=k, sigma=1.0)
+            assert_same_graph(cn.build_graph(corpus, "visual", params),
+                              reference_build_graph(corpus, "visual", params))
+
+
+# ---------------------------------------------------------------------------
+# Percentile, thresholds and CIN assembly.
+
+class TestPercentileAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(1e-300, 1.0),
+                    min_size=1, max_size=50),
+           st.sampled_from([0.5, 1.0, 33.3, 50.0, 99.9, 100.0]) | st.floats(0.01, 100.0))
+    def test_random_samples(self, values, p):
+        values = np.array(values)
+        assert cn.nearest_rank_percentile(values, p) == reference_percentile(values, p)
+
+    def test_graph_weights_every_p(self):
+        corpus = random_corpus(seed=9, n=300, dim=4)
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=12, sigma=1.5))
+        for p in (0.1, 25.0, 50.0, 75.0, 100.0):
+            assert cn.nearest_rank_percentile(graph.weight, p) == \
+                reference_percentile(graph.weight, p)
+
+
+def thresholds_both_ways(graph, years, spec):
+    got = cn.compute_thresholds(graph, years, spec)
+    with mock.patch.object(implication_module, "nearest_rank_percentile", reference_percentile):
+        want = cn.compute_thresholds(graph, years, spec)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+balance_specs = st.builds(
+    cn.BalanceSpec,
+    mode=st.sampled_from(["global", "local"]),
+    percentile_p=st.sampled_from([10.0, 50.0, 90.0, 100.0]),
+    local_window_years=st.integers(1, 6),
+    min_local_sample=st.integers(1, 30),
+)
+
+
+class TestNetworkAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora(), graph_params, balance_specs, st.sampled_from(["destination", "source"]))
+    def test_random_corpora(self, corpus, params, spec, anchor):
+        graph = cn.build_graph(corpus, "visual", params)
+        if graph.n_edges == 0:
+            return
+        m = thresholds_both_ways(graph, corpus.years, spec)
+        assert_same_network(cn.build_implication_network(graph, m, corpus.years, anchor),
+                            reference_build_implication_network(graph, m, corpus.years, anchor))
+
+    @pytest.mark.parametrize("anchor", ["destination", "source"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    @pytest.mark.parametrize("p", [30.0, 50.0, 100.0])
+    def test_larger_corpus(self, anchor, mode, p):
+        corpus = random_corpus(seed=10, n=700, dim=4)
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
+        spec = cn.BalanceSpec(mode=mode, percentile_p=p, local_window_years=30)
+        m = thresholds_both_ways(graph, corpus.years, spec)
+        net = cn.build_implication_network(graph, m, corpus.years, anchor)
+        assert net.reversed_count > 0
+        assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
+
+    def test_runs_to_merge_are_each_canonical(self):
+        # the counting sort leaves two sorted runs, so the closing stable sort is one merge
+        corpus = random_corpus(seed=10, n=700, dim=4)
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
+        m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
+        for anchor in ("destination", "source"):
+            src, dst, _, kept = implication_module._balanced_runs(graph, m, anchor)
+            key = dst * graph.n + src
+            assert 0 < kept < key.size
+            assert np.all(np.diff(key[:kept]) > 0) and np.all(np.diff(key[kept:]) > 0)
+
+    def test_arbitrary_thresholds_with_exact_drops(self):
+        corpus = quantised_corpus(seed=11, n=200, dim=2, levels=3, year_lo=1500, year_hi=1560)
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=6, sigma=1.0))
+        rng = np.random.default_rng(11)
+        m = rng.choice(np.unique(graph.weight), size=corpus.n)  # b = 0 drops edges
+        for anchor in ("destination", "source"):
+            net = cn.build_implication_network(graph, m, corpus.years, anchor)
+            assert net.dropped_count > 0
+            assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
+
+    def test_opposed_pair_rejected_like_the_oracle(self):
+        # a hand-made graph holding both 0 -> 1 and 1 -> 0: keeping one and reversing
+        # the other yields the same CIN edge twice
+        graph = cn.PaintingGraph(n=2, src=np.array([1, 0]), dst=np.array([0, 1]),
+                                 weight=np.array([0.9, 0.1]))
+        m = np.array([0.5, 0.5])
+        years = np.array([1500, 1600])
+        for build in (cn.build_implication_network, reference_build_implication_network):
+            with pytest.raises(ValueError, match="strictly sorted"):
+                build(graph, m, years)
+
+
+# ---------------------------------------------------------------------------
+# CSV edge writers.
+
+AWKWARD_IDS = ["plain", "with,comma", 'with"quote', "with space", ' "both", ', "line\nbreak",
+               "tab\there", "ünïcode", "x" * 40]
+
+
+@pytest.fixture(params=[None, 5], ids=["one_chunk", "chunk_5"])
+def csv_chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(graph_module, "_CSV_CHUNK", request.param)
+
+
+class TestCsvWritersAgainstOracle:
+    def build(self):
+        rng = np.random.default_rng(12)
+        n = len(AWKWARD_IDS)
+        corpus = make_corpus(1500 + rng.permutation(n), rng.normal(size=(n, 2)), ids=AWKWARD_IDS)
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=4, sigma=1.0))
+        return corpus, graph, cn.balance_graph(graph, corpus.years, cn.BalanceSpec())
+
+    def test_graph_csv_bytes(self, tmp_path, csv_chunk):
+        corpus, graph, _ = self.build()
+        cn.write_graph_csv(graph, corpus.ids, tmp_path / "got.csv")
+        reference_write_graph_csv(graph, corpus.ids, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_cin_csv_bytes(self, tmp_path, csv_chunk):
+        corpus, _, net = self.build()
+        assert net.prior.any() and not net.prior.all()
+        cn.write_cin_csv(net, corpus.ids, tmp_path / "got.csv")
+        reference_write_cin_csv(net, corpus.ids, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_quoted_ids_read_back(self, tmp_path):
+        corpus, graph, _ = self.build()
+        cn.write_graph_csv(graph, corpus.ids, tmp_path / "graph.csv")
+        with open(tmp_path / "graph.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(r[0], r[1]) for r in rows] == \
+            [(corpus.ids[s], corpus.ids[d]) for s, d in zip(graph.src, graph.dst)]
+
+    def test_empty_edge_lists(self, tmp_path):
+        corpus = make_corpus([1500, 1500], np.eye(2), ids=["a,b", "c"])
+        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+        net = implication_module.empty_network(corpus.n)
+        for write, reference, obj in ((cn.write_graph_csv, reference_write_graph_csv, graph),
+                                      (cn.write_cin_csv, reference_write_cin_csv, net)):
+            write(obj, corpus.ids, tmp_path / "got.csv")
+            reference(obj, corpus.ids, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -188,6 +188,34 @@ class TestScoreOutputs:
         assert stats["dangling_count"] == results["visual"].dangling_count
         assert stats["solver"]["name"] == "power"
         assert stats["solver"]["converged"] is True
+        graph = results["visual"].graph
+        assert stats["threshold"] == cn.nearest_rank_percentile(graph.weight, config.percentile_p)
+        assert np.all(results["visual"].thresholds == stats["threshold"])
+        assert not {"threshold_min", "threshold_median", "threshold_max"} & set(stats)
+
+    def test_run_meta_local_thresholds(self, corpus, tmp_path):
+        config = cn.RunConfig(k=8, seed=3, balancing_mode="local", local_window_years=40)
+        results = cn.run_multi_aspect(corpus, config)
+        path = tmp_path / "run_meta.json"
+        cn.write_run_meta(results, corpus, config, path)
+        stats = json.loads(path.read_text(encoding="utf-8"))["aspects"]["visual"]
+        spec = cn.BalanceSpec(mode="local", local_window_years=40)
+        m = cn.compute_thresholds(results["visual"].graph, corpus.years, spec)
+        assert np.unique(m).size > 1
+        assert stats["threshold_min"] == m.min()
+        assert stats["threshold_max"] == m.max()
+        assert stats["threshold_median"] == np.sort(m)[(m.size + 1) // 2 - 1]  # nearest rank
+        assert "threshold" not in stats
+
+    def test_run_meta_threshold_without_edges(self, tmp_path):
+        corpus = make_corpus([1500, 1500, 1500], np.eye(3))
+        for mode, keys in (("global", ["threshold"]),
+                           ("local", ["threshold_min", "threshold_median", "threshold_max"])):
+            config = cn.RunConfig(k=2, sigma=1.0, balancing_mode=mode)
+            path = tmp_path / f"{mode}.json"
+            cn.write_run_meta(cn.run_multi_aspect(corpus, config), corpus, config, path)
+            stats = json.loads(path.read_text(encoding="utf-8"))["aspects"]["visual"]
+            assert [stats[key] for key in keys] == [None] * len(keys)
 
     def test_output_files_deterministic(self, results, corpus, config, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
