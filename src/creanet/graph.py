@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TEMPORAL_PRIORS
 from .corpus import Corpus
 from .similarity import SimilarityParams, kernel_block
 
@@ -26,8 +27,6 @@ _DST_CHUNK = 256
 # The CSV edge writers format this many rows per write, bounding the Python
 # strings alive at once.
 _CSV_CHUNK = 1 << 16
-
-TEMPORAL_PRIORS = ("none", "window")
 
 
 @dataclass(frozen=True)
@@ -108,20 +107,15 @@ def _window_candidates(order: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
     Prior artifacts ranked by year descending; within a year, earlier manifest
     rows are admitted first. Stable year sort makes each group slice
-    manifest-ascending, so a partial group contributes its slice prefix.
+    manifest-ascending, so the group the cut falls in contributes its slice
+    prefix and every later prior group its whole slice.
     """
-    pieces = []
-    for g in range(group - 1, -1, -1):
-        size = int(ends[g] - starts[g])
-        if budget >= size:
-            pieces.append(order[starts[g]:ends[g]])
-            budget -= size
-            if budget == 0:
-                break
-        else:
-            pieces.append(order[starts[g]:starts[g] + budget])
-            break
-    return np.concatenate(pieces[::-1]) if pieces else np.empty(0, dtype=np.int64)
+    gs = int(starts[group])
+    if budget >= gs:
+        return order[:gs]
+    cut = gs - budget
+    p = int(np.searchsorted(starts, cut, side="right")) - 1
+    return np.concatenate((order[starts[p]:starts[p] + ends[p] - cut], order[ends[p]:gs]))
 
 
 def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray:

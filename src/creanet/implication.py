@@ -17,10 +17,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .config import BALANCE_ANCHORS, BALANCING_MODES
 from .graph import PaintingGraph, _write_edge_rows
-
-BALANCING_MODES = ("global", "local")
-BALANCE_ANCHORS = ("destination", "source")
 
 LABEL_PRIOR = "prior"
 LABEL_SUBSEQUENT = "subsequent"
@@ -119,25 +117,76 @@ def compute_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpe
     global_m = nearest_rank_percentile(graph.weight, spec.percentile_p)
     if spec.mode == "global":
         return np.full(graph.n, global_m, dtype=np.float64)
+    return _local_thresholds(graph, years, spec, global_m)
 
-    # Local mode: an edge is in-window for year y iff both endpoint years are
-    # within ±w, i.e. max(endpoint years) - w <= y <= min(endpoint years) + w.
-    w = spec.local_window_years
-    ys, yd = years[graph.src], years[graph.dst]
-    lo = np.maximum(ys, yd) - w
-    hi = np.minimum(ys, yd) + w
-    m = np.empty(graph.n, dtype=np.float64)
-    cache: dict[int, float] = {}
-    for i in range(graph.n):
-        y = int(years[i])
-        if y not in cache:
-            mask = (lo <= y) & (y <= hi)
-            if int(mask.sum()) < spec.min_local_sample:
-                cache[y] = global_m
-            else:
-                cache[y] = nearest_rank_percentile(graph.weight[mask], spec.percentile_p)
-        m[i] = cache[y]
-    return m
+
+def _ranked_window_ranges(graph: PaintingGraph, year_of: np.ndarray, distinct: np.ndarray,
+                          w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weight, first, stop) of the edges in some year's window, ascending by weight.
+
+    Edge e is in window for year y iff max(endpoint years) - w <= y <= min(endpoint
+    years) + w, which over the distinct years is the index range [first, stop).
+    Year indices take the dtype of `year_of`, which the caller keeps to the
+    smallest that holds the distinct-year count, so the per-edge arrays stay small.
+    """
+    ys, yd = year_of[graph.src], year_of[graph.dst]
+    first = np.searchsorted(distinct, distinct - w, side="left").astype(year_of.dtype)
+    first = first[np.maximum(ys, yd)]
+    stop = np.searchsorted(distinct, distinct + w, side="right").astype(year_of.dtype)
+    stop = stop[np.minimum(ys, yd)]
+    live = first < stop
+    weight = graph.weight[live]
+    first = first[live]
+    stop = stop[live]
+    order = np.argsort(weight)
+    return weight[order], first[order], stop[order]
+
+
+def _local_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec,
+                      global_m: float) -> np.ndarray:
+    """Local-mode m of every artifact, from one sweep over the edges' weight ranks.
+
+    The edges in some year's window are ranked by weight once and the ranks cut
+    into blocks of about sqrt(E). Per-block in-window counts of every year
+    locate the block holding each year's nearest-rank edge, and one scan of
+    that block picks it. The pick is the ceil(p/100 * count)-th smallest
+    in-window weight, the value `nearest_rank_percentile` reads off the same
+    sample, so every threshold is exact. Cost: O(E log E + years * sqrt(E)) time
+    and O(E + years * sqrt(E)) memory.
+    """
+    distinct, year_of = np.unique(years, return_inverse=True)
+    q = distinct.size
+    year_of = year_of.astype(np.min_scalar_type(q))
+    weight, first, stop = _ranked_window_ranges(graph, year_of, distinct, spec.local_window_years)
+    m = np.full(q, global_m, dtype=np.float64)
+    e = weight.size
+    if e == 0:
+        return m[year_of]
+
+    # Blocks of `size` ranks; padding edges get the empty range [q, q).
+    size = math.isqrt(e - 1) + 1
+    blocks = -(-e // size)
+    pad = np.full(blocks * size - e, q, dtype=first.dtype)
+    first = np.concatenate((first, pad)).reshape(blocks, size)
+    stop = np.concatenate((stop, pad)).reshape(blocks, size)
+    row = (np.arange(blocks) * (q + 1))[:, None]
+    tally = np.bincount((first + row).ravel(), minlength=blocks * (q + 1))
+    tally -= np.bincount((stop + row).ravel(), minlength=blocks * (q + 1))
+    tally = tally.reshape(blocks, q + 1)
+    np.cumsum(tally, axis=1, out=tally)
+    np.cumsum(tally, axis=0, out=tally)  # tally[b, y]: in-window edges of y in blocks 0..b
+    local = np.flatnonzero(tally[-1, :q] >= spec.min_local_sample)
+    rank = np.ceil(spec.percentile_p / 100.0 * tally[-1, local]).astype(np.int64)
+    block = np.count_nonzero(tally[:, local] < rank, axis=0)
+    before = np.where(block > 0, tally[block - 1, local], 0)
+    del tally  # the scan sets the peak memory; it needs none of the counts
+
+    y = local[:, None]
+    inside = (first[block] <= y) & (y < stop[block])
+    seen = np.cumsum(inside, axis=1, dtype=np.min_scalar_type(size))
+    pos = np.argmax(seen >= (rank - before)[:, None], axis=1)
+    m[local] = weight[block * size + pos]
+    return m[year_of]
 
 
 def _counting_order(keys: np.ndarray, n: int) -> np.ndarray:

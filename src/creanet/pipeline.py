@@ -148,6 +148,7 @@ def run_metadata(results: dict[str, PipelineResult], corpus: Corpus,
         edges = r.graph.n_edges
         aspects[aspect] = {
             "sigma": r.sigma,
+            "sigma_auto": config.sigma_for(aspect) == "auto",
             "graph_edges": edges,
             "cin_edges": r.network.n_edges,
             "kept": r.network.kept_count,

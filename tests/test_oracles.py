@@ -1,13 +1,16 @@
-"""The simple graph build, CIN assembly, percentile and CSV writers, kept as oracles.
+"""The simple graph build, CIN assembly, percentiles and CSV writers, kept as oracles.
 
 The library picks each slab's top K with one partial selection, writes the
 picks straight into destination order, assembles the implication network with
-a counting sort plus one merge, reads percentiles with a partition and writes
-edge dumps a column at a time. The implementations they replaced live here,
-and every test asserts that both give the same bits. The corpora force every
-path: weight ties straddling the k-th cut, underflowed weights, candidate sets
-no larger than k, the window prior, single-year groups, slabs that mix fast and
-fallback rows, both anchors, global and local balancing, and p = 100.
+a counting sort plus one merge, reads percentiles with a partition, finds local
+thresholds in one sweep over weight ranks, cuts window candidates in O(1) per
+year group and writes edge dumps a column at a time. The implementations they
+replaced live here, and every test asserts that both give the same bits. The
+corpora force every path: weight ties straddling the k-th cut, underflowed
+weights, candidate sets no larger than k, the window prior, single-year groups,
+slabs that mix fast and fallback rows, both anchors, global and local
+balancing, local samples below the fallback floor, edges never in any window,
+and p = 100.
 """
 
 import csv
@@ -44,6 +47,22 @@ def reference_select_top_k(weights, sources, k):
     return np.concatenate((above, ties))
 
 
+def reference_window_candidates(order, starts, ends, group, budget):
+    """The `budget` latest strictly-prior artifacts, walking back one year group at a time."""
+    pieces = []
+    for g in range(group - 1, -1, -1):
+        size = int(ends[g] - starts[g])
+        if budget >= size:
+            pieces.append(order[starts[g]:ends[g]])
+            budget -= size
+            if budget == 0:
+                break
+        else:
+            pieces.append(order[starts[g]:starts[g] + budget])
+            break
+    return np.concatenate(pieces[::-1]) if pieces else np.empty(0, dtype=np.int64)
+
+
 def reference_build_graph(corpus, aspect, params):
     """Per-row top-K selection over the same kernel slabs, then one lexsort."""
     feats = corpus.features[aspect].vectors
@@ -54,7 +73,7 @@ def reference_build_graph(corpus, aspect, params):
         if gs == 0:
             continue
         if params.temporal_prior == "window" and gs > params.temporal_window_k:
-            cand = graph_module._window_candidates(order, starts, ends, g, params.temporal_window_k)
+            cand = reference_window_candidates(order, starts, ends, g, params.temporal_window_k)
         else:
             cand = order[:gs]
         for cs in range(gs, ge, graph_module._DST_CHUNK):
@@ -105,6 +124,28 @@ def reference_percentile(values, p):
     values = np.asarray(values, dtype=np.float64)
     rank = math.ceil(p / 100.0 * values.size)
     return float(np.sort(values, kind="stable")[rank - 1])
+
+
+def reference_local_thresholds(graph, years, spec):
+    """Local-mode m: mask the in-window edges and take their percentile, once per distinct year."""
+    years = np.asarray(years, dtype=np.int64)
+    global_m = reference_percentile(graph.weight, spec.percentile_p)
+    w = spec.local_window_years
+    ys, yd = years[graph.src], years[graph.dst]
+    lo = np.maximum(ys, yd) - w
+    hi = np.minimum(ys, yd) + w
+    m = np.empty(graph.n, dtype=np.float64)
+    cache = {}
+    for i in range(graph.n):
+        y = int(years[i])
+        if y not in cache:
+            mask = (lo <= y) & (y <= hi)
+            if int(mask.sum()) < spec.min_local_sample:
+                cache[y] = global_m
+            else:
+                cache[y] = reference_percentile(graph.weight[mask], spec.percentile_p)
+        m[i] = cache[y]
+    return m
 
 
 def reference_write_graph_csv(graph, ids, path):
@@ -247,6 +288,29 @@ class TestGraphAgainstOracle:
                               reference_build_graph(corpus, "visual", params))
 
 
+class TestWindowCandidatesAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 11), min_size=1, max_size=40))
+    def test_every_group_and_budget(self, years):
+        order, starts, ends = graph_module._year_groups(np.array(years))
+        for g in range(starts.size):
+            for budget in range(1, len(years) + 2):
+                got = graph_module._window_candidates(order, starts, ends, g, budget)
+                want = reference_window_candidates(order, starts, ends, g, budget)
+                assert np.array_equal(got, want)
+
+    def test_cut_inside_and_at_group_edges(self):
+        # groups of 3, 1 and 4 artifacts, manifest order mixed across years
+        years = np.array([1502, 1500, 1501, 1500, 1502, 1503, 1500, 1502, 1502])
+        order, starts, ends = graph_module._year_groups(years)
+        assert [list(order[a:b]) for a, b in zip(starts, ends)] == \
+            [[1, 3, 6], [2], [0, 4, 7, 8], [5]]
+        for budget, want in ((1, [0]), (4, [0, 4, 7, 8]), (5, [2, 0, 4, 7, 8]),
+                             (6, [1, 2, 0, 4, 7, 8]), (8, [1, 3, 6, 2, 0, 4, 7, 8]),
+                             (20, [1, 3, 6, 2, 0, 4, 7, 8])):
+            assert list(graph_module._window_candidates(order, starts, ends, 3, budget)) == want
+
+
 # ---------------------------------------------------------------------------
 # Percentile, thresholds and CIN assembly.
 
@@ -272,6 +336,8 @@ def thresholds_both_ways(graph, years, spec):
     with mock.patch.object(implication_module, "nearest_rank_percentile", reference_percentile):
         want = cn.compute_thresholds(graph, years, spec)
     assert got.tobytes() == want.tobytes()
+    if spec.mode == "local":
+        assert got.tobytes() == reference_local_thresholds(graph, years, spec).tobytes()
     return got
 
 
@@ -338,6 +404,112 @@ class TestNetworkAgainstOracle:
         for build in (cn.build_implication_network, reference_build_implication_network):
             with pytest.raises(ValueError, match="strictly sorted"):
                 build(graph, m, years)
+
+
+def hand_made_graph(seed, n, n_edges, n_years, levels=0):
+    """Random distinct ordered pairs in canonical order, sources as often later as earlier.
+
+    `levels` > 0 quantises the weights onto that many values, so ties span ranks.
+    """
+    rng = np.random.default_rng(seed)
+    years = 1500 + rng.integers(0, n_years, size=n)
+    key = np.sort(rng.choice(n * (n - 1), size=min(n_edges, n * (n - 1)), replace=False))
+    dst, src = np.divmod(key, n - 1)
+    src += src >= dst  # skip the self pair
+    if levels:
+        weight = rng.integers(1, levels + 1, size=src.size) / levels
+    else:
+        weight = rng.random(src.size) + 1e-3
+    return cn.PaintingGraph(n=n, src=src, dst=dst, weight=weight), years
+
+
+def window_sample_sizes(graph, years, w):
+    """Per artifact: how many edges have both endpoint years within ±w of its year."""
+    lo = np.maximum(years[graph.src], years[graph.dst]) - w
+    hi = np.minimum(years[graph.src], years[graph.dst]) + w
+    return np.array([int(((lo <= y) & (y <= hi)).sum()) for y in years])
+
+
+def local_spec(p=50.0, w=3, floor=1):
+    return cn.BalanceSpec(mode="local", percentile_p=p, local_window_years=w, min_local_sample=floor)
+
+
+class TestLocalThresholdsAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 300),
+           st.integers(1, 20), st.sampled_from([0, 1, 3, 8]),
+           st.sampled_from([0.1, 10.0, 50.0, 99.9, 100.0]) | st.floats(0.01, 100.0),
+           st.integers(1, 12), st.integers(1, 40))
+    def test_hand_made_graphs(self, seed, n, n_edges, n_years, levels, p, w, floor):
+        graph, years = hand_made_graph(seed, n, n_edges, n_years, levels)
+        if graph.n_edges:
+            thresholds_both_ways(graph, years, local_spec(p, w, floor))
+
+    def test_edges_never_in_window(self):
+        graph, years = hand_made_graph(seed=20, n=60, n_edges=900, n_years=40)
+        w = 3
+        span = np.abs(years[graph.src] - years[graph.dst])
+        assert np.any(span > 2 * w) and np.any(span <= 2 * w)
+        thresholds_both_ways(graph, years, local_spec(w=w))
+
+    def test_no_edge_ever_in_window(self):
+        # every edge spans more than 2w years: all samples are empty, all years fall back
+        graph = cn.PaintingGraph(n=3, src=np.array([1, 0, 0]), dst=np.array([0, 1, 2]),
+                                 weight=np.array([0.2, 0.7, 0.4]))
+        years = np.array([1500, 1510, 1520])
+        m = thresholds_both_ways(graph, years, local_spec(w=4))
+        assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
+
+    def test_fallback_for_some_years_only(self):
+        graph, years = hand_made_graph(seed=21, n=80, n_edges=1500, n_years=30)
+        for floor in (20, 40, 60):
+            spec = local_spec(w=2, floor=floor)
+            sizes = window_sample_sizes(graph, years, spec.local_window_years)
+            assert np.any(sizes < floor) and np.any(sizes >= floor)
+            thresholds_both_ways(graph, years, spec)
+
+    @pytest.mark.parametrize("p", [0.1, 100.0])
+    def test_extreme_percentiles(self, p):
+        graph, years = hand_made_graph(seed=22, n=70, n_edges=1200, n_years=25)
+        m = thresholds_both_ways(graph, years, local_spec(p=p, w=4))
+        assert np.unique(m).size > 1
+
+    def test_single_distinct_year(self):
+        graph, years = hand_made_graph(seed=23, n=30, n_edges=200, n_years=1)
+        assert np.unique(years).size == 1
+        for p in (0.1, 50.0, 100.0):
+            m = thresholds_both_ways(graph, years, local_spec(p=p, w=1))
+            assert m[0] == cn.nearest_rank_percentile(graph.weight, p)
+
+    def test_quantised_weights_tie_across_ranks(self):
+        graph, years = hand_made_graph(seed=24, n=70, n_edges=1500, n_years=20, levels=4)
+        assert np.unique(graph.weight).size == 4
+        for p in (10.0, 25.0, 50.0, 75.0, 100.0):
+            thresholds_both_ways(graph, years, local_spec(p=p, w=3))
+
+    def test_window_wider_than_year_span(self):
+        graph, years = hand_made_graph(seed=25, n=50, n_edges=600, n_years=15)
+        m = thresholds_both_ways(graph, years, local_spec(w=100))
+        assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
+
+    def test_sources_later_than_destinations(self):
+        # every edge points back in time, unlike any graph `build_graph` makes
+        graph = cn.PaintingGraph(n=4, src=np.array([1, 2, 3, 2, 3, 3]),
+                                 dst=np.array([0, 0, 0, 1, 1, 2]),
+                                 weight=np.array([0.9, 0.3, 0.5, 0.6, 0.2, 0.8]))
+        years = np.array([1500, 1502, 1504, 1509])
+        for w in (1, 2, 3, 5):
+            thresholds_both_ways(graph, years, local_spec(w=w))
+
+    @pytest.mark.parametrize("n_edges", [1, 2, 3, 4, 8, 9, 10, 17, 120, 1000])
+    def test_one_block_and_several(self, n_edges):
+        # every edge spans at most 3 years, so all are in window; ranks are cut into
+        # blocks of ceil(sqrt(E)): one block for E <= 2, then several, with a short
+        # last block unless E is a square
+        graph, years = hand_made_graph(seed=26 + n_edges, n=60, n_edges=n_edges, n_years=4)
+        assert graph.n_edges == n_edges
+        for p in (0.1, 50.0, 100.0):
+            thresholds_both_ways(graph, years, local_spec(p=p, w=3))
 
 
 # ---------------------------------------------------------------------------

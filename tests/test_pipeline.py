@@ -192,6 +192,13 @@ class TestScoreOutputs:
         assert stats["threshold"] == cn.nearest_rank_percentile(graph.weight, config.percentile_p)
         assert np.all(results["visual"].thresholds == stats["threshold"])
         assert not {"threshold_min", "threshold_median", "threshold_max"} & set(stats)
+        assert stats["sigma_auto"] is True
+        assert stats["sigma"] == results["visual"].sigma
+        configured = cn.RunConfig(k=8, seed=3, sigma_overrides={"visual": 1.5})
+        cn.write_run_meta(cn.run_multi_aspect(corpus, configured), corpus, configured, path)
+        stats = json.loads(path.read_text(encoding="utf-8"))["aspects"]["visual"]
+        assert stats["sigma_auto"] is False
+        assert stats["sigma"] == 1.5
 
     def test_run_meta_local_thresholds(self, corpus, tmp_path):
         config = cn.RunConfig(k=8, seed=3, balancing_mode="local", local_window_years=40)
