@@ -11,14 +11,12 @@ from .config import ConfigError, RunConfig, config_from_mapping, load_config_fil
 from .corpus import (Artifact, Corpus, FeatureSet, IngestError, estimate_sigma,
                      ingest_corpus, read_features, read_manifest, write_features_binary)
 from .graph import GraphParams, PaintingGraph, build_graph, write_graph_csv
-from .implication import (BalanceSpec, ImplicationNetwork, balance_graph,
-                          build_implication_network, compute_thresholds,
-                          nearest_rank_percentile, write_cin_csv)
-from .pipeline import (PipelineResult, resolve_sigma, run_multi_aspect, run_pipeline,
-                       score_ranks, write_run_meta, write_scores_csv)
-from .scoring import (ScoreVector, StochasticOperator, normalize, solve_closed_form,
-                      solve_power, solve_split, solve_split_closed_form)
-from .similarity import SimilarityParams, kernel_block, visual_similarity
+from .implication import (BalanceSpec, ImplicationNetwork, build_implication_network,
+                          compute_thresholds, nearest_rank_percentile, write_cin_csv)
+from .pipeline import (PipelineResult, build_network, resolve_sigma, run_multi_aspect,
+                       run_pipeline, score_ranks, write_run_meta, write_scores_csv)
+from .scoring import ScoreVector, StochasticOperator, normalize, solve_closed_form, solve_power
+from .similarity import SimilarityParams, kernel_block
 from .svgplot import minmax_scale, scatter_svg, write_scatter_svg
 from .timemachine import (TimeMachineReport, TimeMachineRun, TimeMachineSpec,
                           resolve_targets, run_time_machine, spec_from_mapping,
@@ -30,14 +28,13 @@ __all__ = [
     "Artifact", "BalanceSpec", "ConfigError", "Corpus", "FeatureSet", "GraphParams",
     "ImplicationNetwork", "IngestError", "PaintingGraph", "PipelineResult", "RunConfig",
     "ScoreVector", "SimilarityParams", "StochasticOperator", "TimeMachineReport",
-    "TimeMachineRun", "TimeMachineSpec", "__version__", "balance_graph", "build_graph",
-    "build_implication_network", "compute_thresholds", "config_from_mapping",
+    "TimeMachineRun", "TimeMachineSpec", "__version__", "build_graph",
+    "build_implication_network", "build_network", "compute_thresholds", "config_from_mapping",
     "estimate_sigma", "ingest_corpus", "kernel_block", "load_config_file",
     "minmax_scale", "nearest_rank_percentile", "normalize", "read_features",
     "read_manifest", "resolve_sigma", "resolve_targets", "run_multi_aspect",
     "run_pipeline", "run_time_machine", "scatter_svg", "score_ranks",
-    "solve_closed_form", "solve_power", "solve_split", "solve_split_closed_form",
-    "spec_from_mapping", "visual_similarity", "write_cin_csv", "write_features_binary",
-    "write_graph_csv", "write_report_csv", "write_run_meta", "write_runs_csv",
-    "write_scatter_svg", "write_scores_csv",
+    "solve_closed_form", "solve_power", "spec_from_mapping", "write_cin_csv",
+    "write_features_binary", "write_graph_csv", "write_report_csv", "write_run_meta",
+    "write_runs_csv", "write_scatter_svg", "write_scores_csv",
 ]

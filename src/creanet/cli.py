@@ -14,9 +14,10 @@ from pathlib import Path
 from .config import (ConfigError, check_known_keys, config_from_mapping,
                      load_config_file, parse_config_text)
 from .corpus import IngestError, ingest_corpus
-from .graph import GraphParams, build_graph, write_graph_csv
-from .implication import BalanceSpec, balance_graph, empty_network, write_cin_csv
-from .pipeline import resolve_sigma, run_multi_aspect, write_run_meta, write_scores_csv
+from .graph import write_graph_csv
+from .implication import write_cin_csv
+from .pipeline import (build_network, resolve_sigma, run_multi_aspect, write_run_meta,
+                       write_scores_csv)
 from .svgplot import write_scatter_svg
 from .timemachine import run_time_machine, spec_from_mapping, write_report_csv, write_runs_csv
 
@@ -169,16 +170,7 @@ def _cmd_dump_graph(args: argparse.Namespace) -> int:
 
     for i, aspect in enumerate(corpus.aspects):
         sigma = resolve_sigma(corpus, aspect, config)
-        params = GraphParams(k=config.k, sigma=sigma, temporal_prior=config.temporal_prior,
-                             temporal_window_k=config.temporal_window_k)
-        graph = build_graph(corpus, aspect, params)
-        if graph.n_edges == 0:
-            network = empty_network(corpus.n)
-        else:
-            spec = BalanceSpec(mode=config.balancing_mode, percentile_p=config.percentile_p,
-                               local_window_years=config.local_window_years,
-                               min_local_sample=config.min_local_sample)
-            network = balance_graph(graph, corpus.years, spec, anchor=config.balance_anchor)
+        graph, _, network = build_network(corpus, aspect, config, sigma)
         write_graph_csv(graph, corpus.ids, out / _aspect_filename("graph", aspect, i == 0, "csv"))
         write_cin_csv(network, corpus.ids, out / _aspect_filename("cin", aspect, i == 0, "csv"))
     return EXIT_OK

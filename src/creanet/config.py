@@ -9,7 +9,7 @@ Recognized keys::
     alpha                [0, 1]       propagation fraction (default 0.15)
     beta                 [0, 1]       originality weight in split scoring (default 0.5)
     scoring              combined | split            (default combined)
-    percentile_p         (0, 100)     balancing percentile (default 50)
+    percentile_p         (0, 100]     balancing percentile (default 50)
     sigma                auto | float > 0            kernel bandwidth (default auto)
     sigma.<aspect>       float > 0    per-aspect override
     balancing_mode       global | local              (default global)
@@ -88,8 +88,8 @@ class RunConfig:
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
-        check(0.0 < self.percentile_p < 100.0,
-              f"percentile_p must be in (0, 100), got {self.percentile_p!r}")
+        check(0.0 < self.percentile_p <= 100.0,
+              f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
         if self.sigma != "auto":
             check(isinstance(self.sigma, (int, float)) and not isinstance(self.sigma, bool)
                   and self.sigma > 0.0,
@@ -201,20 +201,3 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     if overrides:
         kwargs["sigma_overrides"] = overrides
     return RunConfig(**kwargs)
-
-
-def input_paths_from_mapping(mapping: dict[str, str], base_dir: Path | None = None) -> tuple[str | None, dict[str, str]]:
-    """Extract manifest and per-aspect feature paths; relative paths resolve against base_dir."""
-
-    def resolve(raw: str) -> str:
-        p = Path(raw)
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        return str(p)
-
-    manifest = resolve(mapping["manifest"]) if "manifest" in mapping else None
-    features = {}
-    for key, raw in mapping.items():
-        if key.startswith("feature.") and len(key) > len("feature."):
-            features[key[len("feature."):]] = resolve(raw)
-    return manifest, features

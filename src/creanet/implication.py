@@ -252,13 +252,6 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     )
 
 
-def balance_graph(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec,
-                  anchor: str = "destination") -> ImplicationNetwork:
-    """Threshold computation and edge mapping in one step."""
-    m = compute_thresholds(graph, years, spec)
-    return build_implication_network(graph, m, years, anchor=anchor)
-
-
 def empty_network(n: int) -> ImplicationNetwork:
     """Edgeless network for corpora whose similarity graph has no edges."""
     empty_i = np.empty(0, dtype=np.int64)

@@ -1,7 +1,7 @@
 """End-to-end scoring pipeline and its file outputs.
 
 One aspect flows: features -> similarity graph -> implication network ->
-stochastic operator(s) -> score vector. Aspects never mix; the multi-aspect
+stochastic operator -> score vector. Aspects never mix; the multi-aspect
 driver just runs the pipeline once per aspect.
 """
 
@@ -19,8 +19,7 @@ from .corpus import Corpus, estimate_sigma
 from .graph import GraphParams, PaintingGraph, build_graph
 from .implication import (BalanceSpec, ImplicationNetwork, build_implication_network,
                           compute_thresholds, empty_network, nearest_rank_percentile)
-from .scoring import (ScoreVector, normalize, solve_closed_form, solve_power,
-                      solve_split, solve_split_closed_form)
+from .scoring import ScoreVector, normalize, solve_closed_form, solve_power
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,27 @@ def resolve_sigma(corpus: Corpus, aspect: str, config: RunConfig) -> float:
     return float(configured)
 
 
+def build_network(corpus: Corpus, aspect: str, config: RunConfig,
+                  sigma: float) -> tuple[PaintingGraph, np.ndarray | None, ImplicationNetwork]:
+    """Similarity graph, balancing thresholds and implication network of one aspect.
+
+    The thresholds are None when the graph has no edges and balancing had
+    nothing to judge.
+    """
+    params = GraphParams(k=config.k, sigma=sigma, temporal_prior=config.temporal_prior,
+                         temporal_window_k=config.temporal_window_k)
+    graph = build_graph(corpus, aspect, params)
+    if graph.n_edges == 0:
+        return graph, None, empty_network(corpus.n)
+    spec = BalanceSpec(mode=config.balancing_mode, percentile_p=config.percentile_p,
+                       local_window_years=config.local_window_years,
+                       min_local_sample=config.min_local_sample)
+    thresholds = compute_thresholds(graph, corpus.years, spec)
+    network = build_implication_network(graph, thresholds, corpus.years,
+                                        anchor=config.balance_anchor)
+    return graph, thresholds, network
+
+
 def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
                  sigma: float | None = None) -> PipelineResult:
     """Score one aspect. Passing `sigma` pins the bandwidth (skips resolution)."""
@@ -56,37 +76,13 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
     if sigma is None:
         sigma = resolve_sigma(corpus, aspect, config)
 
-    params = GraphParams(k=config.k, sigma=sigma, temporal_prior=config.temporal_prior,
-                         temporal_window_k=config.temporal_window_k)
-    graph = build_graph(corpus, aspect, params)
-
-    if graph.n_edges == 0:
-        thresholds = None
-        network = empty_network(corpus.n)
+    graph, thresholds, network = build_network(corpus, aspect, config, sigma)
+    op = normalize(network, None if config.scoring == "combined" else config.beta)
+    if config.solver == "closed_form":
+        score = solve_closed_form(op, config.alpha)
     else:
-        spec = BalanceSpec(mode=config.balancing_mode, percentile_p=config.percentile_p,
-                           local_window_years=config.local_window_years,
-                           min_local_sample=config.min_local_sample)
-        thresholds = compute_thresholds(graph, corpus.years, spec)
-        network = build_implication_network(graph, thresholds, corpus.years,
-                                            anchor=config.balance_anchor)
-
-    if config.scoring == "combined":
-        op = normalize(network, "all")
-        dangling_count = int(op.dangling.sum())
-        if config.solver == "closed_form":
-            score = solve_closed_form(op, config.alpha)
-        else:
-            score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
-    else:
-        op_prior = normalize(network, "prior")
-        op_subseq = normalize(network, "subsequent")
-        dangling_count = int((op_prior.dangling & op_subseq.dangling).sum())
-        if config.solver == "closed_form":
-            score = solve_split_closed_form(op_prior, op_subseq, config.alpha, config.beta)
-        else:
-            score = solve_split(op_prior, op_subseq, config.alpha, config.beta,
-                                tol=config.tol, max_iters=config.max_iters)
+        score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    dangling_count = int(np.count_nonzero(np.bincount(network.dst, minlength=corpus.n) == 0))
 
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
                           network=network, dangling_count=dangling_count, score=score)

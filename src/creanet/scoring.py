@@ -1,8 +1,11 @@
 """Column-stochastic normalization and the creativity score solvers.
 
 Scores satisfy C = (1-alpha)/n + alpha * M C where M's column j spreads node
-j's score over the sources of its incoming implication edges. Columns with no
-incoming weight are completed uniformly, so M is exactly column-stochastic and
+j's score over the sources of its incoming implication edges. Split scoring
+weighs prior-labeled edges by beta and subsequent-labeled ones by 1 - beta.
+Whatever weight a column's edges do not carry is its dangling weight, spread
+uniformly over all n nodes (the rank-one dangling-node term of Langville &
+Meyer, "Deeper Inside PageRank", 2004), so M is exactly column-stochastic and
 every iterate stays on the probability simplex.
 """
 
@@ -16,8 +19,6 @@ from scipy import sparse
 
 from .implication import ImplicationNetwork
 
-EDGE_FILTERS = ("all", "prior", "subsequent")
-
 # Largest n for which the dense closed-form solve is permitted.
 CLOSED_FORM_MAX_N = 5000
 
@@ -29,44 +30,45 @@ SIMPLEX_SUM_TOL = 1e-9
 class StochasticOperator:
     """Column-stochastic operator: entry (i, j) moves score from j to i.
 
-    `matrix` holds only edge-backed columns; `dangling` marks columns with zero
-    incoming weight, treated as uniform 1/n when the operator is applied.
+    `matrix` holds the edge-backed entries; `dangling[j]` in [0, 1] is the
+    share of column j spread as 1/n over every node when the operator is
+    applied. Each column's entries plus its dangling weight sum to 1.
     """
 
     n: int
-    matrix: sparse.csr_matrix
+    matrix: sparse.spmatrix
     dangling: np.ndarray
 
     def __post_init__(self):
         if self.matrix.shape != (self.n, self.n):
             raise ValueError(f"matrix must be {self.n}x{self.n}, got {self.matrix.shape}")
-        dangling = np.ascontiguousarray(self.dangling, dtype=bool)
+        dangling = np.ascontiguousarray(self.dangling, dtype=np.float64)
         if dangling.shape != (self.n,):
             raise ValueError(f"dangling must have shape ({self.n},)")
+        if not np.all((dangling >= 0.0) & (dangling <= 1.0)):
+            raise ValueError("dangling weights must lie in [0, 1]")
         dangling.setflags(write=False)
         object.__setattr__(self, "dangling", dangling)
         data = self.matrix.data
         if data.size and not (np.all(np.isfinite(data)) and data.min() >= 0.0 and data.max() <= 1.0):
             raise ValueError("operator entries must lie in [0, 1]")
-        col_sums = np.asarray(self.matrix.sum(axis=0)).ravel()
-        if np.any(col_sums[dangling] != 0.0):
-            raise ValueError("dangling columns must be empty")
-        live = ~dangling
-        if np.any(np.abs(col_sums[live] - 1.0) > COLUMN_SUM_TOL):
-            raise ValueError("non-dangling columns must sum to 1")
+        col_sums = np.asarray(self.matrix.sum(axis=0)).ravel() + dangling
+        if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
+            raise ValueError("every column's entries plus its dangling weight must sum to 1")
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """M @ c with dangling columns acting as uniform 1/n."""
+        """M @ c with each column's dangling weight spread uniformly."""
         out = self.matrix @ c
-        lost = float(c[self.dangling].sum())
+        support = np.flatnonzero(self.dangling)
+        lost = float((self.dangling[support] * c[support]).sum())
         if lost:
             out += lost / self.n
         return out
 
     def dense(self) -> np.ndarray:
-        """Full matrix with dangling columns filled in; for small-n solves only."""
+        """Full matrix with the dangling weights filled in; for small-n solves only."""
         m = self.matrix.toarray()
-        m[:, self.dangling] = 1.0 / self.n
+        m += self.dangling / self.n
         return m
 
 
@@ -98,52 +100,37 @@ class ScoreVector:
         return int(self.scores.size)
 
 
-def normalize(cin: ImplicationNetwork, edge_filter: str = "all") -> StochasticOperator:
-    """Divide each column by its incoming-weight sum over the filtered edge set."""
-    if edge_filter not in EDGE_FILTERS:
-        raise ValueError(f"edge_filter must be one of {EDGE_FILTERS}, got {edge_filter!r}")
-    if edge_filter == "all":
-        keep = slice(None)
-    elif edge_filter == "prior":
-        keep = cin.prior
-    else:
-        keep = ~cin.prior
-    src, dst, weight = cin.src[keep], cin.dst[keep], cin.weight[keep]
+def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticOperator:
+    """The scoring operator of a CIN: combined when `beta` is None, else the beta split.
 
+    Combined scoring divides each edge by its column's incoming weight. Split
+    scoring gives beta * M_prior + (1 - beta) * M_subseq, each label's edges
+    divided by that label's column sum. At beta = 1 or 0 the edges of the label
+    with zero weight are left out rather than stored as zeros, so each limit
+    scores bit for bit like an operator built from one label's edges alone.
+    """
     n = cin.n
-    col_sums = np.bincount(dst, weights=weight, minlength=n)
-    dangling = col_sums == 0.0
-    values = weight / col_sums[dst]
-    matrix = sparse.coo_matrix((values, (src, dst)), shape=(n, n)).tocsr()
+    src, dst, weight = cin.src, cin.dst, cin.weight
+    if beta is None:
+        sums = np.bincount(dst, weights=weight, minlength=n)
+        values = weight / sums[dst]
+        dangling = (sums == 0.0).astype(np.float64)
+    else:
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must be in [0, 1], got {beta!r}")
+        label = cin.prior.astype(np.intp)  # row of `sums`: 0 subsequent, 1 prior
+        scale = np.array([1.0 - beta, beta])
+        sums = np.bincount(dst + n * label, weights=weight, minlength=2 * n).reshape(2, n)
+        dangling = scale[1] * (sums[1] == 0.0) + scale[0] * (sums[0] == 0.0)
+        if beta in (0.0, 1.0):
+            keep = label == int(beta)
+            src, dst, weight, label = src[keep], dst[keep], weight[keep], label[keep]
+        values = weight / sums[label, dst] * scale[label]
+    # Edges are in (dst, src) order: grouped by column, rows ascending within each.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
+    matrix = sparse.csc_matrix((values, src, indptr), shape=(n, n))
     return StochasticOperator(n=n, matrix=matrix, dangling=dangling)
-
-
-def _iterate(apply_fn: Callable[[np.ndarray], np.ndarray], n: int, alpha: float,
-             tol: float, max_iters: int,
-             on_iteration: Callable[[np.ndarray], None] | None) -> tuple[np.ndarray, int, float, bool]:
-    """Shared power-iteration core; both solve entry points funnel through here."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    if tol <= 0.0 or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
-    teleport = (1.0 - alpha) / n
-    c = np.full(n, 1.0 / n)
-    residual = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        nxt = teleport + alpha * apply_fn(c)
-        residual = float(np.abs(nxt - c).sum())
-        if on_iteration is not None:
-            on_iteration(nxt)
-        c = nxt
-        if residual < tol:
-            break
-    converged = residual < tol
-    if alpha == 1.0:
-        # Pure eigenvector mode has no teleport mass pinning the total;
-        # renormalize the limit onto the simplex.
-        c = c / c.sum()
-    return c, iterations, residual, converged
 
 
 def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,
@@ -154,9 +141,29 @@ def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,
     A run that exhausts max_iters still returns its scores, flagged
     converged=False with the final residual.
     """
-    scores, iterations, residual, converged = _iterate(op.apply, op.n, alpha, tol, max_iters, on_iteration)
-    return ScoreVector(scores=scores, solver="power", iterations=iterations,
-                       residual=residual, converged=converged)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+    if tol <= 0.0 or max_iters < 1:
+        raise ValueError("tol must be positive and max_iters at least 1")
+    n = op.n
+    teleport = (1.0 - alpha) / n
+    c = np.full(n, 1.0 / n)
+    residual = float("inf")
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        nxt = teleport + alpha * op.apply(c)
+        residual = float(np.abs(nxt - c).sum())
+        if on_iteration is not None:
+            on_iteration(nxt)
+        c = nxt
+        if residual < tol:
+            break
+    if alpha == 1.0:
+        # Pure eigenvector mode has no teleport mass pinning the total;
+        # renormalize the limit onto the simplex.
+        c = c / c.sum()
+    return ScoreVector(scores=c, solver="power", iterations=iterations,
+                       residual=residual, converged=residual < tol)
 
 
 def solve_closed_form(op: StochasticOperator, alpha: float) -> ScoreVector:
@@ -167,53 +174,6 @@ def solve_closed_form(op: StochasticOperator, alpha: float) -> ScoreVector:
         raise ValueError(f"closed form limited to n <= {CLOSED_FORM_MAX_N}, got {op.n}")
     a = np.eye(op.n) - alpha * op.dense()
     b = np.full(op.n, (1.0 - alpha) / op.n)
-    scores = np.linalg.solve(a, b)
-    return ScoreVector(scores=scores, solver="closed_form", iterations=0,
-                       residual=0.0, converged=True)
-
-
-def _split_apply(op_prior: StochasticOperator, op_subseq: StochasticOperator,
-                 beta: float) -> Callable[[np.ndarray], np.ndarray]:
-    if op_prior.n != op_subseq.n:
-        raise ValueError(f"operators disagree on node count: {op_prior.n} vs {op_subseq.n}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta!r}")
-
-    def apply_fn(c: np.ndarray) -> np.ndarray:
-        return beta * op_prior.apply(c) + (1.0 - beta) * op_subseq.apply(c)
-
-    return apply_fn
-
-
-def solve_split(op_prior: StochasticOperator, op_subseq: StochasticOperator,
-                alpha: float, beta: float, tol: float = 1e-10, max_iters: int = 1000,
-                on_iteration: Callable[[np.ndarray], None] | None = None) -> ScoreVector:
-    """Power iteration on the convex combination beta*M_prior + (1-beta)*M_subseq.
-
-    beta = 1 weighs only score flow along prior-labeled edges (originality);
-    beta = 0 only subsequent-labeled ones (influence). Either limit reproduces
-    solve_power on the surviving operator exactly, bit for bit.
-    """
-    apply_fn = _split_apply(op_prior, op_subseq, beta)
-    scores, iterations, residual, converged = _iterate(apply_fn, op_prior.n, alpha, tol, max_iters, on_iteration)
-    return ScoreVector(scores=scores, solver="power", iterations=iterations,
-                       residual=residual, converged=converged)
-
-
-def solve_split_closed_form(op_prior: StochasticOperator, op_subseq: StochasticOperator,
-                            alpha: float, beta: float) -> ScoreVector:
-    """Dense solve with M = beta*M_prior + (1-beta)*M_subseq; oracle for solve_split."""
-    if op_prior.n != op_subseq.n:
-        raise ValueError(f"operators disagree on node count: {op_prior.n} vs {op_subseq.n}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta!r}")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"closed form requires alpha in [0, 1), got {alpha!r}")
-    if op_prior.n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"closed form limited to n <= {CLOSED_FORM_MAX_N}, got {op_prior.n}")
-    m = beta * op_prior.dense() + (1.0 - beta) * op_subseq.dense()
-    a = np.eye(op_prior.n) - alpha * m
-    b = np.full(op_prior.n, (1.0 - alpha) / op_prior.n)
     scores = np.linalg.solve(a, b)
     return ScoreVector(scores=scores, solver="closed_form", iterations=0,
                        residual=0.0, converged=True)

@@ -23,19 +23,6 @@ class SimilarityParams:
             raise ValueError(f"sigma must be a positive finite number, got {self.sigma!r}")
 
 
-def visual_similarity(f_i: np.ndarray, f_j: np.ndarray, sigma: float) -> float:
-    """Kernel weight between two feature vectors."""
-    f_i = np.asarray(f_i, dtype=np.float64)
-    f_j = np.asarray(f_j, dtype=np.float64)
-    if f_i.ndim != 1 or f_j.ndim != 1:
-        raise ValueError("feature vectors must be one-dimensional")
-    if f_i.shape != f_j.shape:
-        raise ValueError(f"feature dimensions differ: {f_i.shape[0]} vs {f_j.shape[0]}")
-    SimilarityParams(sigma)
-    d2 = float(np.dot(f_i - f_j, f_i - f_j))
-    return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
 def squared_distance_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between every row of `rows` and of `cols`.
 

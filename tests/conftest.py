@@ -42,12 +42,25 @@ def random_corpus(seed: int, n: int, dim: int, year_lo: int = 1400, year_hi: int
     return make_corpus(years, rng.normal(size=(n, dim)))
 
 
+def visual_similarity(f_i, f_j, sigma: float) -> float:
+    """Scalar Gaussian kernel weight between two feature vectors; the reference for kernel_block."""
+    diff = np.asarray(f_i, dtype=np.float64) - np.asarray(f_j, dtype=np.float64)
+    return float(np.exp(-float(np.dot(diff, diff)) / (2.0 * sigma * sigma)))
+
+
+def balance(graph: cn.PaintingGraph, years, spec: cn.BalanceSpec | None = None,
+            anchor: str = "destination") -> cn.ImplicationNetwork:
+    """Thresholds and edge mapping in one step, as the pipeline runs them."""
+    m = cn.compute_thresholds(graph, years, spec or cn.BalanceSpec())
+    return cn.build_implication_network(graph, m, years, anchor=anchor)
+
+
 def random_network(seed: int, n: int, k: int = 8, p: float = 50.0) -> cn.ImplicationNetwork:
     """Implication network of a random corpus, for solver-level tests."""
     corpus = random_corpus(seed, n, 6)
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=seed)
     graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
-    return cn.balance_graph(graph, corpus.years, cn.BalanceSpec(percentile_p=p))
+    return balance(graph, corpus.years, cn.BalanceSpec(percentile_p=p))
 
 
 def planted_corpus(seed: int = 7) -> cn.Corpus:

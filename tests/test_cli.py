@@ -338,6 +338,29 @@ class TestDumpGraph:
         assert (out1 / "graph.csv").read_bytes() == (out2 / "graph.csv").read_bytes()
         assert (out1 / "cin.csv").read_bytes() == (out2 / "cin.csv").read_bytes()
 
+    def test_same_network_as_score(self, styled, tmp_path):
+        # dump-graph must write the graph and CIN that scoring runs on, under
+        # settings away from every default that shapes them
+        manifest, features = styled
+        settings = {"k": "8", "balancing_mode": "local", "local_window_years": "100",
+                    "min_local_sample": "5", "temporal_prior": "window",
+                    "temporal_window_k": "12", "balance_anchor": "source",
+                    "sigma.visual": "1.5"}
+        out = tmp_path / "out"
+        argv = ["dump-graph", "--manifest", str(manifest), "--features", f"visual={features}",
+                "--out", str(out)]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == EXIT_OK
+
+        corpus = cn.ingest_corpus(manifest, {"visual": features})
+        result = cn.run_pipeline(corpus, "visual", cn.config_from_mapping(settings))
+        assert np.unique(result.thresholds).size > 1
+        cn.write_graph_csv(result.graph, corpus.ids, tmp_path / "graph.csv")
+        cn.write_cin_csv(result.network, corpus.ids, tmp_path / "cin.csv")
+        assert (out / "graph.csv").read_bytes() == (tmp_path / "graph.csv").read_bytes()
+        assert (out / "cin.csv").read_bytes() == (tmp_path / "cin.csv").read_bytes()
+
 
 class TestInstalledScript:
     """The `creanet` command declared in pyproject.toml, run as its own process."""

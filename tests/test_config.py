@@ -3,8 +3,7 @@
 import pytest
 
 from creanet.config import (ConfigError, RunConfig, check_known_keys,
-                            config_from_mapping, input_paths_from_mapping,
-                            load_config_file, parse_config_text)
+                            config_from_mapping, load_config_file, parse_config_text)
 
 
 class TestRunConfigValidation:
@@ -20,7 +19,7 @@ class TestRunConfigValidation:
         ({"beta": 1.01}, "beta"),
         ({"scoring": "both"}, "scoring"),
         ({"percentile_p": 0.0}, "percentile_p"),
-        ({"percentile_p": 100.0}, "percentile_p"),
+        ({"percentile_p": 100.5}, "percentile_p"),
         ({"sigma": -1.0}, "sigma"),
         ({"sigma": "median"}, "sigma"),
         ({"sigma_overrides": {"visual": 0.0}}, "sigma.visual"),
@@ -45,6 +44,7 @@ class TestRunConfigValidation:
         RunConfig(alpha=1.0)
         RunConfig(beta=0.0)
         RunConfig(beta=1.0)
+        RunConfig(percentile_p=100.0)  # the same (0, 100] range as BalanceSpec
         RunConfig(seed=2 ** 64 - 1)
         RunConfig(sigma=3)  # ints are fine, bools are not
 
@@ -154,20 +154,3 @@ class TestConfigFromMapping:
     def test_bad_values_report_key(self, mapping, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_mapping(mapping)
-
-
-class TestInputPaths:
-    def test_relative_paths_resolve_against_base(self, tmp_path):
-        manifest, features = input_paths_from_mapping(
-            {"manifest": "m.csv", "feature.visual": "sub/v.csv"}, base_dir=tmp_path)
-        assert manifest == str(tmp_path / "m.csv")
-        assert features == {"visual": str(tmp_path / "sub" / "v.csv")}
-
-    def test_absolute_paths_untouched(self, tmp_path):
-        absolute = str(tmp_path / "elsewhere.csv")
-        manifest, features = input_paths_from_mapping({"manifest": absolute}, base_dir=tmp_path)
-        assert manifest == absolute and features == {}
-
-    def test_missing_manifest_is_none(self):
-        manifest, features = input_paths_from_mapping({"feature.a": "a.csv"})
-        assert manifest is None and features == {"a": str("a.csv")}

@@ -5,7 +5,7 @@ import pytest
 
 import creanet as cn
 
-from conftest import make_corpus, random_corpus
+from conftest import make_corpus, random_corpus, visual_similarity
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -23,7 +23,7 @@ def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
             prior = prior[:window_k]
         candidates = []
         for i in prior:
-            w = cn.visual_similarity(feats[i], feats[j], sigma)
+            w = visual_similarity(feats[i], feats[j], sigma)
             if w > 0.0:
                 candidates.append((i, w))
         # top-K by weight, ties favor the smaller source index

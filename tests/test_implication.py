@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import creanet as cn
 
-from conftest import make_corpus, random_corpus
+from conftest import balance, make_corpus, random_corpus
 
 
 def build(seed=20, n=100, k=8, **spec_kwargs):
@@ -17,7 +17,7 @@ def build(seed=20, n=100, k=8, **spec_kwargs):
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=0)
     graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
     spec = cn.BalanceSpec(**spec_kwargs)
-    return corpus, graph, cn.balance_graph(graph, corpus.years, spec)
+    return corpus, graph, balance(graph, corpus.years, spec)
 
 
 class TestNearestRankPercentile:
@@ -191,7 +191,7 @@ def test_semantics_increasing_edge_weight_never_hurts_source():
             src=np.array([0, 2]), dst=np.array([1, 1]),
             weight=np.array([w, 0.4]), prior=np.array([False, True]),
             kept_count=2, reversed_count=0, dropped_count=0)
-        scores = cn.solve_closed_form(cn.normalize(net, "all"), alpha=0.85).scores
+        scores = cn.solve_closed_form(cn.normalize(net), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 

@@ -1,16 +1,18 @@
-"""The simple graph build, CIN assembly, percentiles and CSV writers, kept as oracles.
+"""The simple graph build, CIN assembly, percentiles, CSV writers and split solvers, kept as oracles.
 
 The library picks each slab's top K with one partial selection, writes the
 picks straight into destination order, assembles the implication network with
 a counting sort plus one merge, reads percentiles with a partition, finds local
 thresholds in one sweep over weight ranks, cuts window candidates in O(1) per
-year group and writes edge dumps a column at a time. The implementations they
-replaced live here, and every test asserts that both give the same bits. The
-corpora force every path: weight ties straddling the k-th cut, underflowed
-weights, candidate sets no larger than k, the window prior, single-year groups,
-slabs that mix fast and fallback rows, both anchors, global and local
-balancing, local samples below the fallback floor, edges never in any window,
-and p = 100.
+year group, writes edge dumps a column at a time and scores the beta split
+with one operator whose dangling columns carry fractional weights. The
+implementations they replaced live here, and every test asserts that both give
+the same bits; the split at fractional beta, which sums in another order,
+agrees to the last few bits. The corpora force every path: weight ties
+straddling the k-th cut, underflowed weights, candidate sets no larger than k,
+the window prior, single-year groups, slabs that mix fast and fallback rows,
+both anchors, global and local balancing, local samples below the fallback
+floor, edges never in any window, and p = 100.
 """
 
 import csv
@@ -21,13 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
 from creanet.similarity import kernel_block
 
-from conftest import make_corpus, random_corpus
+from conftest import balance, make_corpus, random_corpus, random_network
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,71 @@ def reference_write_cin_csv(net, ids, path):
         writer.writerow(["src_id", "dst_id", "weight", "label"])
         for s, d, w, p in zip(net.src, net.dst, net.weight, net.prior):
             writer.writerow([ids[s], ids[d], repr(float(w)), "prior" if p else "subsequent"])
+
+
+class ReferenceOperator:
+    """Column-stochastic operator whose dangling columns are a boolean mask, completed as 1/n."""
+
+    def __init__(self, n, matrix, dangling):
+        self.n = n
+        self.matrix = matrix
+        self.dangling = dangling
+
+    def apply(self, c):
+        out = self.matrix @ c
+        lost = float(c[self.dangling].sum())
+        if lost:
+            out += lost / self.n
+        return out
+
+    def dense(self):
+        m = self.matrix.toarray()
+        m[:, self.dangling] = 1.0 / self.n
+        return m
+
+
+def reference_normalize(cin, edge_filter="all"):
+    """One operator per edge set: all edges, the prior-labeled or the subsequent-labeled ones."""
+    if edge_filter == "all":
+        keep = slice(None)
+    elif edge_filter == "prior":
+        keep = cin.prior
+    else:
+        keep = ~cin.prior
+    src, dst, weight = cin.src[keep], cin.dst[keep], cin.weight[keep]
+    n = cin.n
+    col_sums = np.bincount(dst, weights=weight, minlength=n)
+    values = weight / col_sums[dst]
+    matrix = sparse.coo_matrix((values, (src, dst)), shape=(n, n)).tocsr()
+    return ReferenceOperator(n, matrix, col_sums == 0.0)
+
+
+def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters=1000):
+    """Power iteration applying the two label operators separately and blending the results."""
+    n = op_prior.n
+    teleport = (1.0 - alpha) / n
+    c = np.full(n, 1.0 / n)
+    residual = float("inf")
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        nxt = teleport + alpha * (beta * op_prior.apply(c) + (1.0 - beta) * op_subseq.apply(c))
+        residual = float(np.abs(nxt - c).sum())
+        c = nxt
+        if residual < tol:
+            break
+    if alpha == 1.0:
+        c = c / c.sum()
+    return cn.ScoreVector(scores=c, solver="power", iterations=iterations,
+                          residual=residual, converged=residual < tol)
+
+
+def reference_solve_split_closed_form(op_prior, op_subseq, alpha, beta):
+    """Dense solve with M = beta*M_prior + (1-beta)*M_subseq."""
+    n = op_prior.n
+    m = beta * op_prior.dense() + (1.0 - beta) * op_subseq.dense()
+    scores = np.linalg.solve(np.eye(n) - alpha * m, np.full(n, (1.0 - alpha) / n))
+    return cn.ScoreVector(scores=scores, solver="closed_form", iterations=0,
+                          residual=0.0, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +599,7 @@ class TestCsvWritersAgainstOracle:
         n = len(AWKWARD_IDS)
         corpus = make_corpus(1500 + rng.permutation(n), rng.normal(size=(n, 2)), ids=AWKWARD_IDS)
         graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=4, sigma=1.0))
-        return corpus, graph, cn.balance_graph(graph, corpus.years, cn.BalanceSpec())
+        return corpus, graph, balance(graph, corpus.years)
 
     def test_graph_csv_bytes(self, tmp_path, csv_chunk):
         corpus, graph, _ = self.build()
@@ -563,3 +631,43 @@ class TestCsvWritersAgainstOracle:
             write(obj, corpus.ids, tmp_path / "got.csv")
             reference(obj, corpus.ids, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Scoring operator.
+
+networks = st.builds(random_network, seed=st.integers(0, 2**32 - 1), n=st.integers(10, 80),
+                     k=st.integers(1, 10), p=st.sampled_from([25.0, 50.0, 75.0, 100.0]))
+alphas = st.sampled_from([0.15, 0.5, 0.85])
+
+
+class TestOperatorAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(networks, alphas)
+    def test_combined_and_beta_limits_bitwise(self, net, alpha):
+        ref_prior = reference_normalize(net, "prior")
+        ref_subseq = reference_normalize(net, "subsequent")
+        ref_all = reference_normalize(net)
+        want = {None: (cn.solve_power(ref_all, alpha), cn.solve_closed_form(ref_all, alpha))}
+        for beta in (0.0, 1.0):
+            want[beta] = (reference_solve_split(ref_prior, ref_subseq, alpha, beta),
+                          reference_solve_split_closed_form(ref_prior, ref_subseq, alpha, beta))
+        for beta, (power, closed) in want.items():
+            op = cn.normalize(net, beta)
+            got = cn.solve_power(op, alpha)
+            assert np.array_equal(got.scores, power.scores)
+            assert got.iterations == power.iterations
+            assert np.array_equal(cn.solve_closed_form(op, alpha).scores, closed.scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(networks, alphas, st.floats(0.01, 0.99))
+    def test_fractional_beta(self, net, alpha, beta):
+        ref_prior = reference_normalize(net, "prior")
+        ref_subseq = reference_normalize(net, "subsequent")
+        op = cn.normalize(net, beta)
+        got = cn.solve_power(op, alpha)
+        want = reference_solve_split(ref_prior, ref_subseq, alpha, beta)
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.scores - want.scores) / want.scores) <= 1e-13
+        blend = beta * ref_prior.dense() + (1.0 - beta) * ref_subseq.dense()
+        assert np.max(np.abs(op.dense() - blend)) <= 1e-15

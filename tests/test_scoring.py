@@ -6,6 +6,7 @@ import pytest
 import creanet as cn
 
 from conftest import PIONEER, pioneer_corpus, random_network
+from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
 
@@ -18,48 +19,59 @@ def single_edge_network(w=0.3):
 
 class TestNormalize:
     def test_single_edge(self):
-        op = cn.normalize(single_edge_network(), "all")
+        op = cn.normalize(single_edge_network())
         dense = op.dense()
         # column b: all weight from a; column a dangling, completed uniformly
         assert dense[0, 1] == 1.0 and dense[1, 1] == 0.0
         assert np.all(dense[:, 0] == 0.5)
-        assert op.dangling.tolist() == [True, False]
+        assert op.dangling.tolist() == [1.0, 0.0]
 
     def test_proportional_split(self):
         net = cn.ImplicationNetwork(
             n=3, src=np.array([0, 1]), dst=np.array([2, 2]),
             weight=np.array([0.1, 0.3]), prior=np.array([False, False]),
             kept_count=2, reversed_count=0, dropped_count=0)
-        dense = cn.normalize(net, "all").dense()
+        dense = cn.normalize(net).dense()
         assert dense[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.75, abs=1e-15)
 
     def test_column_sums_random_network(self):
         net = random_network(seed=30, n=90)
-        for edge_filter in ("all", "prior", "subsequent"):
-            op = cn.normalize(net, edge_filter)
+        for beta in (None, 1.0, 0.0, 0.3):
+            op = cn.normalize(net, beta)
             dense = op.dense()
             sums = dense.sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_filters_partition_edges(self):
+        # the beta limits keep only one label's edges; a fractional beta keeps all
         net = random_network(seed=31, n=70)
-        total = cn.normalize(net, "all").matrix.nnz
-        prior = cn.normalize(net, "prior").matrix.nnz
-        subseq = cn.normalize(net, "subsequent").matrix.nnz
-        assert prior + subseq == total == net.n_edges
+        total = cn.normalize(net).matrix.nnz
+        prior = cn.normalize(net, beta=1.0).matrix.nnz
+        subseq = cn.normalize(net, beta=0.0).matrix.nnz
+        assert prior + subseq == total == cn.normalize(net, beta=0.5).matrix.nnz == net.n_edges
+
+    def test_split_dangling_weights(self):
+        # no prior in-edge leaves beta of a column dangling, no subsequent in-edge 1 - beta
+        net = random_network(seed=31, n=70)
+        no_prior = np.bincount(net.dst[net.prior], minlength=net.n) == 0
+        no_subseq = np.bincount(net.dst[~net.prior], minlength=net.n) == 0
+        assert no_prior.any() and no_subseq.any()
+        op = cn.normalize(net, beta=0.3)
+        np.testing.assert_allclose(op.dangling, 0.3 * no_prior + 0.7 * no_subseq, rtol=0, atol=1e-16)
 
     def test_apply_matches_dense(self):
         net = random_network(seed=32, n=60)
-        op = cn.normalize(net, "all")
         rng = np.random.default_rng(0)
-        c = rng.random(op.n)
+        c = rng.random(net.n)
         c /= c.sum()
-        np.testing.assert_allclose(op.apply(c), op.dense() @ c, atol=1e-14)
+        for beta in (None, 0.3):
+            op = cn.normalize(net, beta)
+            np.testing.assert_allclose(op.apply(c), op.dense() @ c, atol=1e-14)
 
     def test_bad_filter_rejected(self):
-        with pytest.raises(ValueError, match="edge_filter"):
-            cn.normalize(single_edge_network(), "future")
+        with pytest.raises(ValueError, match="beta"):
+            cn.normalize(single_edge_network(), beta=1.5)
 
 
 class TestOperatorValidation:
@@ -81,6 +93,14 @@ class TestOperatorValidation:
         with pytest.raises(ValueError, match="dangling"):
             cn.StochasticOperator(n=2, matrix=m, dangling=np.array([False, True]))
 
+    @pytest.mark.parametrize("weight", [-0.5, 1.5, float("nan")])
+    def test_rejects_dangling_weight_outside_unit_interval(self, weight):
+        # column 1 sums to 1 with weight -0.5; only the range check can catch it
+        from scipy import sparse
+        m = sparse.csr_matrix(np.array([[0.0, 0.75], [0.0, 0.75]]))
+        with pytest.raises(ValueError, match="dangling weights must lie in"):
+            cn.StochasticOperator(n=2, matrix=m, dangling=np.array([1.0, weight]))
+
 
 class TestTwoNodeFixture:
     """Single CIN edge (a -> b), alpha = 0.85, dangling column completed uniformly.
@@ -100,14 +120,14 @@ class TestTwoNodeFixture:
 
     @pytest.mark.parametrize("weight", [0.3, 1.0, 17.5])
     def test_power_solver(self, weight):
-        op = cn.normalize(single_edge_network(weight), "all")
+        op = cn.normalize(single_edge_network(weight))
         result = cn.solve_power(op, alpha=0.85, tol=1e-14)
         assert result.converged
         assert result.scores[0] == pytest.approx(self.EXPECTED_A, abs=1e-12)
         assert result.scores[1] == pytest.approx(self.EXPECTED_B, abs=1e-12)
 
     def test_closed_form_solver(self):
-        op = cn.normalize(single_edge_network(), "all")
+        op = cn.normalize(single_edge_network())
         result = cn.solve_closed_form(op, alpha=0.85)
         assert result.scores[0] == pytest.approx(self.EXPECTED_A, abs=1e-14)
         assert result.scores[1] == pytest.approx(self.EXPECTED_B, abs=1e-14)
@@ -116,14 +136,14 @@ class TestTwoNodeFixture:
 class TestSolvers:
     def test_alpha_zero_exactly_uniform(self):
         net = random_network(seed=33, n=50)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         for result in (cn.solve_power(op, 0.0), cn.solve_closed_form(op, 0.0)):
             np.testing.assert_array_equal(result.scores, np.full(50, 1.0 / 50))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_cross_solver_agreement(self, alpha):
         net = random_network(seed=34, n=150)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         power = cn.solve_power(op, alpha, tol=1e-13)
         closed = cn.solve_closed_form(op, alpha)
         assert power.converged
@@ -131,7 +151,7 @@ class TestSolvers:
 
     def test_per_iteration_simplex(self):
         net = random_network(seed=35, n=80)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         for alpha in ALPHAS:
             floor = (1.0 - alpha) / op.n - 1e-12
             seen = []
@@ -146,7 +166,7 @@ class TestSolvers:
 
     def test_score_floor_is_teleport_mass(self):
         net = random_network(seed=36, n=40)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         for alpha in ALPHAS:
             result = cn.solve_power(op, alpha)
             assert result.scores.min() >= (1.0 - alpha) / op.n - 1e-12
@@ -154,7 +174,7 @@ class TestSolvers:
 
     def test_non_convergence_flagged_but_scored(self):
         net = random_network(seed=37, n=60)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         result = cn.solve_power(op, 0.85, tol=1e-30, max_iters=3)
         assert not result.converged
         assert result.iterations == 3
@@ -163,7 +183,7 @@ class TestSolvers:
 
     def test_alpha_one_eigenvector_mode(self):
         net = random_network(seed=38, n=40)
-        op = cn.normalize(net, "all")
+        op = cn.normalize(net)
         result = cn.solve_power(op, 1.0, tol=1e-12, max_iters=5000)
         assert abs(result.scores.sum() - 1.0) <= 1e-9
         assert result.scores.min() >= -1e-12
@@ -172,7 +192,7 @@ class TestSolvers:
 
     def test_closed_form_size_guard(self):
         from creanet.scoring import CLOSED_FORM_MAX_N
-        op = cn.normalize(single_edge_network(), "all")
+        op = cn.normalize(single_edge_network())
         assert CLOSED_FORM_MAX_N == 5000
         # guard is on n, checked before any allocation
         with pytest.raises(ValueError, match="5000"):
@@ -189,8 +209,8 @@ class TestSolvers:
             weight=net.weight[order], prior=net.prior[order],
             kept_count=net.kept_count, reversed_count=net.reversed_count,
             dropped_count=net.dropped_count)
-        base = cn.solve_power(cn.normalize(net, "all"), 0.5, tol=1e-13).scores
-        moved = cn.solve_power(cn.normalize(permuted, "all"), 0.5, tol=1e-13).scores
+        base = cn.solve_power(cn.normalize(net), 0.5, tol=1e-13).scores
+        moved = cn.solve_power(cn.normalize(permuted), 0.5, tol=1e-13).scores
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
 
 
@@ -204,51 +224,47 @@ class _FakeN:
 
 
 @pytest.fixture(scope="module")
-def ops():
-    net = random_network(seed=40, n=100)
-    return cn.normalize(net, "prior"), cn.normalize(net, "subsequent")
+def net():
+    return random_network(seed=40, n=100)
 
 
 class TestSplit:
-    def test_beta_one_bitwise_prior_only(self, ops):
-        op_prior, op_subseq = ops
-        split = cn.solve_split(op_prior, op_subseq, alpha=0.5, beta=1.0)
-        single = cn.solve_power(op_prior, alpha=0.5)
+    def test_beta_one_bitwise_prior_only(self, net):
+        split = cn.solve_power(cn.normalize(net, beta=1.0), alpha=0.5)
+        single = cn.solve_power(reference_normalize(net, "prior"), alpha=0.5)
         assert np.array_equal(split.scores, single.scores)
         assert split.iterations == single.iterations
 
-    def test_beta_zero_bitwise_subsequent_only(self, ops):
-        op_prior, op_subseq = ops
-        split = cn.solve_split(op_prior, op_subseq, alpha=0.5, beta=0.0)
-        single = cn.solve_power(op_subseq, alpha=0.5)
+    def test_beta_zero_bitwise_subsequent_only(self, net):
+        split = cn.solve_power(cn.normalize(net, beta=0.0), alpha=0.5)
+        single = cn.solve_power(reference_normalize(net, "subsequent"), alpha=0.5)
         assert np.array_equal(split.scores, single.scores)
         assert split.iterations == single.iterations
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
-    def test_split_against_closed_form(self, ops, beta):
-        op_prior, op_subseq = ops
-        power = cn.solve_split(op_prior, op_subseq, alpha=0.5, beta=beta, tol=1e-13)
-        closed = cn.solve_split_closed_form(op_prior, op_subseq, alpha=0.5, beta=beta)
+    def test_split_against_closed_form(self, net, beta):
+        op = cn.normalize(net, beta)
+        power = cn.solve_power(op, alpha=0.5, tol=1e-13)
+        closed = cn.solve_closed_form(op, alpha=0.5)
         assert np.abs(power.scores - closed.scores).max() < 1e-8
 
-    def test_split_simplex_per_iteration(self, ops):
-        op_prior, op_subseq = ops
-        floor = (1.0 - 0.85) / op_prior.n - 1e-12
+    def test_split_simplex_per_iteration(self, net):
+        op = cn.normalize(net, beta=0.3)
+        floor = (1.0 - 0.85) / op.n - 1e-12
 
         def check(c):
             assert abs(c.sum() - 1.0) <= 1e-9
             assert c.min() >= floor
 
-        cn.solve_split(op_prior, op_subseq, alpha=0.85, beta=0.3, on_iteration=check)
+        cn.solve_power(op, alpha=0.85, on_iteration=check)
 
     def test_mismatched_node_counts_rejected(self):
-        a = cn.normalize(single_edge_network(), "all")
-        net3 = cn.ImplicationNetwork(
-            n=3, src=np.array([0]), dst=np.array([1]), weight=np.array([0.5]),
-            prior=np.array([False]), kept_count=1, reversed_count=0, dropped_count=0)
-        b = cn.normalize(net3, "all")
-        with pytest.raises(ValueError, match="node count"):
-            cn.solve_split(a, b, alpha=0.5, beta=0.5)
+        from scipy import sparse
+        m = sparse.csr_matrix((2, 2))
+        with pytest.raises(ValueError, match="matrix must be 3x3"):
+            cn.StochasticOperator(n=3, matrix=m, dangling=np.ones(3))
+        with pytest.raises(ValueError, match="dangling must have shape"):
+            cn.StochasticOperator(n=2, matrix=m, dangling=np.ones(3))
 
 
 class TestPioneerFixture:

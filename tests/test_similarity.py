@@ -1,4 +1,7 @@
-"""Gaussian kernel: hand values, symmetry, block/scalar agreement."""
+"""Gaussian kernel: hand values, symmetry, block/scalar agreement.
+
+Single-pair properties run `kernel_block` on 1x1 blocks.
+"""
 
 import math
 
@@ -9,37 +12,44 @@ from hypothesis import strategies as st
 
 import creanet as cn
 
+from conftest import visual_similarity
+
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
+
+
+def pair_weight(f_i, f_j, sigma):
+    """Kernel weight of one pair, read off a 1x1 block."""
+    return float(cn.kernel_block(np.atleast_2d(f_i), np.atleast_2d(f_j), sigma)[0, 0])
 
 
 def test_identical_vectors_weigh_one():
     v = np.array([1.0, -2.0, 3.0])
-    assert cn.visual_similarity(v, v, sigma=0.7) == 1.0
+    assert pair_weight(v, v, sigma=0.7) == 1.0
 
 
 def test_hand_value():
     # squared distance 8, sigma 2 -> exp(-8 / 8) = exp(-1)
     a = np.array([0.0, 0.0])
     b = np.array([2.0, 2.0])
-    assert cn.visual_similarity(a, b, sigma=2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert pair_weight(a, b, sigma=2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_weight_in_unit_interval_and_decreasing():
     a = np.zeros(3)
-    w = [cn.visual_similarity(a, np.full(3, d), 1.0) for d in (0.5, 1.0, 2.0, 4.0)]
+    w = [pair_weight(a, np.full(3, d), 1.0) for d in (0.5, 1.0, 2.0, 4.0)]
     assert all(0.0 <= x <= 1.0 for x in w)
     assert w == sorted(w, reverse=True)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="dimensions differ"):
-        cn.visual_similarity(np.zeros(2), np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="matching dimension"):
+        pair_weight(np.zeros(2), np.zeros(3), 1.0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_sigma_rejected(sigma):
     with pytest.raises(ValueError):
-        cn.visual_similarity(np.zeros(2), np.ones(2), sigma)
+        pair_weight(np.zeros(2), np.ones(2), sigma)
     with pytest.raises(ValueError):
         cn.SimilarityParams(sigma)
 
@@ -50,7 +60,7 @@ def test_symmetry_exact(values, sigma):
     rng = np.random.default_rng(abs(hash(tuple(values))) % (2**32))
     a = np.array(values)
     b = a + rng.normal(size=a.shape)
-    assert cn.visual_similarity(a, b, sigma) == cn.visual_similarity(b, a, sigma)
+    assert pair_weight(a, b, sigma) == pair_weight(b, a, sigma)
 
 
 @settings(max_examples=30, deadline=None)
@@ -59,8 +69,8 @@ def test_scale_invariance(seed, factor):
     # scaling features and sigma together leaves the weight unchanged
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 4))
-    w1 = cn.visual_similarity(a, b, 1.3)
-    w2 = cn.visual_similarity(factor * a, factor * b, factor * 1.3)
+    w1 = pair_weight(a, b, 1.3)
+    w2 = pair_weight(factor * a, factor * b, factor * 1.3)
     assert w2 == pytest.approx(w1, rel=1e-12)
 
 
@@ -73,7 +83,7 @@ def test_kernel_block_matches_scalar():
     for i in range(5):
         for j in range(7):
             assert block[i, j] == pytest.approx(
-                cn.visual_similarity(rows[i], cols[j], 1.1), rel=1e-12)
+                visual_similarity(rows[i], cols[j], 1.1), rel=1e-12)
 
 
 def test_kernel_block_self_distance_clamped():
