@@ -33,6 +33,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .similarity import SimilarityParams
+
 
 class ConfigError(ValueError):
     """A config key is unknown, malformed, or out of range."""
@@ -88,20 +90,18 @@ class RunConfig:
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
-        check(0.0 < self.percentile_p <= 100.0,
-              f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
+        sigmas = {f"sigma.{aspect}": value for aspect, value in self.sigma_overrides.items()}
         if self.sigma != "auto":
-            check(isinstance(self.sigma, (int, float)) and not isinstance(self.sigma, bool)
-                  and self.sigma > 0.0,
-                  f"sigma must be 'auto' or a positive number, got {self.sigma!r}")
-        for aspect, value in self.sigma_overrides.items():
-            check(value > 0.0, f"sigma.{aspect} must be positive, got {value!r}")
-        check(self.balancing_mode in BALANCING_MODES,
-              f"balancing_mode must be one of {BALANCING_MODES}, got {self.balancing_mode!r}")
-        check(isinstance(self.local_window_years, int) and self.local_window_years >= 1,
-              f"local_window_years must be a positive integer, got {self.local_window_years!r}")
-        check(isinstance(self.min_local_sample, int) and self.min_local_sample >= 1,
-              f"min_local_sample must be a positive integer, got {self.min_local_sample!r}")
+            sigmas["sigma"] = self.sigma
+        for key, value in sigmas.items():
+            try:
+                SimilarityParams(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a positive finite number, got {value!r}") from None
+        try:
+            self.balance_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         check(self.balance_anchor in BALANCE_ANCHORS,
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
         check(self.temporal_prior in TEMPORAL_PRIORS,
@@ -114,6 +114,13 @@ class RunConfig:
               f"max_iters must be a positive integer, got {self.max_iters!r}")
         check(isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
               f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+
+    def balance_spec(self):
+        """The `BalanceSpec` these settings describe; its checks are the balancing range checks."""
+        from .implication import BalanceSpec  # implication imports this module
+        return BalanceSpec(mode=self.balancing_mode, percentile_p=self.percentile_p,
+                           local_window_years=self.local_window_years,
+                           min_local_sample=self.min_local_sample)
 
     def sigma_for(self, aspect: str) -> float | str:
         """Configured bandwidth for one aspect ('auto' or a positive float)."""

@@ -48,43 +48,61 @@ class GraphParams:
             raise ValueError(f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
 
 
+def _freeze_edges(edges, **per_edge: type) -> None:
+    """Coerce, check and freeze the edge store `PaintingGraph` and `ImplicationNetwork` share.
+
+    Destination j's edges sit at [indptr[j], indptr[j + 1]) with their sources
+    strictly increasing, which is canonical (dst, src) order. `per_edge` names
+    the further per-edge fields of `edges` and their dtypes.
+    """
+    n = edges.n
+    if not 1 <= n < 2 ** 31:
+        raise ValueError(f"n must be in [1, 2**31), got {n!r}")
+    indptr = np.ascontiguousarray(edges.indptr, dtype=np.int64)
+    src = np.asarray(edges.src)
+    if indptr.shape != (n + 1,) or src.ndim != 1:
+        raise ValueError("indptr must have n + 1 entries and src must be 1-D")
+    if indptr[0] != 0 or indptr[-1] != src.size or np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr must rise from 0 to the edge count")
+    if src.size and (src.min() < 0 or src.max() >= n):
+        raise ValueError("edge endpoints out of range")
+    fields = {"indptr": indptr, "src": np.ascontiguousarray(src, dtype=np.int32)}
+    for name, dtype in {"weight": np.float64, **per_edge}.items():
+        fields[name] = np.ascontiguousarray(getattr(edges, name), dtype=dtype)
+        if fields[name].shape != src.shape:
+            raise ValueError(f"{name} must be 1-D and as long as src")
+    for name, arr in fields.items():
+        arr.setflags(write=False)
+        object.__setattr__(edges, name, arr)
+    if src.size:
+        src, weight = fields["src"], fields["weight"]
+        if np.any(src == np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))):
+            raise ValueError("self edges are not allowed")
+        if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
+            raise ValueError("edge weights must be positive and finite")
+        falling = src[1:] <= src[:-1]
+        starts = indptr[1:-1]
+        falling[starts[(starts > 0) & (starts < src.size)] - 1] = False  # a new column may restart
+        if np.any(falling):
+            raise ValueError("edges must be strictly sorted by (dst, src)")
+
+
 @dataclass(frozen=True)
 class PaintingGraph:
-    """Edge list (src -> dst, weight) in canonical (dst, src) order.
+    """Edges (src -> dst, weight) stored by destination: dst j owns [indptr[j], indptr[j + 1]).
 
     Invariants: no self edges, every weight > 0, at most one edge per ordered
-    pair. By-destination traversal is the contiguous canonical order; by-source
-    traversal via argsort on `src`.
+    pair, sources strictly increasing within each destination, so the edges
+    are in canonical (dst, src) order. `src` is int32, which caps n below 2**31.
     """
 
     n: int
+    indptr: np.ndarray
     src: np.ndarray
-    dst: np.ndarray
     weight: np.ndarray
 
     def __post_init__(self):
-        src = np.ascontiguousarray(self.src, dtype=np.int64)
-        dst = np.ascontiguousarray(self.dst, dtype=np.int64)
-        weight = np.ascontiguousarray(self.weight, dtype=np.float64)
-        for name, arr in (("src", src), ("dst", dst), ("weight", weight)):
-            if arr.ndim != 1 or arr.shape[0] != src.shape[0]:
-                raise ValueError(f"{name} must be 1-D and equal-length")
-            arr.setflags(write=False)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "weight", weight)
-        if self.n < 1:
-            raise ValueError("graph needs at least one node")
-        if src.size:
-            if src.min() < 0 or src.max() >= self.n or dst.min() < 0 or dst.max() >= self.n:
-                raise ValueError("edge endpoints out of range")
-            if np.any(src == dst):
-                raise ValueError("self edges are not allowed")
-            if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
-                raise ValueError("edge weights must be positive and finite")
-            key = dst * np.int64(self.n) + src
-            if np.any(np.diff(key) <= 0):
-                raise ValueError("edges must be strictly sorted by (dst, src)")
+        _freeze_edges(self)
 
     @property
     def n_edges(self) -> int:
@@ -92,8 +110,8 @@ class PaintingGraph:
 
 
 def _year_groups(years: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable year-ascending order plus [start, end) bounds of each year group."""
-    order = np.argsort(years, kind="stable")
+    """Stable year-ascending int32 order plus [start, end) bounds of each year group."""
+    order = np.argsort(years, kind="stable").astype(np.int32)
     sorted_years = years[order]
     change = np.flatnonzero(np.diff(sorted_years)) + 1
     starts = np.concatenate(([0], change))
@@ -181,7 +199,8 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
     (optionally restricted to the `temporal_window_k` latest ones). The kernel
     weight is computed for every candidate and the K largest are kept; weights
     that underflow to zero are dropped. Each slab's picks are written straight
-    to their destination's place in canonical (dst, src) order.
+    to their destination's place in canonical (dst, src) order, inside room
+    reserved up front, so no list of slabs is kept.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
@@ -191,37 +210,36 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
 
     order, starts, ends = _year_groups(years)
     column = np.empty(n, dtype=np.int64)
-    slabs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    window = params.temporal_window_k if params.temporal_prior == "window" else n
+    # Destination j gets room for min(k, its candidate count) edges from room[j]
+    # on; weights that underflow leave some of it empty.
+    sizes = np.empty(n, dtype=np.int64)
+    sizes[order] = np.repeat(np.minimum(starts, min(params.k, window)), ends - starts)
+    room = np.concatenate(([0], np.cumsum(sizes)))
+    count = np.zeros(n, dtype=np.int64)
+    src = np.empty(room[-1], dtype=np.int32)
+    weight = np.empty(room[-1], dtype=np.float64)
 
-    for g in range(starts.size):
+    for g in range(1, starts.size):  # the earliest year group has no prior candidates
         gs, ge = int(starts[g]), int(ends[g])
-        if gs == 0:
-            continue  # earliest year group: no prior candidates
-        if params.temporal_prior == "window" and gs > params.temporal_window_k:
-            cand = _window_candidates(order, starts, ends, g, params.temporal_window_k)
-        else:
-            cand = order[:gs]
+        cand = _window_candidates(order, starts, ends, g, window) if gs > window else order[:gs]
         column[cand] = np.arange(cand.size)
         for cs in range(gs, ge, _DST_CHUNK):
             rows = order[cs:min(cs + _DST_CHUNK, ge)]
             block = kernel_block(feats[rows], feats[cand], params.sigma)
-            r, count, src, w = _slab_top_k(block, cand, column, params.k)
-            slabs.append((rows[r], count, src, w))
+            r, picks, s, w = _slab_top_k(block, cand, column, params.k)
+            dst = rows[r]
+            pos = np.repeat(room[dst] - (np.cumsum(picks) - picks), picks) + np.arange(s.size)
+            src[pos] = s
+            weight[pos] = w
+            count[dst] = picks
 
     # Destination j's edges occupy [indptr[j], indptr[j + 1]), already source-sorted.
-    in_degree = np.zeros(n, dtype=np.int64)
-    for dst, count, _, _ in slabs:
-        in_degree[dst] = count
-    indptr = np.concatenate(([0], np.cumsum(in_degree)))
-    src = np.empty(indptr[-1], dtype=np.int64)
-    weight = np.empty(indptr[-1], dtype=np.float64)
-    for dst, count, s, w in slabs:
-        first = np.cumsum(count) - count
-        pos = np.repeat(indptr[dst] - first, count) + np.arange(s.size)
-        src[pos] = s
-        weight[pos] = w
-    dst = np.repeat(np.arange(n, dtype=np.int64), in_degree)
-    return PaintingGraph(n=n, src=src, dst=dst, weight=weight)
+    indptr = np.concatenate(([0], np.cumsum(count)))
+    if indptr[-1] < room[-1]:
+        filled = np.arange(room[-1]) < np.repeat(room[:-1] + count, sizes)
+        src, weight = src[filled], weight[filled]
+    return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
 
 
 def _csv_fields(values: Sequence[str]) -> np.ndarray:
@@ -237,23 +255,24 @@ def _csv_fields(values: Sequence[str]) -> np.ndarray:
     return fields
 
 
-def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str],
-                     src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str], edges,
                      label: tuple[Sequence[str], np.ndarray] | None = None) -> None:
-    """Rows `src_id,dst_id,weight[,label]`, the bytes one `csv.writer` row per edge gives.
+    """Rows `src_id,dst_id,weight[,label]` of a graph or network, one `csv.writer` row per edge.
 
-    Ids are formatted once, weights with `repr`, and rows a chunk of columns
-    at a time. `label` pairs label names with each edge's index into them.
+    Ids are formatted once, weights with `repr`, and rows a chunk at a time,
+    each chunk's destinations read off `indptr`. `label` pairs label names
+    with each edge's index into them.
     """
     id_fields = _csv_fields(ids)
     if label is not None:
         names = np.asarray(label[0], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, src.size, _CSV_CHUNK):
-            hi = lo + _CSV_CHUNK
-            columns = [id_fields[src[lo:hi]].tolist(), id_fields[dst[lo:hi]].tolist(),
-                       map(repr, weight[lo:hi].tolist())]
+        for lo in range(0, edges.n_edges, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, edges.n_edges)
+            dst = np.searchsorted(edges.indptr, np.arange(lo, hi), side="right") - 1
+            columns = [id_fields[edges.src[lo:hi]].tolist(), id_fields[dst].tolist(),
+                       map(repr, edges.weight[lo:hi].tolist())]
             if label is not None:
                 columns.append(names[label[1][lo:hi].astype(np.intp)].tolist())
             fh.write("\r\n".join(map(",".join, zip(*columns))))
@@ -262,4 +281,4 @@ def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str]
 
 def write_graph_csv(graph: PaintingGraph, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight` in canonical (dst, src) order."""
-    _write_edge_rows(path, ("src_id", "dst_id", "weight"), ids, graph.src, graph.dst, graph.weight)
+    _write_edge_rows(path, ("src_id", "dst_id", "weight"), ids, graph)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .config import BALANCE_ANCHORS, BALANCING_MODES
-from .graph import PaintingGraph, _write_edge_rows
+from .graph import PaintingGraph, _freeze_edges, _write_edge_rows
 
 LABEL_PRIOR = "prior"
 LABEL_SUBSEQUENT = "subsequent"
@@ -26,7 +26,10 @@ LABEL_SUBSEQUENT = "subsequent"
 
 @dataclass(frozen=True)
 class BalanceSpec:
-    """Threshold policy: which percentile, computed globally or local-in-time."""
+    """Threshold policy: which percentile, computed globally or local-in-time.
+
+    The range checks here are the only ones; their messages name the config keys.
+    """
 
     mode: str = "global"
     percentile_p: float = 50.0
@@ -35,7 +38,7 @@ class BalanceSpec:
 
     def __post_init__(self):
         if self.mode not in BALANCING_MODES:
-            raise ValueError(f"mode must be one of {BALANCING_MODES}, got {self.mode!r}")
+            raise ValueError(f"balancing_mode must be one of {BALANCING_MODES}, got {self.mode!r}")
         if not 0.0 < self.percentile_p <= 100.0:
             raise ValueError(f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
         if not (isinstance(self.local_window_years, int) and self.local_window_years >= 1):
@@ -46,15 +49,15 @@ class BalanceSpec:
 
 @dataclass(frozen=True)
 class ImplicationNetwork:
-    """Non-negative digraph after balancing, edges in canonical (dst, src) order.
+    """Non-negative digraph after balancing, stored by destination like `PaintingGraph`.
 
     `prior[e]` is True iff edge e points from a later to an earlier artifact.
     kept/reversed/dropped counts partition the originating graph's edges.
     """
 
     n: int
+    indptr: np.ndarray
     src: np.ndarray
-    dst: np.ndarray
     weight: np.ndarray
     prior: np.ndarray
     kept_count: int
@@ -62,27 +65,10 @@ class ImplicationNetwork:
     dropped_count: int
 
     def __post_init__(self):
-        src = np.ascontiguousarray(self.src, dtype=np.int64)
-        dst = np.ascontiguousarray(self.dst, dtype=np.int64)
-        weight = np.ascontiguousarray(self.weight, dtype=np.float64)
-        prior = np.ascontiguousarray(self.prior, dtype=bool)
-        for name, arr in (("src", src), ("dst", dst), ("weight", weight), ("prior", prior)):
-            if arr.ndim != 1 or arr.shape[0] != src.shape[0]:
-                raise ValueError(f"{name} must be 1-D and equal-length")
-            arr.setflags(write=False)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "prior", prior)
-        if src.size:
-            if np.any(src == dst):
-                raise ValueError("self edges are not allowed")
-            if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
-                raise ValueError("edge weights must be positive and finite")
-            key = dst * np.int64(self.n) + src
-            if np.any(np.diff(key) <= 0):
-                raise ValueError("edges must be strictly sorted by (dst, src)")
-        if self.kept_count + self.reversed_count != src.size:
+        _freeze_edges(self, prior=bool)
+        if min(self.kept_count, self.reversed_count, self.dropped_count) < 0:
+            raise ValueError("kept, reversed and dropped counts must be non-negative")
+        if self.kept_count + self.reversed_count != self.n_edges:
             raise ValueError("kept + reversed must equal the emitted edge count")
 
     @property
@@ -129,7 +115,7 @@ def _ranked_window_ranges(graph: PaintingGraph, year_of: np.ndarray, distinct: n
     Year indices take the dtype of `year_of`, which the caller keeps to the
     smallest that holds the distinct-year count, so the per-edge arrays stay small.
     """
-    ys, yd = year_of[graph.src], year_of[graph.dst]
+    ys, yd = year_of[graph.src], np.repeat(year_of, np.diff(graph.indptr))
     first = np.searchsorted(distinct, distinct - w, side="left").astype(year_of.dtype)
     first = first[np.maximum(ys, yd)]
     stop = np.searchsorted(distinct, distinct + w, side="right").astype(year_of.dtype)
@@ -189,32 +175,10 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec
     return m[year_of]
 
 
-def _counting_order(keys: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of integer keys in [0, n), by an O(len + n) counting sort.
-
-    scipy's CSR -> CSC conversion buckets a one-row matrix's entries by column
-    in their original order, which is exactly a stable counting sort.
-    """
-    row = sparse.csr_matrix((np.arange(keys.size), keys, [0, keys.size]), shape=(1, n))
-    return row.tocsc().data
-
-
-def _balanced_runs(graph: PaintingGraph, m: np.ndarray,
-                   anchor: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Surviving edges as (src, dst, weight, kept count): kept edges, then reversed ones.
-
-    Kept edges keep the graph's canonical order. Reversed edges arrive sorted
-    by their new source; a stable counting sort by new destination makes them
-    canonical too.
-    """
-    b = graph.weight - m[graph.dst if anchor == "destination" else graph.src]
-    keep = b > 0.0
-    flip = np.flatnonzero(b < 0.0)
-    flip = flip[_counting_order(graph.src[flip], graph.n)]
-    src = np.concatenate((graph.src[keep], graph.dst[flip]))
-    dst = np.concatenate((graph.dst[keep], graph.src[flip]))
-    weight = np.concatenate((b[keep], -b[flip]))
-    return src, dst, weight, int(keep.sum())
+def _edge_subset(graph: PaintingGraph, values: np.ndarray, mask: np.ndarray) -> sparse.csc_matrix:
+    """The masked edges of `graph`, holding `values`, as a canonical CSC matrix."""
+    indptr = np.concatenate(([0], np.cumsum(mask)))[graph.indptr]
+    return sparse.csc_matrix((values[mask], graph.src[mask], indptr), shape=(graph.n, graph.n))
 
 
 def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.ndarray,
@@ -222,7 +186,10 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     """Apply b = w - m(anchor node) to every edge; keep, drop, or reverse.
 
     The anchor picks whose threshold judges edge (i -> j): the receiving node j
-    (destination, default) or the emitting node i (source).
+    (destination, default) or the emitting node i (source). With the graph as
+    a sparse matrix G (entry (i, j) for edge i -> j), the network is
+    keep(G) + flip(G)^T: the transpose puts each reversed edge in its new
+    column, and scipy's sum of two canonical matrices is canonical.
     """
     if anchor not in BALANCE_ANCHORS:
         raise ValueError(f"anchor must be one of {BALANCE_ANCHORS}, got {anchor!r}")
@@ -233,35 +200,39 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     if years.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} years, got shape {years.shape}")
 
-    src, dst, weight, kept = _balanced_runs(graph, m, anchor)
-    # Both runs are in canonical order. numpy's stable sort is a timsort, which
-    # finds the two runs and merges them in one linear pass.
-    order = np.argsort(dst * np.int64(graph.n) + src, kind="stable")
-    src = src[order]
-    dst = dst[order]
-    weight = weight[order]
+    b = graph.weight - (np.repeat(m, np.diff(graph.indptr)) if anchor == "destination"
+                        else m[graph.src])
+    flip = _edge_subset(graph, b, b < 0.0)
+    np.negative(flip.data, out=flip.data)
+    keep = _edge_subset(graph, b, b > 0.0)
+    del b
+    kept, reversed_ = keep.nnz, flip.nnz
+    cin = keep + flip.T.tocsc()
+    del keep, flip
+    if cin.nnz != kept + reversed_:
+        # an opposed pair i -> j, j -> i with one edge kept and one reversed
+        raise ValueError("edges must be strictly sorted by (dst, src): one CIN edge made twice")
     return ImplicationNetwork(
         n=graph.n,
-        src=src,
-        dst=dst,
-        weight=weight,
-        prior=years[dst] < years[src],
+        indptr=cin.indptr,
+        src=cin.indices,
+        weight=cin.data,
+        prior=np.repeat(years, np.diff(cin.indptr)) < years[cin.indices],
         kept_count=kept,
-        reversed_count=src.size - kept,
-        dropped_count=graph.n_edges - src.size,
+        reversed_count=reversed_,
+        dropped_count=graph.n_edges - cin.nnz,
     )
 
 
 def empty_network(n: int) -> ImplicationNetwork:
     """Edgeless network for corpora whose similarity graph has no edges."""
-    empty_i = np.empty(0, dtype=np.int64)
-    return ImplicationNetwork(n=n, src=empty_i, dst=empty_i.copy(),
-                              weight=np.empty(0, dtype=np.float64),
+    return ImplicationNetwork(n=n, indptr=np.zeros(n + 1, dtype=np.int64),
+                              src=np.empty(0, dtype=np.int32), weight=np.empty(0),
                               prior=np.empty(0, dtype=bool),
                               kept_count=0, reversed_count=0, dropped_count=0)
 
 
 def write_cin_csv(net: ImplicationNetwork, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight,label` in canonical (dst, src) order."""
-    _write_edge_rows(path, ("src_id", "dst_id", "weight", "label"), ids, net.src, net.dst,
-                     net.weight, label=((LABEL_SUBSEQUENT, LABEL_PRIOR), net.prior))
+    _write_edge_rows(path, ("src_id", "dst_id", "weight", "label"), ids, net,
+                     label=((LABEL_SUBSEQUENT, LABEL_PRIOR), net.prior))

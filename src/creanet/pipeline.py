@@ -17,8 +17,8 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import GraphParams, PaintingGraph, build_graph
-from .implication import (BalanceSpec, ImplicationNetwork, build_implication_network,
-                          compute_thresholds, empty_network, nearest_rank_percentile)
+from .implication import (ImplicationNetwork, build_implication_network, compute_thresholds,
+                          empty_network, nearest_rank_percentile)
 from .scoring import ScoreVector, normalize, solve_closed_form, solve_power
 
 
@@ -59,10 +59,7 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig,
     graph = build_graph(corpus, aspect, params)
     if graph.n_edges == 0:
         return graph, None, empty_network(corpus.n)
-    spec = BalanceSpec(mode=config.balancing_mode, percentile_p=config.percentile_p,
-                       local_window_years=config.local_window_years,
-                       min_local_sample=config.min_local_sample)
-    thresholds = compute_thresholds(graph, corpus.years, spec)
+    thresholds = compute_thresholds(graph, corpus.years, config.balance_spec())
     network = build_implication_network(graph, thresholds, corpus.years,
                                         anchor=config.balance_anchor)
     return graph, thresholds, network
@@ -82,7 +79,7 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
         score = solve_closed_form(op, config.alpha)
     else:
         score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
-    dangling_count = int(np.count_nonzero(np.bincount(network.dst, minlength=corpus.n) == 0))
+    dangling_count = int(np.count_nonzero(np.diff(network.indptr) == 0))
 
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
                           network=network, dangling_count=dangling_count, score=score)

@@ -108,9 +108,11 @@ def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticO
     divided by that label's column sum. At beta = 1 or 0 the edges of the label
     with zero weight are left out rather than stored as zeros, so each limit
     scores bit for bit like an operator built from one label's edges alone.
+    Otherwise the matrix takes the CIN's `indptr` and shares its `src`.
     """
     n = cin.n
-    src, dst, weight = cin.src, cin.dst, cin.weight
+    weight = cin.weight
+    dst = np.repeat(np.arange(n), np.diff(cin.indptr))
     if beta is None:
         sums = np.bincount(dst, weights=weight, minlength=n)
         values = weight / sums[dst]
@@ -122,14 +124,11 @@ def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticO
         scale = np.array([1.0 - beta, beta])
         sums = np.bincount(dst + n * label, weights=weight, minlength=2 * n).reshape(2, n)
         dangling = scale[1] * (sums[1] == 0.0) + scale[0] * (sums[0] == 0.0)
-        if beta in (0.0, 1.0):
-            keep = label == int(beta)
-            src, dst, weight, label = src[keep], dst[keep], weight[keep], label[keep]
         values = weight / sums[label, dst] * scale[label]
-    # Edges are in (dst, src) order: grouped by column, rows ascending within each.
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=n), out=indptr[1:])
-    matrix = sparse.csc_matrix((values, src, indptr), shape=(n, n))
+    limit = beta in (0.0, 1.0)
+    matrix = sparse.csc_matrix((values, cin.src, cin.indptr), shape=(n, n), copy=limit)
+    if limit:
+        matrix.eliminate_zeros()  # the other label's edges, each scaled by 0
     return StochasticOperator(n=n, matrix=matrix, dangling=dangling)
 
 

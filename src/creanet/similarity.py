@@ -19,7 +19,7 @@ class SimilarityParams:
     sigma: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+        if isinstance(self.sigma, bool) or not (np.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be a positive finite number, got {self.sigma!r}")
 
 

@@ -48,6 +48,19 @@ def visual_similarity(f_i, f_j, sigma: float) -> float:
     return float(np.exp(-float(np.dot(diff, diff)) / (2.0 * sigma * sigma)))
 
 
+def from_edges(cls, n, src, dst, weight, **fields):
+    """A `PaintingGraph` or `ImplicationNetwork` holding (src, dst, weight) triples in (dst, src) order."""
+    dst = np.asarray(dst, dtype=np.int64)
+    assert np.all(np.diff(dst) >= 0), "triples must come grouped by destination"
+    indptr = np.searchsorted(dst, np.arange(n + 1))
+    return cls(n=n, indptr=indptr, src=src, weight=weight, **fields)
+
+
+def edge_dst(edges) -> np.ndarray:
+    """The destination of every edge of a `PaintingGraph` or `ImplicationNetwork`."""
+    return np.repeat(np.arange(edges.n), np.diff(edges.indptr))
+
+
 def balance(graph: cn.PaintingGraph, years, spec: cn.BalanceSpec | None = None,
             anchor: str = "destination") -> cn.ImplicationNetwork:
     """Thresholds and edge mapping in one step, as the pipeline runs them."""

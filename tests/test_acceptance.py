@@ -14,8 +14,8 @@ import pytest
 
 import creanet as cn
 
-from conftest import (PIONEER, balance, pioneer_corpus, random_corpus, record_criterion,
-                      write_corpus_files)
+from conftest import (PIONEER, balance, edge_dst, from_edges, pioneer_corpus, random_corpus,
+                      record_criterion, write_corpus_files)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -127,7 +127,7 @@ def test_criterion_3_cin_conservation():
                 assert net.n_edges == net.kept_count + net.reversed_count
                 if net.n_edges:
                     assert float(net.weight.min()) > 0.0, "non-positive CIN weight"
-                labels_ok = net.prior == (corpus.years[net.dst] < corpus.years[net.src])
+                labels_ok = net.prior == (corpus.years[edge_dst(net)] < corpus.years[net.src])
                 assert bool(np.all(labels_ok)), "prior/subsequent label disagrees with years"
                 edges += net.n_edges
                 networks += 1
@@ -156,9 +156,8 @@ def test_criterion_5_two_node_fixture():
     assert abs(derived[0] - 0.6491) < 1e-3 and abs(derived[1] - 0.3509) < 1e-3, \
         "re-derived dense solution does not match the quoted fixture values"
 
-    net = cn.ImplicationNetwork(
-        n=2, src=np.array([0]), dst=np.array([1]), weight=np.array([0.3]),
-        prior=np.array([False]), kept_count=1, reversed_count=0, dropped_count=0)
+    net = from_edges(cn.ImplicationNetwork, 2, [0], [1], [0.3],
+                     prior=[False], kept_count=1, reversed_count=0, dropped_count=0)
     op = cn.normalize(net)
     power = cn.solve_power(op, 0.85, tol=1e-14).scores
     closed = cn.solve_closed_form(op, 0.85).scores
@@ -274,6 +273,21 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
             f"byte-identical across {len(outputs['first'])} output files")
 
 
+def _peak_rss_mib() -> float:
+    """Peak resident set of this process: `VmHWM` where /proc has it, else `ru_maxrss`."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+    import sys
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+
+
 @pytest.mark.slow
 @criterion(9)
 def test_criterion_9_scale_smoke():
@@ -302,4 +316,5 @@ def test_criterion_9_scale_smoke():
     assert elapsed < 900.0, f"took {elapsed:.1f}s >= 900s"
     return (f"n = {n}, K = 500, alpha = 0.15: {graph.n_edges} edges in "
             f"{graph_done - built:.0f}s, power converged in {score.iterations} "
-            f"iterations; total {elapsed:.0f}s (< 900s)")
+            f"iterations; total {elapsed:.0f}s (< 900s); peak RSS {_peak_rss_mib():.0f} MiB "
+            f"(reported, not gated)")

@@ -34,6 +34,8 @@ class TestRunConfigValidation:
         ({"max_iters": 0}, "max_iters"),
         ({"seed": -1}, "seed"),
         ({"seed": 2 ** 64}, "seed"),
+        ({"sigma": float("inf")}, "sigma"),
+        ({"sigma_overrides": {"visual": float("inf")}}, "sigma.visual"),
     ])
     def test_rejects_out_of_range(self, kwargs, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -51,6 +53,13 @@ class TestRunConfigValidation:
     def test_bool_sigma_rejected(self):
         with pytest.raises(ConfigError, match="sigma"):
             RunConfig(sigma=True)
+
+    def test_balance_spec_carries_the_balancing_keys(self):
+        config = RunConfig(balancing_mode="local", percentile_p=30.0, local_window_years=7,
+                           min_local_sample=3)
+        spec = config.balance_spec()
+        assert (spec.mode, spec.percentile_p, spec.local_window_years, spec.min_local_sample) == \
+            ("local", 30.0, 7, 3)
 
     def test_sigma_for_prefers_override(self):
         config = RunConfig(sigma=2.0, sigma_overrides={"color": 0.5})

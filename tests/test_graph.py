@@ -5,7 +5,7 @@ import pytest
 
 import creanet as cn
 
-from conftest import make_corpus, random_corpus, visual_similarity
+from conftest import edge_dst, from_edges, make_corpus, random_corpus, visual_similarity
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -35,7 +35,7 @@ def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
 
 
 def graph_edge_set(graph):
-    return set(zip(graph.src.tolist(), graph.dst.tolist()))
+    return set(zip(graph.src.tolist(), edge_dst(graph).tolist()))
 
 
 class TestBuildGraph:
@@ -46,7 +46,7 @@ class TestBuildGraph:
             graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
             expected, weights = brute_force_edges(corpus, "visual", k, sigma)
             assert graph_edge_set(graph) == expected
-            for s, d, w in zip(graph.src, graph.dst, graph.weight):
+            for s, d, w in zip(graph.src, edge_dst(graph), graph.weight):
                 assert w == pytest.approx(weights[(s, d)], rel=1e-12)
 
     def test_brute_force_oracle_with_window_prior(self):
@@ -119,32 +119,32 @@ def built():
 class TestGraphInvariants:
     def test_incoming_degree_capped(self, built):
         corpus, graph = built
-        counts = np.bincount(graph.dst, minlength=corpus.n)
+        counts = np.diff(graph.indptr)
         assert counts.max() <= 6
         assert graph.n_edges <= corpus.n * 6
 
     def test_edges_point_strictly_forward_in_time(self, built):
         corpus, graph = built
-        assert np.all(corpus.years[graph.src] < corpus.years[graph.dst])
+        assert np.all(corpus.years[graph.src] < corpus.years[edge_dst(graph)])
 
     def test_antisymmetry(self, built):
         _, graph = built
-        pairs = set(zip(graph.src.tolist(), graph.dst.tolist()))
+        pairs = graph_edge_set(graph)
         assert all((d, s) not in pairs for s, d in pairs)
 
     def test_earliest_no_incoming_latest_no_outgoing(self, built):
         corpus, graph = built
         earliest = corpus.years == corpus.years.min()
         latest = corpus.years == corpus.years.max()
-        assert not np.any(earliest[graph.dst])
+        assert not np.any(earliest[edge_dst(graph)])
         assert not np.any(latest[graph.src])
 
     def test_acyclic_by_kahn_elimination(self, built):
         # independent cycle check that never consults the year column
         corpus, graph = built
-        indegree = np.bincount(graph.dst, minlength=corpus.n)
+        indegree = np.bincount(edge_dst(graph), minlength=corpus.n)
         outgoing = {}
-        for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
+        for s, d in zip(graph.src.tolist(), edge_dst(graph).tolist()):
             outgoing.setdefault(s, []).append(d)
         queue = [i for i in range(corpus.n) if indegree[i] == 0]
         removed = 0
@@ -159,32 +159,63 @@ class TestGraphInvariants:
 
     def test_canonical_edge_order(self, built):
         _, graph = built
-        key = graph.dst * graph.n + graph.src
+        key = edge_dst(graph) * graph.n + graph.src
         assert np.all(np.diff(key) > 0)
+
+    def test_sources_stored_as_int32(self, built):
+        _, graph = built
+        assert graph.src.dtype == np.int32 and graph.indptr.dtype == np.int64
 
 
 class TestPaintingGraphValidation:
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError, match="self edges"):
-            cn.PaintingGraph(n=2, src=np.array([1]), dst=np.array([1]), weight=np.array([0.5]))
+            from_edges(cn.PaintingGraph, 2, [1], [1], [0.5])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
-            cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([1]), weight=np.array([0.0]))
+            from_edges(cn.PaintingGraph, 2, [0], [1], [0.0])
 
     def test_rejects_unsorted_edges(self):
+        # sources decreasing within destination 2's column
         with pytest.raises(ValueError, match="sorted"):
-            cn.PaintingGraph(n=3, src=np.array([0, 0]), dst=np.array([2, 1]),
-                             weight=np.array([0.5, 0.5]))
+            cn.PaintingGraph(n=3, indptr=[0, 0, 0, 2], src=[1, 0], weight=[0.5, 0.5])
 
     def test_rejects_duplicate_ordered_pair(self):
+        # source 0 repeated within destination 1's column
         with pytest.raises(ValueError, match="sorted"):
-            cn.PaintingGraph(n=2, src=np.array([0, 0]), dst=np.array([1, 1]),
-                             weight=np.array([0.5, 0.5]))
+            cn.PaintingGraph(n=2, indptr=[0, 0, 2], src=[0, 0], weight=[0.5, 0.5])
+
+    def test_new_column_may_restart_sources(self):
+        graph = cn.PaintingGraph(n=4, indptr=[0, 0, 1, 1, 3], src=[3, 0, 1], weight=[0.5] * 3)
+        assert graph_edge_set(graph) == {(3, 1), (0, 3), (1, 3)}
+
+    def test_rejects_decreasing_indptr(self):
+        with pytest.raises(ValueError, match="indptr"):
+            cn.PaintingGraph(n=3, indptr=[0, 2, 1, 2], src=[0, 2], weight=[0.5, 0.5])
+
+    @pytest.mark.parametrize("indptr", [[1, 1, 2], [0, 0, 1], [0, 0, 3]], ids=["start", "end", "past_end"])
+    def test_rejects_indptr_with_wrong_ends(self, indptr):
+        with pytest.raises(ValueError, match="indptr"):
+            cn.PaintingGraph(n=2, indptr=indptr, src=[0, 1], weight=[0.5, 0.5])
+
+    @pytest.mark.parametrize("indptr", [[0, 2], [0, 0, 0, 2]], ids=["short", "long"])
+    def test_rejects_indptr_of_wrong_length(self, indptr):
+        with pytest.raises(ValueError, match="indptr"):
+            cn.PaintingGraph(n=2, indptr=indptr, src=[0, 1], weight=[0.5, 0.5])
 
     def test_rejects_out_of_range_endpoint(self):
-        with pytest.raises(ValueError, match="out of range"):
-            cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([2]), weight=np.array([0.5]))
+        for src in (2, -1, 2 ** 32):  # 2**32 would wrap to 0 as int32
+            with pytest.raises(ValueError, match="out of range"):
+                from_edges(cn.PaintingGraph, 2, [src], [1], [0.5])
+
+    def test_rejects_no_nodes(self):
+        with pytest.raises(ValueError, match="n must be"):
+            cn.PaintingGraph(n=0, indptr=[0], src=[], weight=[])
+
+    def test_rejects_weight_length_mismatch(self):
+        with pytest.raises(ValueError, match="weight"):
+            cn.PaintingGraph(n=2, indptr=[0, 0, 1], src=[0], weight=[0.5, 0.5])
 
 
 def test_write_graph_csv(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import creanet as cn
 
-from conftest import balance, make_corpus, random_corpus
+from conftest import balance, edge_dst, from_edges, make_corpus, random_corpus
 
 
 def build(seed=20, n=100, k=8, **spec_kwargs):
@@ -81,7 +81,7 @@ class TestComputeThresholds:
                               local_window_years=30, min_local_sample=5)
         m = cn.compute_thresholds(graph, corpus.years, spec)
 
-        ys, yd = years[graph.src], years[graph.dst]
+        ys, yd = years[graph.src], years[edge_dst(graph)]
         for node in (0, 5, 25, 39):
             y = years[node]
             mask = (np.abs(ys - y) <= 30) & (np.abs(yd - y) <= 30)
@@ -104,36 +104,32 @@ class TestComputeThresholds:
 
 class TestBuildImplicationNetwork:
     def test_kept_edge(self):
-        graph = cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([1]),
-                                 weight=np.array([0.8]))
+        graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.8])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
                                            np.array([1500, 1600]))
-        assert (net.src[0], net.dst[0]) == (0, 1)
+        assert (net.src[0], edge_dst(net)[0]) == (0, 1)
         assert net.weight[0] == pytest.approx(0.3, abs=1e-15)
         assert not net.prior[0]  # points forward in time: subsequent
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (1, 0, 0)
 
     def test_reversed_edge(self):
-        graph = cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([1]),
-                                 weight=np.array([0.2]))
+        graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.2])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
                                            np.array([1500, 1600]))
-        assert (net.src[0], net.dst[0]) == (1, 0)
+        assert (net.src[0], edge_dst(net)[0]) == (1, 0)
         assert net.weight[0] == pytest.approx(0.3, abs=1e-15)
         assert net.prior[0]  # points back in time: prior
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (0, 1, 0)
 
     def test_exact_zero_balance_drops(self):
-        graph = cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([1]),
-                                 weight=np.array([0.5]))
+        graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.5])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
                                            np.array([1500, 1600]))
         assert net.n_edges == 0
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (0, 0, 1)
 
     def test_anchor_destination_vs_source(self):
-        graph = cn.PaintingGraph(n=2, src=np.array([0]), dst=np.array([1]),
-                                 weight=np.array([0.4]))
+        graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.4])
         m = np.array([0.6, 0.3])
         years = np.array([1500, 1600])
         by_dst = cn.build_implication_network(graph, m, years, anchor="destination")
@@ -147,7 +143,7 @@ class TestBuildImplicationNetwork:
             # brute-force recount: apply the balance rule edge by edge
             m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec(percentile_p=50.0))
             kept = reversed_ = dropped = 0
-            for s, d, w in zip(graph.src, graph.dst, graph.weight):
+            for s, d, w in zip(graph.src, edge_dst(graph), graph.weight):
                 b = w - m[d]
                 if b > 0:
                     kept += 1
@@ -160,7 +156,7 @@ class TestBuildImplicationNetwork:
             assert net.n_edges == 0 or net.weight.min() > 0.0
             # labels agree with node years on every edge
             np.testing.assert_array_equal(
-                net.prior, corpus.years[net.dst] < corpus.years[net.src])
+                net.prior, corpus.years[edge_dst(net)] < corpus.years[net.src])
 
     def test_median_reversal_fraction_near_half(self):
         _, graph, net = build(seed=24, n=120, percentile_p=50.0)
@@ -169,15 +165,16 @@ class TestBuildImplicationNetwork:
 
     def test_prior_subsequent_partition(self):
         _, _, net = build(seed=25)
-        prior_set = set(zip(net.src[net.prior].tolist(), net.dst[net.prior].tolist()))
-        subseq_set = set(zip(net.src[~net.prior].tolist(), net.dst[~net.prior].tolist()))
+        dst = edge_dst(net)
+        prior_set = set(zip(net.src[net.prior].tolist(), dst[net.prior].tolist()))
+        subseq_set = set(zip(net.src[~net.prior].tolist(), dst[~net.prior].tolist()))
         assert prior_set.isdisjoint(subseq_set)
         assert len(prior_set) + len(subseq_set) == net.n_edges
 
     def test_no_edge_without_preimage(self):
         corpus, graph, net = build(seed=26)
-        original = set(zip(graph.src.tolist(), graph.dst.tolist()))
-        for s, d in zip(net.src.tolist(), net.dst.tolist()):
+        original = set(zip(graph.src.tolist(), edge_dst(graph).tolist()))
+        for s, d in zip(net.src.tolist(), edge_dst(net).tolist()):
             assert (s, d) in original or (d, s) in original
 
 
@@ -186,14 +183,49 @@ def test_semantics_increasing_edge_weight_never_hurts_source():
     years = np.array([1500, 1600, 1700])
     gaps = []
     for w in (0.1, 0.3, 0.6, 1.0, 2.0):
-        net = cn.ImplicationNetwork(
-            n=3,
-            src=np.array([0, 2]), dst=np.array([1, 1]),
-            weight=np.array([w, 0.4]), prior=np.array([False, True]),
-            kept_count=2, reversed_count=0, dropped_count=0)
+        net = from_edges(cn.ImplicationNetwork, 3, [0, 2], [1, 1], [w, 0.4],
+                         prior=[False, True], kept_count=2, reversed_count=0, dropped_count=0)
         scores = cn.solve_closed_form(cn.normalize(net), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+class TestImplicationNetworkValidation:
+    def make(self, n=2, src=(0,), dst=(1,), kept=1, reversed_=0, dropped=0):
+        return from_edges(cn.ImplicationNetwork, n, list(src), list(dst), [0.5] * len(src),
+                          prior=[False] * len(src), kept_count=kept,
+                          reversed_count=reversed_, dropped_count=dropped)
+
+    def test_accepts_valid_edge(self):
+        assert self.make().n_edges == 1
+
+    @pytest.mark.parametrize("src", [5, 2, -1])
+    def test_rejects_source_out_of_range(self, src):
+        with pytest.raises(ValueError, match="out of range"):
+            self.make(src=(src,))
+
+    def test_rejects_destination_out_of_range(self):
+        # a destination past n - 1 leaves its edge outside every column
+        with pytest.raises(ValueError, match="indptr"):
+            self.make(dst=(2,))
+
+    def test_rejects_empty_network_of_no_nodes(self):
+        with pytest.raises(ValueError, match="n must be"):
+            self.make(n=0, src=(), dst=(), kept=0)
+
+    def test_rejects_too_many_nodes_for_int32_sources(self):
+        with pytest.raises(ValueError, match="n must be"):
+            cn.ImplicationNetwork(n=2 ** 31, indptr=np.zeros(1, dtype=np.int64), src=[], weight=[],
+                                  prior=[], kept_count=0, reversed_count=0, dropped_count=0)
+
+    @pytest.mark.parametrize("counts", [(-1, 2, 0), (2, -1, 0), (1, 0, -1)])
+    def test_rejects_negative_counts(self, counts):
+        with pytest.raises(ValueError, match="non-negative"):
+            self.make(kept=counts[0], reversed_=counts[1], dropped=counts[2])
+
+    def test_rejects_counts_not_matching_edges(self):
+        with pytest.raises(ValueError, match="kept \\+ reversed"):
+            self.make(kept=2)
 
 
 class TestBalanceSpecValidation:
@@ -215,9 +247,8 @@ class TestBalanceSpecValidation:
 
 
 def test_write_cin_csv(tmp_path):
-    net = cn.ImplicationNetwork(
-        n=2, src=np.array([1]), dst=np.array([0]), weight=np.array([0.25]),
-        prior=np.array([True]), kept_count=0, reversed_count=1, dropped_count=0)
+    net = from_edges(cn.ImplicationNetwork, 2, [1], [0], [0.25],
+                     prior=[True], kept_count=0, reversed_count=1, dropped_count=0)
     out = tmp_path / "cin.csv"
     cn.write_cin_csv(net, ("a", "b"), out)
     lines = out.read_text().splitlines()

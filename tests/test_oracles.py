@@ -1,11 +1,12 @@
 """The simple graph build, CIN assembly, percentiles, CSV writers and split solvers, kept as oracles.
 
 The library picks each slab's top K with one partial selection, writes the
-picks straight into destination order, assembles the implication network with
-a counting sort plus one merge, reads percentiles with a partition, finds local
-thresholds in one sweep over weight ranks, cuts window candidates in O(1) per
-year group, writes edge dumps a column at a time and scores the beta split
-with one operator whose dangling columns carry fractional weights. The
+picks straight into destination order, assembles the implication network as
+keep(G) + flip(G)^T with scipy's transpose and canonical sparse addition,
+reads percentiles with a partition, finds local thresholds in one sweep over
+weight ranks, cuts window candidates in O(1) per year group, writes edge
+dumps a chunk at a time and scores the beta split with one operator whose
+dangling columns carry fractional weights. The
 implementations they replaced live here, and every test asserts that both give
 the same bits; the split at fractional beta, which sums in another order,
 agrees to the last few bits. The corpora force every path: weight ties
@@ -30,7 +31,7 @@ from creanet import graph as graph_module
 from creanet import implication as implication_module
 from creanet.similarity import kernel_block
 
-from conftest import balance, make_corpus, random_corpus, random_network
+from conftest import balance, edge_dst, from_edges, make_corpus, random_corpus, random_network
 
 
 # ---------------------------------------------------------------------------
@@ -101,23 +102,24 @@ def reference_build_graph(corpus, aspect, params):
         src = np.empty(0, dtype=np.int64)
         dst = np.empty(0, dtype=np.int64)
         weight = np.empty(0, dtype=np.float64)
-    return cn.PaintingGraph(n=corpus.n, src=src, dst=dst, weight=weight)
+    return from_edges(cn.PaintingGraph, corpus.n, src, dst, weight)
 
 
 def reference_build_implication_network(graph, m, years, anchor="destination"):
     """Keep, drop or reverse every edge, then lexsort the survivors."""
     m = np.asarray(m, dtype=np.float64)
     years = np.asarray(years, dtype=np.int64)
-    b = graph.weight - m[graph.dst if anchor == "destination" else graph.src]
+    graph_dst = edge_dst(graph)
+    b = graph.weight - m[graph_dst if anchor == "destination" else graph.src]
     keep = b > 0.0
     flip = b < 0.0
-    src = np.concatenate((graph.src[keep], graph.dst[flip]))
-    dst = np.concatenate((graph.dst[keep], graph.src[flip]))
+    src = np.concatenate((graph.src[keep], graph_dst[flip]))
+    dst = np.concatenate((graph_dst[keep], graph.src[flip]))
     weight = np.concatenate((b[keep], -b[flip]))
     prior = years[dst] < years[src]
     edge_order = np.lexsort((src, dst))
-    return cn.ImplicationNetwork(
-        n=graph.n, src=src[edge_order], dst=dst[edge_order], weight=weight[edge_order],
+    return from_edges(
+        cn.ImplicationNetwork, graph.n, src[edge_order], dst[edge_order], weight[edge_order],
         prior=prior[edge_order], kept_count=int(keep.sum()), reversed_count=int(flip.sum()),
         dropped_count=int(graph.n_edges - keep.sum() - flip.sum()))
 
@@ -134,7 +136,7 @@ def reference_local_thresholds(graph, years, spec):
     years = np.asarray(years, dtype=np.int64)
     global_m = reference_percentile(graph.weight, spec.percentile_p)
     w = spec.local_window_years
-    ys, yd = years[graph.src], years[graph.dst]
+    ys, yd = years[graph.src], years[edge_dst(graph)]
     lo = np.maximum(ys, yd) - w
     hi = np.minimum(ys, yd) + w
     m = np.empty(graph.n, dtype=np.float64)
@@ -155,7 +157,7 @@ def reference_write_graph_csv(graph, ids, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src_id", "dst_id", "weight"])
-        for s, d, w in zip(graph.src, graph.dst, graph.weight):
+        for s, d, w in zip(graph.src, edge_dst(graph), graph.weight):
             writer.writerow([ids[s], ids[d], repr(float(w))])
 
 
@@ -163,7 +165,7 @@ def reference_write_cin_csv(net, ids, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src_id", "dst_id", "weight", "label"])
-        for s, d, w, p in zip(net.src, net.dst, net.weight, net.prior):
+        for s, d, w, p in zip(net.src, edge_dst(net), net.weight, net.prior):
             writer.writerow([ids[s], ids[d], repr(float(w)), "prior" if p else "subsequent"])
 
 
@@ -196,7 +198,7 @@ def reference_normalize(cin, edge_filter="all"):
         keep = cin.prior
     else:
         keep = ~cin.prior
-    src, dst, weight = cin.src[keep], cin.dst[keep], cin.weight[keep]
+    src, dst, weight = cin.src[keep], edge_dst(cin)[keep], cin.weight[keep]
     n = cin.n
     col_sums = np.bincount(dst, weights=weight, minlength=n)
     values = weight / col_sums[dst]
@@ -237,15 +239,14 @@ def reference_solve_split_closed_form(op_prior, op_subseq, alpha, beta):
 
 def assert_same_graph(got, want):
     assert got.n == want.n
-    assert np.array_equal(got.src, want.src)
-    assert np.array_equal(got.dst, want.dst)
+    assert got.indptr.tobytes() == want.indptr.tobytes()
+    assert got.src.dtype == want.src.dtype == np.int32
+    assert got.src.tobytes() == want.src.tobytes()
     assert got.weight.tobytes() == want.weight.tobytes()
 
 
 def assert_same_network(got, want):
-    assert np.array_equal(got.src, want.src)
-    assert np.array_equal(got.dst, want.dst)
-    assert got.weight.tobytes() == want.weight.tobytes()
+    assert_same_graph(got, want)
     assert np.array_equal(got.prior, want.prior)
     assert (got.kept_count, got.reversed_count, got.dropped_count) == \
         (want.kept_count, want.reversed_count, want.dropped_count)
@@ -442,15 +443,18 @@ class TestNetworkAgainstOracle:
         assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
 
     def test_runs_to_merge_are_each_canonical(self):
-        # the counting sort leaves two sorted runs, so the closing stable sort is one merge
+        # scipy's sum of keep(G) and flip(G)^T is canonical only if both terms are
         corpus = random_corpus(seed=10, n=700, dim=4)
         graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
         m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
         for anchor in ("destination", "source"):
-            src, dst, _, kept = implication_module._balanced_runs(graph, m, anchor)
-            key = dst * graph.n + src
-            assert 0 < kept < key.size
-            assert np.all(np.diff(key[:kept]) > 0) and np.all(np.diff(key[kept:]) > 0)
+            b = graph.weight - m[edge_dst(graph) if anchor == "destination" else graph.src]
+            keep = implication_module._edge_subset(graph, b, b > 0.0)
+            flip = implication_module._edge_subset(graph, -b, b < 0.0).T.tocsc()
+            assert keep.nnz > 0 and flip.nnz > 0
+            for run in (keep, flip):
+                column = np.repeat(np.arange(graph.n), np.diff(run.indptr))
+                assert np.all(np.diff(column * graph.n + run.indices) > 0)
 
     def test_arbitrary_thresholds_with_exact_drops(self):
         corpus = quantised_corpus(seed=11, n=200, dim=2, levels=3, year_lo=1500, year_hi=1560)
@@ -465,8 +469,7 @@ class TestNetworkAgainstOracle:
     def test_opposed_pair_rejected_like_the_oracle(self):
         # a hand-made graph holding both 0 -> 1 and 1 -> 0: keeping one and reversing
         # the other yields the same CIN edge twice
-        graph = cn.PaintingGraph(n=2, src=np.array([1, 0]), dst=np.array([0, 1]),
-                                 weight=np.array([0.9, 0.1]))
+        graph = from_edges(cn.PaintingGraph, 2, [1, 0], [0, 1], [0.9, 0.1])
         m = np.array([0.5, 0.5])
         years = np.array([1500, 1600])
         for build in (cn.build_implication_network, reference_build_implication_network):
@@ -488,13 +491,14 @@ def hand_made_graph(seed, n, n_edges, n_years, levels=0):
         weight = rng.integers(1, levels + 1, size=src.size) / levels
     else:
         weight = rng.random(src.size) + 1e-3
-    return cn.PaintingGraph(n=n, src=src, dst=dst, weight=weight), years
+    return from_edges(cn.PaintingGraph, n, src, dst, weight), years
 
 
 def window_sample_sizes(graph, years, w):
     """Per artifact: how many edges have both endpoint years within ±w of its year."""
-    lo = np.maximum(years[graph.src], years[graph.dst]) - w
-    hi = np.minimum(years[graph.src], years[graph.dst]) + w
+    dst = edge_dst(graph)
+    lo = np.maximum(years[graph.src], years[dst]) - w
+    hi = np.minimum(years[graph.src], years[dst]) + w
     return np.array([int(((lo <= y) & (y <= hi)).sum()) for y in years])
 
 
@@ -516,14 +520,13 @@ class TestLocalThresholdsAgainstOracle:
     def test_edges_never_in_window(self):
         graph, years = hand_made_graph(seed=20, n=60, n_edges=900, n_years=40)
         w = 3
-        span = np.abs(years[graph.src] - years[graph.dst])
+        span = np.abs(years[graph.src] - years[edge_dst(graph)])
         assert np.any(span > 2 * w) and np.any(span <= 2 * w)
         thresholds_both_ways(graph, years, local_spec(w=w))
 
     def test_no_edge_ever_in_window(self):
         # every edge spans more than 2w years: all samples are empty, all years fall back
-        graph = cn.PaintingGraph(n=3, src=np.array([1, 0, 0]), dst=np.array([0, 1, 2]),
-                                 weight=np.array([0.2, 0.7, 0.4]))
+        graph = from_edges(cn.PaintingGraph, 3, [1, 0, 0], [0, 1, 2], [0.2, 0.7, 0.4])
         years = np.array([1500, 1510, 1520])
         m = thresholds_both_ways(graph, years, local_spec(w=4))
         assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
@@ -562,9 +565,8 @@ class TestLocalThresholdsAgainstOracle:
 
     def test_sources_later_than_destinations(self):
         # every edge points back in time, unlike any graph `build_graph` makes
-        graph = cn.PaintingGraph(n=4, src=np.array([1, 2, 3, 2, 3, 3]),
-                                 dst=np.array([0, 0, 0, 1, 1, 2]),
-                                 weight=np.array([0.9, 0.3, 0.5, 0.6, 0.2, 0.8]))
+        graph = from_edges(cn.PaintingGraph, 4, [1, 2, 3, 2, 3, 3], [0, 0, 0, 1, 1, 2],
+                           [0.9, 0.3, 0.5, 0.6, 0.2, 0.8])
         years = np.array([1500, 1502, 1504, 1509])
         for w in (1, 2, 3, 5):
             thresholds_both_ways(graph, years, local_spec(w=w))
@@ -620,7 +622,7 @@ class TestCsvWritersAgainstOracle:
         with open(tmp_path / "graph.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(r[0], r[1]) for r in rows] == \
-            [(corpus.ids[s], corpus.ids[d]) for s, d in zip(graph.src, graph.dst)]
+            [(corpus.ids[s], corpus.ids[d]) for s, d in zip(graph.src, edge_dst(graph))]
 
     def test_empty_edge_lists(self, tmp_path):
         corpus = make_corpus([1500, 1500], np.eye(2), ids=["a,b", "c"])

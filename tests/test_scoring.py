@@ -5,16 +5,15 @@ import pytest
 
 import creanet as cn
 
-from conftest import PIONEER, pioneer_corpus, random_network
+from conftest import PIONEER, edge_dst, from_edges, pioneer_corpus, random_network
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
 
 
 def single_edge_network(w=0.3):
-    return cn.ImplicationNetwork(
-        n=2, src=np.array([0]), dst=np.array([1]), weight=np.array([w]),
-        prior=np.array([False]), kept_count=1, reversed_count=0, dropped_count=0)
+    return from_edges(cn.ImplicationNetwork, 2, [0], [1], [w],
+                      prior=[False], kept_count=1, reversed_count=0, dropped_count=0)
 
 
 class TestNormalize:
@@ -27,10 +26,8 @@ class TestNormalize:
         assert op.dangling.tolist() == [1.0, 0.0]
 
     def test_proportional_split(self):
-        net = cn.ImplicationNetwork(
-            n=3, src=np.array([0, 1]), dst=np.array([2, 2]),
-            weight=np.array([0.1, 0.3]), prior=np.array([False, False]),
-            kept_count=2, reversed_count=0, dropped_count=0)
+        net = from_edges(cn.ImplicationNetwork, 3, [0, 1], [2, 2], [0.1, 0.3],
+                         prior=[False, False], kept_count=2, reversed_count=0, dropped_count=0)
         dense = cn.normalize(net).dense()
         assert dense[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.75, abs=1e-15)
@@ -54,11 +51,21 @@ class TestNormalize:
     def test_split_dangling_weights(self):
         # no prior in-edge leaves beta of a column dangling, no subsequent in-edge 1 - beta
         net = random_network(seed=31, n=70)
-        no_prior = np.bincount(net.dst[net.prior], minlength=net.n) == 0
-        no_subseq = np.bincount(net.dst[~net.prior], minlength=net.n) == 0
+        dst = edge_dst(net)
+        no_prior = np.bincount(dst[net.prior], minlength=net.n) == 0
+        no_subseq = np.bincount(dst[~net.prior], minlength=net.n) == 0
         assert no_prior.any() and no_subseq.any()
         op = cn.normalize(net, beta=0.3)
         np.testing.assert_allclose(op.dangling, 0.3 * no_prior + 0.7 * no_subseq, rtol=0, atol=1e-16)
+
+    def test_operator_shares_the_cin_sources(self):
+        # no E-length copy of the index array: the matrix reads the CIN's int32 src
+        net = random_network(seed=31, n=70)
+        assert net.src.dtype == np.int32
+        for beta in (None, 0.5):
+            matrix = cn.normalize(net, beta).matrix
+            assert np.shares_memory(matrix.indices, net.src)
+            assert np.array_equal(matrix.indptr, net.indptr)
 
     def test_apply_matches_dense(self):
         net = random_network(seed=32, n=60)
@@ -203,12 +210,12 @@ class TestSolvers:
         perm = np.random.default_rng(1).permutation(60)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(60)
-        order = np.lexsort((perm[net.src], perm[net.dst]))
-        permuted = cn.ImplicationNetwork(
-            n=60, src=perm[net.src][order], dst=perm[net.dst][order],
-            weight=net.weight[order], prior=net.prior[order],
-            kept_count=net.kept_count, reversed_count=net.reversed_count,
-            dropped_count=net.dropped_count)
+        src, dst = perm[net.src], perm[edge_dst(net)]
+        order = np.lexsort((src, dst))
+        permuted = from_edges(
+            cn.ImplicationNetwork, 60, src[order], dst[order], net.weight[order],
+            prior=net.prior[order], kept_count=net.kept_count,
+            reversed_count=net.reversed_count, dropped_count=net.dropped_count)
         base = cn.solve_power(cn.normalize(net), 0.5, tol=1e-13).scores
         moved = cn.solve_power(cn.normalize(permuted), 0.5, tol=1e-13).scores
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
