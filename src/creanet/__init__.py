@@ -16,7 +16,7 @@ from .implication import (BalanceSpec, ImplicationNetwork, build_implication_net
 from .pipeline import (PipelineResult, build_network, resolve_sigma, run_multi_aspect,
                        run_pipeline, score_ranks, write_run_meta, write_scores_csv)
 from .scoring import ScoreVector, StochasticOperator, normalize, solve_closed_form, solve_power
-from .similarity import SimilarityParams, kernel_block
+from .similarity import SimilarityParams, pair_weights
 from .svgplot import minmax_scale, scatter_svg, write_scatter_svg
 from .timemachine import (TimeMachineReport, TimeMachineRun, TimeMachineSpec,
                           resolve_targets, run_time_machine, spec_from_mapping,
@@ -30,8 +30,8 @@ __all__ = [
     "ScoreVector", "SimilarityParams", "StochasticOperator", "TimeMachineReport",
     "TimeMachineRun", "TimeMachineSpec", "__version__", "build_graph",
     "build_implication_network", "build_network", "compute_thresholds", "config_from_mapping",
-    "estimate_sigma", "ingest_corpus", "kernel_block", "load_config_file",
-    "minmax_scale", "nearest_rank_percentile", "normalize", "read_features",
+    "estimate_sigma", "ingest_corpus", "load_config_file", "minmax_scale",
+    "nearest_rank_percentile", "normalize", "pair_weights", "read_features",
     "read_manifest", "resolve_sigma", "resolve_targets", "run_multi_aspect",
     "run_pipeline", "run_time_machine", "scatter_svg", "score_ranks",
     "solve_closed_form", "solve_power", "spec_from_mapping", "write_cin_csv",

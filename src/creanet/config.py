@@ -86,7 +86,10 @@ class RunConfig:
             if not ok:
                 raise ConfigError(msg)
 
-        check(isinstance(self.k, int) and self.k >= 1, f"k must be a positive integer, got {self.k!r}")
+        try:
+            self.graph_params(1.0)  # any valid bandwidth; the sigma keys are checked below
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
@@ -104,16 +107,21 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         check(self.balance_anchor in BALANCE_ANCHORS,
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
-        check(self.temporal_prior in TEMPORAL_PRIORS,
-              f"temporal_prior must be one of {TEMPORAL_PRIORS}, got {self.temporal_prior!r}")
-        check(isinstance(self.temporal_window_k, int) and self.temporal_window_k >= 1,
-              f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
         check(self.solver in SOLVERS, f"solver must be one of {SOLVERS}, got {self.solver!r}")
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
         check(isinstance(self.max_iters, int) and self.max_iters >= 1,
               f"max_iters must be a positive integer, got {self.max_iters!r}")
         check(isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
               f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+
+    def graph_params(self, sigma: float):
+        """The `GraphParams` these settings describe at bandwidth `sigma`.
+
+        Its checks are the range checks of `k` and the temporal prior.
+        """
+        from .graph import GraphParams  # graph imports this module
+        return GraphParams(k=self.k, sigma=sigma, temporal_prior=self.temporal_prior,
+                           temporal_window_k=self.temporal_window_k)
 
     def balance_spec(self):
         """The `BalanceSpec` these settings describe; its checks are the balancing range checks."""

@@ -85,6 +85,7 @@ class Corpus:
                     f"aspect '{aspect}' has {len(fs)} feature rows for {len(self.artifacts)} artifacts"
                 )
         self._index = seen
+        self.ids: tuple[str, ...] = tuple(a.id for a in self.artifacts)
         self.years = np.array([a.year for a in self.artifacts], dtype=np.int64)
         self.years.setflags(write=False)
 
@@ -98,10 +99,6 @@ class Corpus:
     @property
     def aspects(self) -> tuple[str, ...]:
         return tuple(self.features)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.artifacts)
 
     def index_of(self, artifact_id: str) -> int:
         return self._index[artifact_id]

@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import TEMPORAL_PRIORS
 from .corpus import Corpus
-from .similarity import SimilarityParams, kernel_block
+from .similarity import SimilarityParams, distance_weights, pair_weights
 
-# Destination rows are scored against their candidate set in slabs of this many
-# rows to bound peak memory at roughly 256 * n * 8 bytes.
+# Destinations are ranked in slabs of this many consecutive rows in year order,
+# bounding the slab and its partition at roughly 2 * 256 * n * 8 bytes.
 _DST_CHUNK = 256
 
 # The CSV edge writers format this many rows per write, bounding the Python
@@ -119,21 +119,24 @@ def _year_groups(years: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return order, starts, ends
 
 
-def _window_candidates(order: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                       group: int, budget: int) -> np.ndarray:
-    """The `budget` latest strictly-prior artifacts of year-group `group`.
+def _candidate_ranges(starts: np.ndarray, ends: np.ndarray,
+                      window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each year group's candidates as year-order positions [a_lo, a_hi) and [b_lo, start).
 
-    Prior artifacts ranked by year descending; within a year, earlier manifest
-    rows are admitted first. Stable year sort makes each group slice
-    manifest-ascending, so the group the cut falls in contributes its slice
-    prefix and every later prior group its whole slice.
+    A group's candidates are its strictly prior artifacts, or the `window`
+    latest of them: ranked by year descending and, within a year, earlier
+    manifest rows first. Stable year sort makes each group slice
+    manifest-ascending, so the group the window's cut falls in contributes its
+    slice prefix [a_lo, a_hi) and every later prior group its whole slice,
+    [b_lo, start). A group the window does not cut has a_lo = a_hi = b_lo = 0.
     """
-    gs = int(starts[group])
-    if budget >= gs:
-        return order[:gs]
-    cut = gs - budget
-    p = int(np.searchsorted(starts, cut, side="right")) - 1
-    return np.concatenate((order[starts[p]:starts[p] + ends[p] - cut], order[ends[p]:gs]))
+    cut = np.maximum(starts - window, 0)
+    p = np.searchsorted(starts, cut, side="right") - 1  # the group holding position `cut`
+    whole = cut == 0
+    a_lo = np.where(whole, 0, starts[p])
+    a_hi = np.where(whole, 0, starts[p] + ends[p] - cut)
+    b_lo = np.where(whole, 0, ends[p])
+    return a_lo, a_hi, b_lo
 
 
 def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray:
@@ -150,44 +153,91 @@ def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarra
     return np.concatenate((above, ties))
 
 
-def _slab_top_k(block: np.ndarray, cand: np.ndarray, column: np.ndarray,
-                k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Top-K picks of every row of one kernel slab, each row's picks sorted by source.
+def _rows_at(cols: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Feature rows at year-order `positions`, as a view each of whose dimensions is contiguous."""
+    return np.moveaxis(np.take(cols[:-1], positions, axis=1), 0, -1)
 
-    One `argpartition` selects the k largest weights of every row at once. A
-    row keeps that selection when exactly k of its weights reach its k-th
-    weight: then no tie straddles the cut, and since there are more than k
-    non-negative weights, the k-th one is positive. The other rows (ties at
-    the cut, underflowed zeros) go through `_select_top_k` one by one.
-    `column` maps an artifact index to its column in `block`. Returns (row,
-    count, src, weight): the slab rows that have picks, how many each has,
-    and the picks of those rows one after another.
+
+def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: np.ndarray,
+                order: np.ndarray, position: np.ndarray, k: int,
+                sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Top-K picks of every row of one ranking slab, each row's picks sorted by source.
+
+    Row i is the destination x at year-order position p0 + i, with n_cand[i]
+    candidates; `cols` holds the year-ordered features, one row per
+    dimension, and the squared norms in its last row, and `position` maps an
+    artifact to its year-order position. block[i, c] is d^2 - |x|^2 between x
+    and the artifact at position c0 + c, or +inf where that artifact is not
+    one of x's candidates. One `argpartition` takes each row's k smallest
+    values, and only those picks are weighed. Returns (row, count, src,
+    weight): the slab rows that have picks, how many each has, and the picks
+    of those rows one after another.
     """
+    # Certifying a row's picks. block holds v = fl([-2x, 1] . [y, s_y]) with
+    # s_y = fl(|y|^2) and m = dim + 1 terms. In any summation order, with or
+    # without FMA, |v - (s_y - 2 x.y)| <= g_m (2 |x| |y| + s_y), where
+    # g_m = m u / (1 - m u) and u = 2^-53 (Higham, "Accuracy and Stability of
+    # Numerical Algorithms", 2002, section 3.1); |s_y - |y|^2| <= g_dim s_y, and
+    # likewise for sx. With R^2 the largest s_y of the slab's columns (so
+    # |y| <= R up to a factor 1 + O(dim u)), the exact d^2 = |x|^2 - 2 x.y +
+    # |y|^2 is at least sx + v - 2 g_m (|x| + R)^2. `pair_weights` rounds each
+    # of its non-negative terms at most dim + 2 times, so its d2 >= d^2 (1 -
+    # g_(dim+2)), and d^2 <= (|x| + R)^2. So every candidate valued v or more has
+    #     d2 >= sx + v - slack,   slack = 4 (dim + 3) u (|x| + R)^2,
+    # which leaves over (dim + 8) u (|x| + R)^2 for the O(u) factors above and
+    # for rounding the bound itself.
+    # Division by -2 sigma^2 and exp are monotone, so `distance_weights` of
+    # that bound caps the weight of each such candidate. A row whose k picks
+    # all outweigh the cap at its (k+1)-th smallest v holds exactly the k
+    # heaviest candidates, with no tie across the cut and no underflow.
     r, c = block.shape
-    if c > k:
-        top = np.argpartition(block, c - k, axis=1)[:, c - k:]
-        kth = block[np.arange(r), top[:, 0]]
-        fast = np.count_nonzero(block >= kth[:, None], axis=1) == k
-    else:
-        top = np.broadcast_to(np.arange(c), (r, c))
-        fast = block.min(axis=1) > 0.0
-    fast_rows = np.flatnonzero(fast)
-    fast_src = np.sort(cand[top[fast_rows]], axis=1)
-    rows = [fast_rows]
-    counts = [np.full(fast_rows.size, top.shape[1], dtype=np.int64)]
-    src_parts = [fast_src.ravel()]
-    w_parts = [block[fast_rows[:, None], column[fast_src]].ravel()]
-    for i in np.flatnonzero(~fast):
-        w = block[i]
-        keep = w > 0.0
-        wk = w[keep]
-        ck = cand[keep]
-        sel = _select_top_k(wk, ck, k)
-        sel = sel[np.argsort(ck[sel])]
-        rows.append(np.array([i]))
-        counts.append(np.array([sel.size]))
-        src_parts.append(ck[sel])
-        w_parts.append(wk[sel])
+    dim = cols.shape[0] - 1
+    sx = cols[dim, p0:p0 + r]
+    r2 = cols[dim, c0:c0 + c].max()
+    slack = 4.0 * (dim + 3) * 2.0 ** -53 * (np.sqrt(sx) + np.sqrt(r2)) ** 2
+    floor = np.zeros(r)  # a candidate lighter than its row's floor is never picked
+    fast = np.zeros(r, dtype=bool)
+    rows, counts, src_parts, w_parts = [], [], [], []
+    big = np.flatnonzero(n_cand > k)
+    if big.size:
+        part = np.argpartition(block if big.size == r else block[big], k, axis=1)
+        top = np.sort(order[part[:, :k] + c0], axis=1)
+        after = block[big, part[:, k]]  # each row's (k+1)-th smallest value
+        del part  # as large as the block; free it before the picks are gathered
+        w = pair_weights(_rows_at(cols, p0 + big[:, None]), _rows_at(cols, position[top]), sigma)
+        floor[big] = w.min(axis=1)
+        with np.errstate(over="ignore"):
+            cap = distance_weights(sx[big] + after - slack[big], sigma)
+        ok = floor[big] > cap
+        fast[big[ok]] = True
+        rows.append(big[ok])
+        counts.append(np.full(int(ok.sum()), k, dtype=np.int64))
+        src_parts.append(top[ok].ravel())
+        w_parts.append(w[ok].ravel())
+    # Every other row (a tie near the cut, an underflowed pick, at most k
+    # candidates) is cut exactly: its top k weigh at least its floor (0 for
+    # a row with at most k candidates) and more than 0, so only candidates whose
+    # cap reaches both are weighed; the heaviest k survive, ties at the cut
+    # going to the smaller source, and underflowed weights are dropped.
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        with np.errstate(over="ignore"):
+            cap = distance_weights(sx[slow, None] + block[slow] - slack[slow, None], sigma)
+        band_row, band_col = np.nonzero((cap >= floor[slow, None]) & (cap > 0.0))
+        band_w = pair_weights(_rows_at(cols, p0 + slow[band_row]),
+                              _rows_at(cols, band_col + c0), sigma)
+        band_src = order[band_col + c0]
+        band_size = np.bincount(band_row, minlength=slow.size)
+        band_end = np.cumsum(band_size)
+        for i, lo, hi in zip(slow, band_end - band_size, band_end):
+            keep = band_w[lo:hi] > 0.0
+            wk, sk = band_w[lo:hi][keep], band_src[lo:hi][keep]
+            sel = _select_top_k(wk, sk, k)
+            sel = sel[np.argsort(sk[sel])]
+            rows.append(np.array([i]))
+            counts.append(np.array([sel.size]))
+            src_parts.append(sk[sel])
+            w_parts.append(wk[sel])
     return (np.concatenate(rows), np.concatenate(counts),
             np.concatenate(src_parts), np.concatenate(w_parts))
 
@@ -196,43 +246,67 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
     """Connect every artifact to its strictly earlier candidates, keep top-K incoming.
 
     Candidate sources for artifact j are all artifacts dated strictly before j
-    (optionally restricted to the `temporal_window_k` latest ones). The kernel
-    weight is computed for every candidate and the K largest are kept; weights
-    that underflow to zero are dropped. Each slab's picks are written straight
-    to their destination's place in canonical (dst, src) order, inside room
-    reserved up front, so no list of slabs is kept.
+    (optionally restricted to the `temporal_window_k` latest ones). The K
+    candidates of largest kernel weight are kept; weights that underflow to
+    zero are dropped. Destinations are ranked in slabs of consecutive rows in
+    year order, which may span year groups, with one matrix product against
+    a year-ordered copy of the features each; only the kept pairs are weighed,
+    by `pair_weights`, so a weight depends on its pair alone. Each slab's picks
+    are written straight to their destination's place in canonical (dst, src)
+    order, inside room reserved up front.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
-    feats = corpus.features[aspect].vectors
-    years = corpus.years
-    n = corpus.n
+    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
+    n, dim = feats.shape
 
-    order, starts, ends = _year_groups(years)
-    column = np.empty(n, dtype=np.int64)
+    order, starts, ends = _year_groups(corpus.years)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
     window = params.temporal_window_k if params.temporal_prior == "window" else n
+    a_lo, a_hi, b_lo = _candidate_ranges(starts, ends, window)
+    n_cand = a_hi - a_lo + starts - b_lo
+    group = np.repeat(np.arange(starts.size), ends - starts)  # year group of each position
+    # The year-ordered features one row per dimension, then their squared
+    # norms: column c is [y, |y|^2] for the artifact at position c.
+    cols = np.empty((dim + 1, n))
+    np.take(feats.T, order, axis=1, out=cols[:dim])
+    cols[dim] = np.einsum("ij,ij->j", cols[:dim], cols[:dim])
     # Destination j gets room for min(k, its candidate count) edges from room[j]
     # on; weights that underflow leave some of it empty.
     sizes = np.empty(n, dtype=np.int64)
-    sizes[order] = np.repeat(np.minimum(starts, min(params.k, window)), ends - starts)
+    sizes[order] = np.minimum(n_cand, params.k)[group]
     room = np.concatenate(([0], np.cumsum(sizes)))
     count = np.zeros(n, dtype=np.int64)
     src = np.empty(room[-1], dtype=np.int32)
     weight = np.empty(room[-1], dtype=np.float64)
 
-    for g in range(1, starts.size):  # the earliest year group has no prior candidates
-        gs, ge = int(starts[g]), int(ends[g])
-        cand = _window_candidates(order, starts, ends, g, window) if gs > window else order[:gs]
-        column[cand] = np.arange(cand.size)
-        for cs in range(gs, ge, _DST_CHUNK):
-            rows = order[cs:min(cs + _DST_CHUNK, ge)]
-            block = kernel_block(feats[rows], feats[cand], params.sigma)
-            r, picks, s, w = _slab_top_k(block, cand, column, params.k)
-            dst = rows[r]
-            pos = np.repeat(room[dst] - (np.cumsum(picks) - picks), picks) + np.arange(s.size)
-            src[pos] = s
-            weight[pos] = w
-            count[dst] = picks
+    # A slab's rows are ranked against the positions [c0, c1) their
+    # candidates span. Every slab's block lives in one buffer, so its pages
+    # are mapped once.
+    first = np.arange(ends[0], n, _DST_CHUNK)  # the earliest year group has no candidates
+    last = np.minimum(first + _DST_CHUNK, n)
+    lo, hi = a_lo[group[first]], starts[group[last - 1]]
+    buffer = np.empty(int(((last - first) * (hi - lo)).max(initial=0)))
+    for p0, p1, c0, c1 in zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()):
+        slab_groups = range(group[p0], group[p1 - 1] + 1)
+        x = cols[:, p0:p1].T.copy()
+        x[:, :dim] *= -2.0
+        x[:, dim] = 1.0
+        block = buffer[:(p1 - p0) * (c1 - c0)].reshape(p1 - p0, c1 - c0)
+        np.matmul(x, cols[:, c0:c1], out=block)  # [-2x, 1] . [y, |y|^2] = d^2 - |x|^2
+        for h in slab_groups:  # mask each row's non-candidates
+            r0, r1 = max(starts[h], p0) - p0, min(ends[h], p1) - p0
+            block[r0:r1, :a_lo[h] - c0] = np.inf
+            block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
+            block[r0:r1, starts[h] - c0:] = np.inf
+        r, picks, s, w = _slab_top_k(block, p0, c0, n_cand[group[p0:p1]], cols, order,
+                                     position, params.k, params.sigma)
+        dst = order[p0:p1][r]
+        pos = np.repeat(room[dst] - (np.cumsum(picks) - picks), picks) + np.arange(s.size)
+        src[pos] = s
+        weight[pos] = w
+        count[dst] = picks
 
     # Destination j's edges occupy [indptr[j], indptr[j + 1]), already source-sorted.
     indptr = np.concatenate(([0], np.cumsum(count)))

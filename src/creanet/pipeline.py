@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
-from .graph import GraphParams, PaintingGraph, build_graph
+from .graph import PaintingGraph, build_graph
 from .implication import (ImplicationNetwork, build_implication_network, compute_thresholds,
                           empty_network, nearest_rank_percentile)
 from .scoring import ScoreVector, normalize, solve_closed_form, solve_power
@@ -54,9 +54,7 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig,
     The thresholds are None when the graph has no edges and balancing had
     nothing to judge.
     """
-    params = GraphParams(k=config.k, sigma=sigma, temporal_prior=config.temporal_prior,
-                         temporal_window_k=config.temporal_window_k)
-    graph = build_graph(corpus, aspect, params)
+    graph = build_graph(corpus, aspect, config.graph_params(sigma))
     if graph.n_edges == 0:
         return graph, None, empty_network(corpus.n)
     thresholds = compute_thresholds(graph, corpus.years, config.balance_spec())

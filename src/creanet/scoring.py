@@ -112,19 +112,26 @@ def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticO
     """
     n = cin.n
     weight = cin.weight
-    dst = np.repeat(np.arange(n), np.diff(cin.indptr))
+    in_degree = np.diff(cin.indptr)
+    # Column sums come from a sparse product with the CIN's rows as
+    # destinations, which adds each destination's edges in edge order.
     if beta is None:
-        sums = np.bincount(dst, weights=weight, minlength=n)
-        values = weight / sums[dst]
+        sums = sparse.csr_matrix((weight, cin.src, cin.indptr), shape=(n, n)) @ np.ones(n)
+        values = np.repeat(sums, in_degree)
+        np.divide(weight, values, out=values)
         dangling = (sums == 0.0).astype(np.float64)
     else:
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta!r}")
-        label = cin.prior.astype(np.intp)  # row of `sums`: 0 subsequent, 1 prior
+        label = cin.prior.astype(np.int32)  # column of `sums`: 0 subsequent, 1 prior
         scale = np.array([1.0 - beta, beta])
-        sums = np.bincount(dst + n * label, weights=weight, minlength=2 * n).reshape(2, n)
-        dangling = scale[1] * (sums[1] == 0.0) + scale[0] * (sums[0] == 0.0)
-        values = weight / sums[label, dst] * scale[label]
+        # the other label's edges each add an exact +0.0
+        sums = sparse.csr_matrix((weight, label, cin.indptr), shape=(n, 2)) @ np.eye(2)
+        dangling = scale[1] * (sums[:, 1] == 0.0) + scale[0] * (sums[:, 0] == 0.0)
+        values = np.where(cin.prior, np.repeat(sums[:, 1], in_degree),
+                          np.repeat(sums[:, 0], in_degree))
+        np.divide(weight, values, out=values)
+        values *= scale[label]
     limit = beta in (0.0, 1.0)
     matrix = sparse.csc_matrix((values, cin.src, cin.indptr), shape=(n, n), copy=limit)
     if limit:

@@ -1,8 +1,9 @@
 """Gaussian similarity kernel over feature vectors.
 
 The weight between two artifacts is ``exp(-||f_i - f_j||^2 / (2 sigma^2))``,
-a value in (0, 1] that decays with feature distance. Block helpers compute
-rectangular kernel slabs without materializing the full pairwise matrix.
+a value in (0, 1] that decays with feature distance. A weight is computed
+from its own pair of rows alone, with a fixed order of float64 operations, so
+it does not depend on which other pairs are weighed with it.
 """
 
 from __future__ import annotations
@@ -23,27 +24,32 @@ class SimilarityParams:
             raise ValueError(f"sigma must be a positive finite number, got {self.sigma!r}")
 
 
-def squared_distance_block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every row of `rows` and of `cols`.
+def distance_weights(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel weights ``exp(d2 / (-2 sigma^2))`` of squared distances.
 
-    Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y so the bulk of
-    the work is a single matrix product. Rounding can push tiny values below
-    zero; those are clamped.
+    Each step is monotone, so a lower bound on a squared distance maps to an
+    upper bound on its weight.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    cols = np.asarray(cols, dtype=np.float64)
-    if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != cols.shape[1]:
-        raise ValueError("row and column blocks must be 2-D with matching dimension")
-    rr = np.einsum("ij,ij->i", rows, rows)
-    cc = np.einsum("ij,ij->i", cols, cols)
-    d2 = rr[:, None] + cc[None, :] - 2.0 * (rows @ cols.T)
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def kernel_block(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel weights between every row of `rows` and of `cols`."""
     SimilarityParams(sigma)
-    d2 = squared_distance_block(rows, cols)
-    d2 /= -2.0 * sigma * sigma
-    return np.exp(d2, out=d2)
+    return np.exp(np.asarray(d2, dtype=np.float64) / (-2.0 * sigma * sigma))
+
+
+def pair_weights(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel weights between feature rows of `a` and `b`, paired by broadcasting.
+
+    Each row runs along the last axis. The squared distance of a pair is
+    summed over the dimensions left to right in float64, with one rounding
+    per subtraction, square and addition, so a weight depends on its pair
+    alone.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
+        raise ValueError("feature rows must have matching dimension")
+    d2 = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    diff = np.empty_like(d2)
+    for i in range(a.shape[-1]):
+        np.subtract(a[..., i], b[..., i], out=diff)
+        diff *= diff
+        d2 += diff
+    return distance_weights(d2, sigma)

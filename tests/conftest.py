@@ -43,9 +43,16 @@ def random_corpus(seed: int, n: int, dim: int, year_lo: int = 1400, year_hi: int
 
 
 def visual_similarity(f_i, f_j, sigma: float) -> float:
-    """Scalar Gaussian kernel weight between two feature vectors; the reference for kernel_block."""
-    diff = np.asarray(f_i, dtype=np.float64) - np.asarray(f_j, dtype=np.float64)
-    return float(np.exp(-float(np.dot(diff, diff)) / (2.0 * sigma * sigma)))
+    """Gaussian kernel weight of one pair of feature vectors; the per-pair reference weight.
+
+    The squared distance is summed over the dimensions left to right in
+    float64, then divided by -2 sigma^2 and passed through numpy's exp.
+    """
+    d2 = 0.0
+    for x, y in zip(np.asarray(f_i, dtype=np.float64).tolist(),
+                    np.asarray(f_j, dtype=np.float64).tolist()):
+        d2 += (x - y) * (x - y)
+    return float(np.exp(np.float64(d2) / (-2.0 * sigma * sigma)))
 
 
 def from_edges(cls, n, src, dst, weight, **fields):

@@ -7,7 +7,11 @@ is marked slow, but still runs by default.
 """
 
 import functools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,8 +273,37 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
     differing = [name for name in outputs["first"]
                  if outputs["first"][name] != outputs["second"][name]]
     assert not differing, f"reruns differ in: {differing}"
+
+    # score and dump-graph again in a child interpreter with one BLAS thread,
+    # on these inputs and on a corpus of 150-artifact year groups, whose matrix
+    # products are large enough for BLAS to split across threads
+    wide_rng = np.random.default_rng(57)
+    wide_years = wide_rng.integers(1500, 1510, size=1500)
+    wide = cn.Corpus(
+        artifacts=[cn.Artifact(id=f"w{i:04d}", year=int(y)) for i, y in enumerate(wide_years)],
+        features={"visual": cn.FeatureSet("visual", wide_rng.normal(size=(1500, 16)))})
+    wide_manifest, wide_features = write_corpus_files(wide, tmp_path / "wide")
+    wide_inputs = ["--manifest", str(wide_manifest), "--features",
+                   f"visual={wide_features['visual']}", "--set", "k=100", "--seed", "7"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cn.__file__).resolve().parents[1]))
+    child = "import sys\nfrom creanet.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    compared = 0
+    for label, args in (("corpus", inputs), ("wide", wide_inputs)):
+        for command in ("score", "dump-graph"):
+            flags = args + (["--plot"] if command == "score" else [])
+            here, there = tmp_path / "here" / label / command, tmp_path / "one_thread" / label / command
+            assert main([command] + flags + ["--out", str(here)]) == 0, f"{command} failed"
+            proc = subprocess.run([sys.executable, "-c", child, command, *flags, "--out", str(there)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            for name in produced[command]:
+                assert (there / name).read_bytes() == (here / name).read_bytes(), \
+                    f"{label} {command}/{name} differs with one BLAS thread"
+                compared += 1
     return (f"validate, score --plot, timemachine, and dump-graph reruns "
-            f"byte-identical across {len(outputs['first'])} output files")
+            f"byte-identical across {len(outputs['first'])} output files; "
+            f"{compared} score and dump-graph files identical with OPENBLAS_NUM_THREADS=1")
 
 
 def _peak_rss_mib() -> float:

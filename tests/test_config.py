@@ -4,6 +4,7 @@ import pytest
 
 from creanet.config import (ConfigError, RunConfig, check_known_keys,
                             config_from_mapping, load_config_file, parse_config_text)
+from creanet.graph import GraphParams
 
 
 class TestRunConfigValidation:
@@ -60,6 +61,20 @@ class TestRunConfigValidation:
         spec = config.balance_spec()
         assert (spec.mode, spec.percentile_p, spec.local_window_years, spec.min_local_sample) == \
             ("local", 30.0, 7, 3)
+
+    def test_graph_params_carry_the_graph_keys(self):
+        config = RunConfig(k=9, temporal_prior="window", temporal_window_k=40)
+        assert config.graph_params(0.7) == GraphParams(k=9, sigma=0.7, temporal_prior="window",
+                                                       temporal_window_k=40)
+
+    @pytest.mark.parametrize("kwargs", [{"k": 0}, {"temporal_prior": "always"},
+                                        {"temporal_window_k": 0}])
+    def test_graph_errors_are_the_graph_params_errors(self, kwargs):
+        with pytest.raises(ValueError) as want:
+            GraphParams(**{"k": 500, "sigma": 1.0, **kwargs})
+        with pytest.raises(ConfigError) as got:
+            RunConfig(**kwargs)
+        assert str(got.value) == str(want.value)
 
     def test_sigma_for_prefers_override(self):
         config = RunConfig(sigma=2.0, sigma_overrides={"color": 0.5})

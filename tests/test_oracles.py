@@ -1,19 +1,24 @@
-"""The simple graph build, CIN assembly, percentiles, CSV writers and split solvers, kept as oracles.
+"""The simple graph build, CIN assembly, percentiles, CSV writers and operator, kept as oracles.
 
-The library picks each slab's top K with one partial selection, writes the
-picks straight into destination order, assembles the implication network as
+The library ranks each slab of destinations with one matrix product and one
+partial selection and weighs only the pairs it keeps, writes the picks
+straight into destination order, assembles the implication network as
 keep(G) + flip(G)^T with scipy's transpose and canonical sparse addition,
 reads percentiles with a partition, finds local thresholds in one sweep over
-weight ranks, cuts window candidates in O(1) per year group, writes edge
-dumps a chunk at a time and scores the beta split with one operator whose
-dangling columns carry fractional weights. The
-implementations they replaced live here, and every test asserts that both give
-the same bits; the split at fractional beta, which sums in another order,
-agrees to the last few bits. The corpora force every path: weight ties
-straddling the k-th cut, underflowed weights, candidate sets no larger than k,
-the window prior, single-year groups, slabs that mix fast and fallback rows,
-both anchors, global and local balancing, local samples below the fallback
-floor, edges never in any window, and p = 100.
+weight ranks, cuts window candidates as two position ranges per year group,
+writes edge dumps a chunk at a time, takes operator column sums from a sparse
+product and scores the beta split with one operator whose dangling columns
+carry fractional weights. The implementations they replaced live here, and
+every test asserts that both give the same bits; the split at fractional
+beta, which sums in another order, agrees to the last few bits. The graph
+oracle weighs every candidate pair on its own with the scalar kernel of
+`conftest`. The corpora force every path: weight ties straddling the k-th
+cut, near-ties from duplicate and grid features, underflowed weights,
+candidate sets no larger than k, the window prior, single-year groups, slabs
+that span year groups with different candidate counts, slabs that mix
+certified and exactly cut rows, both anchors, global and local balancing,
+local samples below the fallback floor, edges never in any window, and
+p = 100.
 """
 
 import csv
@@ -29,9 +34,9 @@ from scipy import sparse
 import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
-from creanet.similarity import kernel_block
 
-from conftest import balance, edge_dst, from_edges, make_corpus, random_corpus, random_network
+from conftest import (balance, edge_dst, from_edges, make_corpus, random_corpus, random_network,
+                      visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +73,7 @@ def reference_window_candidates(order, starts, ends, group, budget):
 
 
 def reference_build_graph(corpus, aspect, params):
-    """Per-row top-K selection over the same kernel slabs, then one lexsort."""
+    """Weigh every candidate pair on its own, select each row's top K, then one lexsort."""
     feats = corpus.features[aspect].vectors
     order, starts, ends = graph_module._year_groups(corpus.years)
     src_parts, dst_parts, w_parts = [], [], []
@@ -80,18 +85,15 @@ def reference_build_graph(corpus, aspect, params):
             cand = reference_window_candidates(order, starts, ends, g, params.temporal_window_k)
         else:
             cand = order[:gs]
-        for cs in range(gs, ge, graph_module._DST_CHUNK):
-            rows = order[cs:min(cs + graph_module._DST_CHUNK, ge)]
-            block = kernel_block(feats[rows], feats[cand], params.sigma)
-            for r, j in enumerate(rows):
-                w = block[r]
-                keep = w > 0.0
-                wk = w[keep]
-                ck = cand[keep]
-                sel = reference_select_top_k(wk, ck, params.k)
-                src_parts.append(ck[sel])
-                dst_parts.append(np.full(sel.size, j, dtype=np.int64))
-                w_parts.append(wk[sel])
+        for j in order[gs:ge]:
+            w = np.array([visual_similarity(feats[j], feats[i], params.sigma) for i in cand])
+            keep = w > 0.0
+            wk = w[keep]
+            ck = cand[keep]
+            sel = reference_select_top_k(wk, ck, params.k)
+            src_parts.append(ck[sel])
+            dst_parts.append(np.full(sel.size, j, dtype=np.int64))
+            w_parts.append(wk[sel])
     if src_parts:
         src = np.concatenate(src_parts)
         dst = np.concatenate(dst_parts)
@@ -204,6 +206,26 @@ def reference_normalize(cin, edge_filter="all"):
     values = weight / col_sums[dst]
     matrix = sparse.coo_matrix((values, (src, dst)), shape=(n, n)).tocsr()
     return ReferenceOperator(n, matrix, col_sums == 0.0)
+
+
+def reference_operator(cin, beta=None):
+    """The operator with column sums from `np.bincount` over an int64 destination per edge."""
+    n = cin.n
+    weight = cin.weight
+    dst = np.repeat(np.arange(n), np.diff(cin.indptr))
+    if beta is None:
+        sums = np.bincount(dst, weights=weight, minlength=n)
+        values = weight / sums[dst]
+        dangling = (sums == 0.0).astype(np.float64)
+    else:
+        label = cin.prior.astype(np.intp)
+        scale = np.array([1.0 - beta, beta])
+        sums = np.bincount(dst + n * label, weights=weight, minlength=2 * n).reshape(2, n)
+        dangling = scale[1] * (sums[1] == 0.0) + scale[0] * (sums[0] == 0.0)
+        values = weight / sums[label, dst] * scale[label]
+    matrix = sparse.csc_matrix((values, cin.src, cin.indptr), shape=(n, n), copy=True)
+    matrix.eliminate_zeros()
+    return matrix, dangling
 
 
 def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters=1000):
@@ -356,6 +378,52 @@ class TestGraphAgainstOracle:
             assert_same_graph(cn.build_graph(corpus, "visual", params),
                               reference_build_graph(corpus, "visual", params))
 
+    def test_slabs_span_groups_with_different_candidate_counts(self):
+        # 600 artifacts over 40 years of uneven size: a slab of 256 rows spans
+        # many groups, and k = 30 lies between their candidate counts
+        rng = np.random.default_rng(13)
+        corpus = make_corpus(1500 + np.sort(rng.integers(0, 40, size=600) ** 2 // 40),
+                             rng.normal(size=(600, 3)))
+        counts = np.searchsorted(np.sort(corpus.years), corpus.years)
+        assert (counts > 0).any() and (counts <= 30).any() and (counts > 30).any()
+        for prior, window in (("none", 500), ("window", 45)):
+            params = cn.GraphParams(k=30, sigma=1.2, temporal_prior=prior, temporal_window_k=window)
+            assert_same_graph(cn.build_graph(corpus, "visual", params),
+                              reference_build_graph(corpus, "visual", params))
+
+    def test_near_ties_from_duplicate_and_grid_features(self):
+        # duplicated rows tie exactly, with each other and across years; grid
+        # features tie at many distances; some rows repeat their destination
+        rng = np.random.default_rng(14)
+        base = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+        base[20:] += rng.normal(scale=1e-9, size=(20, 3))
+        feats = base[rng.integers(0, 40, size=300)]
+        corpus = make_corpus(rng.integers(1500, 1530, size=300), feats)
+        for k, sigma in ((1, 0.5), (4, 1.0), (12, 3.0)):
+            params = cn.GraphParams(k=k, sigma=sigma)
+            graph, fallback_rows = count_fallback_rows(corpus, params)
+            assert fallback_rows > 0
+            assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+
+
+@pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
+def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
+    corpus = quantised_corpus(seed=15, n=700, dim=3, levels=4, year_lo=1500, year_hi=1560)
+    params = cn.GraphParams(k=9, sigma=1.7, temporal_prior=prior, temporal_window_k=window)
+    graphs = []
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", chunk)
+        graphs.append(cn.build_graph(corpus, "visual", params))
+    for graph in graphs[1:]:
+        assert_same_graph(graph, graphs[0])
+    assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", params))
+
+
+def window_candidates(order, starts, ends, group, budget):
+    """The candidates of one year group, read off the library's two position ranges."""
+    a_lo, a_hi, b_lo = graph_module._candidate_ranges(starts, ends, budget)
+    return np.concatenate((order[a_lo[group]:a_hi[group]], order[b_lo[group]:starts[group]]))
+
 
 class TestWindowCandidatesAgainstOracle:
     @settings(max_examples=200, deadline=None)
@@ -364,7 +432,7 @@ class TestWindowCandidatesAgainstOracle:
         order, starts, ends = graph_module._year_groups(np.array(years))
         for g in range(starts.size):
             for budget in range(1, len(years) + 2):
-                got = graph_module._window_candidates(order, starts, ends, g, budget)
+                got = window_candidates(order, starts, ends, g, budget)
                 want = reference_window_candidates(order, starts, ends, g, budget)
                 assert np.array_equal(got, want)
 
@@ -377,7 +445,7 @@ class TestWindowCandidatesAgainstOracle:
         for budget, want in ((1, [0]), (4, [0, 4, 7, 8]), (5, [2, 0, 4, 7, 8]),
                              (6, [1, 2, 0, 4, 7, 8]), (8, [1, 3, 6, 2, 0, 4, 7, 8]),
                              (20, [1, 3, 6, 2, 0, 4, 7, 8])):
-            assert list(graph_module._window_candidates(order, starts, ends, 3, budget)) == want
+            assert list(window_candidates(order, starts, ends, 3, budget)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +712,15 @@ alphas = st.sampled_from([0.15, 0.5, 0.85])
 
 
 class TestOperatorAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(networks, st.sampled_from([None, 0.0, 1.0]) | st.floats(0.01, 0.99))
+    def test_operator_bits(self, net, beta):
+        op = cn.normalize(net, beta)
+        matrix, dangling = reference_operator(net, beta)
+        for field in ("data", "indices", "indptr"):
+            assert getattr(op.matrix, field).tobytes() == getattr(matrix, field).tobytes()
+        assert op.dangling.tobytes() == dangling.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(networks, alphas)
     def test_combined_and_beta_limits_bitwise(self, net, alpha):

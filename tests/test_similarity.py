@@ -1,7 +1,4 @@
-"""Gaussian kernel: hand values, symmetry, block/scalar agreement.
-
-Single-pair properties run `kernel_block` on 1x1 blocks.
-"""
+"""Gaussian kernel: hand values, symmetry, pair function against the per-pair scalar."""
 
 import math
 
@@ -18,8 +15,8 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def pair_weight(f_i, f_j, sigma):
-    """Kernel weight of one pair, read off a 1x1 block."""
-    return float(cn.kernel_block(np.atleast_2d(f_i), np.atleast_2d(f_j), sigma)[0, 0])
+    """Kernel weight of one pair of feature vectors."""
+    return float(cn.pair_weights(f_i, f_j, sigma))
 
 
 def test_identical_vectors_weigh_one():
@@ -31,6 +28,7 @@ def test_hand_value():
     # squared distance 8, sigma 2 -> exp(-8 / 8) = exp(-1)
     a = np.array([0.0, 0.0])
     b = np.array([2.0, 2.0])
+    assert pair_weight(a, b, sigma=2.0) == float(np.exp(-1.0))
     assert pair_weight(a, b, sigma=2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
@@ -44,6 +42,11 @@ def test_weight_in_unit_interval_and_decreasing():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="matching dimension"):
         pair_weight(np.zeros(2), np.zeros(3), 1.0)
+
+
+def test_kernel_block_dimension_mismatch():
+    with pytest.raises(ValueError, match="matching dimension"):
+        cn.pair_weights(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
@@ -74,25 +77,21 @@ def test_scale_invariance(seed, factor):
     assert w2 == pytest.approx(w1, rel=1e-12)
 
 
-def test_kernel_block_matches_scalar():
+def test_pair_weights_match_scalar():
+    # every pair of a broadcast block weighs bit for bit what the pair alone weighs
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(5, 4))
     cols = rng.normal(size=(7, 4))
-    block = cn.kernel_block(rows, cols, sigma=1.1)
+    block = cn.pair_weights(rows[:, None], cols[None], sigma=1.1)
     assert block.shape == (5, 7)
     for i in range(5):
         for j in range(7):
-            assert block[i, j] == pytest.approx(
-                visual_similarity(rows[i], cols[j], 1.1), rel=1e-12)
+            assert block[i, j] == visual_similarity(rows[i], cols[j], 1.1)
+            assert pair_weight(rows[i], cols[j], 1.1) == block[i, j]
 
 
-def test_kernel_block_self_distance_clamped():
-    # the GEMM expansion can go slightly negative for identical rows; weights stay <= 1
+def test_identical_rows_far_from_origin_weigh_one():
+    # a distance expanded as |x|^2 + |y|^2 - 2 x.y loses these to rounding; the pair sum does not
     v = np.full((3, 6), 1e3)
-    block = cn.kernel_block(v, v, sigma=0.01)
-    assert np.all(block <= 1.0) and np.all(block == 1.0)
-
-
-def test_kernel_block_dimension_mismatch():
-    with pytest.raises(ValueError):
-        cn.kernel_block(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
+    block = cn.pair_weights(v[:, None], v[None], sigma=0.01)
+    assert np.all(block == 1.0)
