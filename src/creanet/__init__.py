@@ -9,7 +9,7 @@ validates the scores by re-dating artifacts and checking the response.
 
 from .config import ConfigError, RunConfig, config_from_mapping, load_config_file
 from .corpus import (Artifact, Corpus, FeatureSet, IngestError, estimate_sigma,
-                     ingest_corpus, read_features, read_manifest, write_features_binary)
+                     ingest_corpus, read_features, read_manifest)
 from .graph import GraphParams, PaintingGraph, build_graph, write_graph_csv
 from .implication import (BalanceSpec, ImplicationNetwork, build_implication_network,
                           compute_thresholds, nearest_rank_percentile, write_cin_csv)
@@ -35,6 +35,6 @@ __all__ = [
     "read_manifest", "resolve_sigma", "resolve_targets", "run_multi_aspect",
     "run_pipeline", "run_time_machine", "scatter_svg", "score_ranks",
     "solve_closed_form", "solve_power", "spec_from_mapping", "write_cin_csv",
-    "write_features_binary", "write_graph_csv", "write_report_csv", "write_run_meta",
+    "write_graph_csv", "write_report_csv", "write_run_meta",
     "write_runs_csv", "write_scatter_svg", "write_scores_csv",
 ]

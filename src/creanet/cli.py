@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import (ConfigError, check_known_keys, config_from_mapping,
                      load_config_file, parse_config_text)
-from .corpus import IngestError, ingest_corpus
+from .corpus import ingest_corpus
 from .graph import write_graph_csv
 from .implication import write_cin_csv
 from .pipeline import (build_network, resolve_sigma, run_multi_aspect, write_run_meta,
@@ -191,9 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (IngestError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -33,6 +33,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .graph import GraphParams
+from .implication import BALANCE_ANCHORS, BalanceSpec
 from .similarity import SimilarityParams
 
 
@@ -41,9 +43,6 @@ class ConfigError(ValueError):
 
 
 SCORING_MODES = ("combined", "split")
-BALANCING_MODES = ("global", "local")
-BALANCE_ANCHORS = ("destination", "source")
-TEMPORAL_PRIORS = ("none", "window")
 SOLVERS = ("power", "closed_form")
 
 RUN_KEYS = {
@@ -114,18 +113,16 @@ class RunConfig:
         check(isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
               f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
-    def graph_params(self, sigma: float):
+    def graph_params(self, sigma: float) -> GraphParams:
         """The `GraphParams` these settings describe at bandwidth `sigma`.
 
         Its checks are the range checks of `k` and the temporal prior.
         """
-        from .graph import GraphParams  # graph imports this module
         return GraphParams(k=self.k, sigma=sigma, temporal_prior=self.temporal_prior,
                            temporal_window_k=self.temporal_window_k)
 
-    def balance_spec(self):
+    def balance_spec(self) -> BalanceSpec:
         """The `BalanceSpec` these settings describe; its checks are the balancing range checks."""
-        from .implication import BalanceSpec  # implication imports this module
         return BalanceSpec(mode=self.balancing_mode, percentile_p=self.percentile_p,
                            local_window_years=self.local_window_years,
                            min_local_sample=self.min_local_sample)
@@ -180,11 +177,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def check_known_keys(mapping: dict[str, str], extra_known: set[str] | None = None) -> None:
+def check_known_keys(mapping: dict[str, str]) -> None:
     """Reject keys outside the documented schema."""
-    known = RUN_KEYS | INPUT_KEYS | (extra_known or set())
     for key in mapping:
-        if key in known:
+        if key in RUN_KEYS or key in INPUT_KEYS:
             continue
         if any(key.startswith(prefix) and len(key) > len(prefix)
                for prefix in INPUT_PREFIXES + OTHER_PREFIXES):

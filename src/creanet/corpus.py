@@ -93,9 +93,6 @@ class Corpus:
     def n(self) -> int:
         return len(self.artifacts)
 
-    def __len__(self) -> int:
-        return len(self.artifacts)
-
     @property
     def aspects(self) -> tuple[str, ...]:
         return tuple(self.features)
@@ -246,17 +243,6 @@ def read_features(path: str | Path, aspect: str) -> np.ndarray:
         raise IngestError(
             f"feature file '{path}' (aspect '{aspect}'): neither CSV text nor CRFT binary"
         ) from None
-
-
-def write_features_binary(path: str | Path, vectors: np.ndarray) -> None:
-    """Write a feature matrix in the CRFT binary format (float32, row-major)."""
-    vectors = np.ascontiguousarray(vectors, dtype="<f4")
-    if vectors.ndim != 2:
-        raise ValueError("feature matrix must be 2-D")
-    n_rows, dim = vectors.shape
-    with Path(path).open("wb") as fh:
-        fh.write(struct.pack("<4sII4s", FEATURE_MAGIC, n_rows, dim, b"\x00" * 4))
-        fh.write(vectors.tobytes())
 
 
 def ingest_corpus(manifest: str | Path, features: Mapping[str, str | Path]) -> Corpus:

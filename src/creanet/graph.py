@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import TEMPORAL_PRIORS
 from .corpus import Corpus
 from .similarity import SimilarityParams, distance_weights, pair_weights
 
@@ -27,6 +26,8 @@ _DST_CHUNK = 256
 # The CSV edge writers format this many rows per write, bounding the Python
 # strings alive at once.
 _CSV_CHUNK = 1 << 16
+
+TEMPORAL_PRIORS = ("none", "window")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .config import BALANCE_ANCHORS, BALANCING_MODES
 from .graph import PaintingGraph, _freeze_edges, _write_edge_rows
 
 LABEL_PRIOR = "prior"
 LABEL_SUBSEQUENT = "subsequent"
+
+BALANCING_MODES = ("global", "local")
+BALANCE_ANCHORS = ("destination", "source")
 
 
 @dataclass(frozen=True)

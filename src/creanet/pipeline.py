@@ -83,15 +83,9 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
                           network=network, dangling_count=dangling_count, score=score)
 
 
-def run_multi_aspect(corpus: Corpus, config: RunConfig,
-                     aspects: list[str] | None = None) -> dict[str, PipelineResult]:
+def run_multi_aspect(corpus: Corpus, config: RunConfig) -> dict[str, PipelineResult]:
     """Run the pipeline independently per aspect, in declared order."""
-    if aspects is None:
-        aspects = list(corpus.aspects)
-    missing = [a for a in aspects if a not in corpus.features]
-    if missing:
-        raise ValueError(f"aspects not found: {missing}; corpus has {list(corpus.aspects)}")
-    return {aspect: run_pipeline(corpus, aspect, config) for aspect in aspects}
+    return {aspect: run_pipeline(corpus, aspect, config) for aspect in corpus.aspects}
 
 
 def score_ranks(scores: np.ndarray, ids: tuple[str, ...]) -> np.ndarray:

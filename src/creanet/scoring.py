@@ -95,10 +95,6 @@ class ScoreVector:
         scores.setflags(write=False)
         object.__setattr__(self, "scores", scores)
 
-    @property
-    def n(self) -> int:
-        return int(self.scores.size)
-
 
 def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticOperator:
     """The scoring operator of a CIN: combined when `beta` is None, else the beta split.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _parse_float, _parse_int
 from .corpus import Corpus
 from .pipeline import resolve_sigma, run_pipeline
 
@@ -65,29 +65,28 @@ class TimeMachineSpec:
         return self.move_mean if self.move_mean is not None else DEFAULT_MOVE_MEAN[self.move]
 
 
+# Each key's parser takes (key, raw); text keys are kept as written.
 _SPEC_KEYS = {
-    "group": str, "move": str, "move_mean": int, "move_std": float,
-    "n_test": int, "n_runs": int, "min_year": int, "max_year": int, "seed": int,
+    "group": None, "move": None, "move_mean": _parse_int, "move_std": _parse_float,
+    "n_test": _parse_int, "n_runs": _parse_int, "min_year": _parse_int, "max_year": _parse_int,
+    "seed": _parse_int,
 }
 
 
-def spec_from_mapping(mapping: dict[str, str], prefix: str = "timemachine.") -> TimeMachineSpec:
+def spec_from_mapping(mapping: dict[str, str]) -> TimeMachineSpec:
     """Build a spec from `timemachine.*` config keys."""
     kwargs: dict = {}
     for key, raw in mapping.items():
-        if not key.startswith(prefix):
+        if not key.startswith("timemachine."):
             continue
-        name = key[len(prefix):]
+        name = key[len("timemachine."):]
         if name not in _SPEC_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-        caster = _SPEC_KEYS[name]
-        try:
-            kwargs[name] = caster(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected {caster.__name__}, got {raw!r}") from None
+        parse = _SPEC_KEYS[name]
+        kwargs[name] = raw if parse is None else parse(key, raw)
     for required in ("group", "move"):
         if required not in kwargs:
-            raise ConfigError(f"missing config key '{prefix}{required}'")
+            raise ConfigError(f"missing config key 'timemachine.{required}'")
     return TimeMachineSpec(**kwargs)
 
 

@@ -55,6 +55,15 @@ def visual_similarity(f_i, f_j, sigma: float) -> float:
     return float(np.exp(np.float64(d2) / (-2.0 * sigma * sigma)))
 
 
+def write_features_binary(path, vectors) -> None:
+    """Write a feature matrix as a CRFT file: magic, u32 LE rows, u32 LE dim, 4 zero bytes, f32 LE rows."""
+    vectors = np.ascontiguousarray(vectors, dtype="<f4")
+    assert vectors.ndim == 2
+    n_rows, dim = vectors.shape
+    header = b"CRFT" + n_rows.to_bytes(4, "little") + dim.to_bytes(4, "little") + bytes(4)
+    Path(path).write_bytes(header + vectors.tobytes())
+
+
 def from_edges(cls, n, src, dst, weight, **fields):
     """A `PaintingGraph` or `ImplicationNetwork` holding (src, dst, weight) triples in (dst, src) order."""
     dst = np.asarray(dst, dtype=np.int64)

@@ -13,7 +13,7 @@ import pytest
 import creanet as cn
 from creanet.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 
-from conftest import make_corpus, write_corpus_files
+from conftest import make_corpus, write_corpus_files, write_features_binary
 
 
 @pytest.fixture()
@@ -71,7 +71,7 @@ class TestValidate:
         manifest, _ = tiny
         rng = np.random.default_rng(0)
         binary = tmp_path / "feat.bin"
-        cn.write_features_binary(binary, rng.normal(size=(3, 4)).astype(np.float32))
+        write_features_binary(binary, rng.normal(size=(3, 4)).astype(np.float32))
         assert main(["validate", "--manifest", str(manifest),
                      "--features", f"visual={binary}"]) == EXIT_OK
         assert capsys.readouterr().out == "3 artifacts, 1 aspect, dim 4\n"

@@ -136,9 +136,6 @@ class TestKnownKeys:
         with pytest.raises(ConfigError, match="feature."):
             check_known_keys({"feature.": "x.csv"})
 
-    def test_extra_known_extends_schema(self):
-        check_known_keys({"out": "dir"}, extra_known={"out"})
-
 
 class TestConfigFromMapping:
     def test_full_mapping(self):

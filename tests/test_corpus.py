@@ -8,7 +8,7 @@ from scipy.spatial.distance import pdist
 
 import creanet as cn
 
-from conftest import make_corpus
+from conftest import make_corpus, write_features_binary
 
 
 def write(path, text):
@@ -98,25 +98,24 @@ class TestFeatureFiles:
         rng = np.random.default_rng(3)
         vectors = rng.normal(size=(7, 5))
         p = tmp_path / "f.bin"
-        cn.write_features_binary(p, vectors)
+        write_features_binary(p, vectors)
         back = cn.read_features(p, "visual")
         assert back.shape == (7, 5) and back.dtype == np.float64
         np.testing.assert_array_equal(back, vectors.astype(np.float32).astype(np.float64))
 
     def test_binary_header_layout(self, tmp_path):
-        # magic, u32 LE row count, u32 LE dim, four reserved zero bytes
+        # magic, u32 LE row count, u32 LE dim, four reserved zero bytes, then f32 LE rows
+        header = b"CRFT" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\x00" * 4
+        payload = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dtype="<f4").tobytes()
         p = tmp_path / "f.bin"
-        cn.write_features_binary(p, np.array([[1.0, 2.0]]))
-        raw = p.read_bytes()
-        assert raw[:4] == b"CRFT"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert int.from_bytes(raw[8:12], "little") == 2
-        assert raw[12:16] == b"\x00\x00\x00\x00"
-        assert np.frombuffer(raw[16:], dtype="<f4").tolist() == [1.0, 2.0]
+        p.write_bytes(header + payload)
+        back = cn.read_features(p, "visual")
+        assert back.dtype == np.float64
+        assert back.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_binary_bad_magic(self, tmp_path):
         p = tmp_path / "f.bin"
-        cn.write_features_binary(p, np.ones((1, 2)))
+        write_features_binary(p, np.ones((1, 2)))
         raw = bytearray(p.read_bytes())
         raw[:4] = b"XXXX"
         p.write_bytes(bytes(raw))
@@ -126,7 +125,7 @@ class TestFeatureFiles:
 
     def test_binary_truncated_payload(self, tmp_path):
         p = tmp_path / "f.bin"
-        cn.write_features_binary(p, np.ones((2, 3)))
+        write_features_binary(p, np.ones((2, 3)))
         raw = p.read_bytes()
         p.write_bytes(raw[:-4])
         with pytest.raises(cn.IngestError, match="payload"):
@@ -134,7 +133,7 @@ class TestFeatureFiles:
 
     def test_binary_nonzero_reserved(self, tmp_path):
         p = tmp_path / "f.bin"
-        cn.write_features_binary(p, np.ones((1, 2)))
+        write_features_binary(p, np.ones((1, 2)))
         raw = bytearray(p.read_bytes())
         raw[12] = 1
         p.write_bytes(bytes(raw))

@@ -120,10 +120,6 @@ class TestMultiAspect:
         np.testing.assert_allclose(results["a"].score.scores,
                                    results["b"].score.scores, atol=1e-10)
 
-    def test_unknown_aspects_rejected(self, corpus, config):
-        with pytest.raises(ValueError, match="audio"):
-            cn.run_multi_aspect(corpus, config, aspects=["visual", "audio"])
-
 
 class TestRanks:
     def test_rank_one_is_highest(self):
