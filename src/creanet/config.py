@@ -110,8 +110,7 @@ class RunConfig:
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
         check(isinstance(self.max_iters, int) and self.max_iters >= 1,
               f"max_iters must be a positive integer, got {self.max_iters!r}")
-        check(isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64,
-              f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _check_seed("seed", self.seed)
 
     def graph_params(self, sigma: float) -> GraphParams:
         """The `GraphParams` these settings describe at bandwidth `sigma`.
@@ -136,6 +135,12 @@ class RunConfig:
         out = dataclasses.asdict(self)
         out["sigma_overrides"] = dict(sorted(self.sigma_overrides.items()))
         return out
+
+
+def _check_seed(key: str, value) -> None:
+    """Reject a seed outside the unsigned 64-bit range numpy's generators take."""
+    if not (isinstance(value, int) and 0 <= value < 2 ** 64):
+        raise ConfigError(f"{key} must be an unsigned 64-bit integer, got {value!r}")
 
 
 def _parse_int(key: str, raw: str) -> int:

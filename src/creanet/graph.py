@@ -159,12 +159,12 @@ def _rows_at(cols: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.take(cols[:-1], positions, axis=1), 0, -1)
 
 
-def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: np.ndarray,
+def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray, cols: np.ndarray,
                 order: np.ndarray, position: np.ndarray, k: int,
                 sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Top-K picks of every row of one ranking slab, each row's picks sorted by source.
 
-    Row i is the destination x at year-order position p0 + i, with n_cand[i]
+    Row i is the destination x at year-order position dest[i], with n_cand[i]
     candidates; `cols` holds the year-ordered features, one row per
     dimension, and the squared norms in its last row, and `position` maps an
     artifact to its year-order position. block[i, c] is d^2 - |x|^2 between x
@@ -193,7 +193,7 @@ def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: n
     # heaviest candidates, with no tie across the cut and no underflow.
     r, c = block.shape
     dim = cols.shape[0] - 1
-    sx = cols[dim, p0:p0 + r]
+    sx = cols[dim, dest]
     r2 = cols[dim, c0:c0 + c].max()
     slack = 4.0 * (dim + 3) * 2.0 ** -53 * (np.sqrt(sx) + np.sqrt(r2)) ** 2
     floor = np.zeros(r)  # a candidate lighter than its row's floor is never picked
@@ -205,7 +205,7 @@ def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: n
         top = np.sort(order[part[:, :k] + c0], axis=1)
         after = block[big, part[:, k]]  # each row's (k+1)-th smallest value
         del part  # as large as the block; free it before the picks are gathered
-        w = pair_weights(_rows_at(cols, p0 + big[:, None]), _rows_at(cols, position[top]), sigma)
+        w = pair_weights(_rows_at(cols, dest[big, None]), _rows_at(cols, position[top]), sigma)
         floor[big] = w.min(axis=1)
         with np.errstate(over="ignore"):
             cap = distance_weights(sx[big] + after - slack[big], sigma)
@@ -225,7 +225,7 @@ def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: n
         with np.errstate(over="ignore"):
             cap = distance_weights(sx[slow, None] + block[slow] - slack[slow, None], sigma)
         band_row, band_col = np.nonzero((cap >= floor[slow, None]) & (cap > 0.0))
-        band_w = pair_weights(_rows_at(cols, p0 + slow[band_row]),
+        band_w = pair_weights(_rows_at(cols, dest[slow[band_row]]),
                               _rows_at(cols, band_col + c0), sigma)
         band_src = order[band_col + c0]
         band_size = np.bincount(band_row, minlength=slow.size)
@@ -243,25 +243,27 @@ def _slab_top_k(block: np.ndarray, p0: int, c0: int, n_cand: np.ndarray, cols: n
             np.concatenate(src_parts), np.concatenate(w_parts))
 
 
-def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGraph:
-    """Connect every artifact to its strictly earlier candidates, keep top-K incoming.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]) one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
-    Candidate sources for artifact j are all artifacts dated strictly before j
-    (optionally restricted to the `temporal_window_k` latest ones). The K
-    candidates of largest kernel weight are kept; weights that underflow to
-    zero are dropped. Destinations are ranked in slabs of consecutive rows in
-    year order, which may span year groups, with one matrix product against
-    a year-ordered copy of the features each; only the kept pairs are weighed,
-    by `pair_weights`, so a weight depends on its pair alone. Each slab's picks
-    are written straight to their destination's place in canonical (dst, src)
-    order, inside room reserved up front.
+
+def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
+           listed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-K incoming edges of the artifacts `listed` marks (all when None); the others get none.
+
+    Returns (indptr, src, weight): artifact j owns [indptr[j], indptr[j + 1]),
+    its sources ascending. Destinations are ranked in year order in slabs of
+    up to `_DST_CHUNK` of them, which may span year groups, with one matrix
+    product against a year-ordered copy of the features each; only the kept
+    pairs are weighed, by `pair_weights`, so a weight depends on its pair
+    alone and a row's edges do not depend on which rows share its slab. Each
+    slab's picks are written straight to their row's place, inside room
+    reserved up front.
     """
-    if aspect not in corpus.features:
-        raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
-    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
     n, dim = feats.shape
-
-    order, starts, ends = _year_groups(corpus.years)
+    order, starts, ends = _year_groups(years)
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     window = params.temporal_window_k if params.temporal_prior == "window" else n
@@ -273,10 +275,11 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
     cols = np.empty((dim + 1, n))
     np.take(feats.T, order, axis=1, out=cols[:dim])
     cols[dim] = np.einsum("ij,ij->j", cols[:dim], cols[:dim])
-    # Destination j gets room for min(k, its candidate count) edges from room[j]
-    # on; weights that underflow leave some of it empty.
+    # A listed artifact j gets room for min(k, its candidate count) edges from
+    # room[j] on; weights that underflow leave some of it empty.
+    listed = np.ones(n, dtype=bool) if listed is None else listed
     sizes = np.empty(n, dtype=np.int64)
-    sizes[order] = np.minimum(n_cand, params.k)[group]
+    sizes[order] = np.where(listed[order], np.minimum(n_cand, params.k)[group], 0)
     room = np.concatenate(([0], np.cumsum(sizes)))
     count = np.zeros(n, dtype=np.int64)
     src = np.empty(room[-1], dtype=np.int32)
@@ -285,35 +288,199 @@ def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGra
     # A slab's rows are ranked against the positions [c0, c1) their
     # candidates span. Every slab's block lives in one buffer, so its pages
     # are mapped once.
-    first = np.arange(ends[0], n, _DST_CHUNK)  # the earliest year group has no candidates
-    last = np.minimum(first + _DST_CHUNK, n)
-    lo, hi = a_lo[group[first]], starts[group[last - 1]]
+    dest = np.flatnonzero(listed[order])
+    dest = dest[dest >= ends[0]]  # the earliest year group has no candidates
+    first = np.arange(0, dest.size, _DST_CHUNK)
+    last = np.minimum(first + _DST_CHUNK, dest.size)
+    lo, hi = a_lo[group[dest[first]]], starts[group[dest[last - 1]]]
     buffer = np.empty(int(((last - first) * (hi - lo)).max(initial=0)))
-    for p0, p1, c0, c1 in zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()):
-        slab_groups = range(group[p0], group[p1 - 1] + 1)
-        x = cols[:, p0:p1].T.copy()
+    for i0, i1, c0, c1 in zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()):
+        p = dest[i0:i1]
+        x = cols[:, p].T.copy()
         x[:, :dim] *= -2.0
         x[:, dim] = 1.0
-        block = buffer[:(p1 - p0) * (c1 - c0)].reshape(p1 - p0, c1 - c0)
+        block = buffer[:p.size * (c1 - c0)].reshape(p.size, c1 - c0)
         np.matmul(x, cols[:, c0:c1], out=block)  # [-2x, 1] . [y, |y|^2] = d^2 - |x|^2
-        for h in slab_groups:  # mask each row's non-candidates
-            r0, r1 = max(starts[h], p0) - p0, min(ends[h], p1) - p0
+        g = group[p]
+        cut = np.flatnonzero(np.diff(g)) + 1
+        for h, r0, r1 in zip(g[np.r_[0, cut]], np.r_[0, cut], np.r_[cut, p.size]):
+            # mask the non-candidates of the rows of year group h
             block[r0:r1, :a_lo[h] - c0] = np.inf
             block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
             block[r0:r1, starts[h] - c0:] = np.inf
-        r, picks, s, w = _slab_top_k(block, p0, c0, n_cand[group[p0:p1]], cols, order,
-                                     position, params.k, params.sigma)
-        dst = order[p0:p1][r]
-        pos = np.repeat(room[dst] - (np.cumsum(picks) - picks), picks) + np.arange(s.size)
+        r, picks, s, w = _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
+                                     params.k, params.sigma)
+        dst = order[p[r]]
+        pos = _ranges(room[dst], picks)
         src[pos] = s
         weight[pos] = w
         count[dst] = picks
 
-    # Destination j's edges occupy [indptr[j], indptr[j + 1]), already source-sorted.
     indptr = np.concatenate(([0], np.cumsum(count)))
     if indptr[-1] < room[-1]:
         filled = np.arange(room[-1]) < np.repeat(room[:-1] + count, sizes)
         src, weight = src[filled], weight[filled]
+    return indptr, src, weight
+
+
+def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGraph:
+    """Connect every artifact to its strictly earlier candidates, keep top-K incoming.
+
+    Candidate sources for artifact j are all artifacts dated strictly before j
+    (optionally restricted to the `temporal_window_k` latest ones). The K
+    candidates of largest kernel weight are kept; weights that underflow to
+    zero are dropped.
+    """
+    if aspect not in corpus.features:
+        raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
+    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
+    indptr, src, weight = _top_k(feats, corpus.years, params)
+    return PaintingGraph(n=corpus.n, indptr=indptr, src=src, weight=weight)
+
+
+def edge_ranks(graph: PaintingGraph) -> np.ndarray:
+    """Each destination's edges from heaviest to lightest, ties to the smaller source.
+
+    Entry indptr[j] + r is the offset in destination j's run of its r-th
+    edge in that order, the order `update_graph` cuts rows by, in the
+    smallest unsigned integer type that holds every offset.
+    Destinations are ranked a slab at a time, each as one row of a sort
+    padded to the longest run; rows with equal weights are sorted again
+    stably, which puts the smaller source first, as sources ascend in a run.
+    """
+    count = np.diff(graph.indptr)
+    width = int(count.max(initial=0))
+    ranks = np.empty(graph.n_edges, dtype=np.min_scalar_type(max(width - 1, 0)))
+    for j0 in range(0, graph.n, _DST_CHUNK):
+        j1 = min(j0 + _DST_CHUNK, graph.n)
+        e0, e1 = graph.indptr[j0], graph.indptr[j1]
+        row = np.repeat(np.arange(j1 - j0), count[j0:j1])
+        col = np.arange(e1 - e0) - (graph.indptr[j0:j1] - e0)[row]
+        key = np.full((j1 - j0, width), np.inf)
+        key[row, col] = -graph.weight[e0:e1]
+        order = np.argsort(key, axis=1)
+        ranked = np.take_along_axis(key, order, axis=1)
+        tied = ((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < np.inf)).any(axis=1)
+        order[tied] = np.argsort(key[tied], axis=1, kind="stable")
+        ranks[e0:e1] = order[row, col]
+    return ranks
+
+
+def _count_below(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many of each ascending run values[lo[i]:hi[i]] are below x[i], by bisection."""
+    start = lo
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        below = (lo < hi) & (values[np.minimum(mid, values.size - 1)] < x)
+        lo, hi = np.where(below, mid + 1, lo), np.where(below | (lo == hi), hi, mid)
+    return lo - start
+
+
+def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect: str,
+                 params: GraphParams, years: np.ndarray) -> PaintingGraph:
+    """`build_graph` of `corpus` re-dated to `years`, derived from its build on `corpus`.
+
+    `graph` is `build_graph(corpus, aspect, params)` and `ranks` its
+    `edge_ranks`. Let M be the artifacts whose year changes. A row keeps its
+    edges unless a source of one of them leaves its candidate set, so:
+
+    - M's rows, and each row with an edge from an artifact of M no longer
+      earlier than it, are rebuilt on `years` through the slab path;
+    - every other row takes the heaviest K (ties to the smaller source) of
+      its edges and the artifacts of M that enter its candidate set, those
+      whose new year is before its year and whose old year is not; weights
+      that underflow are dropped.
+
+    Under the window prior, candidate sets depend on rank in year order, so
+    every row is rebuilt.
+    """
+    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
+    n, k = corpus.n, params.k
+    old = corpus.years
+    years = np.asarray(years, dtype=np.int64)
+    if years.shape != old.shape:
+        raise ValueError(f"expected {n} years, got shape {years.shape}")
+    if params.temporal_prior != "none":
+        indptr, src, weight = _top_k(feats, years, params)
+        return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
+    moved = np.flatnonzero(years != old)
+    count = np.diff(graph.indptr)
+    rebuild = np.zeros(n, dtype=bool)
+    later = moved[years[moved] > old[moved]]  # only these can leave a candidate set
+    if later.size:
+        rebuild[later] = True
+        out = np.flatnonzero(rebuild[graph.src])  # edges from an artifact moved later
+        out_dst = np.searchsorted(graph.indptr, out, side="right") - 1
+        rebuild[out_dst[years[graph.src[out]] >= years[out_dst]]] = True
+    rebuild[moved] = True
+
+    # An artifact moved earlier enters the candidate sets of the rows dated
+    # after its new year and up to its old year, a range in year order. It
+    # can only enter a full row if it weighs at least the row's lightest edge.
+    lightest = np.zeros(n)
+    full = np.flatnonzero(count == k)
+    lightest[full] = graph.weight[graph.indptr[full] + ranks[graph.indptr[full + 1] - 1]]
+    year_order = np.argsort(old, kind="stable")
+    sorted_years = old[year_order]
+    sorted_feats = feats[year_order]
+    e_row, e_src, e_w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for m in moved[years[moved] < old[moved]].tolist():
+        lo, hi = np.searchsorted(sorted_years, [years[m], old[m]], side="right")
+        rows = year_order[lo:hi]
+        w = pair_weights(sorted_feats[lo:hi], feats[m], params.sigma)
+        keep = (w > 0.0) & (w >= lightest[rows]) & ~rebuild[rows]
+        e_row.append(rows[keep])
+        e_src.append(np.full(int(keep.sum()), m))
+        e_w.append(w[keep])
+    e_row, e_src, e_w = np.concatenate(e_row), np.concatenate(e_src), np.concatenate(e_w)
+
+    # A row with c edges and e entrants keeps its c - t heaviest edges,
+    # t = min(c, e): when there are any, t = e, so fewer than c - t + e = c <= k
+    # others outrank each. Its t lightest edges and the entrants contest the
+    # k - (c - t) places left, heaviest first, ties to the smaller source.
+    rows_in, n_in = np.unique(e_row, return_counts=True)
+    t = np.minimum(count[rows_in], n_in)
+    tail = graph.indptr[np.repeat(rows_in, t)] + ranks[_ranges(graph.indptr[rows_in + 1] - t, t)]
+    c_row = np.concatenate((np.repeat(rows_in, t), e_row))
+    c_src = np.concatenate((graph.src[tail], e_src))
+    c_w = np.concatenate((graph.weight[tail], e_w))
+    c_edge = np.concatenate((tail, np.full(e_row.size, -1)))  # the old edge, or -1 if entering
+    c = np.lexsort((c_src, -c_w, c_row))
+    places = np.repeat(k - count[rows_in] + t, t + n_in)
+    won = np.arange(c.size) - np.repeat(np.cumsum(t + n_in) - t - n_in, t + n_in) < places
+    c_row, c_src, c_w, c_edge = c_row[c], c_src[c], c_w[c], c_edge[c]
+    lost = ~won & (c_edge >= 0)
+    entered = won & (c_edge < 0)
+
+    r_indptr, r_src, r_w = _top_k(feats, years, params, rebuild)
+    new_count = (count - np.bincount(c_row[lost], minlength=n)
+                 + np.bincount(c_row[entered], minlength=n))
+    new_count[rebuild] = np.diff(r_indptr)[rebuild]
+    indptr = np.concatenate(([0], np.cumsum(new_count)))
+
+    # Splice: the staying old edges keep their order, and an added edge goes
+    # to its row's start plus the added and staying edges of its row with
+    # smaller sources.
+    a_row = np.concatenate((np.repeat(np.arange(n), np.diff(r_indptr)), c_row[entered]))
+    a_src = np.concatenate((r_src, c_src[entered]))
+    a_w = np.concatenate((r_w, c_w[entered]))
+    a = np.lexsort((a_src, a_row))
+    a_row, a_src, a_w = a_row[a], a_src[a], a_w[a]
+    pos = indptr[a_row] + np.arange(a.size) - np.searchsorted(a_row, a_row)
+    merged = ~rebuild[a_row]
+    m_row, m_src = a_row[merged], a_src[merged]
+    dropped_key = np.sort(c_row[lost] * n + c_src[lost])
+    pos[merged] += (_count_below(graph.src, graph.indptr[m_row], graph.indptr[m_row + 1], m_src)
+                    - np.searchsorted(dropped_key, m_row * n + m_src)
+                    + np.searchsorted(dropped_key, m_row * n))
+    stay = np.repeat(~rebuild, count)
+    stay[c_edge[lost]] = False
+    added = np.zeros(indptr[-1], dtype=bool)
+    added[pos] = True
+    src = np.empty(indptr[-1], dtype=np.int32)
+    weight = np.empty(indptr[-1])
+    src[pos], src[~added] = a_src, graph.src[stay]
+    weight[pos], weight[~added] = a_w, graph.weight[stay]
     return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
 
 

@@ -47,14 +47,17 @@ def resolve_sigma(corpus: Corpus, aspect: str, config: RunConfig) -> float:
     return float(configured)
 
 
-def build_network(corpus: Corpus, aspect: str, config: RunConfig,
-                  sigma: float) -> tuple[PaintingGraph, np.ndarray | None, ImplicationNetwork]:
+def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
+                  graph: PaintingGraph | None = None
+                  ) -> tuple[PaintingGraph, np.ndarray | None, ImplicationNetwork]:
     """Similarity graph, balancing thresholds and implication network of one aspect.
 
-    The thresholds are None when the graph has no edges and balancing had
-    nothing to judge.
+    `graph`, when given, is the similarity graph already built for these
+    settings. The thresholds are None when the graph has no edges and
+    balancing had nothing to judge.
     """
-    graph = build_graph(corpus, aspect, config.graph_params(sigma))
+    if graph is None:
+        graph = build_graph(corpus, aspect, config.graph_params(sigma))
     if graph.n_edges == 0:
         return graph, None, empty_network(corpus.n)
     thresholds = compute_thresholds(graph, corpus.years, config.balance_spec())
@@ -63,15 +66,19 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig,
     return graph, thresholds, network
 
 
-def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig,
-                 sigma: float | None = None) -> PipelineResult:
-    """Score one aspect. Passing `sigma` pins the bandwidth (skips resolution)."""
+def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | None = None,
+                 graph: PaintingGraph | None = None) -> PipelineResult:
+    """Score one aspect. Passing `sigma` pins the bandwidth (skips resolution).
+
+    Passing `graph` skips the graph build: it must be the similarity graph of
+    `corpus` at this bandwidth and these settings.
+    """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
     if sigma is None:
         sigma = resolve_sigma(corpus, aspect, config)
 
-    graph, thresholds, network = build_network(corpus, aspect, config, sigma)
+    graph, thresholds, network = build_network(corpus, aspect, config, sigma, graph)
     op = normalize(network, None if config.scoring == "combined" else config.beta)
     if config.solver == "closed_form":
         score = solve_closed_form(op, config.alpha)

@@ -2,10 +2,17 @@
 
 Each run samples test artifacts from a target group, draws each a new year
 from round(Normal(move_mean, move_std^2)) clamped to the corpus year range,
-rebuilds the whole pipeline on the perturbed corpus, and records the percent
-score change per artifact against a baseline computed once. Moving truly
-influential work forward should lose score; moving late outliers back into a
-region they anticipated should gain.
+rescores the perturbed corpus, and records the percent score change per
+artifact against a baseline computed once. Moving truly influential work
+forward should lose score; moving late outliers back into a region they
+anticipated should gain.
+
+The baseline's similarity graph is built once. Each run updates it to the
+perturbed corpus with `update_graph`, which rebuilds only the moved rows and
+the rows that lost a source, merges entering artifacts into the others, and
+equals a full rebuild bit for bit. Balancing, the implication network,
+normalization and the solve then run in full, as balancing's thresholds
+depend on every edge.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _parse_float, _parse_int
+from .config import ConfigError, RunConfig, _check_seed, _parse_float, _parse_int
 from .corpus import Corpus
+from .graph import build_graph, edge_ranks, update_graph
 from .pipeline import resolve_sigma, run_pipeline
 
 MOVES = ("back", "forward", "wander")
@@ -57,12 +65,20 @@ class TimeMachineSpec:
             raise ConfigError(f"move_std must be positive, got {self.move_std!r}")
         if self.n_test < 1 or self.n_runs < 1:
             raise ConfigError("n_test and n_runs must be positive")
-        if self.min_year is not None and self.max_year is not None and self.min_year > self.max_year:
-            raise ConfigError(f"min_year {self.min_year} exceeds max_year {self.max_year}")
+        if self.min_year is not None and self.max_year is not None:
+            _check_year_range(self.min_year, self.max_year)
+        if self.seed is not None:
+            _check_seed("timemachine.seed", self.seed)
 
     @property
     def mean(self) -> int:
         return self.move_mean if self.move_mean is not None else DEFAULT_MOVE_MEAN[self.move]
+
+
+def _check_year_range(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ConfigError(f"timemachine.min_year {lo} exceeds timemachine.max_year {hi} "
+                          f"(an unset bound is the corpus's first or last year)")
 
 
 # Each key's parser takes (key, raw); text keys are kept as written.
@@ -151,8 +167,10 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     """Run the experiment: baseline once, then n_runs seeded perturb-and-rescore passes.
 
     The kernel bandwidth is resolved on the true corpus and held fixed for
-    every perturbed pass (dates do not change feature distances). Results are
-    fully determined by (corpus, config, spec).
+    every perturbed pass (dates do not change feature distances). Each pass
+    scores the graph `build_graph` would make of the perturbed corpus,
+    derived from the baseline's. Results are fully determined by (corpus,
+    config, spec).
     """
     if aspect is None:
         aspect = corpus.aspects[0]
@@ -170,14 +188,20 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         raise ConfigError(f"selector '{spec.group}' matches {pool.size} artifacts, "
                           f"fewer than n_test {spec.n_test}")
 
-    sigma = resolve_sigma(corpus, aspect, config)
-    base_result = run_pipeline(corpus, aspect, config, sigma=sigma)
-    baseline = base_result.score.scores
-    converged = base_result.score.converged
-
     lo = spec.min_year if spec.min_year is not None else int(corpus.years.min())
     hi = spec.max_year if spec.max_year is not None else int(corpus.years.max())
+    _check_year_range(lo, hi)
     seed = spec.seed if spec.seed is not None else config.seed
+
+    sigma = resolve_sigma(corpus, aspect, config)
+    params = config.graph_params(sigma)
+    graph = build_graph(corpus, aspect, params)
+    ranks = edge_ranks(graph)
+    # Of the baseline pass only the graph and the scores are used again; its
+    # network is freed here rather than held through every run.
+    base_score = run_pipeline(corpus, aspect, config, sigma=sigma, graph=graph).score
+    baseline = base_score.scores
+    converged = base_score.converged
 
     runs = []
     for r in range(spec.n_runs):
@@ -188,7 +212,9 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         perturbed_years = np.array(corpus.years)
         perturbed_years[targets] = new_years
         perturbed = corpus.with_years(perturbed_years)
-        rescored_result = run_pipeline(perturbed, aspect, config, sigma=sigma)
+        rescored_result = run_pipeline(
+            perturbed, aspect, config, sigma=sigma,
+            graph=update_graph(graph, ranks, corpus, aspect, params, perturbed_years))
         converged = converged and rescored_result.score.converged
         rescored = rescored_result.score.scores
         base = baseline[targets]

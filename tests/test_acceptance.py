@@ -276,7 +276,8 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
 
     # score and dump-graph again in a child interpreter with one BLAS thread,
     # on these inputs and on a corpus of 150-artifact year groups, whose matrix
-    # products are large enough for BLAS to split across threads
+    # products are large enough for BLAS to split across threads; timemachine
+    # too on these inputs, the wide corpus having no style column to select by
     wide_rng = np.random.default_rng(57)
     wide_years = wide_rng.integers(1500, 1510, size=1500)
     wide = cn.Corpus(
@@ -289,9 +290,11 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
                PYTHONPATH=str(Path(cn.__file__).resolve().parents[1]))
     child = "import sys\nfrom creanet.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     compared = 0
-    for label, args in (("corpus", inputs), ("wide", wide_inputs)):
-        for command in ("score", "dump-graph"):
-            flags = args + (["--plot"] if command == "score" else [])
+    for label, args, commands in (("corpus", inputs, ("score", "dump-graph", "timemachine")),
+                                  ("wide", wide_inputs, ("score", "dump-graph"))):
+        for command in commands:
+            flags = args + (["--plot"] if command == "score" else []) + \
+                    (tm if command == "timemachine" else [])
             here, there = tmp_path / "here" / label / command, tmp_path / "one_thread" / label / command
             assert main([command] + flags + ["--out", str(here)]) == 0, f"{command} failed"
             proc = subprocess.run([sys.executable, "-c", child, command, *flags, "--out", str(there)],
@@ -303,7 +306,8 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
                 compared += 1
     return (f"validate, score --plot, timemachine, and dump-graph reruns "
             f"byte-identical across {len(outputs['first'])} output files; "
-            f"{compared} score and dump-graph files identical with OPENBLAS_NUM_THREADS=1")
+            f"{compared} score, dump-graph and timemachine files identical with "
+            f"OPENBLAS_NUM_THREADS=1")
 
 
 def _peak_rss_mib() -> float:

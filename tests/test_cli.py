@@ -299,6 +299,30 @@ class TestTimeMachine:
         assert code == EXIT_INVALID
         assert "timemachine.group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["timemachine.min_year=2000", "timemachine.max_year=1400"])
+    def test_year_range_outside_corpus_exits_invalid(self, styled, tmp_path, capsys, bound):
+        # the corpus spans 1450-1840, so the other bound, taken from it, is crossed
+        manifest, features = styled
+        out = tmp_path / "out"
+        code = main(["timemachine", "--manifest", str(manifest),
+                     "--features", f"visual={features}", "--set", "k=8",
+                     "--set", "timemachine.group=style=late", "--set", "timemachine.move=back",
+                     "--set", "timemachine.n_test=2", "--set", "timemachine.n_runs=1",
+                     "--set", bound, "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "timemachine.min_year" in err and "timemachine.max_year" in err
+        assert not (out / "runs.csv").exists()
+
+    def test_negative_seed_exits_invalid(self, styled, tmp_path, capsys):
+        manifest, features = styled
+        code = main(["timemachine", "--manifest", str(manifest),
+                     "--features", f"visual={features}",
+                     "--set", "timemachine.group=style=late", "--set", "timemachine.move=back",
+                     "--set", "timemachine.seed=-1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert "timemachine.seed" in capsys.readouterr().err
+
 
 class TestDumpGraph:
     def test_writes_graph_and_cin(self, tiny, tmp_path):

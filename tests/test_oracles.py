@@ -7,8 +7,9 @@ keep(G) + flip(G)^T with scipy's transpose and canonical sparse addition,
 reads percentiles with a partition, finds local thresholds in one sweep over
 weight ranks, cuts window candidates as two position ranges per year group,
 writes edge dumps a chunk at a time, takes operator column sums from a sparse
-product and scores the beta split with one operator whose dangling columns
-carry fractional weights. The implementations they replaced live here, and
+product, scores the beta split with one operator whose dangling columns
+carry fractional weights, and updates the time machine's baseline graph per
+run instead of rebuilding it. The implementations they replaced live here, and
 every test asserts that both give the same bits; the split at fractional
 beta, which sums in another order, agrees to the last few bits. The graph
 oracle weighs every candidate pair on its own with the scalar kernel of
@@ -18,10 +19,14 @@ candidate sets no larger than k, the window prior, single-year groups, slabs
 that span year groups with different candidate counts, slabs that mix
 certified and exactly cut rows, both anchors, global and local balancing,
 local samples below the fallback floor, edges never in any window, and
-p = 100.
+p = 100. The graph update is checked against `build_graph` on the re-dated
+corpus for back, forward and wander moves, ties at the cut, underflow,
+targets moved onto their own or the earliest year, one-artifact years,
+every artifact moved, rebuilt rows over several slabs, and the window prior.
 """
 
 import csv
+import dataclasses
 import math
 from unittest import mock
 
@@ -105,6 +110,55 @@ def reference_build_graph(corpus, aspect, params):
         dst = np.empty(0, dtype=np.int64)
         weight = np.empty(0, dtype=np.float64)
     return from_edges(cn.PaintingGraph, corpus.n, src, dst, weight)
+
+
+def reference_edge_ranks(graph):
+    """Each destination's edge offsets by (weight desc, src asc), one lexsort per destination."""
+    ranks = []
+    for j in range(graph.n):
+        lo, hi = graph.indptr[j], graph.indptr[j + 1]
+        ranks.append(np.lexsort((graph.src[lo:hi], -graph.weight[lo:hi])))
+    return np.concatenate(ranks)
+
+
+def reference_run_time_machine(corpus, config, spec, aspect=None):
+    """The whole pipeline, graph build included, once per run on the perturbed corpus."""
+    if aspect is None:
+        aspect = corpus.aspects[0]
+    pool = cn.resolve_targets(corpus, spec.group)
+    sigma = cn.resolve_sigma(corpus, aspect, config)
+    base_result = cn.run_pipeline(corpus, aspect, config, sigma=sigma)
+    baseline = base_result.score.scores
+    converged = base_result.score.converged
+    lo = spec.min_year if spec.min_year is not None else int(corpus.years.min())
+    hi = spec.max_year if spec.max_year is not None else int(corpus.years.max())
+    seed = spec.seed if spec.seed is not None else config.seed
+    runs = []
+    for r in range(spec.n_runs):
+        rng = np.random.default_rng([seed, r])
+        targets = np.sort(rng.choice(pool, size=spec.n_test, replace=False))
+        drawn = np.rint(rng.normal(spec.mean, spec.move_std, size=spec.n_test))
+        new_years = np.clip(drawn, lo, hi).astype(np.int64)
+        perturbed_years = np.array(corpus.years)
+        perturbed_years[targets] = new_years
+        rescored_result = cn.run_pipeline(corpus.with_years(perturbed_years), aspect, config,
+                                          sigma=sigma)
+        converged = converged and rescored_result.score.converged
+        base = baseline[targets]
+        new = rescored_result.score.scores[targets]
+        gains = (new - base) / base * 100.0
+        runs.append(cn.TimeMachineRun(
+            run=r, targets=targets, old_years=corpus.years[targets], new_years=new_years,
+            base_scores=base, new_scores=new, gains_pct=gains, mean_gain=float(gains.mean()),
+            pct_increase=float((gains > 0.0).mean() * 100.0)))
+    mean_gains = [run.mean_gain for run in runs]
+    pct_increases = [run.pct_increase for run in runs]
+    spread = (lambda v: float(np.std(np.array(v), ddof=1)) if len(v) > 1 else 0.0)
+    return cn.TimeMachineReport(
+        spec=spec, aspect=aspect, sigma=float(sigma), runs=tuple(runs),
+        mean_gain=float(np.mean(mean_gains)), std_gain=spread(mean_gains),
+        pct_increase=float(np.mean(pct_increases)), std_pct=spread(pct_increases),
+        converged=converged)
 
 
 def reference_build_implication_network(graph, m, years, anchor="destination"):
@@ -274,6 +328,20 @@ def assert_same_network(got, want):
         (want.kept_count, want.reversed_count, want.dropped_count)
 
 
+def assert_same_report(got, want):
+    """Every field of a time-machine report and of each of its runs, bit for bit."""
+    for name in ("spec", "aspect", "converged"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("sigma", "mean_gain", "std_gain", "pct_increase", "std_pct"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes()
+    assert len(got.runs) == len(want.runs)
+    for run, ref in zip(got.runs, want.runs):
+        for field in dataclasses.fields(cn.TimeMachineRun):
+            a, b = np.asarray(getattr(run, field.name)), np.asarray(getattr(ref, field.name))
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+
 def count_fallback_rows(corpus, params):
     """Build the graph and count the rows that went through the per-row selection."""
     with mock.patch.object(graph_module, "_select_top_k",
@@ -417,6 +485,140 @@ def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
     for graph in graphs[1:]:
         assert_same_graph(graph, graphs[0])
     assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", params))
+
+
+# ---------------------------------------------------------------------------
+# Incremental time machine.
+
+def assert_update_like_rebuild(corpus, params, years):
+    """`update_graph` from the baseline equals `build_graph` on the re-dated corpus; returns it."""
+    graph = cn.build_graph(corpus, "visual", params)
+    ranks = graph_module.edge_ranks(graph)
+    assert np.array_equal(ranks, reference_edge_ranks(graph))
+    got = graph_module.update_graph(graph, ranks, corpus, "visual", params, years)
+    assert_same_graph(got, cn.build_graph(corpus.with_years(years), "visual", params))
+    return got
+
+
+def redate(corpus, rng, fraction, move):
+    """Years with a random `fraction` of the artifacts moved back, forward or anywhere.
+
+    A target may draw its own year, and a year up to 2 outside the corpus's range.
+    """
+    lo, hi = int(corpus.years.min()) - 2, int(corpus.years.max()) + 2
+    years = np.array(corpus.years)
+    targets = rng.choice(corpus.n, size=max(1, int(fraction * corpus.n)), replace=False)
+    for t in targets.tolist():
+        a, b = {"back": (lo, years[t]), "forward": (years[t], hi), "wander": (lo, hi)}[move]
+        years[t] = rng.integers(a, b + 1)
+    return years
+
+
+class TestGraphUpdateAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(corpora(), graph_params, st.integers(0, 2**32 - 1),
+           st.sampled_from([0.01, 0.1, 0.4]), st.sampled_from(["back", "forward", "wander"]))
+    def test_random_moves(self, corpus, params, seed, fraction, move):
+        years = redate(corpus, np.random.default_rng(seed), fraction, move)
+        assert_update_like_rebuild(corpus, params, years)
+
+    @pytest.mark.parametrize("move", ["back", "forward", "wander"])
+    def test_ties_at_the_cut(self, move):
+        # duplicated rows tie exactly, grid features at many distances
+        rng = np.random.default_rng(21)
+        base = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+        dup = make_corpus(rng.integers(1500, 1530, size=300), base[rng.integers(0, 40, size=300)])
+        grid = quantised_corpus(seed=22, n=400, dim=2, levels=3, year_lo=1500, year_hi=1540)
+        for corpus in (dup, grid):
+            for k, sigma in ((1, 0.5), (4, 1.0), (12, 3.0)):
+                params = cn.GraphParams(k=k, sigma=sigma)
+                for fraction in (0.01, 0.1):
+                    assert_update_like_rebuild(corpus, params, redate(corpus, rng, fraction, move))
+
+    def test_underflow_and_k_above_candidates(self):
+        rng = np.random.default_rng(23)
+        grid = quantised_corpus(seed=24, n=150, dim=2, levels=2, year_lo=1500, year_hi=1510)
+        wide = random_corpus(seed=25, n=120, dim=3, year_lo=1500, year_hi=1530)
+        for corpus, params in ((grid, cn.GraphParams(k=4, sigma=0.01)),
+                               (wide, cn.GraphParams(k=40, sigma=1.0)),
+                               (wide, cn.GraphParams(k=500, sigma=1.0))):
+            for move in ("back", "forward", "wander"):
+                assert_update_like_rebuild(corpus, params, redate(corpus, rng, 0.05, move))
+
+    def test_own_year_and_earliest_year(self):
+        corpus = random_corpus(seed=26, n=200, dim=3, year_lo=1500, year_hi=1540)
+        params = cn.GraphParams(k=6, sigma=1.0)
+        first = int(corpus.years.min())
+        late = np.flatnonzero(corpus.years > first + 20)[:5]
+        years = np.array(corpus.years)
+        years[late[:3]] = first  # no candidates left
+        graph = assert_update_like_rebuild(corpus, params, years)
+        assert np.all(np.diff(graph.indptr)[late[:3]] == 0)
+        assert_update_like_rebuild(corpus, params, np.array(corpus.years))  # drawn onto own years
+        years = np.array(corpus.years)
+        years[late[3:]] = first - 1  # a new earliest year of its own
+        assert_update_like_rebuild(corpus, params, years)
+
+    def test_one_artifact_years(self):
+        rng = np.random.default_rng(27)
+        years = np.concatenate((np.repeat(np.arange(1500, 1510), 12), [1520, 1530, 1540]))
+        corpus = make_corpus(years, rng.normal(size=(years.size, 3)))
+        params = cn.GraphParams(k=5, sigma=1.0)
+        for row, year in ((120, 1505), (121, 1499), (121, 1545), (0, 1525), (13, 1541), (122, 1520)):
+            moved = np.array(corpus.years)
+            moved[row] = year  # out of, or into, a year holding one artifact
+            assert_update_like_rebuild(corpus, params, moved)
+
+    def test_every_artifact_moved(self):
+        corpus = random_corpus(seed=28, n=300, dim=4, year_lo=1500, year_hi=1560)
+        years = 3200 - corpus.years  # 1640-1700, the order of the years reversed
+        assert_update_like_rebuild(corpus, cn.GraphParams(k=9, sigma=1.2), years)
+
+    @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
+    def test_rebuilt_rows_span_several_slabs(self, monkeypatch, prior, window):
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        corpus = random_corpus(seed=30, n=800, dim=3, year_lo=1500, year_hi=1600)
+        params = cn.GraphParams(k=10, sigma=1.0, temporal_prior=prior, temporal_window_k=window)
+        rng = np.random.default_rng(31)
+        for move in ("back", "forward", "wander"):
+            years = redate(corpus, rng, 0.05, move)
+            with mock.patch.object(graph_module, "_top_k", wraps=graph_module._top_k) as spy:
+                assert_update_like_rebuild(corpus, params, years)
+            rebuilt = [c.args[3] for c in spy.call_args_list if len(c.args) > 3]
+            if prior == "none":
+                assert len(rebuilt) == 1 and rebuilt[0].sum() > 2 * 16
+            else:
+                assert not rebuilt  # the window prior rebuilds every row as a full build
+
+
+PLANTED_CONFIG = cn.RunConfig(k=30)
+
+
+@pytest.mark.filterwarnings("ignore:n_test", "ignore:time machine with a temporal prior")
+class TestTimeMachineAgainstOracle:
+    @pytest.mark.parametrize("group, move", [("style=innovator", "back"),
+                                             ("style=archetype", "forward"),
+                                             ("style=wander", "wander")])
+    @pytest.mark.parametrize("config", [
+        PLANTED_CONFIG,
+        dataclasses.replace(PLANTED_CONFIG, scoring="split", beta=0.3, alpha=0.85),
+        dataclasses.replace(PLANTED_CONFIG, balancing_mode="local", local_window_years=40,
+                            balance_anchor="source"),
+        dataclasses.replace(PLANTED_CONFIG, solver="closed_form", k=500),
+    ], ids=["combined", "split", "local", "closed_form_k500"])
+    def test_planted_experiments(self, planted, group, move, config):
+        spec = cn.TimeMachineSpec(group=group, move=move, n_test=10, n_runs=3)
+        assert_same_report(cn.run_time_machine(planted, config, spec),
+                           reference_run_time_machine(planted, config, spec))
+
+    def test_window_prior_and_grid_ties(self):
+        corpus = quantised_corpus(seed=32, n=300, dim=2, levels=3, year_lo=1500, year_hi=1560)
+        spec = cn.TimeMachineSpec(group="ids=" + ",".join(corpus.ids[:40]), move="wander",
+                                  move_mean=1530, move_std=20.0, n_test=3, n_runs=3, seed=5)
+        for config in (cn.RunConfig(k=7), cn.RunConfig(k=7, temporal_prior="window",
+                                                       temporal_window_k=30)):
+            assert_same_report(cn.run_time_machine(corpus, config, spec),
+                               reference_run_time_machine(corpus, config, spec))
 
 
 def window_candidates(order, starts, ends, group, budget):

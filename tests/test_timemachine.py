@@ -33,6 +33,9 @@ class TestSpec:
         ({"group": "ids=a", "move": "back", "n_test": 0}, "n_test"),
         ({"group": "ids=a", "move": "back", "n_runs": 0}, "n_runs"),
         ({"group": "ids=a", "move": "back", "min_year": 1800, "max_year": 1700}, "min_year"),
+        ({"group": "ids=a", "move": "back", "seed": -1}, "timemachine.seed"),
+        ({"group": "ids=a", "move": "back", "seed": 2 ** 64}, "timemachine.seed"),
+        ({"group": "ids=a", "move": "back", "seed": 1.5}, "timemachine.seed"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(cn.ConfigError, match=fragment):
@@ -171,9 +174,11 @@ class TestRunTimeMachine:
         assert not np.array_equal(with_fallback.runs[0].new_years, reseeded.runs[0].new_years)
 
     def test_sigma_resolved_once_baseline_once(self, planted, monkeypatch):
+        import creanet.graph as graph_module
+        import creanet.pipeline as pipeline_module
         import creanet.timemachine as tm
-        sigma_calls, pipeline_calls = [], []
-        real_sigma, real_pipeline = tm.resolve_sigma, tm.run_pipeline
+        sigma_calls, pipeline_calls, build_calls = [], [], []
+        real_sigma, real_pipeline, real_build = tm.resolve_sigma, tm.run_pipeline, tm.build_graph
 
         def counting_sigma(*args, **kwargs):
             sigma_calls.append(1)
@@ -183,13 +188,20 @@ class TestRunTimeMachine:
             pipeline_calls.append(kwargs.get("sigma"))
             return real_pipeline(*args, **kwargs)
 
+        def counting_build(*args, **kwargs):
+            build_calls.append(1)
+            return real_build(*args, **kwargs)
+
         monkeypatch.setattr(tm, "resolve_sigma", counting_sigma)
         monkeypatch.setattr(tm, "run_pipeline", counting_pipeline)
+        for module in (tm, graph_module, pipeline_module):
+            monkeypatch.setattr(module, "build_graph", counting_build)
         spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_runs=3)
         report = cn.run_time_machine(planted, PLANTED_CONFIG, spec)
         assert len(sigma_calls) == 1
         assert len(pipeline_calls) == 1 + 3  # baseline + one per run
         assert all(s == report.sigma for s in pipeline_calls)
+        assert len(build_calls) == 1  # the baseline's; each run updates its graph
 
     def test_new_years_clamped_to_corpus_range(self, planted):
         spec = cn.TimeMachineSpec(group="style=innovator", move="forward",
@@ -200,6 +212,13 @@ class TestRunTimeMachine:
                                   move_mean=-2000, move_std=1.0, n_runs=1)
         report = cn.run_time_machine(planted, PLANTED_CONFIG, spec)
         assert np.all(report.runs[0].new_years == 1400)
+
+    @pytest.mark.parametrize("bounds", [{"min_year": 1950}, {"max_year": 1350}])
+    def test_year_range_crossing_the_corpus_rejected(self, planted, bounds):
+        # planted spans 1400-1900; the unset bound comes from the corpus
+        spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_runs=1, **bounds)
+        with pytest.raises(cn.ConfigError, match="timemachine.min_year.*timemachine.max_year"):
+            cn.run_time_machine(planted, PLANTED_CONFIG, spec)
 
     def test_explicit_year_bounds_override_corpus(self, planted):
         spec = cn.TimeMachineSpec(group="style=innovator", move="back",
