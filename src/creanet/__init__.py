@@ -7,7 +7,8 @@ scores that reward both novelty and later influence. A time-machine harness
 validates the scores by re-dating artifacts and checking the response.
 """
 
-from .config import ConfigError, RunConfig, config_from_mapping, load_config_file
+from .config import (ConfigError, RunConfig, TimeMachineSpec, config_from_mapping,
+                     load_config_file, spec_from_mapping)
 from .corpus import (Artifact, Corpus, FeatureSet, IngestError, estimate_sigma,
                      ingest_corpus, read_features, read_manifest)
 from .graph import GraphParams, PaintingGraph, build_graph, write_graph_csv
@@ -18,9 +19,8 @@ from .pipeline import (PipelineResult, build_network, resolve_sigma, run_multi_a
 from .scoring import ScoreVector, StochasticOperator, normalize, solve_closed_form, solve_power
 from .similarity import SimilarityParams, pair_weights
 from .svgplot import minmax_scale, scatter_svg, write_scatter_svg
-from .timemachine import (TimeMachineReport, TimeMachineRun, TimeMachineSpec,
-                          resolve_targets, run_time_machine, spec_from_mapping,
-                          write_report_csv, write_runs_csv)
+from .timemachine import (TimeMachineReport, TimeMachineRun, resolve_targets,
+                          run_time_machine, write_report_csv, write_runs_csv)
 
 __version__ = "0.1.0"
 

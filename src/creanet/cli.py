@@ -12,14 +12,14 @@ import sys
 from pathlib import Path
 
 from .config import (ConfigError, check_known_keys, config_from_mapping,
-                     load_config_file, parse_config_text)
+                     load_config_file, parse_config_text, spec_from_mapping)
 from .corpus import ingest_corpus
 from .graph import write_graph_csv
 from .implication import write_cin_csv
 from .pipeline import (build_network, resolve_sigma, run_multi_aspect, write_run_meta,
                        write_scores_csv)
 from .svgplot import write_scatter_svg
-from .timemachine import run_time_machine, spec_from_mapping, write_report_csv, write_runs_csv
+from .timemachine import run_time_machine, write_report_csv, write_runs_csv
 
 EXIT_OK = 0
 EXIT_IO = 1

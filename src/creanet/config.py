@@ -23,8 +23,10 @@ Recognized keys::
     max_iters            int > 0      iteration cap (default 1000)
     seed                 u64          RNG seed (default 0)
 
-Input-path keys (no defaults): ``manifest``, ``feature.<aspect>``. Time-machine
-keys live under the ``timemachine.`` prefix (see :mod:`creanet.timemachine`).
+Input-path keys (no defaults): ``manifest``, ``feature.<aspect>``. The
+time-machine keys are the `TimeMachineSpec` fields under the ``timemachine.``
+prefix, defined here beside `RunConfig`. Each key of either dataclass is
+parsed by its field's annotation, and any other key is rejected.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ class ConfigError(ValueError):
 SCORING_MODES = ("combined", "split")
 SOLVERS = ("power", "closed_form")
 
-RUN_KEYS = {
-    "k", "alpha", "beta", "scoring", "percentile_p", "sigma",
-    "balancing_mode", "local_window_years", "min_local_sample", "balance_anchor",
-    "temporal_prior", "temporal_window_k", "solver", "tol", "max_iters", "seed",
-}
-INPUT_KEYS = {"manifest"}
-INPUT_PREFIXES = ("feature.",)
-OTHER_PREFIXES = ("sigma.", "timemachine.")
+MOVES = ("back", "forward", "wander")
+
+# Paper-convention default destinations: backward and wander experiments
+# center on 1600, forward experiments on 1900.
+DEFAULT_MOVE_MEAN = {"back": 1600, "forward": 1900, "wander": 1600}
 
 
 @dataclass
@@ -137,6 +136,59 @@ class RunConfig:
         return out
 
 
+@dataclass(frozen=True)
+class TimeMachineSpec:
+    """One experiment: which group to re-date, where to, and how many times.
+
+    `group` selects targets: ``style=NAME`` matches the manifest style column,
+    ``ids=ID1,ID2,...`` lists artifacts explicitly. `move` labels the direction
+    relative to the group's true era; the mechanics depend only on move_mean
+    and move_std.
+    """
+
+    group: str
+    move: str
+    move_mean: int | None = None
+    move_std: float = 50.0
+    n_test: int = 10
+    n_runs: int = 10
+    min_year: int | None = None
+    max_year: int | None = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.move not in MOVES:
+            raise ConfigError(f"move must be one of {MOVES}, got {self.move!r}")
+        if not self.group.startswith(("style=", "ids=")):
+            raise ConfigError(f"group must look like style=NAME or ids=ID1,ID2,..., got {self.group!r}")
+        if not self.move_std > 0.0:
+            raise ConfigError(f"move_std must be positive, got {self.move_std!r}")
+        for name, value in (("n_test", self.n_test), ("n_runs", self.n_runs)):
+            if not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"timemachine.{name} must be a positive integer, got {value!r}")
+        for name, value in (("move_mean", self.move_mean), ("min_year", self.min_year),
+                            ("max_year", self.max_year)):
+            if not (value is None or isinstance(value, int)):
+                raise ConfigError(f"timemachine.{name} must be an integer, got {value!r}")
+        if self.min_year is not None and self.max_year is not None:
+            self.year_range(self.min_year, self.max_year)  # checks the set bounds' order
+        if self.seed is not None:
+            _check_seed("timemachine.seed", self.seed)
+
+    @property
+    def mean(self) -> int:
+        return self.move_mean if self.move_mean is not None else DEFAULT_MOVE_MEAN[self.move]
+
+    def year_range(self, first: int, last: int) -> tuple[int, int]:
+        """Bounds for the drawn years; an unset bound is the corpus's `first` or `last` year."""
+        lo = self.min_year if self.min_year is not None else first
+        hi = self.max_year if self.max_year is not None else last
+        if lo > hi:
+            raise ConfigError(f"timemachine.min_year {lo} exceeds timemachine.max_year {hi} "
+                              f"(an unset bound is the corpus's first or last year)")
+        return lo, hi
+
+
 def _check_seed(key: str, value) -> None:
     """Reject a seed outside the unsigned 64-bit range numpy's generators take."""
     if not (isinstance(value, int) and 0 <= value < 2 ** 64):
@@ -155,6 +207,23 @@ def _parse_float(key: str, raw: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+
+
+# A key's parser, by the annotation of the field that holds it. Each takes (key, raw).
+_PARSERS = {"int": _parse_int, "int | None": _parse_int, "float": _parse_float,
+            "str": lambda key, raw: raw,
+            "float | str": lambda key, raw: raw if raw == "auto" else _parse_float(key, raw)}
+
+
+def _key_parsers(cls) -> dict:
+    """Each config key of dataclass `cls` with its parser; `sigma.<aspect>` sets `sigma_overrides`."""
+    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls) if f.name != "sigma_overrides"}
+
+
+def _parse_fields(cls, mapping: dict[str, str], prefix: str = "") -> dict:
+    """Keyword arguments for `cls` from the ``prefix + field`` keys present in `mapping`."""
+    return {name: parse(prefix + name, mapping[prefix + name])
+            for name, parse in _key_parsers(cls).items() if prefix + name in mapping}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -179,41 +248,32 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(path.read_text(encoding="utf-8-sig"), source=str(path))
 
 
 def check_known_keys(mapping: dict[str, str]) -> None:
     """Reject keys outside the documented schema."""
     for key in mapping:
-        if key in RUN_KEYS or key in INPUT_KEYS:
-            continue
-        if any(key.startswith(prefix) and len(key) > len(prefix)
-               for prefix in INPUT_PREFIXES + OTHER_PREFIXES):
-            continue
-        raise ConfigError(f"unknown config key '{key}'")
+        prefix, _, name = key.partition(".")
+        if not (key == "manifest" or key in _key_parsers(RunConfig)
+                or prefix in ("feature", "sigma") and name
+                or prefix == "timemachine" and name in _key_parsers(TimeMachineSpec)):
+            raise ConfigError(f"unknown config key '{key}'")
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     """Build a RunConfig from a parsed mapping, applying defaults for absent keys."""
-    kwargs: dict = {}
-    if "k" in mapping:
-        kwargs["k"] = _parse_int("k", mapping["k"])
-    for key in ("alpha", "beta", "percentile_p", "tol"):
-        if key in mapping:
-            kwargs[key] = _parse_float(key, mapping[key])
-    for key in ("scoring", "balancing_mode", "balance_anchor", "temporal_prior", "solver"):
-        if key in mapping:
-            kwargs[key] = mapping[key]
-    for key in ("local_window_years", "min_local_sample", "temporal_window_k", "max_iters", "seed"):
-        if key in mapping:
-            kwargs[key] = _parse_int(key, mapping[key])
-    if "sigma" in mapping:
-        raw = mapping["sigma"]
-        kwargs["sigma"] = "auto" if raw == "auto" else _parse_float("sigma", raw)
-    overrides = {}
-    for key, raw in mapping.items():
-        if key.startswith("sigma.") and len(key) > len("sigma."):
-            overrides[key[len("sigma."):]] = _parse_float(key, raw)
-    if overrides:
-        kwargs["sigma_overrides"] = overrides
-    return RunConfig(**kwargs)
+    kwargs = _parse_fields(RunConfig, mapping)
+    overrides = {key[len("sigma."):]: _parse_float(key, raw) for key, raw in mapping.items()
+                 if key.startswith("sigma.") and len(key) > len("sigma.")}
+    return RunConfig(sigma_overrides=overrides, **kwargs)
+
+
+def spec_from_mapping(mapping: dict[str, str]) -> TimeMachineSpec:
+    """Build a spec from `timemachine.*` config keys; every key of `mapping` must be known."""
+    check_known_keys(mapping)
+    kwargs = _parse_fields(TimeMachineSpec, mapping, "timemachine.")
+    for f in dataclasses.fields(TimeMachineSpec):
+        if f.default is dataclasses.MISSING and f.name not in kwargs:
+            raise ConfigError(f"missing config key 'timemachine.{f.name}'")
+    return TimeMachineSpec(**kwargs)

@@ -124,7 +124,7 @@ def _parse_year(raw: str, row: int) -> int:
 def read_manifest(path: str | Path) -> list[Artifact]:
     """Parse a manifest CSV with header ``id,year[,artist][,style][,genre]``."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -176,7 +176,7 @@ def read_manifest(path: str | Path) -> list[Artifact]:
 def _read_features_csv(path: Path, aspect: str) -> np.ndarray:
     rows: list[list[float]] = []
     dim: int | None = None
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for row_no, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue

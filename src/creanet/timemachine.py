@@ -13,6 +13,10 @@ the rows that lost a source, merges entering artifacts into the others, and
 equals a full rebuild bit for bit. Balancing, the implication network,
 normalization and the solve then run in full, as balancing's thresholds
 depend on every edge.
+
+The experiment's settings, `TimeMachineSpec` and its ``timemachine.*`` keys,
+live in :mod:`creanet.config` beside the scoring keys; this module resolves
+the targets, runs the passes and writes the reports.
 """
 
 from __future__ import annotations
@@ -24,86 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _check_seed, _parse_float, _parse_int
+from .config import ConfigError, RunConfig, TimeMachineSpec
 from .corpus import Corpus
 from .graph import build_graph, edge_ranks, update_graph
 from .pipeline import resolve_sigma, run_pipeline
-
-MOVES = ("back", "forward", "wander")
-
-# Paper-convention default destinations: backward and wander experiments
-# center on 1600, forward experiments on 1900.
-DEFAULT_MOVE_MEAN = {"back": 1600, "forward": 1900, "wander": 1600}
-
-
-@dataclass(frozen=True)
-class TimeMachineSpec:
-    """One experiment: which group to re-date, where to, and how many times.
-
-    `group` selects targets: ``style=NAME`` matches the manifest style column,
-    ``ids=ID1,ID2,...`` lists artifacts explicitly. `move` labels the direction
-    relative to the group's true era; the mechanics depend only on move_mean
-    and move_std.
-    """
-
-    group: str
-    move: str
-    move_mean: int | None = None
-    move_std: float = 50.0
-    n_test: int = 10
-    n_runs: int = 10
-    min_year: int | None = None
-    max_year: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.move not in MOVES:
-            raise ConfigError(f"move must be one of {MOVES}, got {self.move!r}")
-        if not self.group.startswith(("style=", "ids=")):
-            raise ConfigError(f"group must look like style=NAME or ids=ID1,ID2,..., got {self.group!r}")
-        if not self.move_std > 0.0:
-            raise ConfigError(f"move_std must be positive, got {self.move_std!r}")
-        if self.n_test < 1 or self.n_runs < 1:
-            raise ConfigError("n_test and n_runs must be positive")
-        if self.min_year is not None and self.max_year is not None:
-            _check_year_range(self.min_year, self.max_year)
-        if self.seed is not None:
-            _check_seed("timemachine.seed", self.seed)
-
-    @property
-    def mean(self) -> int:
-        return self.move_mean if self.move_mean is not None else DEFAULT_MOVE_MEAN[self.move]
-
-
-def _check_year_range(lo: int, hi: int) -> None:
-    if lo > hi:
-        raise ConfigError(f"timemachine.min_year {lo} exceeds timemachine.max_year {hi} "
-                          f"(an unset bound is the corpus's first or last year)")
-
-
-# Each key's parser takes (key, raw); text keys are kept as written.
-_SPEC_KEYS = {
-    "group": None, "move": None, "move_mean": _parse_int, "move_std": _parse_float,
-    "n_test": _parse_int, "n_runs": _parse_int, "min_year": _parse_int, "max_year": _parse_int,
-    "seed": _parse_int,
-}
-
-
-def spec_from_mapping(mapping: dict[str, str]) -> TimeMachineSpec:
-    """Build a spec from `timemachine.*` config keys."""
-    kwargs: dict = {}
-    for key, raw in mapping.items():
-        if not key.startswith("timemachine."):
-            continue
-        name = key[len("timemachine."):]
-        if name not in _SPEC_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
-        parse = _SPEC_KEYS[name]
-        kwargs[name] = raw if parse is None else parse(key, raw)
-    for required in ("group", "move"):
-        if required not in kwargs:
-            raise ConfigError(f"missing config key 'timemachine.{required}'")
-    return TimeMachineSpec(**kwargs)
 
 
 def resolve_targets(corpus: Corpus, group: str) -> np.ndarray:
@@ -188,9 +116,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         raise ConfigError(f"selector '{spec.group}' matches {pool.size} artifacts, "
                           f"fewer than n_test {spec.n_test}")
 
-    lo = spec.min_year if spec.min_year is not None else int(corpus.years.min())
-    hi = spec.max_year if spec.max_year is not None else int(corpus.years.max())
-    _check_year_range(lo, hi)
+    lo, hi = spec.year_range(int(corpus.years.min()), int(corpus.years.max()))
     seed = spec.seed if spec.seed is not None else config.seed
 
     sigma = resolve_sigma(corpus, aspect, config)

@@ -191,6 +191,16 @@ class TestScore:
         assert code == EXIT_INVALID
         assert "unknown config key 'alpa'" in capsys.readouterr().err
 
+    def test_plot_title_escaped(self, tiny, tmp_path):
+        from xml.dom import minidom
+        manifest, features = tiny
+        out = tmp_path / "out"
+        code = main(["score", "--manifest", str(manifest), "--features", f"a<b&c={features}",
+                     "--plot", "--out", str(out)])
+        assert code == EXIT_OK
+        title = minidom.parse(str(out / "plot.svg")).getElementsByTagName("title")[0]
+        assert title.firstChild.data == "creativity scores: a<b&c"
+
     def test_bad_config_value_exits_invalid(self, tiny, tmp_path, capsys):
         code = main(["score"] + tiny_args(tiny) +
                     ["--set", "alpha=2", "--out", str(tmp_path / "out")])
@@ -204,6 +214,20 @@ class TestScore:
         assert code == EXIT_OK
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["config"]["seed"] == 11
+
+
+class TestKeyNames:
+    @pytest.mark.parametrize("command", ["score", "dump-graph", "validate"])
+    def test_unknown_time_machine_key_exits_invalid(self, tiny, tmp_path, capsys, command):
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code = main([command] + tiny_args(tiny) + ["--set", "timemachine.bogus=1"] + out)
+        assert code == EXIT_INVALID
+        assert "unknown config key 'timemachine.bogus'" in capsys.readouterr().err
+
+    def test_time_machine_key_allowed_on_score(self, tiny, tmp_path):
+        code = main(["score"] + tiny_args(tiny) +
+                    ["--set", "timemachine.n_runs=3", "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
 
 
 class TestConfigFile:

@@ -1,10 +1,16 @@
 """Config parsing, validation, and key handling."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from creanet.config import (ConfigError, RunConfig, check_known_keys,
+from creanet import config as config_module
+from creanet.config import (ConfigError, RunConfig, TimeMachineSpec, check_known_keys,
                             config_from_mapping, load_config_file, parse_config_text)
 from creanet.graph import GraphParams
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestRunConfigValidation:
@@ -113,6 +119,12 @@ class TestParseConfigText:
         path.write_text("alpha = 0.3\n", encoding="utf-8")
         assert load_config_file(path) == {"alpha": "0.3"}
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("k = 5\nalpha = 0.3\n", encoding="utf-8")
+        marked.write_text("\ufeffk = 5\nalpha = 0.3\n", encoding="utf-8")
+        assert load_config_file(marked) == load_config_file(plain) == {"k": "5", "alpha": "0.3"}
+
     def test_file_errors_name_the_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("oops\n", encoding="utf-8")
@@ -131,6 +143,10 @@ class TestKnownKeys:
     def test_rejects_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'kmax'"):
             check_known_keys({"kmax": "5"})
+
+    def test_rejects_unknown_time_machine_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'timemachine.velocity'"):
+            check_known_keys({"timemachine.move": "back", "timemachine.velocity": "3"})
 
     def test_rejects_bare_prefix(self):
         with pytest.raises(ConfigError, match="feature."):
@@ -175,3 +191,23 @@ class TestConfigFromMapping:
     def test_bad_values_report_key(self, mapping, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_mapping(mapping)
+
+
+class TestDocsListEveryKey:
+    """The key tables name exactly the keys the parser derives from the dataclass fields."""
+
+    run_keys = set(config_module._key_parsers(RunConfig)) | {"sigma.<aspect>"}
+
+    def test_readme_config_table(self):
+        section = README.read_text(encoding="utf-8").split("### Config keys")[1].split("\n#")[0]
+        assert set(re.findall(r"^\| `([^`]+)` \|", section, re.M)) == self.run_keys
+
+    def test_module_docstring_table(self):
+        table = config_module.__doc__.split("Recognized keys::\n\n")[1].split("\n\n")[0]
+        assert {line.split()[0] for line in table.splitlines()} == self.run_keys
+
+    def test_readme_time_machine_paragraph(self):
+        text = README.read_text(encoding="utf-8")
+        paragraph = text[text.index("Time-machine experiments"):].split("\n\n")[0]
+        assert set(re.findall(r"`timemachine\.(\w+)`", paragraph)) == \
+            set(config_module._key_parsers(TimeMachineSpec))

@@ -67,6 +67,11 @@ class TestManifest:
         with pytest.raises(cn.IngestError, match="expected 2 columns"):
             cn.read_manifest(p)
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "id,year,style\na,1500,x\nb,1600,\n"
+        marked = cn.read_manifest(write(tmp_path / "bom.csv", "\ufeff" + text))
+        assert marked == cn.read_manifest(write(tmp_path / "m.csv", text))
+
     def test_negative_year_accepted(self, tmp_path):
         arts = cn.read_manifest(write(tmp_path / "m.csv", "id,year\na,-350\n"))
         assert arts[0].year == -350
@@ -78,6 +83,11 @@ class TestFeatureFiles:
         v = cn.read_features(p, "visual")
         assert v.shape == (2, 2) and v.dtype == np.float64
         assert v[1, 1] == -0.25
+
+    def test_csv_byte_order_mark_ignored(self, tmp_path):
+        text = "1.0,2.0\n3.5,-0.25\n"
+        marked = cn.read_features(write(tmp_path / "bom.csv", "\ufeff" + text), "visual")
+        assert np.array_equal(marked, cn.read_features(write(tmp_path / "f.csv", text), "visual"))
 
     def test_csv_non_numeric_names_row(self, tmp_path):
         p = write(tmp_path / "f.csv", "1.0,2.0\n1.0,oops\n")

@@ -36,6 +36,11 @@ class TestSpec:
         ({"group": "ids=a", "move": "back", "seed": -1}, "timemachine.seed"),
         ({"group": "ids=a", "move": "back", "seed": 2 ** 64}, "timemachine.seed"),
         ({"group": "ids=a", "move": "back", "seed": 1.5}, "timemachine.seed"),
+        ({"group": "ids=a", "move": "back", "n_test": 2.5}, "timemachine.n_test"),
+        ({"group": "ids=a", "move": "back", "n_runs": "3"}, "timemachine.n_runs"),
+        ({"group": "ids=a", "move": "back", "move_mean": 1600.5}, "timemachine.move_mean"),
+        ({"group": "ids=a", "move": "back", "min_year": 1500.0}, "timemachine.min_year"),
+        ({"group": "ids=a", "move": "back", "max_year": "1900"}, "timemachine.max_year"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(cn.ConfigError, match=fragment):
