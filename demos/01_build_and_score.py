@@ -45,8 +45,8 @@ result = cn.run_pipeline(corpus, "visual", config)
 net = result.network
 print(f"kernel bandwidth (median heuristic): {result.sigma:.3f}")
 print(f"similarity graph: {result.graph.n_edges} edges over {n} artifacts")
-print(f"implication network: {net.kept_count} kept, {net.reversed_count} reversed, "
-      f"{net.dropped_count} dropped")
+print(f"implication network: {net.kept.n_edges} kept (subsequent), "
+      f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped")
 print(f"power iteration: {result.score.iterations} iterations, "
       f"residual {result.score.residual:.2e}")
 

@@ -172,6 +172,7 @@ def _cmd_dump_graph(args: argparse.Namespace) -> int:
         sigma = resolve_sigma(corpus, aspect, config)
         graph, _, network = build_network(corpus, aspect, config, sigma)
         write_graph_csv(graph, corpus.ids, out / _aspect_filename("graph", aspect, i == 0, "csv"))
+        del graph  # the network's stores are copies: free the graph before they are merged
         write_cin_csv(network, corpus.ids, out / _aspect_filename("cin", aspect, i == 0, "csv"))
     return EXIT_OK
 

@@ -84,6 +84,7 @@ class RunConfig:
             if not ok:
                 raise ConfigError(msg)
 
+        _check_types(self)
         try:
             self.graph_params(1.0)  # any valid bandwidth; the sigma keys are checked below
         except ValueError as exc:
@@ -107,8 +108,7 @@ class RunConfig:
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
         check(self.solver in SOLVERS, f"solver must be one of {SOLVERS}, got {self.solver!r}")
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
-        check(isinstance(self.max_iters, int) and self.max_iters >= 1,
-              f"max_iters must be a positive integer, got {self.max_iters!r}")
+        check(self.max_iters >= 1, f"max_iters must be a positive integer, got {self.max_iters!r}")
         _check_seed("seed", self.seed)
 
     def graph_params(self, sigma: float) -> GraphParams:
@@ -157,6 +157,7 @@ class TimeMachineSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_types(self, "timemachine.")
         if self.move not in MOVES:
             raise ConfigError(f"move must be one of {MOVES}, got {self.move!r}")
         if not self.group.startswith(("style=", "ids=")):
@@ -164,12 +165,8 @@ class TimeMachineSpec:
         if not self.move_std > 0.0:
             raise ConfigError(f"move_std must be positive, got {self.move_std!r}")
         for name, value in (("n_test", self.n_test), ("n_runs", self.n_runs)):
-            if not (isinstance(value, int) and value >= 1):
+            if value < 1:
                 raise ConfigError(f"timemachine.{name} must be a positive integer, got {value!r}")
-        for name, value in (("move_mean", self.move_mean), ("min_year", self.min_year),
-                            ("max_year", self.max_year)):
-            if not (value is None or isinstance(value, int)):
-                raise ConfigError(f"timemachine.{name} must be an integer, got {value!r}")
         if self.min_year is not None and self.max_year is not None:
             self.year_range(self.min_year, self.max_year)  # checks the set bounds' order
         if self.seed is not None:
@@ -209,15 +206,24 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
 
 
-# A key's parser, by the annotation of the field that holds it. Each takes (key, raw).
-_PARSERS = {"int": _parse_int, "int | None": _parse_int, "float": _parse_float,
-            "str": lambda key, raw: raw,
-            "float | str": lambda key, raw: raw if raw == "auto" else _parse_float(key, raw)}
+# By field annotation: the key's parser, taking (key, raw), and its value's types.
+_KINDS = {"int": (_parse_int, int), "int | None": (_parse_int, (int, type(None))),
+          "float": (_parse_float, (int, float)), "str": (lambda key, raw: raw, str),
+          "float | str": (lambda key, raw: raw if raw == "auto" else _parse_float(key, raw),
+                          (int, float, str))}
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    """Reject a field whose value is a bool or not of its annotated type, naming its key."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in _KINDS and (isinstance(value, bool) or not isinstance(value, _KINDS[f.type][1])):
+            raise ConfigError(f"{prefix}{f.name} must be of type {f.type}, got {value!r}")
 
 
 def _key_parsers(cls) -> dict:
     """Each config key of dataclass `cls` with its parser; `sigma.<aspect>` sets `sigma_overrides`."""
-    return {f.name: _PARSERS[f.type] for f in dataclasses.fields(cls) if f.name != "sigma_overrides"}
+    return {f.name: _KINDS[f.type][0] for f in dataclasses.fields(cls) if f.name != "sigma_overrides"}
 
 
 def _parse_fields(cls, mapping: dict[str, str], prefix: str = "") -> dict:

@@ -49,45 +49,6 @@ class GraphParams:
             raise ValueError(f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
 
 
-def _freeze_edges(edges, **per_edge: type) -> None:
-    """Coerce, check and freeze the edge store `PaintingGraph` and `ImplicationNetwork` share.
-
-    Destination j's edges sit at [indptr[j], indptr[j + 1]) with their sources
-    strictly increasing, which is canonical (dst, src) order. `per_edge` names
-    the further per-edge fields of `edges` and their dtypes.
-    """
-    n = edges.n
-    if not 1 <= n < 2 ** 31:
-        raise ValueError(f"n must be in [1, 2**31), got {n!r}")
-    indptr = np.ascontiguousarray(edges.indptr, dtype=np.int64)
-    src = np.asarray(edges.src)
-    if indptr.shape != (n + 1,) or src.ndim != 1:
-        raise ValueError("indptr must have n + 1 entries and src must be 1-D")
-    if indptr[0] != 0 or indptr[-1] != src.size or np.any(indptr[1:] < indptr[:-1]):
-        raise ValueError("indptr must rise from 0 to the edge count")
-    if src.size and (src.min() < 0 or src.max() >= n):
-        raise ValueError("edge endpoints out of range")
-    fields = {"indptr": indptr, "src": np.ascontiguousarray(src, dtype=np.int32)}
-    for name, dtype in {"weight": np.float64, **per_edge}.items():
-        fields[name] = np.ascontiguousarray(getattr(edges, name), dtype=dtype)
-        if fields[name].shape != src.shape:
-            raise ValueError(f"{name} must be 1-D and as long as src")
-    for name, arr in fields.items():
-        arr.setflags(write=False)
-        object.__setattr__(edges, name, arr)
-    if src.size:
-        src, weight = fields["src"], fields["weight"]
-        if np.any(src == np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))):
-            raise ValueError("self edges are not allowed")
-        if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
-            raise ValueError("edge weights must be positive and finite")
-        falling = src[1:] <= src[:-1]
-        starts = indptr[1:-1]
-        falling[starts[(starts > 0) & (starts < src.size)] - 1] = False  # a new column may restart
-        if np.any(falling):
-            raise ValueError("edges must be strictly sorted by (dst, src)")
-
-
 @dataclass(frozen=True)
 class PaintingGraph:
     """Edges (src -> dst, weight) stored by destination: dst j owns [indptr[j], indptr[j + 1]).
@@ -103,7 +64,34 @@ class PaintingGraph:
     weight: np.ndarray
 
     def __post_init__(self):
-        _freeze_edges(self)
+        n = self.n
+        if not 1 <= n < 2 ** 31:
+            raise ValueError(f"n must be in [1, 2**31), got {n!r}")
+        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
+        src = np.asarray(self.src)
+        if indptr.shape != (n + 1,) or src.ndim != 1:
+            raise ValueError("indptr must have n + 1 entries and src must be 1-D")
+        if indptr[0] != 0 or indptr[-1] != src.size or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("indptr must rise from 0 to the edge count")
+        if src.size and (src.min() < 0 or src.max() >= n):
+            raise ValueError("edge endpoints out of range")
+        src = np.ascontiguousarray(src, dtype=np.int32)
+        weight = np.ascontiguousarray(self.weight, dtype=np.float64)
+        if weight.shape != src.shape:
+            raise ValueError("weight must be 1-D and as long as src")
+        for name, arr in (("indptr", indptr), ("src", src), ("weight", weight)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if src.size:
+            if np.any(src == np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))):
+                raise ValueError("self edges are not allowed")
+            if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
+                raise ValueError("edge weights must be positive and finite")
+            falling = src[1:] <= src[:-1]
+            starts = indptr[1:-1]
+            falling[starts[(starts > 0) & (starts < src.size)] - 1] = False  # a new column may restart
+            if np.any(falling):
+                raise ValueError("edges must be strictly sorted by (dst, src)")
 
     @property
     def n_edges(self) -> int:
@@ -497,30 +485,30 @@ def _csv_fields(values: Sequence[str]) -> np.ndarray:
     return fields
 
 
-def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str], edges,
-                     label: tuple[Sequence[str], np.ndarray] | None = None) -> None:
-    """Rows `src_id,dst_id,weight[,label]` of a graph or network, one `csv.writer` row per edge.
+def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str], indptr, src,
+                     weight, labels: tuple[str, str] | None = None) -> None:
+    """Rows `src_id,dst_id,weight[,label]` of an edge store, one `csv.writer` row per edge.
 
     Ids are formatted once, weights with `repr`, and rows a chunk at a time,
-    each chunk's destinations read off `indptr`. `label` pairs label names
-    with each edge's index into them.
+    each chunk's destinations read off `indptr`. With `labels`, a weight's
+    sign picks its label (labels[1] when negative) and its magnitude is written.
     """
     id_fields = _csv_fields(ids)
-    if label is not None:
-        names = np.asarray(label[0], dtype=object)
+    names = np.asarray(labels or (), dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, edges.n_edges, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, edges.n_edges)
-            dst = np.searchsorted(edges.indptr, np.arange(lo, hi), side="right") - 1
-            columns = [id_fields[edges.src[lo:hi]].tolist(), id_fields[dst].tolist(),
-                       map(repr, edges.weight[lo:hi].tolist())]
-            if label is not None:
-                columns.append(names[label[1][lo:hi].astype(np.intp)].tolist())
+        for lo in range(0, src.size, _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, src.size)
+            dst = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+            w = weight[lo:hi]
+            columns = [id_fields[src[lo:hi]].tolist(), id_fields[dst].tolist(),
+                       map(repr, np.abs(w).tolist())]
+            if labels is not None:
+                columns.append(names[(w < 0.0).astype(np.intp)].tolist())
             fh.write("\r\n".join(map(",".join, zip(*columns))))
             fh.write("\r\n")
 
 
 def write_graph_csv(graph: PaintingGraph, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight` in canonical (dst, src) order."""
-    _write_edge_rows(path, ("src_id", "dst_id", "weight"), ids, graph)
+    _write_edge_rows(path, ("src_id", "dst_id", "weight"), ids, graph.indptr, graph.src, graph.weight)

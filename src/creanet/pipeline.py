@@ -1,8 +1,9 @@
 """End-to-end scoring pipeline and its file outputs.
 
 One aspect flows: features -> similarity graph -> implication network ->
-stochastic operator -> score vector. Aspects never mix; the multi-aspect
-driver just runs the pipeline once per aspect.
+stochastic operator -> score vector; the operator scales the network's
+K + R^T term by term, from the graph's own kept and reversed edges. Aspects
+never mix; the multi-aspect driver just runs the pipeline once per aspect.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import PaintingGraph, build_graph
 from .implication import (ImplicationNetwork, build_implication_network, compute_thresholds,
-                          empty_network, nearest_rank_percentile)
+                          nearest_rank_percentile)
 from .scoring import ScoreVector, normalize, solve_closed_form, solve_power
 
 
@@ -59,7 +60,7 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
     if graph is None:
         graph = build_graph(corpus, aspect, config.graph_params(sigma))
     if graph.n_edges == 0:
-        return graph, None, empty_network(corpus.n)
+        return graph, None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
     thresholds = compute_thresholds(graph, corpus.years, config.balance_spec())
     network = build_implication_network(graph, thresholds, corpus.years,
                                         anchor=config.balance_anchor)
@@ -84,7 +85,8 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
         score = solve_closed_form(op, config.alpha)
     else:
         score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
-    dangling_count = int(np.count_nonzero(np.diff(network.indptr) == 0))
+    in_degree = np.diff(network.kept.indptr) + np.bincount(network.reversed.src, minlength=corpus.n)
+    dangling_count = int(np.count_nonzero(in_degree == 0))
 
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
                           network=network, dangling_count=dangling_count, score=score)

@@ -1,12 +1,13 @@
 """Column-stochastic normalization and the creativity score solvers.
 
 Scores satisfy C = (1-alpha)/n + alpha * M C where M's column j spreads node
-j's score over the sources of its incoming implication edges. Split scoring
-weighs prior-labeled edges by beta and subsequent-labeled ones by 1 - beta.
-Whatever weight a column's edges do not carry is its dangling weight, spread
-uniformly over all n nodes (the rank-one dangling-node term of Langville &
-Meyer, "Deeper Inside PageRank", 2004), so M is exactly column-stochastic and
-every iterate stays on the probability simplex.
+j's score over the sources of its incoming implication edges: M scales the
+network's K + R^T term by term. Split scoring weighs prior-labeled edges (R)
+by beta and subsequent-labeled ones (K) by 1 - beta. Whatever weight a
+column's edges do not carry is its dangling weight, spread uniformly over all
+n nodes (the rank-one dangling-node term of Langville & Meyer, "Deeper Inside
+PageRank", 2004), so M is exactly column-stochastic and every iterate stays on
+the probability simplex.
 """
 
 from __future__ import annotations
@@ -30,18 +31,16 @@ SIMPLEX_SUM_TOL = 1e-9
 class StochasticOperator:
     """Column-stochastic operator: entry (i, j) moves score from j to i.
 
-    `matrix` holds the edge-backed entries; `dangling[j]` in [0, 1] is the
-    share of column j spread as 1/n over every node when the operator is
-    applied. Each column's entries plus its dangling weight sum to 1.
+    The sparse `terms` add up to the edge-backed entries; `dangling[j]` in
+    [0, 1] is the share of column j spread as 1/n over every node when the
+    operator is applied. Each column's entries plus its dangling weight sum to 1.
     """
 
     n: int
-    matrix: sparse.spmatrix
+    terms: tuple[sparse.spmatrix, ...]
     dangling: np.ndarray
 
     def __post_init__(self):
-        if self.matrix.shape != (self.n, self.n):
-            raise ValueError(f"matrix must be {self.n}x{self.n}, got {self.matrix.shape}")
         dangling = np.ascontiguousarray(self.dangling, dtype=np.float64)
         if dangling.shape != (self.n,):
             raise ValueError(f"dangling must have shape ({self.n},)")
@@ -49,16 +48,22 @@ class StochasticOperator:
             raise ValueError("dangling weights must lie in [0, 1]")
         dangling.setflags(write=False)
         object.__setattr__(self, "dangling", dangling)
-        data = self.matrix.data
-        if data.size and not (np.all(np.isfinite(data)) and data.min() >= 0.0 and data.max() <= 1.0):
-            raise ValueError("operator entries must lie in [0, 1]")
-        col_sums = np.asarray(self.matrix.sum(axis=0)).ravel() + dangling
+        col_sums = dangling.copy()
+        for term in self.terms:
+            if term.shape != (self.n, self.n):
+                raise ValueError(f"matrix must be {self.n}x{self.n}, got {term.shape}")
+            data = term.data
+            if data.size and not (np.all(np.isfinite(data)) and data.min() >= 0.0 and data.max() <= 1.0):
+                raise ValueError("operator entries must lie in [0, 1]")
+            col_sums += term.T @ np.ones(self.n)  # a transpose is a view: no copy
         if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
             raise ValueError("every column's entries plus its dangling weight must sum to 1")
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """M @ c with each column's dangling weight spread uniformly."""
-        out = self.matrix @ c
+        out = np.zeros(self.n)
+        for term in self.terms:
+            out += term @ c
         support = np.flatnonzero(self.dangling)
         lost = float((self.dangling[support] * c[support]).sum())
         if lost:
@@ -67,7 +72,9 @@ class StochasticOperator:
 
     def dense(self) -> np.ndarray:
         """Full matrix with the dangling weights filled in; for small-n solves only."""
-        m = self.matrix.toarray()
+        m = np.zeros((self.n, self.n))
+        for term in self.terms:
+            m += term.toarray()
         m += self.dangling / self.n
         return m
 
@@ -99,40 +106,40 @@ class ScoreVector:
 def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticOperator:
     """The scoring operator of a CIN: combined when `beta` is None, else the beta split.
 
-    Combined scoring divides each edge by its column's incoming weight. Split
-    scoring gives beta * M_prior + (1 - beta) * M_subseq, each label's edges
-    divided by that label's column sum. At beta = 1 or 0 the edges of the label
-    with zero weight are left out rather than stored as zeros, so each limit
-    scores bit for bit like an operator built from one label's edges alone.
-    Otherwise the matrix takes the CIN's `indptr` and shares its `src`.
+    Its terms are the network's K and R^T, scaled, on the stores' `indptr`
+    and `src` (R^T is a transposed view of R, not a copy). Combined scoring
+    divides each edge by its column's total, K's column sum plus R's source
+    sum. Split scoring gives beta * M_prior + (1 - beta) * M_subseq: K divided
+    by its own column sums, R by its own source sums. At beta = 1 or 0 the
+    store with zero weight is left out, so each limit scores bit for bit like
+    an operator built from that one store.
     """
-    n = cin.n
-    weight = cin.weight
-    in_degree = np.diff(cin.indptr)
-    # Column sums come from a sparse product with the CIN's rows as
-    # destinations, which adds each destination's edges in edge order.
+    kept, rev = cin.kept, cin.reversed
+    n = kept.n
+    # Sparse products add each node's edges in edge order: K's column sums read
+    # its columns as rows, R's source sums read R as it is stored.
+    subsequent = sparse.csr_matrix((kept.weight, kept.src, kept.indptr), shape=(n, n)) @ np.ones(n)
+    prior = sparse.csc_matrix((rev.weight, rev.src, rev.indptr), shape=(n, n)) @ np.ones(n)
     if beta is None:
-        sums = sparse.csr_matrix((weight, cin.src, cin.indptr), shape=(n, n)) @ np.ones(n)
-        values = np.repeat(sums, in_degree)
-        np.divide(weight, values, out=values)
-        dangling = (sums == 0.0).astype(np.float64)
+        total = subsequent + prior
+        scaled = ((kept, total, 1.0, False), (rev, total, 1.0, True))
+        dangling = (total == 0.0).astype(np.float64)
     else:
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {beta!r}")
-        label = cin.prior.astype(np.int32)  # column of `sums`: 0 subsequent, 1 prior
-        scale = np.array([1.0 - beta, beta])
-        # the other label's edges each add an exact +0.0
-        sums = sparse.csr_matrix((weight, label, cin.indptr), shape=(n, 2)) @ np.eye(2)
-        dangling = scale[1] * (sums[:, 1] == 0.0) + scale[0] * (sums[:, 0] == 0.0)
-        values = np.where(cin.prior, np.repeat(sums[:, 1], in_degree),
-                          np.repeat(sums[:, 0], in_degree))
-        np.divide(weight, values, out=values)
-        values *= scale[label]
-    limit = beta in (0.0, 1.0)
-    matrix = sparse.csc_matrix((values, cin.src, cin.indptr), shape=(n, n), copy=limit)
-    if limit:
-        matrix.eliminate_zeros()  # the other label's edges, each scaled by 0
-    return StochasticOperator(n=n, matrix=matrix, dangling=dangling)
+        scaled = ((kept, subsequent, 1.0 - beta, False), (rev, prior, beta, True))
+        dangling = beta * (prior == 0.0) + (1.0 - beta) * (subsequent == 0.0)
+    terms = []
+    for store, sums, scale, transpose in scaled:
+        if scale == 0.0:
+            continue
+        values = sums[store.src] if transpose else np.repeat(sums, np.diff(store.indptr))
+        np.divide(store.weight, values, out=values)
+        if scale != 1.0:
+            values *= scale
+        matrix = sparse.csc_matrix((values, store.src, store.indptr), shape=(n, n))
+        terms.append(matrix.T if transpose else matrix)
+    return StochasticOperator(n=n, terms=tuple(terms), dangling=dangling)
 
 
 def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,

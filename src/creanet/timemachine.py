@@ -10,9 +10,9 @@ anticipated should gain.
 The baseline's similarity graph is built once. Each run updates it to the
 perturbed corpus with `update_graph`, which rebuilds only the moved rows and
 the rows that lost a source, merges entering artifacts into the others, and
-equals a full rebuild bit for bit. Balancing, the implication network,
-normalization and the solve then run in full, as balancing's thresholds
-depend on every edge.
+equals a full rebuild bit for bit. Balancing into the kept and reversed
+stores K and R, normalization of K + R^T and the solve then run in full, as
+balancing's thresholds depend on every edge.
 
 The experiment's settings, `TimeMachineSpec` and its ``timemachine.*`` keys,
 live in :mod:`creanet.config` beside the scoring keys; this module resolves

@@ -65,7 +65,7 @@ def write_features_binary(path, vectors) -> None:
 
 
 def from_edges(cls, n, src, dst, weight, **fields):
-    """A `PaintingGraph` or `ImplicationNetwork` holding (src, dst, weight) triples in (dst, src) order."""
+    """An edge store such as `PaintingGraph` holding (src, dst, weight) triples in (dst, src) order."""
     dst = np.asarray(dst, dtype=np.int64)
     assert np.all(np.diff(dst) >= 0), "triples must come grouped by destination"
     indptr = np.searchsorted(dst, np.arange(n + 1))
@@ -73,8 +73,26 @@ def from_edges(cls, n, src, dst, weight, **fields):
 
 
 def edge_dst(edges) -> np.ndarray:
-    """The destination of every edge of a `PaintingGraph` or `ImplicationNetwork`."""
+    """The destination of every edge of an edge store such as `PaintingGraph`."""
     return np.repeat(np.arange(edges.n), np.diff(edges.indptr))
+
+
+def make_network(n, kept=((), (), ()), reversed_=((), (), ()), dropped=0) -> cn.ImplicationNetwork:
+    """A network from the (src, dst, weight) triples of its kept and its reversed graph edges."""
+    return cn.ImplicationNetwork(kept=from_edges(cn.PaintingGraph, n, *kept),
+                                 reversed=from_edges(cn.PaintingGraph, n, *reversed_),
+                                 dropped_count=dropped)
+
+
+def cin_edges(net: cn.ImplicationNetwork):
+    """(src, dst, weight, prior) of every network edge in (dst, src) order: K as stored, R flipped."""
+    kept, rev = net.kept, net.reversed
+    src = np.concatenate((kept.src, edge_dst(rev)))
+    dst = np.concatenate((edge_dst(kept), rev.src))
+    weight = np.concatenate((kept.weight, rev.weight))
+    prior = np.concatenate((np.zeros(kept.n_edges, dtype=bool), np.ones(rev.n_edges, dtype=bool)))
+    order = np.lexsort((src, dst))
+    return src[order], dst[order], weight[order], prior[order]
 
 
 def balance(graph: cn.PaintingGraph, years, spec: cn.BalanceSpec | None = None,

@@ -18,7 +18,7 @@ import pytest
 
 import creanet as cn
 
-from conftest import (PIONEER, balance, edge_dst, from_edges, pioneer_corpus, random_corpus,
+from conftest import (PIONEER, balance, edge_dst, make_network, pioneer_corpus, random_corpus,
                       record_criterion, write_corpus_files)
 from test_oracles import reference_normalize
 
@@ -129,10 +129,13 @@ def test_criterion_3_cin_conservation():
                 assert total == graph.n_edges, (
                     f"kept+reversed+dropped = {total} != {graph.n_edges} original edges")
                 assert net.n_edges == net.kept_count + net.reversed_count
-                if net.n_edges:
-                    assert float(net.weight.min()) > 0.0, "non-positive CIN weight"
-                labels_ok = net.prior == (corpus.years[edge_dst(net)] < corpus.years[net.src])
-                assert bool(np.all(labels_ok)), "prior/subsequent label disagrees with years"
+                # the operator reads K as subsequent edges src -> dst and R as prior
+                # edges dst -> src: both stores must run earlier -> later
+                for store in (net.kept, net.reversed):
+                    if store.n_edges:
+                        assert float(store.weight.min()) > 0.0, "non-positive CIN weight"
+                    labels_ok = corpus.years[store.src] < corpus.years[edge_dst(store)]
+                    assert bool(np.all(labels_ok)), "prior/subsequent label disagrees with years"
                 edges += net.n_edges
                 networks += 1
     return (f"kept+reversed+dropped == original, weights > 0, and year-consistent "
@@ -160,8 +163,7 @@ def test_criterion_5_two_node_fixture():
     assert abs(derived[0] - 0.6491) < 1e-3 and abs(derived[1] - 0.3509) < 1e-3, \
         "re-derived dense solution does not match the quoted fixture values"
 
-    net = from_edges(cn.ImplicationNetwork, 2, [0], [1], [0.3],
-                     prior=[False], kept_count=1, reversed_count=0, dropped_count=0)
+    net = make_network(2, kept=([0], [1], [0.3]))
     op = cn.normalize(net)
     power = cn.solve_power(op, 0.85, tol=1e-14).scores
     closed = cn.solve_closed_form(op, 0.85).scores

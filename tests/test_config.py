@@ -43,6 +43,9 @@ class TestRunConfigValidation:
         ({"seed": 2 ** 64}, "seed"),
         ({"sigma": float("inf")}, "sigma"),
         ({"sigma_overrides": {"visual": float("inf")}}, "sigma.visual"),
+        ({"alpha": "0.5"}, "alpha"),
+        ({"tol": "x"}, "tol"),
+        ({"k": True}, "k"),
     ])
     def test_rejects_out_of_range(self, kwargs, fragment):
         with pytest.raises(ConfigError, match=fragment):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import creanet as cn
 
-from conftest import balance, edge_dst, from_edges, make_corpus, random_corpus
+from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, make_network,
+                      random_corpus)
 
 
 def build(seed=20, n=100, k=8, **spec_kwargs):
@@ -107,18 +108,20 @@ class TestBuildImplicationNetwork:
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.8])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
                                            np.array([1500, 1600]))
-        assert (net.src[0], edge_dst(net)[0]) == (0, 1)
-        assert net.weight[0] == pytest.approx(0.3, abs=1e-15)
-        assert not net.prior[0]  # points forward in time: subsequent
+        src, dst, weight, prior = cin_edges(net)
+        assert (src[0], dst[0]) == (0, 1)
+        assert weight[0] == pytest.approx(0.3, abs=1e-15)
+        assert not prior[0]  # points forward in time: subsequent
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (1, 0, 0)
 
     def test_reversed_edge(self):
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.2])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
                                            np.array([1500, 1600]))
-        assert (net.src[0], edge_dst(net)[0]) == (1, 0)
-        assert net.weight[0] == pytest.approx(0.3, abs=1e-15)
-        assert net.prior[0]  # points back in time: prior
+        src, dst, weight, prior = cin_edges(net)
+        assert (src[0], dst[0]) == (1, 0)
+        assert weight[0] == pytest.approx(0.3, abs=1e-15)
+        assert prior[0]  # points back in time: prior
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (0, 1, 0)
 
     def test_exact_zero_balance_drops(self):
@@ -137,6 +140,14 @@ class TestBuildImplicationNetwork:
         by_src = cn.build_implication_network(graph, m, years, anchor="source")
         assert by_src.reversed_count == 1  # judged by m[0] = 0.6
 
+    @pytest.mark.parametrize("years", [[1500, 1600, 1600], [1500, 1700, 1600]],
+                             ids=["same_year", "backward"])
+    def test_rejects_edge_not_forward_in_time(self, years):
+        # the edge 1 -> 2 joins two artifacts of one year, or runs back in time
+        graph = from_edges(cn.PaintingGraph, 3, [0, 0, 1], [1, 2, 2], [0.8, 0.6, 0.4])
+        with pytest.raises(ValueError, match=f"edge 1 -> 2 runs from year {years[1]} to year 1600"):
+            cn.build_implication_network(graph, np.full(3, 0.5), np.array(years))
+
     def test_conservation_and_labels_random_graphs(self):
         for seed in (21, 22, 23):
             corpus, graph, net = build(seed=seed, percentile_p=50.0)
@@ -153,10 +164,10 @@ class TestBuildImplicationNetwork:
                     dropped += 1
             assert (net.kept_count, net.reversed_count, net.dropped_count) == (kept, reversed_, dropped)
             assert net.kept_count + net.reversed_count + net.dropped_count == graph.n_edges
-            assert net.n_edges == 0 or net.weight.min() > 0.0
+            src, dst, weight, prior = cin_edges(net)
+            assert net.n_edges == 0 or weight.min() > 0.0
             # labels agree with node years on every edge
-            np.testing.assert_array_equal(
-                net.prior, corpus.years[edge_dst(net)] < corpus.years[net.src])
+            np.testing.assert_array_equal(prior, corpus.years[dst] < corpus.years[src])
 
     def test_median_reversal_fraction_near_half(self):
         _, graph, net = build(seed=24, n=120, percentile_p=50.0)
@@ -165,36 +176,34 @@ class TestBuildImplicationNetwork:
 
     def test_prior_subsequent_partition(self):
         _, _, net = build(seed=25)
-        dst = edge_dst(net)
-        prior_set = set(zip(net.src[net.prior].tolist(), dst[net.prior].tolist()))
-        subseq_set = set(zip(net.src[~net.prior].tolist(), dst[~net.prior].tolist()))
+        src, dst, _, prior = cin_edges(net)
+        prior_set = set(zip(src[prior].tolist(), dst[prior].tolist()))
+        subseq_set = set(zip(src[~prior].tolist(), dst[~prior].tolist()))
         assert prior_set.isdisjoint(subseq_set)
         assert len(prior_set) + len(subseq_set) == net.n_edges
 
     def test_no_edge_without_preimage(self):
         corpus, graph, net = build(seed=26)
         original = set(zip(graph.src.tolist(), edge_dst(graph).tolist()))
-        for s, d in zip(net.src.tolist(), edge_dst(net).tolist()):
+        src, dst, _, _ = cin_edges(net)
+        for s, d in zip(src.tolist(), dst.tolist()):
             assert (s, d) in original or (d, s) in original
 
 
 def test_semantics_increasing_edge_weight_never_hurts_source():
-    # 3-node fixture: strengthen CIN edge (0 -> 1) and watch C(0) - C(1)
-    years = np.array([1500, 1600, 1700])
+    # 3-node fixture (years 1500, 1600, 1700): strengthen CIN edge (0 -> 1) and
+    # watch C(0) - C(1); the graph edge 1 -> 2 is reversed into CIN edge 2 -> 1
     gaps = []
     for w in (0.1, 0.3, 0.6, 1.0, 2.0):
-        net = from_edges(cn.ImplicationNetwork, 3, [0, 2], [1, 1], [w, 0.4],
-                         prior=[False, True], kept_count=2, reversed_count=0, dropped_count=0)
+        net = make_network(3, kept=([0], [1], [w]), reversed_=([1], [2], [0.4]))
         scores = cn.solve_closed_form(cn.normalize(net), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 
 
 class TestImplicationNetworkValidation:
-    def make(self, n=2, src=(0,), dst=(1,), kept=1, reversed_=0, dropped=0):
-        return from_edges(cn.ImplicationNetwork, n, list(src), list(dst), [0.5] * len(src),
-                          prior=[False] * len(src), kept_count=kept,
-                          reversed_count=reversed_, dropped_count=dropped)
+    def make(self, n=2, src=(0,), dst=(1,), dropped=0):
+        return make_network(n, kept=(list(src), list(dst), [0.5] * len(src)), dropped=dropped)
 
     def test_accepts_valid_edge(self):
         assert self.make().n_edges == 1
@@ -211,21 +220,20 @@ class TestImplicationNetworkValidation:
 
     def test_rejects_empty_network_of_no_nodes(self):
         with pytest.raises(ValueError, match="n must be"):
-            self.make(n=0, src=(), dst=(), kept=0)
+            self.make(n=0, src=(), dst=())
 
     def test_rejects_too_many_nodes_for_int32_sources(self):
         with pytest.raises(ValueError, match="n must be"):
-            cn.ImplicationNetwork(n=2 ** 31, indptr=np.zeros(1, dtype=np.int64), src=[], weight=[],
-                                  prior=[], kept_count=0, reversed_count=0, dropped_count=0)
+            cn.PaintingGraph(n=2 ** 31, indptr=np.zeros(1, dtype=np.int64), src=[], weight=[])
 
-    @pytest.mark.parametrize("counts", [(-1, 2, 0), (2, -1, 0), (1, 0, -1)])
-    def test_rejects_negative_counts(self, counts):
+    def test_rejects_negative_dropped_count(self):
         with pytest.raises(ValueError, match="non-negative"):
-            self.make(kept=counts[0], reversed_=counts[1], dropped=counts[2])
+            self.make(dropped=-1)
 
-    def test_rejects_counts_not_matching_edges(self):
-        with pytest.raises(ValueError, match="kept \\+ reversed"):
-            self.make(kept=2)
+    def test_rejects_stores_over_different_nodes(self):
+        with pytest.raises(ValueError, match="same nodes"):
+            cn.ImplicationNetwork(kept=self.make(n=2).kept, reversed=self.make(n=3).kept,
+                                  dropped_count=0)
 
 
 class TestBalanceSpecValidation:
@@ -247,8 +255,7 @@ class TestBalanceSpecValidation:
 
 
 def test_write_cin_csv(tmp_path):
-    net = from_edges(cn.ImplicationNetwork, 2, [1], [0], [0.25],
-                     prior=[True], kept_count=0, reversed_count=1, dropped_count=0)
+    net = make_network(2, reversed_=([0], [1], [0.25]))  # CIN edge b -> a
     out = tmp_path / "cin.csv"
     cn.write_cin_csv(net, ("a", "b"), out)
     lines = out.read_text().splitlines()

@@ -2,27 +2,30 @@
 
 The library ranks each slab of destinations with one matrix product and one
 partial selection and weighs only the pairs it keeps, writes the picks
-straight into destination order, assembles the implication network as
-keep(G) + flip(G)^T with scipy's transpose and canonical sparse addition,
-reads percentiles with a partition, finds local thresholds in one sweep over
-weight ranks, cuts window candidates as two position ranges per year group,
-writes edge dumps a chunk at a time, takes operator column sums from a sparse
-product, scores the beta split with one operator whose dangling columns
-carry fractional weights, and updates the time machine's baseline graph per
-run instead of rebuilding it. The implementations they replaced live here, and
-every test asserts that both give the same bits; the split at fractional
-beta, which sums in another order, agrees to the last few bits. The graph
-oracle weighs every candidate pair on its own with the scalar kernel of
-`conftest`. The corpora force every path: weight ties straddling the k-th
-cut, near-ties from duplicate and grid features, underflowed weights,
-candidate sets no larger than k, the window prior, single-year groups, slabs
-that span year groups with different candidate counts, slabs that mix
-certified and exactly cut rows, both anchors, global and local balancing,
-local samples below the fallback floor, edges never in any window, and
-p = 100. The graph update is checked against `build_graph` on the re-dated
-corpus for back, forward and wander moves, ties at the cut, underflow,
-targets moved onto their own or the earliest year, one-artifact years,
-every artifact moved, rebuilt rows over several slabs, and the window prior.
+straight into destination order, keeps the implication network as the graph's
+own kept and reversed edges (K and R, the network being K + R^T) instead of
+merging them into one sorted store, reads percentiles with a partition, finds
+local thresholds in one sweep over weight ranks, cuts window candidates as two
+position ranges per year group, writes edge dumps a chunk at a time, takes
+operator column sums from a sparse product, scores the beta split with one
+operator whose dangling columns carry fractional weights, scores straight from
+K and R^T instead of the merged network, and updates the time machine's
+baseline graph per run instead of rebuilding it. The implementations they
+replaced live here, and every test asserts that both give the same bits,
+except where the sums run in another order: the split at fractional beta, and
+combined scoring from K and R^T, agree with the merged-network operator to the
+last few bits. The graph oracle weighs every candidate pair on its own with
+the scalar kernel of `conftest`. The corpora force every path: weight ties
+straddling the k-th cut, near-ties from duplicate and grid features,
+underflowed weights, candidate sets no larger than k, the window prior,
+single-year groups, slabs that span year groups with different candidate
+counts, slabs that mix certified and exactly cut rows, both anchors, global
+and local balancing, edges not forward in time, local samples below the
+fallback floor, edges never in any window, and p = 100. The graph update is
+checked against `build_graph` on the re-dated corpus for back, forward and
+wander moves, ties at the cut, underflow, targets moved onto their own or the
+earliest year, one-artifact years, every artifact moved, rebuilt rows over
+several slabs, and the window prior.
 """
 
 import csv
@@ -40,8 +43,8 @@ import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
 
-from conftest import (balance, edge_dst, from_edges, make_corpus, random_corpus, random_network,
-                      visual_similarity)
+from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, random_corpus,
+                      random_network, visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +164,33 @@ def reference_run_time_machine(corpus, config, spec, aspect=None):
         converged=converged)
 
 
+@dataclasses.dataclass(frozen=True)
+class ReferenceNetwork:
+    """The implication network merged into one store: every edge in (dst, src) order, labeled."""
+
+    n: int
+    indptr: np.ndarray
+    src: np.ndarray
+    weight: np.ndarray
+    prior: np.ndarray
+    kept_count: int
+    reversed_count: int
+    dropped_count: int
+
+    def __post_init__(self):
+        cn.PaintingGraph(n=self.n, indptr=self.indptr, src=self.src, weight=self.weight)
+
+
+def merged(net):
+    """The library's network as one merged store, by one lexsort of K and the flipped R."""
+    src, dst, weight, prior = cin_edges(net)
+    return from_edges(ReferenceNetwork, net.kept.n, src, dst, weight, prior=prior,
+                      kept_count=net.kept_count, reversed_count=net.reversed_count,
+                      dropped_count=net.dropped_count)
+
+
 def reference_build_implication_network(graph, m, years, anchor="destination"):
-    """Keep, drop or reverse every edge, then lexsort the survivors."""
+    """Keep, drop or reverse every edge, then lexsort the survivors; labels from the years."""
     m = np.asarray(m, dtype=np.float64)
     years = np.asarray(years, dtype=np.int64)
     graph_dst = edge_dst(graph)
@@ -175,7 +203,7 @@ def reference_build_implication_network(graph, m, years, anchor="destination"):
     prior = years[dst] < years[src]
     edge_order = np.lexsort((src, dst))
     return from_edges(
-        cn.ImplicationNetwork, graph.n, src[edge_order], dst[edge_order], weight[edge_order],
+        ReferenceNetwork, graph.n, src[edge_order], dst[edge_order], weight[edge_order],
         prior=prior[edge_order], kept_count=int(keep.sum()), reversed_count=int(flip.sum()),
         dropped_count=int(graph.n_edges - keep.sum() - flip.sum()))
 
@@ -246,18 +274,15 @@ class ReferenceOperator:
         return m
 
 
-def reference_normalize(cin, edge_filter="all"):
-    """One operator per edge set: all edges, the prior-labeled or the subsequent-labeled ones."""
-    if edge_filter == "all":
-        keep = slice(None)
-    elif edge_filter == "prior":
-        keep = cin.prior
-    else:
-        keep = ~cin.prior
-    src, dst, weight = cin.src[keep], edge_dst(cin)[keep], cin.weight[keep]
-    n = cin.n
-    col_sums = np.bincount(dst, weights=weight, minlength=n)
-    values = weight / col_sums[dst]
+def reference_normalize(net, label):
+    """One label's operator from that label's store alone: K's edges, or R's edges flipped."""
+    store = net.reversed if label == "prior" else net.kept
+    src, dst = store.src, edge_dst(store)
+    if label == "prior":
+        src, dst = dst, src
+    n = store.n
+    col_sums = np.bincount(dst, weights=store.weight, minlength=n)
+    values = store.weight / col_sums[dst]
     matrix = sparse.coo_matrix((values, (src, dst)), shape=(n, n)).tocsr()
     return ReferenceOperator(n, matrix, col_sums == 0.0)
 
@@ -280,6 +305,12 @@ def reference_operator(cin, beta=None):
     matrix = sparse.csc_matrix((values, cin.src, cin.indptr), shape=(n, n), copy=True)
     matrix.eliminate_zeros()
     return matrix, dangling
+
+
+def merged_network_operator(cin, beta=None):
+    """The scoring operator of a merged network: its one matrix as the only term."""
+    matrix, dangling = reference_operator(cin, beta)
+    return cn.StochasticOperator(n=cin.n, terms=(matrix,), dangling=dangling)
 
 
 def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters=1000):
@@ -322,7 +353,10 @@ def assert_same_graph(got, want):
 
 
 def assert_same_network(got, want):
-    assert_same_graph(got, want)
+    """The library's network, merged, against a `ReferenceNetwork`."""
+    got = merged(got)
+    assert_same_graph(cn.PaintingGraph(got.n, got.indptr, got.src, got.weight),
+                      cn.PaintingGraph(want.n, want.indptr, want.src, want.weight))
     assert np.array_equal(got.prior, want.prior)
     assert (got.kept_count, got.reversed_count, got.dropped_count) == \
         (want.kept_count, want.reversed_count, want.dropped_count)
@@ -713,14 +747,17 @@ class TestNetworkAgainstOracle:
         assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
 
     def test_runs_to_merge_are_each_canonical(self):
-        # scipy's sum of keep(G) and flip(G)^T is canonical only if both terms are
+        # `write_cin_csv` relies on scipy's sum of K and R^T being canonical,
+        # which holds only if both terms are
         corpus = random_corpus(seed=10, n=700, dim=4)
         graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
         m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
         for anchor in ("destination", "source"):
-            b = graph.weight - m[edge_dst(graph) if anchor == "destination" else graph.src]
-            keep = implication_module._edge_subset(graph, b, b > 0.0)
-            flip = implication_module._edge_subset(graph, -b, b < 0.0).T.tocsc()
+            net = cn.build_implication_network(graph, m, corpus.years, anchor)
+            kept, rev = net.kept, net.reversed
+            keep = sparse.csc_matrix((kept.weight, kept.src, kept.indptr), shape=(graph.n, graph.n))
+            flip = sparse.csr_matrix((rev.weight, rev.src, rev.indptr),
+                                     shape=(graph.n, graph.n)).tocsc()
             assert keep.nnz > 0 and flip.nnz > 0
             for run in (keep, flip):
                 column = np.repeat(np.arange(graph.n), np.diff(run.indptr))
@@ -738,13 +775,15 @@ class TestNetworkAgainstOracle:
 
     def test_opposed_pair_rejected_like_the_oracle(self):
         # a hand-made graph holding both 0 -> 1 and 1 -> 0: keeping one and reversing
-        # the other yields the same CIN edge twice
+        # the other yields the same CIN edge twice, which the oracle's store rejects;
+        # the library rejects the backward edge 1 -> 0 before balancing
         graph = from_edges(cn.PaintingGraph, 2, [1, 0], [0, 1], [0.9, 0.1])
         m = np.array([0.5, 0.5])
         years = np.array([1500, 1600])
-        for build in (cn.build_implication_network, reference_build_implication_network):
-            with pytest.raises(ValueError, match="strictly sorted"):
-                build(graph, m, years)
+        with pytest.raises(ValueError, match="edge 1 -> 0 runs from year 1600 to year 1500"):
+            cn.build_implication_network(graph, m, years)
+        with pytest.raises(ValueError, match="strictly sorted"):
+            reference_build_implication_network(graph, m, years)
 
 
 def hand_made_graph(seed, n, n_edges, n_years, levels=0):
@@ -880,10 +919,12 @@ class TestCsvWritersAgainstOracle:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_cin_csv_bytes(self, tmp_path, csv_chunk):
-        corpus, _, net = self.build()
-        assert net.prior.any() and not net.prior.all()
+        corpus, graph, net = self.build()
+        assert net.kept_count and net.reversed_count
+        m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
         cn.write_cin_csv(net, corpus.ids, tmp_path / "got.csv")
-        reference_write_cin_csv(net, corpus.ids, tmp_path / "want.csv")
+        reference_write_cin_csv(reference_build_implication_network(graph, m, corpus.years),
+                                corpus.ids, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_quoted_ids_read_back(self, tmp_path):
@@ -897,11 +938,14 @@ class TestCsvWritersAgainstOracle:
     def test_empty_edge_lists(self, tmp_path):
         corpus = make_corpus([1500, 1500], np.eye(2), ids=["a,b", "c"])
         graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
-        net = implication_module.empty_network(corpus.n)
-        for write, reference, obj in ((cn.write_graph_csv, reference_write_graph_csv, graph),
-                                      (cn.write_cin_csv, reference_write_cin_csv, net)):
-            write(obj, corpus.ids, tmp_path / "got.csv")
-            reference(obj, corpus.ids, tmp_path / "want.csv")
+        net = cn.build_network(corpus, "visual", cn.RunConfig(k=1), 1.0, graph)[2]
+        empty = from_edges(ReferenceNetwork, corpus.n, [], [], [], prior=[], kept_count=0,
+                           reversed_count=0, dropped_count=0)
+        for write, reference, got, want in (
+                (cn.write_graph_csv, reference_write_graph_csv, graph, graph),
+                (cn.write_cin_csv, reference_write_cin_csv, net, empty)):
+            write(got, corpus.ids, tmp_path / "got.csv")
+            reference(want, corpus.ids, tmp_path / "want.csv")
             assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -917,23 +961,40 @@ class TestOperatorAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(networks, st.sampled_from([None, 0.0, 1.0]) | st.floats(0.01, 0.99))
     def test_operator_bits(self, net, beta):
+        # split scoring divides each store as the merged operator divided each
+        # label, so every entry keeps its bits; a combined column total adds
+        # K's sum and R's in another order
         op = cn.normalize(net, beta)
-        matrix, dangling = reference_operator(net, beta)
-        for field in ("data", "indices", "indptr"):
-            assert getattr(op.matrix, field).tobytes() == getattr(matrix, field).tobytes()
-        assert op.dangling.tobytes() == dangling.tobytes()
+        want = merged_network_operator(merged(net), beta)
+        assert op.dangling.tobytes() == want.dangling.tobytes()
+        if beta is None:
+            assert np.max(np.abs(op.dense() - want.dense())) <= 1e-15
+        else:
+            assert op.dense().tobytes() == want.dense().tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), graph_params, balance_specs, st.sampled_from(["destination", "source"]),
+           st.none() | st.floats(0.01, 0.99), alphas)
+    def test_against_the_merged_network(self, corpus, params, spec, anchor, beta, alpha):
+        graph = cn.build_graph(corpus, "visual", params)
+        if graph.n_edges == 0:
+            return
+        m = cn.compute_thresholds(graph, corpus.years, spec)
+        op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, anchor), beta)
+        want = merged_network_operator(
+            reference_build_implication_network(graph, m, corpus.years, anchor), beta)
+        assert np.max(np.abs(op.dense() - want.dense())) <= 1e-15
+        got, ref = cn.solve_power(op, alpha), cn.solve_power(want, alpha)
+        assert np.max(np.abs(got.scores - ref.scores) / ref.scores) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
     @given(networks, alphas)
-    def test_combined_and_beta_limits_bitwise(self, net, alpha):
+    def test_beta_limits_bitwise(self, net, alpha):
         ref_prior = reference_normalize(net, "prior")
         ref_subseq = reference_normalize(net, "subsequent")
-        ref_all = reference_normalize(net)
-        want = {None: (cn.solve_power(ref_all, alpha), cn.solve_closed_form(ref_all, alpha))}
         for beta in (0.0, 1.0):
-            want[beta] = (reference_solve_split(ref_prior, ref_subseq, alpha, beta),
-                          reference_solve_split_closed_form(ref_prior, ref_subseq, alpha, beta))
-        for beta, (power, closed) in want.items():
+            power = reference_solve_split(ref_prior, ref_subseq, alpha, beta)
+            closed = reference_solve_split_closed_form(ref_prior, ref_subseq, alpha, beta)
             op = cn.normalize(net, beta)
             got = cn.solve_power(op, alpha)
             assert np.array_equal(got.scores, power.scores)

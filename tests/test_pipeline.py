@@ -7,7 +7,7 @@ import pytest
 
 import creanet as cn
 
-from conftest import edge_dst, make_corpus, random_corpus
+from conftest import cin_edges, make_corpus, random_corpus
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ class TestRunPipeline:
         assert net.kept_count + net.reversed_count == net.n_edges
         assert net.kept_count + net.reversed_count + net.dropped_count == result.graph.n_edges
         has_incoming = np.zeros(corpus.n, dtype=bool)
-        has_incoming[edge_dst(net)] = True
+        has_incoming[cin_edges(net)[1]] = True
         assert result.dangling_count == int((~has_incoming).sum())
         assert result.score.converged
         assert result.score.solver == "power"
@@ -70,7 +70,7 @@ class TestRunPipeline:
         assert np.abs(a.score.scores - b.score.scores).max() < 1e-8
         # split dangling = no incoming edge of either label
         has_incoming = np.zeros(corpus.n, dtype=bool)
-        has_incoming[edge_dst(a.network)] = True
+        has_incoming[cin_edges(a.network)[1]] = True
         assert a.dangling_count == int((~has_incoming).sum())
 
     def test_rerun_is_bitwise_identical(self, corpus, config):

@@ -5,15 +5,19 @@ import pytest
 
 import creanet as cn
 
-from conftest import PIONEER, edge_dst, from_edges, pioneer_corpus, random_network
+from conftest import (PIONEER, cin_edges, edge_dst, from_edges, make_network, pioneer_corpus,
+                      random_network)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
 
 
 def single_edge_network(w=0.3):
-    return from_edges(cn.ImplicationNetwork, 2, [0], [1], [w],
-                      prior=[False], kept_count=1, reversed_count=0, dropped_count=0)
+    return make_network(2, kept=([0], [1], [w]))
+
+
+def nnz(op):
+    return sum(term.nnz for term in op.terms)
 
 
 class TestNormalize:
@@ -26,8 +30,7 @@ class TestNormalize:
         assert op.dangling.tolist() == [1.0, 0.0]
 
     def test_proportional_split(self):
-        net = from_edges(cn.ImplicationNetwork, 3, [0, 1], [2, 2], [0.1, 0.3],
-                         prior=[False, False], kept_count=2, reversed_count=0, dropped_count=0)
+        net = make_network(3, kept=([0, 1], [2, 2], [0.1, 0.3]))
         dense = cn.normalize(net).dense()
         assert dense[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.75, abs=1e-15)
@@ -43,34 +46,37 @@ class TestNormalize:
     def test_filters_partition_edges(self):
         # the beta limits keep only one label's edges; a fractional beta keeps all
         net = random_network(seed=31, n=70)
-        total = cn.normalize(net).matrix.nnz
-        prior = cn.normalize(net, beta=1.0).matrix.nnz
-        subseq = cn.normalize(net, beta=0.0).matrix.nnz
-        assert prior + subseq == total == cn.normalize(net, beta=0.5).matrix.nnz == net.n_edges
+        total = nnz(cn.normalize(net))
+        prior = nnz(cn.normalize(net, beta=1.0))
+        subseq = nnz(cn.normalize(net, beta=0.0))
+        assert prior + subseq == total == nnz(cn.normalize(net, beta=0.5)) == net.n_edges
+        assert len(cn.normalize(net, beta=1.0).terms) == len(cn.normalize(net, beta=0.0).terms) == 1
 
     def test_split_dangling_weights(self):
         # no prior in-edge leaves beta of a column dangling, no subsequent in-edge 1 - beta
         net = random_network(seed=31, n=70)
-        dst = edge_dst(net)
-        no_prior = np.bincount(dst[net.prior], minlength=net.n) == 0
-        no_subseq = np.bincount(dst[~net.prior], minlength=net.n) == 0
+        _, dst, _, prior = cin_edges(net)
+        no_prior = np.bincount(dst[prior], minlength=70) == 0
+        no_subseq = np.bincount(dst[~prior], minlength=70) == 0
         assert no_prior.any() and no_subseq.any()
         op = cn.normalize(net, beta=0.3)
         np.testing.assert_allclose(op.dangling, 0.3 * no_prior + 0.7 * no_subseq, rtol=0, atol=1e-16)
 
     def test_operator_shares_the_cin_sources(self):
-        # no E-length copy of the index array: the matrix reads the CIN's int32 src
+        # no E-length copy of an index array, and no transposed copy of R: the
+        # terms read the stores' int32 src, K by column and R^T by row
         net = random_network(seed=31, n=70)
-        assert net.src.dtype == np.int32
         for beta in (None, 0.5):
-            matrix = cn.normalize(net, beta).matrix
-            assert np.shares_memory(matrix.indices, net.src)
-            assert np.array_equal(matrix.indptr, net.indptr)
+            kept, flipped = cn.normalize(net, beta).terms
+            for term, store, layout in ((kept, net.kept, "csc"), (flipped, net.reversed, "csr")):
+                assert store.src.dtype == np.int32 and term.format == layout
+                assert np.shares_memory(term.indices, store.src)
+                assert np.array_equal(term.indptr, store.indptr)
 
     def test_apply_matches_dense(self):
         net = random_network(seed=32, n=60)
         rng = np.random.default_rng(0)
-        c = rng.random(net.n)
+        c = rng.random(60)
         c /= c.sum()
         for beta in (None, 0.3):
             op = cn.normalize(net, beta)
@@ -86,19 +92,19 @@ class TestOperatorValidation:
         from scipy import sparse
         bad = sparse.csr_matrix(np.array([[0.0, 0.7], [0.0, 0.7]]))
         with pytest.raises(ValueError, match="sum to 1"):
-            cn.StochasticOperator(n=2, matrix=bad, dangling=np.array([True, False]))
+            cn.StochasticOperator(n=2, terms=(bad,), dangling=np.array([True, False]))
 
     def test_rejects_entry_outside_unit_interval(self):
         from scipy import sparse
         bad = sparse.csr_matrix(np.array([[0.0, 2.0], [0.0, -1.0]]))
         with pytest.raises(ValueError, match="entries"):
-            cn.StochasticOperator(n=2, matrix=bad, dangling=np.array([True, False]))
+            cn.StochasticOperator(n=2, terms=(bad,), dangling=np.array([True, False]))
 
     def test_rejects_nonempty_dangling_column(self):
         from scipy import sparse
         m = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="dangling"):
-            cn.StochasticOperator(n=2, matrix=m, dangling=np.array([False, True]))
+            cn.StochasticOperator(n=2, terms=(m,), dangling=np.array([False, True]))
 
     @pytest.mark.parametrize("weight", [-0.5, 1.5, float("nan")])
     def test_rejects_dangling_weight_outside_unit_interval(self, weight):
@@ -106,7 +112,7 @@ class TestOperatorValidation:
         from scipy import sparse
         m = sparse.csr_matrix(np.array([[0.0, 0.75], [0.0, 0.75]]))
         with pytest.raises(ValueError, match="dangling weights must lie in"):
-            cn.StochasticOperator(n=2, matrix=m, dangling=np.array([1.0, weight]))
+            cn.StochasticOperator(n=2, terms=(m,), dangling=np.array([1.0, weight]))
 
 
 class TestTwoNodeFixture:
@@ -210,12 +216,14 @@ class TestSolvers:
         perm = np.random.default_rng(1).permutation(60)
         inv = np.empty_like(perm)
         inv[perm] = np.arange(60)
-        src, dst = perm[net.src], perm[edge_dst(net)]
-        order = np.lexsort((src, dst))
-        permuted = from_edges(
-            cn.ImplicationNetwork, 60, src[order], dst[order], net.weight[order],
-            prior=net.prior[order], kept_count=net.kept_count,
-            reversed_count=net.reversed_count, dropped_count=net.dropped_count)
+
+        def relabel(store):
+            src, dst = perm[store.src], perm[edge_dst(store)]
+            order = np.lexsort((src, dst))
+            return from_edges(cn.PaintingGraph, 60, src[order], dst[order], store.weight[order])
+
+        permuted = cn.ImplicationNetwork(kept=relabel(net.kept), reversed=relabel(net.reversed),
+                                         dropped_count=net.dropped_count)
         base = cn.solve_power(cn.normalize(net), 0.5, tol=1e-13).scores
         moved = cn.solve_power(cn.normalize(permuted), 0.5, tol=1e-13).scores
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
@@ -225,7 +233,7 @@ class _FakeN:
     """Wraps an operator, lying about n so the size guard fires first."""
 
     def __init__(self, op):
-        self.matrix = op.matrix
+        self.terms = op.terms
         self.dangling = op.dangling
         self.n = 5001
 
@@ -269,9 +277,9 @@ class TestSplit:
         from scipy import sparse
         m = sparse.csr_matrix((2, 2))
         with pytest.raises(ValueError, match="matrix must be 3x3"):
-            cn.StochasticOperator(n=3, matrix=m, dangling=np.ones(3))
+            cn.StochasticOperator(n=3, terms=(m,), dangling=np.ones(3))
         with pytest.raises(ValueError, match="dangling must have shape"):
-            cn.StochasticOperator(n=2, matrix=m, dangling=np.ones(3))
+            cn.StochasticOperator(n=2, terms=(m,), dangling=np.ones(3))
 
 
 class TestPioneerFixture:

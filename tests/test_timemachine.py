@@ -41,6 +41,8 @@ class TestSpec:
         ({"group": "ids=a", "move": "back", "move_mean": 1600.5}, "timemachine.move_mean"),
         ({"group": "ids=a", "move": "back", "min_year": 1500.0}, "timemachine.min_year"),
         ({"group": "ids=a", "move": "back", "max_year": "1900"}, "timemachine.max_year"),
+        ({"group": "ids=a", "move": "back", "move_std": "x"}, "timemachine.move_std"),
+        ({"group": "ids=a", "move": "back", "n_runs": True}, "timemachine.n_runs"),
     ])
     def test_validation(self, kwargs, fragment):
         with pytest.raises(cn.ConfigError, match=fragment):
