@@ -47,7 +47,7 @@ followers = [i for i, name in enumerate(ids) if name.startswith("fol")]
 
 print(f"rank out of {len(ids)} (1 = highest)   founder  loner  median follower")
 for beta in (0.9, 0.5, 0.1):
-    config = cn.RunConfig(k=10, beta=beta, scoring="split", solver="closed_form")
+    config = cn.RunConfig(k=10, beta=beta, scoring="split")
     result = cn.run_pipeline(corpus, "visual", config)
     ranks = cn.score_ranks(result.score.scores, corpus.ids)
     label = {0.9: "originality emphasis", 0.5: "even blend          ",

@@ -16,7 +16,7 @@ from .implication import (BalanceSpec, ImplicationNetwork, build_implication_net
                           compute_thresholds, nearest_rank_percentile, write_cin_csv)
 from .pipeline import (PipelineResult, build_network, resolve_sigma, run_multi_aspect,
                        run_pipeline, score_ranks, write_run_meta, write_scores_csv)
-from .scoring import ScoreVector, StochasticOperator, normalize, solve_closed_form, solve_power
+from .scoring import ScoreVector, StochasticOperator, normalize, solve_power
 from .similarity import SimilarityParams, pair_weights
 from .svgplot import minmax_scale, scatter_svg, write_scatter_svg
 from .timemachine import (TimeMachineReport, TimeMachineRun, resolve_targets,
@@ -34,7 +34,7 @@ __all__ = [
     "nearest_rank_percentile", "normalize", "pair_weights", "read_features",
     "read_manifest", "resolve_sigma", "resolve_targets", "run_multi_aspect",
     "run_pipeline", "run_time_machine", "scatter_svg", "score_ranks",
-    "solve_closed_form", "solve_power", "spec_from_mapping", "write_cin_csv",
-    "write_graph_csv", "write_report_csv", "write_run_meta",
-    "write_runs_csv", "write_scatter_svg", "write_scores_csv",
+    "solve_power", "spec_from_mapping", "write_cin_csv", "write_graph_csv",
+    "write_report_csv", "write_run_meta", "write_runs_csv", "write_scatter_svg",
+    "write_scores_csv",
 ]

@@ -111,6 +111,7 @@ def _aspect_filename(stem: str, aspect: str, first: bool, suffix: str) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     mapping = _build_mapping(args)
+    config_from_mapping(mapping)  # reject every value that score would reject
     corpus = _ingest(mapping)
     aspects = corpus.aspects
     if len(aspects) == 1:

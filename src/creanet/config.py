@@ -11,14 +11,13 @@ Recognized keys::
     scoring              combined | split            (default combined)
     percentile_p         (0, 100]     balancing percentile (default 50)
     sigma                auto | float > 0            kernel bandwidth (default auto)
-    sigma.<aspect>       float > 0    per-aspect override
+    sigma.<aspect>       float > 0    per-aspect override; needs feature.<aspect>
     balancing_mode       global | local              (default global)
     local_window_years   int > 0      half-width for local balancing (default 50)
     min_local_sample     int > 0      local sample floor before global fallback (default 20)
     balance_anchor       destination | source        whose threshold an edge is judged by
     temporal_prior       none | window               (default none)
     temporal_window_k    int > 0      temporal neighbors admitted by the window (default 500)
-    solver               power | closed_form         (default power)
     tol                  float > 0    L1 convergence threshold (default 1e-10)
     max_iters            int > 0      iteration cap (default 1000)
     seed                 u64          RNG seed (default 0)
@@ -45,7 +44,6 @@ class ConfigError(ValueError):
 
 
 SCORING_MODES = ("combined", "split")
-SOLVERS = ("power", "closed_form")
 
 MOVES = ("back", "forward", "wander")
 
@@ -71,7 +69,6 @@ class RunConfig:
     balance_anchor: str = "destination"
     temporal_prior: str = "none"
     temporal_window_k: int = 500
-    solver: str = "power"
     tol: float = 1e-10
     max_iters: int = 1000
     seed: int = 0
@@ -106,7 +103,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         check(self.balance_anchor in BALANCE_ANCHORS,
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
-        check(self.solver in SOLVERS, f"solver must be one of {SOLVERS}, got {self.solver!r}")
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
         check(self.max_iters >= 1, f"max_iters must be a positive integer, got {self.max_iters!r}")
         _check_seed("seed", self.seed)
@@ -258,9 +254,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
 
 
 def check_known_keys(mapping: dict[str, str]) -> None:
-    """Reject keys outside the documented schema."""
+    """Reject keys outside the documented schema; ``sigma.<x>`` needs a ``feature.<x>`` key."""
     for key in mapping:
         prefix, _, name = key.partition(".")
+        if prefix == "sigma" and name and f"feature.{name}" not in mapping:
+            raise ConfigError(f"config key '{key}' names no aspect: there is no 'feature.{name}' key")
         if not (key == "manifest" or key in _key_parsers(RunConfig)
                 or prefix in ("feature", "sigma") and name
                 or prefix == "timemachine" and name in _key_parsers(TimeMachineSpec)):

@@ -131,6 +131,9 @@ def read_manifest(path: str | Path) -> list[Artifact]:
         except StopIteration:
             raise IngestError(f"{path}: manifest is empty") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise IngestError(f"{path}: manifest column '{name}' appears more than once")
         for col in MANIFEST_REQUIRED:
             if col not in header:
                 raise IngestError(f"{path}: manifest header is missing required column '{col}'")

@@ -20,7 +20,7 @@ from .corpus import Corpus, estimate_sigma
 from .graph import PaintingGraph, build_graph
 from .implication import (ImplicationNetwork, build_implication_network, compute_thresholds,
                           nearest_rank_percentile)
-from .scoring import ScoreVector, normalize, solve_closed_form, solve_power
+from .scoring import ScoreVector, normalize, solve_power
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,7 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
 
     graph, thresholds, network = build_network(corpus, aspect, config, sigma, graph)
     op = normalize(network, None if config.scoring == "combined" else config.beta)
-    if config.solver == "closed_form":
-        score = solve_closed_form(op, config.alpha)
-    else:
-        score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
     in_degree = np.diff(network.kept.indptr) + np.bincount(network.reversed.src, minlength=corpus.n)
     dangling_count = int(np.count_nonzero(in_degree == 0))
 

@@ -1,4 +1,4 @@
-"""Column-stochastic normalization and the creativity score solvers.
+"""Column-stochastic normalization and the power-iteration solve of creativity scores.
 
 Scores satisfy C = (1-alpha)/n + alpha * M C where M's column j spreads node
 j's score over the sources of its incoming implication edges: M scales the
@@ -19,9 +19,6 @@ import numpy as np
 from scipy import sparse
 
 from .implication import ImplicationNetwork
-
-# Largest n for which the dense closed-form solve is permitted.
-CLOSED_FORM_MAX_N = 5000
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_SUM_TOL = 1e-9
@@ -69,14 +66,6 @@ class StochasticOperator:
         if lost:
             out += lost / self.n
         return out
-
-    def dense(self) -> np.ndarray:
-        """Full matrix with the dangling weights filled in; for small-n solves only."""
-        m = np.zeros((self.n, self.n))
-        for term in self.terms:
-            m += term.toarray()
-        m += self.dangling / self.n
-        return m
 
 
 @dataclass(frozen=True)
@@ -173,16 +162,3 @@ def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,
         c = c / c.sum()
     return ScoreVector(scores=c, solver="power", iterations=iterations,
                        residual=residual, converged=residual < tol)
-
-
-def solve_closed_form(op: StochasticOperator, alpha: float) -> ScoreVector:
-    """Direct dense solve of (I - alpha M) C = (1-alpha)/n; the power-iteration oracle."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"closed form requires alpha in [0, 1), got {alpha!r}")
-    if op.n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"closed form limited to n <= {CLOSED_FORM_MAX_N}, got {op.n}")
-    a = np.eye(op.n) - alpha * op.dense()
-    b = np.full(op.n, (1.0 - alpha) / op.n)
-    scores = np.linalg.solve(a, b)
-    return ScoreVector(scores=scores, solver="closed_form", iterations=0,
-                       residual=0.0, converged=True)

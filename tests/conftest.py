@@ -1,4 +1,4 @@
-"""Shared corpus builders and the acceptance-criteria reporting hook."""
+"""Shared corpus builders, the dense closed-form solve oracle, and the acceptance-criteria reporting hook."""
 
 from __future__ import annotations
 
@@ -108,6 +108,26 @@ def random_network(seed: int, n: int, k: int = 8, p: float = 50.0) -> cn.Implica
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=seed)
     graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
     return balance(graph, corpus.years, cn.BalanceSpec(percentile_p=p))
+
+
+def dense_matrix(op: cn.StochasticOperator) -> np.ndarray:
+    """Full matrix of a scoring operator with the dangling weights filled in; for small n only."""
+    m = np.zeros((op.n, op.n))
+    for term in op.terms:
+        m += term.toarray()
+    m += op.dangling / op.n
+    return m
+
+
+def solve_closed_form(op: cn.StochasticOperator, alpha: float) -> cn.ScoreVector:
+    """Direct dense solve of (I - alpha M) C = (1-alpha)/n; the power-iteration oracle."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"closed form requires alpha in [0, 1), got {alpha!r}")
+    a = np.eye(op.n) - alpha * dense_matrix(op)
+    b = np.full(op.n, (1.0 - alpha) / op.n)
+    scores = np.linalg.solve(a, b)
+    return cn.ScoreVector(scores=scores, solver="closed_form", iterations=0,
+                          residual=0.0, converged=True)
 
 
 def planted_corpus(seed: int = 7) -> cn.Corpus:

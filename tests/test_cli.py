@@ -103,6 +103,13 @@ class TestValidate:
         assert main(["validate", "--manifest", str(manifest)]) == EXIT_INVALID
         assert "feature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair, key", [("alpha=5", "alpha"), ("k=abc", "k")])
+    def test_bad_config_value_exits_invalid(self, tiny, capsys, pair, key):
+        # validate rejects every value that score rejects
+        assert main(["validate"] + tiny_args(tiny) + ["--set", pair]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key}") and not captured.out
+
     def test_malformed_features_flag(self, tiny, capsys):
         manifest, _ = tiny
         assert main(["validate", "--manifest", str(manifest),
@@ -139,17 +146,13 @@ class TestScore:
         for name in ("scores.csv", "run_meta.json", "plot.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_solvers_agree_through_cli(self, styled, tmp_path):
-        manifest, features = styled
-        base = ["score", "--manifest", str(manifest), "--features", f"visual={features}",
-                "--set", "k=8", "--set", "tol=1e-13"]
-        out_p, out_c = tmp_path / "p", tmp_path / "c"
-        assert main(base + ["--out", str(out_p)]) == EXIT_OK
-        assert main(base + ["--set", "solver=closed_form", "--out", str(out_c)]) == EXIT_OK
-        power = read_scores(out_p / "scores.csv")
-        closed = read_scores(out_c / "scores.csv")
-        worst = max(abs(power[i][2] - closed[i][2]) for i in power)
-        assert worst < 1e-8
+    def test_solver_key_exits_invalid(self, tiny, tmp_path, capsys):
+        # power iteration is the only solver; the dense solve is a test oracle
+        code = main(["score"] + tiny_args(tiny) +
+                    ["--set", "solver=closed_form", "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert "unknown config key 'solver'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_plot_structure(self, styled, tmp_path):
         manifest, features = styled
@@ -224,6 +227,13 @@ class TestKeyNames:
         assert code == EXIT_INVALID
         assert "unknown config key 'timemachine.bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "dump-graph", "validate"])
+    def test_sigma_override_of_absent_aspect_exits_invalid(self, tiny, tmp_path, capsys, command):
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code = main([command] + tiny_args(tiny) + ["--set", "sigma.visaul=0.5"] + out)
+        assert code == EXIT_INVALID
+        assert "'sigma.visaul'" in capsys.readouterr().err
+
     def test_time_machine_key_allowed_on_score(self, tiny, tmp_path):
         code = main(["score"] + tiny_args(tiny) +
                     ["--set", "timemachine.n_runs=3", "--out", str(tmp_path / "out")])
@@ -263,6 +273,14 @@ class TestConfigFile:
         code = main(["validate", "--config", str(config)] + tiny_args(tiny))
         assert code == EXIT_OK
         assert capsys.readouterr().out == "3 artifacts, 1 aspect, dim 4\n"
+
+    def test_solver_key_exits_invalid(self, tiny, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("solver = power\n", encoding="utf-8")
+        code = main(["score", "--config", str(config)] + tiny_args(tiny) +
+                    ["--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert "unknown config key 'solver'" in capsys.readouterr().err
 
     def test_missing_config_file_exits_io(self, tiny, tmp_path, capsys):
         code = main(["validate", "--config", str(tmp_path / "none.cfg")] + tiny_args(tiny))

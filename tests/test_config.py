@@ -16,7 +16,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 class TestRunConfigValidation:
     def test_defaults_are_valid(self):
         config = RunConfig()
-        assert config.k == 500 and config.alpha == 0.15 and config.solver == "power"
+        assert config.k == 500 and config.alpha == 0.15
+        assert not hasattr(config, "solver")
 
     @pytest.mark.parametrize("kwargs,fragment", [
         ({"k": 0}, "k"),
@@ -36,7 +37,7 @@ class TestRunConfigValidation:
         ({"balance_anchor": "edge"}, "balance_anchor"),
         ({"temporal_prior": "always"}, "temporal_prior"),
         ({"temporal_window_k": 0}, "temporal_window_k"),
-        ({"solver": "jacobi"}, "solver"),
+        ({"beta": -0.01}, "beta"),
         ({"tol": 0.0}, "tol"),
         ({"max_iters": 0}, "max_iters"),
         ({"seed": -1}, "seed"),
@@ -99,8 +100,8 @@ class TestRunConfigValidation:
 
 class TestParseConfigText:
     def test_basic_lines(self):
-        text = "# comment\n\nalpha = 0.5\n  k=10  \nsolver = closed_form\n"
-        assert parse_config_text(text) == {"alpha": "0.5", "k": "10", "solver": "closed_form"}
+        text = "# comment\n\nalpha = 0.5\n  k=10  \nscoring = split\n"
+        assert parse_config_text(text) == {"alpha": "0.5", "k": "10", "scoring": "split"}
 
     def test_value_may_contain_equals(self):
         assert parse_config_text("note = a=b") == {"note": "a=b"}
@@ -151,6 +152,18 @@ class TestKnownKeys:
         with pytest.raises(ConfigError, match="unknown config key 'timemachine.velocity'"):
             check_known_keys({"timemachine.move": "back", "timemachine.velocity": "3"})
 
+    def test_rejects_solver_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'solver'"):
+            check_known_keys({"solver": "power"})
+
+    def test_sigma_override_needs_its_aspect(self):
+        # a misspelled aspect would otherwise be ignored and sigma estimated
+        check_known_keys({"feature.visual": "v.csv", "sigma.visual": "0.5"})
+        with pytest.raises(ConfigError, match="'sigma.visaul'.*'feature.visaul'"):
+            check_known_keys({"feature.visual": "v.csv", "sigma.visaul": "0.5"})
+        with pytest.raises(ConfigError, match="'sigma.visual'"):
+            check_known_keys({"sigma.visual": "0.5"})
+
     def test_rejects_bare_prefix(self):
         with pytest.raises(ConfigError, match="feature."):
             check_known_keys({"feature.": "x.csv"})
@@ -164,7 +177,7 @@ class TestConfigFromMapping:
             "balancing_mode": "local", "local_window_years": "30",
             "min_local_sample": "10", "balance_anchor": "source",
             "temporal_prior": "window", "temporal_window_k": "40",
-            "solver": "closed_form", "tol": "1e-9", "max_iters": "200",
+            "tol": "1e-9", "max_iters": "200",
             "seed": "7",
         })
         assert config.k == 25 and config.alpha == 0.5 and config.beta == 0.9
@@ -173,7 +186,7 @@ class TestConfigFromMapping:
         assert config.balancing_mode == "local" and config.local_window_years == 30
         assert config.min_local_sample == 10 and config.balance_anchor == "source"
         assert config.temporal_prior == "window" and config.temporal_window_k == 40
-        assert config.solver == "closed_form" and config.tol == 1e-9
+        assert config.tol == 1e-9
         assert config.max_iters == 200 and config.seed == 7
 
     def test_absent_keys_take_defaults(self):

@@ -42,6 +42,14 @@ class TestManifest:
         with pytest.raises(cn.IngestError, match="unknown manifest column"):
             cn.read_manifest(p)
 
+    @pytest.mark.parametrize("header", ["id,year,year", "id,year,style, style"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        # the first copy must not silently win
+        name = header.rsplit(",", 1)[1].strip()
+        p = write(tmp_path / "m.csv", header + "\n")
+        with pytest.raises(cn.IngestError, match=f"manifest column '{name}' appears more than once"):
+            cn.read_manifest(p)
+
     def test_duplicate_id_names_id_and_rows(self, tmp_path):
         p = write(tmp_path / "m.csv", "id,year\na,1500\nb,1501\na,1502\n")
         with pytest.raises(cn.IngestError, match=r"duplicate artifact id 'a' \(manifest rows 1 and 3\)"):

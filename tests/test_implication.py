@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import creanet as cn
 
 from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, make_network,
-                      random_corpus)
+                      random_corpus, solve_closed_form)
 
 
 def build(seed=20, n=100, k=8, **spec_kwargs):
@@ -196,7 +196,7 @@ def test_semantics_increasing_edge_weight_never_hurts_source():
     gaps = []
     for w in (0.1, 0.3, 0.6, 1.0, 2.0):
         net = make_network(3, kept=([0], [1], [w]), reversed_=([1], [2], [0.4]))
-        scores = cn.solve_closed_form(cn.normalize(net), alpha=0.85).scores
+        scores = solve_closed_form(cn.normalize(net), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 

@@ -43,8 +43,8 @@ import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
 
-from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, random_corpus,
-                      random_network, visual_similarity)
+from conftest import (balance, cin_edges, dense_matrix, edge_dst, from_edges, make_corpus,
+                      random_corpus, random_network, solve_closed_form, visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +638,8 @@ class TestTimeMachineAgainstOracle:
         dataclasses.replace(PLANTED_CONFIG, scoring="split", beta=0.3, alpha=0.85),
         dataclasses.replace(PLANTED_CONFIG, balancing_mode="local", local_window_years=40,
                             balance_anchor="source"),
-        dataclasses.replace(PLANTED_CONFIG, solver="closed_form", k=500),
+        # k = 500: every earlier artifact of the 500 is a candidate
+        dataclasses.replace(PLANTED_CONFIG, k=500),
     ], ids=["combined", "split", "local", "closed_form_k500"])
     def test_planted_experiments(self, planted, group, move, config):
         spec = cn.TimeMachineSpec(group=group, move=move, n_test=10, n_runs=3)
@@ -968,9 +969,9 @@ class TestOperatorAgainstOracle:
         want = merged_network_operator(merged(net), beta)
         assert op.dangling.tobytes() == want.dangling.tobytes()
         if beta is None:
-            assert np.max(np.abs(op.dense() - want.dense())) <= 1e-15
+            assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
         else:
-            assert op.dense().tobytes() == want.dense().tobytes()
+            assert dense_matrix(op).tobytes() == dense_matrix(want).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(corpora(), graph_params, balance_specs, st.sampled_from(["destination", "source"]),
@@ -983,7 +984,7 @@ class TestOperatorAgainstOracle:
         op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, anchor), beta)
         want = merged_network_operator(
             reference_build_implication_network(graph, m, corpus.years, anchor), beta)
-        assert np.max(np.abs(op.dense() - want.dense())) <= 1e-15
+        assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
         got, ref = cn.solve_power(op, alpha), cn.solve_power(want, alpha)
         assert np.max(np.abs(got.scores - ref.scores) / ref.scores) <= 1e-13
 
@@ -999,7 +1000,7 @@ class TestOperatorAgainstOracle:
             got = cn.solve_power(op, alpha)
             assert np.array_equal(got.scores, power.scores)
             assert got.iterations == power.iterations
-            assert np.array_equal(cn.solve_closed_form(op, alpha).scores, closed.scores)
+            assert np.array_equal(solve_closed_form(op, alpha).scores, closed.scores)
 
     @settings(max_examples=60, deadline=None)
     @given(networks, alphas, st.floats(0.01, 0.99))
@@ -1012,4 +1013,4 @@ class TestOperatorAgainstOracle:
         assert got.iterations == want.iterations
         assert np.max(np.abs(got.scores - want.scores) / want.scores) <= 1e-13
         blend = beta * ref_prior.dense() + (1.0 - beta) * ref_subseq.dense()
-        assert np.max(np.abs(op.dense() - blend)) <= 1e-15
+        assert np.max(np.abs(dense_matrix(op) - blend)) <= 1e-15

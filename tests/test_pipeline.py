@@ -7,7 +7,7 @@ import pytest
 
 import creanet as cn
 
-from conftest import cin_edges, make_corpus, random_corpus
+from conftest import cin_edges, make_corpus, random_corpus, solve_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +54,16 @@ class TestRunPipeline:
         assert result.sigma == 0.75
 
     def test_power_and_closed_form_agree(self, corpus):
-        import dataclasses
-        base = cn.RunConfig(k=8, seed=3, tol=1e-13)
-        closed = dataclasses.replace(base, solver="closed_form")
-        a = cn.run_pipeline(corpus, "visual", base)
-        b = cn.run_pipeline(corpus, "visual", closed)
-        assert np.abs(a.score.scores - b.score.scores).max() < 1e-8
+        config = cn.RunConfig(k=8, seed=3, tol=1e-13)
+        a = cn.run_pipeline(corpus, "visual", config)
+        b = solve_closed_form(cn.normalize(a.network), config.alpha)
+        assert np.abs(a.score.scores - b.scores).max() < 1e-8
 
     def test_split_scoring_paths(self, corpus):
-        import dataclasses
-        base = cn.RunConfig(k=8, seed=3, scoring="split", beta=0.3, tol=1e-13)
-        closed = dataclasses.replace(base, solver="closed_form")
-        a = cn.run_pipeline(corpus, "visual", base)
-        b = cn.run_pipeline(corpus, "visual", closed)
-        assert np.abs(a.score.scores - b.score.scores).max() < 1e-8
+        config = cn.RunConfig(k=8, seed=3, scoring="split", beta=0.3, tol=1e-13)
+        a = cn.run_pipeline(corpus, "visual", config)
+        b = solve_closed_form(cn.normalize(a.network, config.beta), config.alpha)
+        assert np.abs(a.score.scores - b.scores).max() < 1e-8
         # split dangling = no incoming edge of either label
         has_incoming = np.zeros(corpus.n, dtype=bool)
         has_incoming[cin_edges(a.network)[1]] = True

@@ -5,8 +5,8 @@ import pytest
 
 import creanet as cn
 
-from conftest import (PIONEER, cin_edges, edge_dst, from_edges, make_network, pioneer_corpus,
-                      random_network)
+from conftest import (PIONEER, cin_edges, dense_matrix, edge_dst, from_edges, make_network,
+                      pioneer_corpus, random_network, solve_closed_form)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -23,7 +23,7 @@ def nnz(op):
 class TestNormalize:
     def test_single_edge(self):
         op = cn.normalize(single_edge_network())
-        dense = op.dense()
+        dense = dense_matrix(op)
         # column b: all weight from a; column a dangling, completed uniformly
         assert dense[0, 1] == 1.0 and dense[1, 1] == 0.0
         assert np.all(dense[:, 0] == 0.5)
@@ -31,7 +31,7 @@ class TestNormalize:
 
     def test_proportional_split(self):
         net = make_network(3, kept=([0, 1], [2, 2], [0.1, 0.3]))
-        dense = cn.normalize(net).dense()
+        dense = dense_matrix(cn.normalize(net))
         assert dense[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.75, abs=1e-15)
 
@@ -39,7 +39,7 @@ class TestNormalize:
         net = random_network(seed=30, n=90)
         for beta in (None, 1.0, 0.0, 0.3):
             op = cn.normalize(net, beta)
-            dense = op.dense()
+            dense = dense_matrix(op)
             sums = dense.sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
@@ -80,7 +80,7 @@ class TestNormalize:
         c /= c.sum()
         for beta in (None, 0.3):
             op = cn.normalize(net, beta)
-            np.testing.assert_allclose(op.apply(c), op.dense() @ c, atol=1e-14)
+            np.testing.assert_allclose(op.apply(c), dense_matrix(op) @ c, atol=1e-14)
 
     def test_bad_filter_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -141,7 +141,7 @@ class TestTwoNodeFixture:
 
     def test_closed_form_solver(self):
         op = cn.normalize(single_edge_network())
-        result = cn.solve_closed_form(op, alpha=0.85)
+        result = solve_closed_form(op, alpha=0.85)
         assert result.scores[0] == pytest.approx(self.EXPECTED_A, abs=1e-14)
         assert result.scores[1] == pytest.approx(self.EXPECTED_B, abs=1e-14)
 
@@ -150,7 +150,7 @@ class TestSolvers:
     def test_alpha_zero_exactly_uniform(self):
         net = random_network(seed=33, n=50)
         op = cn.normalize(net)
-        for result in (cn.solve_power(op, 0.0), cn.solve_closed_form(op, 0.0)):
+        for result in (cn.solve_power(op, 0.0), solve_closed_form(op, 0.0)):
             np.testing.assert_array_equal(result.scores, np.full(50, 1.0 / 50))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -158,7 +158,7 @@ class TestSolvers:
         net = random_network(seed=34, n=150)
         op = cn.normalize(net)
         power = cn.solve_power(op, alpha, tol=1e-13)
-        closed = cn.solve_closed_form(op, alpha)
+        closed = solve_closed_form(op, alpha)
         assert power.converged
         assert np.abs(power.scores - closed.scores).max() < 1e-8
 
@@ -201,15 +201,7 @@ class TestSolvers:
         assert abs(result.scores.sum() - 1.0) <= 1e-9
         assert result.scores.min() >= -1e-12
         with pytest.raises(ValueError, match="alpha"):
-            cn.solve_closed_form(op, 1.0)
-
-    def test_closed_form_size_guard(self):
-        from creanet.scoring import CLOSED_FORM_MAX_N
-        op = cn.normalize(single_edge_network())
-        assert CLOSED_FORM_MAX_N == 5000
-        # guard is on n, checked before any allocation
-        with pytest.raises(ValueError, match="5000"):
-            cn.solve_closed_form(_FakeN(op), 0.15)
+            solve_closed_form(op, 1.0)
 
     def test_permutation_equivariance(self):
         net = random_network(seed=39, n=60)
@@ -227,15 +219,6 @@ class TestSolvers:
         base = cn.solve_power(cn.normalize(net), 0.5, tol=1e-13).scores
         moved = cn.solve_power(cn.normalize(permuted), 0.5, tol=1e-13).scores
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
-
-
-class _FakeN:
-    """Wraps an operator, lying about n so the size guard fires first."""
-
-    def __init__(self, op):
-        self.terms = op.terms
-        self.dangling = op.dangling
-        self.n = 5001
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +243,7 @@ class TestSplit:
     def test_split_against_closed_form(self, net, beta):
         op = cn.normalize(net, beta)
         power = cn.solve_power(op, alpha=0.5, tol=1e-13)
-        closed = cn.solve_closed_form(op, alpha=0.5)
+        closed = solve_closed_form(op, alpha=0.5)
         assert np.abs(power.scores - closed.scores).max() < 1e-8
 
     def test_split_simplex_per_iteration(self, net):
@@ -293,7 +276,7 @@ class TestPioneerFixture:
         corpus = pioneer_corpus()
         ranks = {}
         for beta in (0.1, 0.9):
-            config = cn.RunConfig(beta=beta, scoring="split", solver="closed_form")
+            config = cn.RunConfig(beta=beta, scoring="split")
             result = cn.run_pipeline(corpus, "visual", config, sigma=1.0)
             ranks[beta] = int(cn.score_ranks(result.score.scores, corpus.ids)[PIONEER])
         # beta = 0.1 leans on influence, beta = 0.9 on originality; the fixture
