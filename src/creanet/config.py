@@ -34,9 +34,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import GraphParams
-from .implication import BALANCE_ANCHORS, BalanceSpec
-from .similarity import SimilarityParams
+from .similarity import check_sigma
 
 
 class ConfigError(ValueError):
@@ -44,6 +42,9 @@ class ConfigError(ValueError):
 
 
 SCORING_MODES = ("combined", "split")
+TEMPORAL_PRIORS = ("none", "window")
+BALANCING_MODES = ("global", "local")
+BALANCE_ANCHORS = ("destination", "source")
 
 MOVES = ("back", "forward", "wander")
 
@@ -52,9 +53,12 @@ MOVES = ("back", "forward", "wander")
 DEFAULT_MOVE_MEAN = {"back": 1600, "forward": 1900, "wander": 1600}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """All tunable parameters of a scoring run."""
+    """All tunable parameters of a scoring run, read by every pipeline stage.
+
+    Every value is checked on construction, and no field can be reassigned.
+    """
 
     k: int = 500
     alpha: float = 0.15
@@ -74,18 +78,16 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         def check(ok: bool, msg: str) -> None:
             if not ok:
                 raise ConfigError(msg)
 
         _check_types(self)
-        try:
-            self.graph_params(1.0)  # any valid bandwidth; the sigma keys are checked below
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check(self.k >= 1, f"k must be a positive integer, got {self.k!r}")
+        check(self.temporal_prior in TEMPORAL_PRIORS,
+              f"temporal_prior must be one of {TEMPORAL_PRIORS}, got {self.temporal_prior!r}")
+        check(self.temporal_window_k >= 1,
+              f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
@@ -94,32 +96,22 @@ class RunConfig:
             sigmas["sigma"] = self.sigma
         for key, value in sigmas.items():
             try:
-                SimilarityParams(value)
+                check_sigma(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be a positive finite number, got {value!r}") from None
-        try:
-            self.balance_spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check(self.balancing_mode in BALANCING_MODES,
+              f"balancing_mode must be one of {BALANCING_MODES}, got {self.balancing_mode!r}")
+        check(0.0 < self.percentile_p <= 100.0,
+              f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
+        check(self.local_window_years >= 1,
+              f"local_window_years must be a positive integer, got {self.local_window_years!r}")
+        check(self.min_local_sample >= 1,
+              f"min_local_sample must be a positive integer, got {self.min_local_sample!r}")
         check(self.balance_anchor in BALANCE_ANCHORS,
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
         check(self.max_iters >= 1, f"max_iters must be a positive integer, got {self.max_iters!r}")
         _check_seed("seed", self.seed)
-
-    def graph_params(self, sigma: float) -> GraphParams:
-        """The `GraphParams` these settings describe at bandwidth `sigma`.
-
-        Its checks are the range checks of `k` and the temporal prior.
-        """
-        return GraphParams(k=self.k, sigma=sigma, temporal_prior=self.temporal_prior,
-                           temporal_window_k=self.temporal_window_k)
-
-    def balance_spec(self) -> BalanceSpec:
-        """The `BalanceSpec` these settings describe; its checks are the balancing range checks."""
-        return BalanceSpec(mode=self.balancing_mode, percentile_p=self.percentile_p,
-                           local_window_years=self.local_window_years,
-                           min_local_sample=self.min_local_sample)
 
     def sigma_for(self, aspect: str) -> float | str:
         """Configured bandwidth for one aspect ('auto' or a positive float)."""
@@ -155,11 +147,12 @@ class TimeMachineSpec:
     def __post_init__(self):
         _check_types(self, "timemachine.")
         if self.move not in MOVES:
-            raise ConfigError(f"move must be one of {MOVES}, got {self.move!r}")
+            raise ConfigError(f"timemachine.move must be one of {MOVES}, got {self.move!r}")
         if not self.group.startswith(("style=", "ids=")):
-            raise ConfigError(f"group must look like style=NAME or ids=ID1,ID2,..., got {self.group!r}")
+            raise ConfigError(f"timemachine.group must look like style=NAME or ids=ID1,ID2,..., "
+                              f"got {self.group!r}")
         if not self.move_std > 0.0:
-            raise ConfigError(f"move_std must be positive, got {self.move_std!r}")
+            raise ConfigError(f"timemachine.move_std must be positive, got {self.move_std!r}")
         for name, value in (("n_test", self.n_test), ("n_runs", self.n_runs)):
             if value < 1:
                 raise ConfigError(f"timemachine.{name} must be a positive integer, got {value!r}")
@@ -266,11 +259,17 @@ def check_known_keys(mapping: dict[str, str]) -> None:
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
-    """Build a RunConfig from a parsed mapping, applying defaults for absent keys."""
+    """Build a RunConfig from a parsed mapping, applying defaults for absent keys.
+
+    The `timemachine.*` values present are parsed too, so every command rejects
+    one that is malformed; `spec_from_mapping` builds and checks the spec.
+    """
     kwargs = _parse_fields(RunConfig, mapping)
     overrides = {key[len("sigma."):]: _parse_float(key, raw) for key, raw in mapping.items()
                  if key.startswith("sigma.") and len(key) > len("sigma.")}
-    return RunConfig(sigma_overrides=overrides, **kwargs)
+    config = RunConfig(sigma_overrides=overrides, **kwargs)
+    _parse_fields(TimeMachineSpec, mapping, "timemachine.")
+    return config
 
 
 def spec_from_mapping(mapping: dict[str, str]) -> TimeMachineSpec:

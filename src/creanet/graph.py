@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .corpus import Corpus
-from .similarity import SimilarityParams, distance_weights, pair_weights
+from .similarity import check_sigma, distance_weights, pair_weights
 
 # Destinations are ranked in slabs of this many consecutive rows in year order,
 # bounding the slab and its partition at roughly 2 * 256 * n * 8 bytes.
@@ -26,27 +27,6 @@ _DST_CHUNK = 256
 # The CSV edge writers format this many rows per write, bounding the Python
 # strings alive at once.
 _CSV_CHUNK = 1 << 16
-
-TEMPORAL_PRIORS = ("none", "window")
-
-
-@dataclass(frozen=True)
-class GraphParams:
-    """Graph construction knobs: pruning K, kernel bandwidth, temporal prior."""
-
-    k: int
-    sigma: float
-    temporal_prior: str = "none"
-    temporal_window_k: int = 500
-
-    def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        SimilarityParams(self.sigma)
-        if self.temporal_prior not in TEMPORAL_PRIORS:
-            raise ValueError(f"temporal_prior must be one of {TEMPORAL_PRIORS}, got {self.temporal_prior!r}")
-        if not (isinstance(self.temporal_window_k, int) and self.temporal_window_k >= 1):
-            raise ValueError(f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
 
 
 @dataclass(frozen=True)
@@ -237,12 +217,13 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
+def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float,
            listed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-K incoming edges of the artifacts `listed` marks (all when None); the others get none.
 
-    Returns (indptr, src, weight): artifact j owns [indptr[j], indptr[j + 1]),
-    its sources ascending. Destinations are ranked in year order in slabs of
+    K and the temporal prior come from `config`, the kernel bandwidth is
+    `sigma`. Returns (indptr, src, weight): artifact j owns [indptr[j],
+    indptr[j + 1]), its sources ascending. Destinations are ranked in year order in slabs of
     up to `_DST_CHUNK` of them, which may span year groups, with one matrix
     product against a year-ordered copy of the features each; only the kept
     pairs are weighed, by `pair_weights`, so a weight depends on its pair
@@ -250,11 +231,12 @@ def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
     slab's picks are written straight to their row's place, inside room
     reserved up front.
     """
+    check_sigma(sigma)
     n, dim = feats.shape
     order, starts, ends = _year_groups(years)
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    window = params.temporal_window_k if params.temporal_prior == "window" else n
+    window = config.temporal_window_k if config.temporal_prior == "window" else n
     a_lo, a_hi, b_lo = _candidate_ranges(starts, ends, window)
     n_cand = a_hi - a_lo + starts - b_lo
     group = np.repeat(np.arange(starts.size), ends - starts)  # year group of each position
@@ -267,7 +249,7 @@ def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
     # room[j] on; weights that underflow leave some of it empty.
     listed = np.ones(n, dtype=bool) if listed is None else listed
     sizes = np.empty(n, dtype=np.int64)
-    sizes[order] = np.where(listed[order], np.minimum(n_cand, params.k)[group], 0)
+    sizes[order] = np.where(listed[order], np.minimum(n_cand, config.k)[group], 0)
     room = np.concatenate(([0], np.cumsum(sizes)))
     count = np.zeros(n, dtype=np.int64)
     src = np.empty(room[-1], dtype=np.int32)
@@ -297,7 +279,7 @@ def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
             block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
             block[r0:r1, starts[h] - c0:] = np.inf
         r, picks, s, w = _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
-                                     params.k, params.sigma)
+                                     config.k, sigma)
         dst = order[p[r]]
         pos = _ranges(room[dst], picks)
         src[pos] = s
@@ -311,18 +293,18 @@ def _top_k(feats: np.ndarray, years: np.ndarray, params: GraphParams,
     return indptr, src, weight
 
 
-def build_graph(corpus: Corpus, aspect: str, params: GraphParams) -> PaintingGraph:
+def build_graph(corpus: Corpus, aspect: str, config: RunConfig, sigma: float) -> PaintingGraph:
     """Connect every artifact to its strictly earlier candidates, keep top-K incoming.
 
     Candidate sources for artifact j are all artifacts dated strictly before j
-    (optionally restricted to the `temporal_window_k` latest ones). The K
-    candidates of largest kernel weight are kept; weights that underflow to
-    zero are dropped.
+    (restricted to the `temporal_window_k` latest ones under `config`'s
+    window prior). The `config.k` candidates of largest kernel weight at
+    bandwidth `sigma` are kept; weights that underflow to zero are dropped.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
     feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
-    indptr, src, weight = _top_k(feats, corpus.years, params)
+    indptr, src, weight = _top_k(feats, corpus.years, config, sigma)
     return PaintingGraph(n=corpus.n, indptr=indptr, src=src, weight=weight)
 
 
@@ -365,10 +347,10 @@ def _count_below(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarr
 
 
 def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect: str,
-                 params: GraphParams, years: np.ndarray) -> PaintingGraph:
+                 config: RunConfig, sigma: float, years: np.ndarray) -> PaintingGraph:
     """`build_graph` of `corpus` re-dated to `years`, derived from its build on `corpus`.
 
-    `graph` is `build_graph(corpus, aspect, params)` and `ranks` its
+    `graph` is `build_graph(corpus, aspect, config, sigma)` and `ranks` its
     `edge_ranks`. Let M be the artifacts whose year changes. A row keeps its
     edges unless a source of one of them leaves its candidate set, so:
 
@@ -383,13 +365,13 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     every row is rebuilt.
     """
     feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
-    n, k = corpus.n, params.k
+    n, k = corpus.n, config.k
     old = corpus.years
     years = np.asarray(years, dtype=np.int64)
     if years.shape != old.shape:
         raise ValueError(f"expected {n} years, got shape {years.shape}")
-    if params.temporal_prior != "none":
-        indptr, src, weight = _top_k(feats, years, params)
+    if config.temporal_prior != "none":
+        indptr, src, weight = _top_k(feats, years, config, sigma)
         return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
     moved = np.flatnonzero(years != old)
     count = np.diff(graph.indptr)
@@ -415,7 +397,7 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     for m in moved[years[moved] < old[moved]].tolist():
         lo, hi = np.searchsorted(sorted_years, [years[m], old[m]], side="right")
         rows = year_order[lo:hi]
-        w = pair_weights(sorted_feats[lo:hi], feats[m], params.sigma)
+        w = pair_weights(sorted_feats[lo:hi], feats[m], sigma)
         keep = (w > 0.0) & (w >= lightest[rows]) & ~rebuild[rows]
         e_row.append(rows[keep])
         e_src.append(np.full(int(keep.sum()), m))
@@ -440,7 +422,7 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     lost = ~won & (c_edge >= 0)
     entered = won & (c_edge < 0)
 
-    r_indptr, r_src, r_w = _top_k(feats, years, params, rebuild)
+    r_indptr, r_src, r_w = _top_k(feats, years, config, sigma, rebuild)
     new_count = (count - np.bincount(c_row[lost], minlength=n)
                  + np.bincount(c_row[entered], minlength=n))
     new_count[rebuild] = np.diff(r_indptr)[rebuild]

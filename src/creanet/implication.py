@@ -19,33 +19,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .config import RunConfig
 from .graph import PaintingGraph, _write_edge_rows
-
-BALANCING_MODES = ("global", "local")
-BALANCE_ANCHORS = ("destination", "source")
-
-
-@dataclass(frozen=True)
-class BalanceSpec:
-    """Threshold policy: which percentile, computed globally or local-in-time.
-
-    The range checks here are the only ones; their messages name the config keys.
-    """
-
-    mode: str = "global"
-    percentile_p: float = 50.0
-    local_window_years: int = 50
-    min_local_sample: int = 20
-
-    def __post_init__(self):
-        if self.mode not in BALANCING_MODES:
-            raise ValueError(f"balancing_mode must be one of {BALANCING_MODES}, got {self.mode!r}")
-        if not 0.0 < self.percentile_p <= 100.0:
-            raise ValueError(f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
-        if not (isinstance(self.local_window_years, int) and self.local_window_years >= 1):
-            raise ValueError(f"local_window_years must be a positive integer, got {self.local_window_years!r}")
-        if not (isinstance(self.min_local_sample, int) and self.min_local_sample >= 1):
-            raise ValueError(f"min_local_sample must be a positive integer, got {self.min_local_sample!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +67,8 @@ def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
     return float(np.partition(values, rank - 1)[rank - 1])
 
 
-def compute_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec) -> np.ndarray:
-    """Per-node balancing threshold m(i).
+def compute_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig) -> np.ndarray:
+    """Per-node balancing threshold m(i), by `config`'s balancing mode and percentile.
 
     Global mode gives every node the same percentile of all edge weights. Local
     mode restricts the sample to edges whose both endpoints lie within
@@ -105,10 +80,10 @@ def compute_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpe
     years = np.asarray(years, dtype=np.int64)
     if years.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} years, got shape {years.shape}")
-    global_m = nearest_rank_percentile(graph.weight, spec.percentile_p)
-    if spec.mode == "global":
+    global_m = nearest_rank_percentile(graph.weight, config.percentile_p)
+    if config.balancing_mode == "global":
         return np.full(graph.n, global_m, dtype=np.float64)
-    return _local_thresholds(graph, years, spec, global_m)
+    return _local_thresholds(graph, years, config, global_m)
 
 
 def _ranked_window_ranges(graph: PaintingGraph, year_of: np.ndarray, distinct: np.ndarray,
@@ -133,7 +108,7 @@ def _ranked_window_ranges(graph: PaintingGraph, year_of: np.ndarray, distinct: n
     return weight[order], first[order], stop[order]
 
 
-def _local_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec,
+def _local_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig,
                       global_m: float) -> np.ndarray:
     """Local-mode m of every artifact, from one sweep over the edges' weight ranks.
 
@@ -148,7 +123,7 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec
     distinct, year_of = np.unique(years, return_inverse=True)
     q = distinct.size
     year_of = year_of.astype(np.min_scalar_type(q))
-    weight, first, stop = _ranked_window_ranges(graph, year_of, distinct, spec.local_window_years)
+    weight, first, stop = _ranked_window_ranges(graph, year_of, distinct, config.local_window_years)
     m = np.full(q, global_m, dtype=np.float64)
     e = weight.size
     if e == 0:
@@ -166,8 +141,8 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, spec: BalanceSpec
     tally = tally.reshape(blocks, q + 1)
     np.cumsum(tally, axis=1, out=tally)
     np.cumsum(tally, axis=0, out=tally)  # tally[b, y]: in-window edges of y in blocks 0..b
-    local = np.flatnonzero(tally[-1, :q] >= spec.min_local_sample)
-    rank = np.ceil(spec.percentile_p / 100.0 * tally[-1, local]).astype(np.int64)
+    local = np.flatnonzero(tally[-1, :q] >= config.min_local_sample)
+    rank = np.ceil(config.percentile_p / 100.0 * tally[-1, local]).astype(np.int64)
     block = np.count_nonzero(tally[:, local] < rank, axis=0)
     before = np.where(block > 0, tally[block - 1, local], 0)
     del tally  # the scan sets the peak memory; it needs none of the counts
@@ -188,16 +163,14 @@ def _edge_subset(graph: PaintingGraph, values: np.ndarray, mask: np.ndarray) -> 
 
 
 def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.ndarray,
-                              anchor: str = "destination") -> ImplicationNetwork:
+                              config: RunConfig) -> ImplicationNetwork:
     """Apply b = w - m(anchor node) to every edge; keep, drop, or reverse.
 
-    The anchor picks whose threshold judges edge (i -> j): the receiving node j
-    (destination, default) or the emitting node i (source). Every edge must run
-    from an earlier to a later year, as a built similarity graph's edges do, so
-    that the sign of b alone labels each surviving edge.
+    `config.balance_anchor` picks whose threshold judges edge (i -> j): the
+    receiving node j (destination, default) or the emitting node i (source).
+    Every edge must run from an earlier to a later year, as a built similarity
+    graph's edges do, so that the sign of b alone labels each surviving edge.
     """
-    if anchor not in BALANCE_ANCHORS:
-        raise ValueError(f"anchor must be one of {BALANCE_ANCHORS}, got {anchor!r}")
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} thresholds, got shape {m.shape}")
@@ -214,7 +187,7 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
         raise ValueError(f"edge {src} -> {dst} runs from year {years[src]} to year {years[dst]}; "
                          f"every similarity edge must run from an earlier to a later year")
 
-    b = np.repeat(m, np.diff(graph.indptr)) if anchor == "destination" else m[graph.src]
+    b = np.repeat(m, np.diff(graph.indptr)) if config.balance_anchor == "destination" else m[graph.src]
     np.subtract(graph.weight, b, out=b)
     kept = _edge_subset(graph, b, b > 0.0)
     np.negative(b, out=b)

@@ -58,12 +58,11 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
     balancing had nothing to judge.
     """
     if graph is None:
-        graph = build_graph(corpus, aspect, config.graph_params(sigma))
+        graph = build_graph(corpus, aspect, config, sigma)
     if graph.n_edges == 0:
         return graph, None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
-    thresholds = compute_thresholds(graph, corpus.years, config.balance_spec())
-    network = build_implication_network(graph, thresholds, corpus.years,
-                                        anchor=config.balance_anchor)
+    thresholds = compute_thresholds(graph, corpus.years, config)
+    network = build_implication_network(graph, thresholds, corpus.years, config)
     return graph, thresholds, network
 
 

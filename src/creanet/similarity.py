@@ -8,20 +8,13 @@ it does not depend on which other pairs are weighed with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SimilarityParams:
-    """Kernel bandwidth for one feature aspect."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if isinstance(self.sigma, bool) or not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be a positive finite number, got {self.sigma!r}")
+def check_sigma(sigma: float) -> None:
+    """Reject a kernel bandwidth that is not a positive finite number."""
+    if isinstance(sigma, bool) or not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be a positive finite number, got {sigma!r}")
 
 
 def distance_weights(d2: np.ndarray, sigma: float) -> np.ndarray:
@@ -30,7 +23,7 @@ def distance_weights(d2: np.ndarray, sigma: float) -> np.ndarray:
     Each step is monotone, so a lower bound on a squared distance maps to an
     upper bound on its weight.
     """
-    SimilarityParams(sigma)
+    check_sigma(sigma)
     return np.exp(np.asarray(d2, dtype=np.float64) / (-2.0 * sigma * sigma))
 
 

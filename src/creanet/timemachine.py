@@ -120,8 +120,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     seed = spec.seed if spec.seed is not None else config.seed
 
     sigma = resolve_sigma(corpus, aspect, config)
-    params = config.graph_params(sigma)
-    graph = build_graph(corpus, aspect, params)
+    graph = build_graph(corpus, aspect, config, sigma)
     ranks = edge_ranks(graph)
     # Of the baseline pass only the graph and the scores are used again; its
     # network is freed here rather than held through every run.
@@ -140,7 +139,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         perturbed = corpus.with_years(perturbed_years)
         rescored_result = run_pipeline(
             perturbed, aspect, config, sigma=sigma,
-            graph=update_graph(graph, ranks, corpus, aspect, params, perturbed_years))
+            graph=update_graph(graph, ranks, corpus, aspect, config, sigma, perturbed_years))
         converged = converged and rescored_result.score.converged
         rescored = rescored_result.score.scores
         base = baseline[targets]

@@ -95,19 +95,20 @@ def cin_edges(net: cn.ImplicationNetwork):
     return src[order], dst[order], weight[order], prior[order]
 
 
-def balance(graph: cn.PaintingGraph, years, spec: cn.BalanceSpec | None = None,
-            anchor: str = "destination") -> cn.ImplicationNetwork:
+def balance(graph: cn.PaintingGraph, years,
+            config: cn.RunConfig | None = None) -> cn.ImplicationNetwork:
     """Thresholds and edge mapping in one step, as the pipeline runs them."""
-    m = cn.compute_thresholds(graph, years, spec or cn.BalanceSpec())
-    return cn.build_implication_network(graph, m, years, anchor=anchor)
+    config = config or cn.RunConfig()
+    m = cn.compute_thresholds(graph, years, config)
+    return cn.build_implication_network(graph, m, years, config)
 
 
 def random_network(seed: int, n: int, k: int = 8, p: float = 50.0) -> cn.ImplicationNetwork:
     """Implication network of a random corpus, for solver-level tests."""
     corpus = random_corpus(seed, n, 6)
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=seed)
-    graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
-    return balance(graph, corpus.years, cn.BalanceSpec(percentile_p=p))
+    graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=k), sigma)
+    return balance(graph, corpus.years, cn.RunConfig(percentile_p=p))
 
 
 def dense_matrix(op: cn.StochasticOperator) -> np.ndarray:

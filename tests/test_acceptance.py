@@ -52,13 +52,11 @@ def criterion(num: int):
     return wrap
 
 
-def _network(seed: int, n: int, dim: int, k: int = 8,
-             spec: cn.BalanceSpec | None = None,
-             anchor: str = "destination") -> cn.ImplicationNetwork:
+def _network(seed: int, n: int, dim: int, k: int = 8) -> cn.ImplicationNetwork:
     corpus = random_corpus(seed, n, dim)
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=seed)
-    graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
-    return balance(graph, corpus.years, spec, anchor=anchor)
+    graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=k), sigma)
+    return balance(graph, corpus.years)
 
 
 CORPUS_GRID = [(n, dim) for n in (50, 200) for dim in (4, 64)] * 5  # 20 corpora
@@ -114,17 +112,17 @@ def test_criterion_2_simplex_invariants():
 def test_criterion_3_cin_conservation():
     edges = 0
     networks = 0
-    specs = [cn.BalanceSpec(percentile_p=25.0),
-             cn.BalanceSpec(percentile_p=50.0),
-             cn.BalanceSpec(percentile_p=75.0),
-             cn.BalanceSpec(mode="local", local_window_years=40, min_local_sample=5)]
+    balancings = [{"percentile_p": 25.0},
+                  {"percentile_p": 50.0},
+                  {"percentile_p": 75.0},
+                  {"balancing_mode": "local", "local_window_years": 40, "min_local_sample": 5}]
     for seed in range(10):
         corpus = random_corpus(140 + seed, 80, 6)
         sigma = cn.estimate_sigma(corpus.features["visual"], seed=seed)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=8, sigma=sigma))
-        for spec in specs:
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=8), sigma)
+        for kwargs in balancings:
             for anchor in ("destination", "source"):
-                net = balance(graph, corpus.years, spec, anchor=anchor)
+                net = balance(graph, corpus.years, cn.RunConfig(balance_anchor=anchor, **kwargs))
                 total = net.kept_count + net.reversed_count + net.dropped_count
                 assert total == graph.n_edges, (
                     f"kept+reversed+dropped = {total} != {graph.n_edges} original edges")
@@ -342,7 +340,7 @@ def test_criterion_9_scale_smoke():
 
     config = cn.RunConfig(k=500, alpha=0.15)
     sigma = cn.resolve_sigma(corpus, "visual", config)
-    graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=config.k, sigma=sigma))
+    graph = cn.build_graph(corpus, "visual", config, sigma)
     graph_done = time.monotonic()
 
     network = balance(graph, corpus.years)

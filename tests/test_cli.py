@@ -234,6 +234,14 @@ class TestKeyNames:
         assert code == EXIT_INVALID
         assert "'sigma.visaul'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "dump-graph", "validate"])
+    def test_malformed_time_machine_value_exits_invalid(self, tiny, tmp_path, capsys, command):
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code = main([command] + tiny_args(tiny) + ["--set", "timemachine.n_runs=abc"] + out)
+        assert code == EXIT_INVALID
+        assert "timemachine.n_runs: expected an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_time_machine_key_allowed_on_score(self, tiny, tmp_path):
         code = main(["score"] + tiny_args(tiny) +
                     ["--set", "timemachine.n_runs=3", "--out", str(tmp_path / "out")])

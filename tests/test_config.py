@@ -1,5 +1,6 @@
 """Config parsing, validation, and key handling."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 from creanet import config as config_module
 from creanet.config import (ConfigError, RunConfig, TimeMachineSpec, check_known_keys,
                             config_from_mapping, load_config_file, parse_config_text)
-from creanet.graph import GraphParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,7 +57,7 @@ class TestRunConfigValidation:
         RunConfig(alpha=1.0)
         RunConfig(beta=0.0)
         RunConfig(beta=1.0)
-        RunConfig(percentile_p=100.0)  # the same (0, 100] range as BalanceSpec
+        RunConfig(percentile_p=100.0)
         RunConfig(seed=2 ** 64 - 1)
         RunConfig(sigma=3)  # ints are fine, bools are not
 
@@ -65,26 +65,22 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="sigma"):
             RunConfig(sigma=True)
 
-    def test_balance_spec_carries_the_balancing_keys(self):
-        config = RunConfig(balancing_mode="local", percentile_p=30.0, local_window_years=7,
-                           min_local_sample=3)
-        spec = config.balance_spec()
-        assert (spec.mode, spec.percentile_p, spec.local_window_years, spec.min_local_sample) == \
-            ("local", 30.0, 7, 3)
-
-    def test_graph_params_carry_the_graph_keys(self):
-        config = RunConfig(k=9, temporal_prior="window", temporal_window_k=40)
-        assert config.graph_params(0.7) == GraphParams(k=9, sigma=0.7, temporal_prior="window",
-                                                       temporal_window_k=40)
-
-    @pytest.mark.parametrize("kwargs", [{"k": 0}, {"temporal_prior": "always"},
-                                        {"temporal_window_k": 0}])
-    def test_graph_errors_are_the_graph_params_errors(self, kwargs):
-        with pytest.raises(ValueError) as want:
-            GraphParams(**{"k": 500, "sigma": 1.0, **kwargs})
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"k": 0}, "k must be a positive integer, got 0"),
+        ({"temporal_prior": "always"},
+         "temporal_prior must be one of ('none', 'window'), got 'always'"),
+        ({"temporal_window_k": 0}, "temporal_window_k must be a positive integer, got 0"),
+    ], ids=["k", "temporal_prior", "temporal_window_k"])
+    def test_graph_key_messages(self, kwargs, message):
         with pytest.raises(ConfigError) as got:
             RunConfig(**kwargs)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
+
+    def test_frozen(self):
+        config = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.k = 0
+        assert config.k == 500
 
     def test_sigma_for_prefers_override(self):
         config = RunConfig(sigma=2.0, sigma_overrides={"color": 0.5})

@@ -43,7 +43,7 @@ class TestBuildGraph:
         corpus = random_corpus(seed=10, n=50, dim=4)
         sigma = cn.estimate_sigma(corpus.features["visual"], seed=0)
         for k in (1, 3, 10):
-            graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
+            graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=k), sigma)
             expected, weights = brute_force_edges(corpus, "visual", k, sigma)
             assert graph_edge_set(graph) == expected
             for s, d, w in zip(graph.src, edge_dst(graph), graph.weight):
@@ -53,15 +53,14 @@ class TestBuildGraph:
         corpus = random_corpus(seed=11, n=60, dim=3, year_lo=1500, year_hi=1520)
         sigma = cn.estimate_sigma(corpus.features["visual"], seed=0)
         for window in (1, 5, 17):
-            params = cn.GraphParams(k=4, sigma=sigma, temporal_prior="window",
-                                    temporal_window_k=window)
-            graph = cn.build_graph(corpus, "visual", params)
+            config = cn.RunConfig(k=4, temporal_prior="window", temporal_window_k=window)
+            graph = cn.build_graph(corpus, "visual", config, sigma)
             expected, _ = brute_force_edges(corpus, "visual", 4, sigma, window_k=window)
             assert graph_edge_set(graph) == expected
 
     def test_same_year_pairs_never_connected(self):
         corpus = make_corpus([1500, 1600, 1600], np.zeros((3, 2)))
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=5, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=5), 1.0)
         assert graph_edge_set(graph) == {(0, 1), (0, 2)}
 
     def test_top_k_keeps_largest_weight(self):
@@ -70,7 +69,7 @@ class TestBuildGraph:
         d = [np.sqrt(-2.0 * np.log(w)) for w in (0.2, 0.9, 0.4)]
         feats = np.array([[d[0]], [d[1]], [d[2]], [0.0]])
         corpus = make_corpus([1500, 1500, 1500, 1600], feats)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
         assert graph_edge_set(graph) == {(1, 3)}
         assert graph.weight[0] == pytest.approx(0.9, rel=1e-12)
 
@@ -78,21 +77,21 @@ class TestBuildGraph:
         # same-year sources 1 and 2 are identical, hence equal weight; K = 1 must pick index 1
         feats = np.array([[5.0], [1.0], [1.0], [0.0]])
         corpus = make_corpus([1500, 1500, 1500, 1600], feats)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
         assert graph_edge_set(graph) == {(1, 3)}
 
     def test_window_tie_prefers_earlier_manifest_row(self):
         # both candidates share year 1500; a window of 1 admits the earlier row only
         feats = np.array([[0.0], [1.0], [0.5]])
         corpus = make_corpus([1500, 1500, 1600], feats)
-        params = cn.GraphParams(k=5, sigma=1.0, temporal_prior="window", temporal_window_k=1)
-        graph = cn.build_graph(corpus, "visual", params)
+        config = cn.RunConfig(k=5, temporal_prior="window", temporal_window_k=1)
+        graph = cn.build_graph(corpus, "visual", config, 1.0)
         assert graph_edge_set(graph) == {(0, 2)}
 
     def test_underflowed_weights_dropped(self):
         feats = np.array([[0.0], [1e6], [0.0]])
         corpus = make_corpus([1500, 1501, 1600], feats)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=5, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=5), 1.0)
         # the distance-1e6 candidate underflows to weight 0 and is dropped
         assert graph_edge_set(graph) == {(0, 2)}
         assert graph.weight.min() > 0.0
@@ -100,20 +99,26 @@ class TestBuildGraph:
     def test_unknown_aspect(self):
         corpus = make_corpus([1500, 1600], np.eye(2))
         with pytest.raises(ValueError, match="aspect 'other'"):
-            cn.build_graph(corpus, "other", cn.GraphParams(k=1, sigma=1.0))
+            cn.build_graph(corpus, "other", cn.RunConfig(k=1), 1.0)
 
     def test_single_artifact_and_single_year(self):
         one = make_corpus([1500], np.ones((1, 2)))
-        assert cn.build_graph(one, "visual", cn.GraphParams(k=1, sigma=1.0)).n_edges == 0
+        assert cn.build_graph(one, "visual", cn.RunConfig(k=1), 1.0).n_edges == 0
         flat = make_corpus([1500] * 4, np.eye(4))
-        assert cn.build_graph(flat, "visual", cn.GraphParams(k=2, sigma=1.0)).n_edges == 0
+        assert cn.build_graph(flat, "visual", cn.RunConfig(k=2), 1.0).n_edges == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_bad_sigma_rejected_when_nothing_is_weighed(self, sigma):
+        flat = make_corpus([1500] * 4, np.eye(4))  # one year: no slab is ranked
+        with pytest.raises(ValueError, match="sigma"):
+            cn.build_graph(flat, "visual", cn.RunConfig(k=2), sigma)
 
 
 @pytest.fixture(scope="module")
 def built():
     corpus = random_corpus(seed=12, n=80, dim=4)
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=0)
-    return corpus, cn.build_graph(corpus, "visual", cn.GraphParams(k=6, sigma=sigma))
+    return corpus, cn.build_graph(corpus, "visual", cn.RunConfig(k=6), sigma)
 
 
 class TestGraphInvariants:
@@ -220,7 +225,7 @@ class TestPaintingGraphValidation:
 
 def test_write_graph_csv(tmp_path):
     corpus = make_corpus([1500, 1600], np.array([[0.0], [1.0]]), ids=["early", "late"])
-    graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+    graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
     out = tmp_path / "graph.csv"
     cn.write_graph_csv(graph, corpus.ids, out)
     lines = out.read_text().splitlines()

@@ -13,12 +13,12 @@ from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, mak
                       random_corpus, solve_closed_form)
 
 
-def build(seed=20, n=100, k=8, **spec_kwargs):
+def build(seed=20, n=100, k=8, **balance_kwargs):
     corpus = random_corpus(seed=seed, n=n, dim=4)
     sigma = cn.estimate_sigma(corpus.features["visual"], seed=0)
-    graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=k, sigma=sigma))
-    spec = cn.BalanceSpec(**spec_kwargs)
-    return corpus, graph, balance(graph, corpus.years, spec)
+    config = cn.RunConfig(k=k, **balance_kwargs)
+    graph = cn.build_graph(corpus, "visual", config, sigma)
+    return corpus, graph, balance(graph, corpus.years, config)
 
 
 class TestNearestRankPercentile:
@@ -58,15 +58,15 @@ class TestNearestRankPercentile:
 class TestComputeThresholds:
     def test_global_mode_constant(self):
         corpus, graph, _ = build()
-        m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec(percentile_p=50.0))
+        m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig(percentile_p=50.0))
         expected = cn.nearest_rank_percentile(graph.weight, 50.0)
         assert np.all(m == expected)
 
     def test_zero_edge_graph_rejected(self):
         corpus = make_corpus([1500, 1500], np.eye(2))
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
         with pytest.raises(ValueError, match="no edges"):
-            cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
+            cn.compute_thresholds(graph, corpus.years, cn.RunConfig())
 
     def test_local_mode_separated_clusters(self):
         # two eras far apart; weights within each era come from distinct ranges,
@@ -77,10 +77,10 @@ class TestComputeThresholds:
         feats = np.vstack([early, late])
         years = np.array([1500 + i for i in range(20)] + [1900 + i for i in range(20)])
         corpus = make_corpus(years, feats)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=6, sigma=10.0))
-        spec = cn.BalanceSpec(mode="local", percentile_p=50.0,
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=6), 10.0)
+        config = cn.RunConfig(balancing_mode="local", percentile_p=50.0,
                               local_window_years=30, min_local_sample=5)
-        m = cn.compute_thresholds(graph, corpus.years, spec)
+        m = cn.compute_thresholds(graph, corpus.years, config)
 
         ys, yd = years[graph.src], years[edge_dst(graph)]
         for node in (0, 5, 25, 39):
@@ -92,9 +92,9 @@ class TestComputeThresholds:
 
     def test_local_mode_falls_back_to_global(self):
         corpus, graph, _ = build(n=60, k=4)
-        spec = cn.BalanceSpec(mode="local", percentile_p=50.0,
+        config = cn.RunConfig(balancing_mode="local", percentile_p=50.0,
                               local_window_years=1, min_local_sample=10**6)
-        m = cn.compute_thresholds(graph, corpus.years, spec)
+        m = cn.compute_thresholds(graph, corpus.years, config)
         assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
 
     def test_percentile_100_drops_or_reverses_everything(self):
@@ -107,7 +107,7 @@ class TestBuildImplicationNetwork:
     def test_kept_edge(self):
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.8])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
-                                           np.array([1500, 1600]))
+                                           np.array([1500, 1600]), cn.RunConfig())
         src, dst, weight, prior = cin_edges(net)
         assert (src[0], dst[0]) == (0, 1)
         assert weight[0] == pytest.approx(0.3, abs=1e-15)
@@ -117,7 +117,7 @@ class TestBuildImplicationNetwork:
     def test_reversed_edge(self):
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.2])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
-                                           np.array([1500, 1600]))
+                                           np.array([1500, 1600]), cn.RunConfig())
         src, dst, weight, prior = cin_edges(net)
         assert (src[0], dst[0]) == (1, 0)
         assert weight[0] == pytest.approx(0.3, abs=1e-15)
@@ -127,7 +127,7 @@ class TestBuildImplicationNetwork:
     def test_exact_zero_balance_drops(self):
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.5])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),
-                                           np.array([1500, 1600]))
+                                           np.array([1500, 1600]), cn.RunConfig())
         assert net.n_edges == 0
         assert (net.kept_count, net.reversed_count, net.dropped_count) == (0, 0, 1)
 
@@ -135,9 +135,11 @@ class TestBuildImplicationNetwork:
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.4])
         m = np.array([0.6, 0.3])
         years = np.array([1500, 1600])
-        by_dst = cn.build_implication_network(graph, m, years, anchor="destination")
+        by_dst = cn.build_implication_network(graph, m, years,
+                                              cn.RunConfig(balance_anchor="destination"))
         assert by_dst.kept_count == 1  # judged by m[1] = 0.3
-        by_src = cn.build_implication_network(graph, m, years, anchor="source")
+        by_src = cn.build_implication_network(graph, m, years,
+                                              cn.RunConfig(balance_anchor="source"))
         assert by_src.reversed_count == 1  # judged by m[0] = 0.6
 
     @pytest.mark.parametrize("years", [[1500, 1600, 1600], [1500, 1700, 1600]],
@@ -146,13 +148,13 @@ class TestBuildImplicationNetwork:
         # the edge 1 -> 2 joins two artifacts of one year, or runs back in time
         graph = from_edges(cn.PaintingGraph, 3, [0, 0, 1], [1, 2, 2], [0.8, 0.6, 0.4])
         with pytest.raises(ValueError, match=f"edge 1 -> 2 runs from year {years[1]} to year 1600"):
-            cn.build_implication_network(graph, np.full(3, 0.5), np.array(years))
+            cn.build_implication_network(graph, np.full(3, 0.5), np.array(years), cn.RunConfig())
 
     def test_conservation_and_labels_random_graphs(self):
         for seed in (21, 22, 23):
             corpus, graph, net = build(seed=seed, percentile_p=50.0)
             # brute-force recount: apply the balance rule edge by edge
-            m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec(percentile_p=50.0))
+            m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig(percentile_p=50.0))
             kept = reversed_ = dropped = 0
             for s, d, w in zip(graph.src, edge_dst(graph), graph.weight):
                 b = w - m[d]
@@ -239,19 +241,19 @@ class TestImplicationNetworkValidation:
 class TestBalanceSpecValidation:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            cn.BalanceSpec(mode="temporal")
+            cn.RunConfig(balancing_mode="temporal")
 
     @pytest.mark.parametrize("p", [0.0, -5.0, 100.0001])
     def test_rejects_bad_percentile(self, p):
         with pytest.raises(ValueError):
-            cn.BalanceSpec(percentile_p=p)
+            cn.RunConfig(percentile_p=p)
 
     def test_accepts_p100(self):
-        assert cn.BalanceSpec(percentile_p=100.0).percentile_p == 100.0
+        assert cn.RunConfig(percentile_p=100.0).percentile_p == 100.0
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            cn.BalanceSpec(local_window_years=0)
+            cn.RunConfig(local_window_years=0)
 
 
 def test_write_cin_csv(tmp_path):

@@ -80,7 +80,7 @@ def reference_window_candidates(order, starts, ends, group, budget):
     return np.concatenate(pieces[::-1]) if pieces else np.empty(0, dtype=np.int64)
 
 
-def reference_build_graph(corpus, aspect, params):
+def reference_build_graph(corpus, aspect, config, sigma):
     """Weigh every candidate pair on its own, select each row's top K, then one lexsort."""
     feats = corpus.features[aspect].vectors
     order, starts, ends = graph_module._year_groups(corpus.years)
@@ -89,16 +89,16 @@ def reference_build_graph(corpus, aspect, params):
         gs, ge = int(starts[g]), int(ends[g])
         if gs == 0:
             continue
-        if params.temporal_prior == "window" and gs > params.temporal_window_k:
-            cand = reference_window_candidates(order, starts, ends, g, params.temporal_window_k)
+        if config.temporal_prior == "window" and gs > config.temporal_window_k:
+            cand = reference_window_candidates(order, starts, ends, g, config.temporal_window_k)
         else:
             cand = order[:gs]
         for j in order[gs:ge]:
-            w = np.array([visual_similarity(feats[j], feats[i], params.sigma) for i in cand])
+            w = np.array([visual_similarity(feats[j], feats[i], sigma) for i in cand])
             keep = w > 0.0
             wk = w[keep]
             ck = cand[keep]
-            sel = reference_select_top_k(wk, ck, params.k)
+            sel = reference_select_top_k(wk, ck, config.k)
             src_parts.append(ck[sel])
             dst_parts.append(np.full(sel.size, j, dtype=np.int64))
             w_parts.append(wk[sel])
@@ -215,11 +215,11 @@ def reference_percentile(values, p):
     return float(np.sort(values, kind="stable")[rank - 1])
 
 
-def reference_local_thresholds(graph, years, spec):
+def reference_local_thresholds(graph, years, config):
     """Local-mode m: mask the in-window edges and take their percentile, once per distinct year."""
     years = np.asarray(years, dtype=np.int64)
-    global_m = reference_percentile(graph.weight, spec.percentile_p)
-    w = spec.local_window_years
+    global_m = reference_percentile(graph.weight, config.percentile_p)
+    w = config.local_window_years
     ys, yd = years[graph.src], years[edge_dst(graph)]
     lo = np.maximum(ys, yd) - w
     hi = np.minimum(ys, yd) + w
@@ -229,10 +229,10 @@ def reference_local_thresholds(graph, years, spec):
         y = int(years[i])
         if y not in cache:
             mask = (lo <= y) & (y <= hi)
-            if int(mask.sum()) < spec.min_local_sample:
+            if int(mask.sum()) < config.min_local_sample:
                 cache[y] = global_m
             else:
-                cache[y] = reference_percentile(graph.weight[mask], spec.percentile_p)
+                cache[y] = reference_percentile(graph.weight[mask], config.percentile_p)
         m[i] = cache[y]
     return m
 
@@ -376,11 +376,11 @@ def assert_same_report(got, want):
             assert a.tobytes() == b.tobytes(), field.name
 
 
-def count_fallback_rows(corpus, params):
+def count_fallback_rows(corpus, config, sigma):
     """Build the graph and count the rows that went through the per-row selection."""
     with mock.patch.object(graph_module, "_select_top_k",
                            wraps=graph_module._select_top_k) as spy:
-        graph = cn.build_graph(corpus, "visual", params)
+        graph = cn.build_graph(corpus, "visual", config, sigma)
     return graph, spy.call_count
 
 
@@ -406,15 +406,15 @@ def corpora(draw):
     return make_corpus(years, feats)
 
 
-graph_params = st.builds(
-    lambda k, sigma, window: cn.GraphParams(
-        k=k, sigma=sigma, temporal_prior="none" if window is None else "window",
+graph_configs = st.builds(
+    lambda k, window: cn.RunConfig(
+        k=k, temporal_prior="none" if window is None else "window",
         temporal_window_k=window or 500),
     k=st.integers(1, 10),
-    # 0.01 underflows every weight but identical features; 0.3 and 1.0 keep grid ties
-    sigma=st.sampled_from([0.01, 0.3, 1.0, 4.0]),
     window=st.one_of(st.none(), st.integers(1, 12)),
 )
+# 0.01 underflows every weight but identical features; 0.3 and 1.0 keep grid ties
+kernel_sigmas = st.sampled_from([0.01, 0.3, 1.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +422,10 @@ graph_params = st.builds(
 
 class TestGraphAgainstOracle:
     @settings(max_examples=150, deadline=None)
-    @given(corpora(), graph_params)
-    def test_random_corpora(self, corpus, params):
-        assert_same_graph(cn.build_graph(corpus, "visual", params),
-                          reference_build_graph(corpus, "visual", params))
+    @given(corpora(), graph_configs, kernel_sigmas)
+    def test_random_corpora(self, corpus, config, sigma):
+        assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                          reference_build_graph(corpus, "visual", config, sigma))
 
     def test_slab_mixes_fast_and_fallback_rows(self):
         # one destination slab of 200 rows against 60 grid-valued candidates: some
@@ -434,26 +434,26 @@ class TestGraphAgainstOracle:
         feats = rng.integers(0, 4, size=(260, 2)).astype(np.float64)
         feats[60:] += rng.normal(scale=0.2, size=(200, 2)) * (rng.random((200, 1)) < 0.5)
         corpus = make_corpus([1500] * 60 + [1600] * 200, feats)
-        params = cn.GraphParams(k=3, sigma=1.0)
-        graph, fallback_rows = count_fallback_rows(corpus, params)
+        config, sigma = cn.RunConfig(k=3), 1.0
+        graph, fallback_rows = count_fallback_rows(corpus, config, sigma)
         assert 0 < fallback_rows < 200
-        assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+        assert_same_graph(graph, reference_build_graph(corpus, "visual", config, sigma))
 
     def test_underflowed_rows_fall_back(self):
         # sigma far below the grid spacing: only identical features keep a weight
         corpus = quantised_corpus(seed=4, n=150, dim=2, levels=2, year_lo=1500, year_hi=1510)
-        params = cn.GraphParams(k=4, sigma=0.01)
-        graph, fallback_rows = count_fallback_rows(corpus, params)
+        config, sigma = cn.RunConfig(k=4), 0.01
+        graph, fallback_rows = count_fallback_rows(corpus, config, sigma)
         assert fallback_rows > 0
         assert graph.n_edges > 0
-        assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+        assert_same_graph(graph, reference_build_graph(corpus, "visual", config, sigma))
 
     def test_candidate_sets_no_larger_than_k(self):
         corpus = random_corpus(seed=5, n=120, dim=3, year_lo=1500, year_hi=1530)
         for k in (40, 119, 500):
-            params = cn.GraphParams(k=k, sigma=1.0)
-            assert_same_graph(cn.build_graph(corpus, "visual", params),
-                              reference_build_graph(corpus, "visual", params))
+            config, sigma = cn.RunConfig(k=k), 1.0
+            assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                              reference_build_graph(corpus, "visual", config, sigma))
 
     def test_several_slabs_per_year_group(self):
         # 700 destinations in one year: three slabs share one candidate set
@@ -461,24 +461,26 @@ class TestGraphAgainstOracle:
         years = np.array([1500] * 300 + [1600] * 700)
         corpus = make_corpus(years, rng.normal(size=(1000, 4)))
         for prior, window in (("none", 500), ("window", 120)):
-            params = cn.GraphParams(k=25, sigma=1.5, temporal_prior=prior, temporal_window_k=window)
-            assert_same_graph(cn.build_graph(corpus, "visual", params),
-                              reference_build_graph(corpus, "visual", params))
+            config = cn.RunConfig(k=25, temporal_prior=prior, temporal_window_k=window)
+            sigma = 1.5
+            assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                              reference_build_graph(corpus, "visual", config, sigma))
 
     def test_window_prior_with_ties(self):
         corpus = quantised_corpus(seed=7, n=400, dim=2, levels=3, year_lo=1500, year_hi=1540)
         for window in (1, 9, 60):
-            params = cn.GraphParams(k=5, sigma=0.8, temporal_prior="window", temporal_window_k=window)
-            assert_same_graph(cn.build_graph(corpus, "visual", params),
-                              reference_build_graph(corpus, "visual", params))
+            config = cn.RunConfig(k=5, temporal_prior="window", temporal_window_k=window)
+            sigma = 0.8
+            assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                              reference_build_graph(corpus, "visual", config, sigma))
 
     def test_single_artifact_year_groups(self):
         rng = np.random.default_rng(8)
         corpus = make_corpus(1500 + rng.permutation(90), rng.normal(size=(90, 3)))
         for k in (1, 7):
-            params = cn.GraphParams(k=k, sigma=1.0)
-            assert_same_graph(cn.build_graph(corpus, "visual", params),
-                              reference_build_graph(corpus, "visual", params))
+            config, sigma = cn.RunConfig(k=k), 1.0
+            assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                              reference_build_graph(corpus, "visual", config, sigma))
 
     def test_slabs_span_groups_with_different_candidate_counts(self):
         # 600 artifacts over 40 years of uneven size: a slab of 256 rows spans
@@ -489,9 +491,10 @@ class TestGraphAgainstOracle:
         counts = np.searchsorted(np.sort(corpus.years), corpus.years)
         assert (counts > 0).any() and (counts <= 30).any() and (counts > 30).any()
         for prior, window in (("none", 500), ("window", 45)):
-            params = cn.GraphParams(k=30, sigma=1.2, temporal_prior=prior, temporal_window_k=window)
-            assert_same_graph(cn.build_graph(corpus, "visual", params),
-                              reference_build_graph(corpus, "visual", params))
+            config = cn.RunConfig(k=30, temporal_prior=prior, temporal_window_k=window)
+            sigma = 1.2
+            assert_same_graph(cn.build_graph(corpus, "visual", config, sigma),
+                              reference_build_graph(corpus, "visual", config, sigma))
 
     def test_near_ties_from_duplicate_and_grid_features(self):
         # duplicated rows tie exactly, with each other and across years; grid
@@ -502,35 +505,35 @@ class TestGraphAgainstOracle:
         feats = base[rng.integers(0, 40, size=300)]
         corpus = make_corpus(rng.integers(1500, 1530, size=300), feats)
         for k, sigma in ((1, 0.5), (4, 1.0), (12, 3.0)):
-            params = cn.GraphParams(k=k, sigma=sigma)
-            graph, fallback_rows = count_fallback_rows(corpus, params)
+            config = cn.RunConfig(k=k)
+            graph, fallback_rows = count_fallback_rows(corpus, config, sigma)
             assert fallback_rows > 0
-            assert_same_graph(graph, reference_build_graph(corpus, "visual", params))
+            assert_same_graph(graph, reference_build_graph(corpus, "visual", config, sigma))
 
 
 @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
 def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
     corpus = quantised_corpus(seed=15, n=700, dim=3, levels=4, year_lo=1500, year_hi=1560)
-    params = cn.GraphParams(k=9, sigma=1.7, temporal_prior=prior, temporal_window_k=window)
+    config, sigma = cn.RunConfig(k=9, temporal_prior=prior, temporal_window_k=window), 1.7
     graphs = []
     for chunk in (1, 7, 256):
         monkeypatch.setattr(graph_module, "_DST_CHUNK", chunk)
-        graphs.append(cn.build_graph(corpus, "visual", params))
+        graphs.append(cn.build_graph(corpus, "visual", config, sigma))
     for graph in graphs[1:]:
         assert_same_graph(graph, graphs[0])
-    assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", params))
+    assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", config, sigma))
 
 
 # ---------------------------------------------------------------------------
 # Incremental time machine.
 
-def assert_update_like_rebuild(corpus, params, years):
+def assert_update_like_rebuild(corpus, config, sigma, years):
     """`update_graph` from the baseline equals `build_graph` on the re-dated corpus; returns it."""
-    graph = cn.build_graph(corpus, "visual", params)
+    graph = cn.build_graph(corpus, "visual", config, sigma)
     ranks = graph_module.edge_ranks(graph)
     assert np.array_equal(ranks, reference_edge_ranks(graph))
-    got = graph_module.update_graph(graph, ranks, corpus, "visual", params, years)
-    assert_same_graph(got, cn.build_graph(corpus.with_years(years), "visual", params))
+    got = graph_module.update_graph(graph, ranks, corpus, "visual", config, sigma, years)
+    assert_same_graph(got, cn.build_graph(corpus.with_years(years), "visual", config, sigma))
     return got
 
 
@@ -550,11 +553,11 @@ def redate(corpus, rng, fraction, move):
 
 class TestGraphUpdateAgainstOracle:
     @settings(max_examples=200, deadline=None)
-    @given(corpora(), graph_params, st.integers(0, 2**32 - 1),
+    @given(corpora(), graph_configs, kernel_sigmas, st.integers(0, 2**32 - 1),
            st.sampled_from([0.01, 0.1, 0.4]), st.sampled_from(["back", "forward", "wander"]))
-    def test_random_moves(self, corpus, params, seed, fraction, move):
+    def test_random_moves(self, corpus, config, sigma, seed, fraction, move):
         years = redate(corpus, np.random.default_rng(seed), fraction, move)
-        assert_update_like_rebuild(corpus, params, years)
+        assert_update_like_rebuild(corpus, config, sigma, years)
 
     @pytest.mark.parametrize("move", ["back", "forward", "wander"])
     def test_ties_at_the_cut(self, move):
@@ -565,60 +568,61 @@ class TestGraphUpdateAgainstOracle:
         grid = quantised_corpus(seed=22, n=400, dim=2, levels=3, year_lo=1500, year_hi=1540)
         for corpus in (dup, grid):
             for k, sigma in ((1, 0.5), (4, 1.0), (12, 3.0)):
-                params = cn.GraphParams(k=k, sigma=sigma)
+                config = cn.RunConfig(k=k)
                 for fraction in (0.01, 0.1):
-                    assert_update_like_rebuild(corpus, params, redate(corpus, rng, fraction, move))
+                    years = redate(corpus, rng, fraction, move)
+                    assert_update_like_rebuild(corpus, config, sigma, years)
 
     def test_underflow_and_k_above_candidates(self):
         rng = np.random.default_rng(23)
         grid = quantised_corpus(seed=24, n=150, dim=2, levels=2, year_lo=1500, year_hi=1510)
         wide = random_corpus(seed=25, n=120, dim=3, year_lo=1500, year_hi=1530)
-        for corpus, params in ((grid, cn.GraphParams(k=4, sigma=0.01)),
-                               (wide, cn.GraphParams(k=40, sigma=1.0)),
-                               (wide, cn.GraphParams(k=500, sigma=1.0))):
+        for corpus, config, sigma in ((grid, cn.RunConfig(k=4), 0.01),
+                                      (wide, cn.RunConfig(k=40), 1.0),
+                                      (wide, cn.RunConfig(k=500), 1.0)):
             for move in ("back", "forward", "wander"):
-                assert_update_like_rebuild(corpus, params, redate(corpus, rng, 0.05, move))
+                assert_update_like_rebuild(corpus, config, sigma, redate(corpus, rng, 0.05, move))
 
     def test_own_year_and_earliest_year(self):
         corpus = random_corpus(seed=26, n=200, dim=3, year_lo=1500, year_hi=1540)
-        params = cn.GraphParams(k=6, sigma=1.0)
+        config, sigma = cn.RunConfig(k=6), 1.0
         first = int(corpus.years.min())
         late = np.flatnonzero(corpus.years > first + 20)[:5]
         years = np.array(corpus.years)
         years[late[:3]] = first  # no candidates left
-        graph = assert_update_like_rebuild(corpus, params, years)
+        graph = assert_update_like_rebuild(corpus, config, sigma, years)
         assert np.all(np.diff(graph.indptr)[late[:3]] == 0)
-        assert_update_like_rebuild(corpus, params, np.array(corpus.years))  # drawn onto own years
+        assert_update_like_rebuild(corpus, config, sigma, np.array(corpus.years))  # drawn onto own years
         years = np.array(corpus.years)
         years[late[3:]] = first - 1  # a new earliest year of its own
-        assert_update_like_rebuild(corpus, params, years)
+        assert_update_like_rebuild(corpus, config, sigma, years)
 
     def test_one_artifact_years(self):
         rng = np.random.default_rng(27)
         years = np.concatenate((np.repeat(np.arange(1500, 1510), 12), [1520, 1530, 1540]))
         corpus = make_corpus(years, rng.normal(size=(years.size, 3)))
-        params = cn.GraphParams(k=5, sigma=1.0)
+        config, sigma = cn.RunConfig(k=5), 1.0
         for row, year in ((120, 1505), (121, 1499), (121, 1545), (0, 1525), (13, 1541), (122, 1520)):
             moved = np.array(corpus.years)
             moved[row] = year  # out of, or into, a year holding one artifact
-            assert_update_like_rebuild(corpus, params, moved)
+            assert_update_like_rebuild(corpus, config, sigma, moved)
 
     def test_every_artifact_moved(self):
         corpus = random_corpus(seed=28, n=300, dim=4, year_lo=1500, year_hi=1560)
         years = 3200 - corpus.years  # 1640-1700, the order of the years reversed
-        assert_update_like_rebuild(corpus, cn.GraphParams(k=9, sigma=1.2), years)
+        assert_update_like_rebuild(corpus, cn.RunConfig(k=9), 1.2, years)
 
     @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
     def test_rebuilt_rows_span_several_slabs(self, monkeypatch, prior, window):
         monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
         corpus = random_corpus(seed=30, n=800, dim=3, year_lo=1500, year_hi=1600)
-        params = cn.GraphParams(k=10, sigma=1.0, temporal_prior=prior, temporal_window_k=window)
+        config, sigma = cn.RunConfig(k=10, temporal_prior=prior, temporal_window_k=window), 1.0
         rng = np.random.default_rng(31)
         for move in ("back", "forward", "wander"):
             years = redate(corpus, rng, 0.05, move)
             with mock.patch.object(graph_module, "_top_k", wraps=graph_module._top_k) as spy:
-                assert_update_like_rebuild(corpus, params, years)
-            rebuilt = [c.args[3] for c in spy.call_args_list if len(c.args) > 3]
+                assert_update_like_rebuild(corpus, config, sigma, years)
+            rebuilt = [c.args[4] for c in spy.call_args_list if len(c.args) > 4]
             if prior == "none":
                 assert len(rebuilt) == 1 and rebuilt[0].sum() > 2 * 16
             else:
@@ -699,51 +703,54 @@ class TestPercentileAgainstOracle:
 
     def test_graph_weights_every_p(self):
         corpus = random_corpus(seed=9, n=300, dim=4)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=12, sigma=1.5))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=12), 1.5)
         for p in (0.1, 25.0, 50.0, 75.0, 100.0):
             assert cn.nearest_rank_percentile(graph.weight, p) == \
                 reference_percentile(graph.weight, p)
 
 
-def thresholds_both_ways(graph, years, spec):
-    got = cn.compute_thresholds(graph, years, spec)
+def thresholds_both_ways(graph, years, config):
+    got = cn.compute_thresholds(graph, years, config)
     with mock.patch.object(implication_module, "nearest_rank_percentile", reference_percentile):
-        want = cn.compute_thresholds(graph, years, spec)
+        want = cn.compute_thresholds(graph, years, config)
     assert got.tobytes() == want.tobytes()
-    if spec.mode == "local":
-        assert got.tobytes() == reference_local_thresholds(graph, years, spec).tobytes()
+    if config.balancing_mode == "local":
+        assert got.tobytes() == reference_local_thresholds(graph, years, config).tobytes()
     return got
 
 
-balance_specs = st.builds(
-    cn.BalanceSpec,
-    mode=st.sampled_from(["global", "local"]),
+balance_configs = st.builds(
+    cn.RunConfig,
+    balancing_mode=st.sampled_from(["global", "local"]),
     percentile_p=st.sampled_from([10.0, 50.0, 90.0, 100.0]),
     local_window_years=st.integers(1, 6),
     min_local_sample=st.integers(1, 30),
+    balance_anchor=st.sampled_from(["destination", "source"]),
 )
 
 
 class TestNetworkAgainstOracle:
     @settings(max_examples=150, deadline=None)
-    @given(corpora(), graph_params, balance_specs, st.sampled_from(["destination", "source"]))
-    def test_random_corpora(self, corpus, params, spec, anchor):
-        graph = cn.build_graph(corpus, "visual", params)
+    @given(corpora(), graph_configs, kernel_sigmas, balance_configs)
+    def test_random_corpora(self, corpus, config, sigma, balancing):
+        graph = cn.build_graph(corpus, "visual", config, sigma)
         if graph.n_edges == 0:
             return
-        m = thresholds_both_ways(graph, corpus.years, spec)
-        assert_same_network(cn.build_implication_network(graph, m, corpus.years, anchor),
-                            reference_build_implication_network(graph, m, corpus.years, anchor))
+        m = thresholds_both_ways(graph, corpus.years, balancing)
+        assert_same_network(cn.build_implication_network(graph, m, corpus.years, balancing),
+                            reference_build_implication_network(graph, m, corpus.years,
+                                                                balancing.balance_anchor))
 
     @pytest.mark.parametrize("anchor", ["destination", "source"])
     @pytest.mark.parametrize("mode", ["global", "local"])
     @pytest.mark.parametrize("p", [30.0, 50.0, 100.0])
     def test_larger_corpus(self, anchor, mode, p):
         corpus = random_corpus(seed=10, n=700, dim=4)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
-        spec = cn.BalanceSpec(mode=mode, percentile_p=p, local_window_years=30)
-        m = thresholds_both_ways(graph, corpus.years, spec)
-        net = cn.build_implication_network(graph, m, corpus.years, anchor)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=20), 1.2)
+        config = cn.RunConfig(balancing_mode=mode, percentile_p=p, local_window_years=30,
+                              balance_anchor=anchor)
+        m = thresholds_both_ways(graph, corpus.years, config)
+        net = cn.build_implication_network(graph, m, corpus.years, config)
         assert net.reversed_count > 0
         assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
 
@@ -751,10 +758,11 @@ class TestNetworkAgainstOracle:
         # `write_cin_csv` relies on scipy's sum of K and R^T being canonical,
         # which holds only if both terms are
         corpus = random_corpus(seed=10, n=700, dim=4)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=20, sigma=1.2))
-        m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=20), 1.2)
+        m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig())
         for anchor in ("destination", "source"):
-            net = cn.build_implication_network(graph, m, corpus.years, anchor)
+            net = cn.build_implication_network(graph, m, corpus.years,
+                                               cn.RunConfig(balance_anchor=anchor))
             kept, rev = net.kept, net.reversed
             keep = sparse.csc_matrix((kept.weight, kept.src, kept.indptr), shape=(graph.n, graph.n))
             flip = sparse.csr_matrix((rev.weight, rev.src, rev.indptr),
@@ -766,11 +774,12 @@ class TestNetworkAgainstOracle:
 
     def test_arbitrary_thresholds_with_exact_drops(self):
         corpus = quantised_corpus(seed=11, n=200, dim=2, levels=3, year_lo=1500, year_hi=1560)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=6, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=6), 1.0)
         rng = np.random.default_rng(11)
         m = rng.choice(np.unique(graph.weight), size=corpus.n)  # b = 0 drops edges
         for anchor in ("destination", "source"):
-            net = cn.build_implication_network(graph, m, corpus.years, anchor)
+            net = cn.build_implication_network(graph, m, corpus.years,
+                                               cn.RunConfig(balance_anchor=anchor))
             assert net.dropped_count > 0
             assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
 
@@ -782,7 +791,7 @@ class TestNetworkAgainstOracle:
         m = np.array([0.5, 0.5])
         years = np.array([1500, 1600])
         with pytest.raises(ValueError, match="edge 1 -> 0 runs from year 1600 to year 1500"):
-            cn.build_implication_network(graph, m, years)
+            cn.build_implication_network(graph, m, years, cn.RunConfig())
         with pytest.raises(ValueError, match="strictly sorted"):
             reference_build_implication_network(graph, m, years)
 
@@ -812,8 +821,9 @@ def window_sample_sizes(graph, years, w):
     return np.array([int(((lo <= y) & (y <= hi)).sum()) for y in years])
 
 
-def local_spec(p=50.0, w=3, floor=1):
-    return cn.BalanceSpec(mode="local", percentile_p=p, local_window_years=w, min_local_sample=floor)
+def local_config(p=50.0, w=3, floor=1):
+    return cn.RunConfig(balancing_mode="local", percentile_p=p, local_window_years=w,
+                        min_local_sample=floor)
 
 
 class TestLocalThresholdsAgainstOracle:
@@ -825,52 +835,52 @@ class TestLocalThresholdsAgainstOracle:
     def test_hand_made_graphs(self, seed, n, n_edges, n_years, levels, p, w, floor):
         graph, years = hand_made_graph(seed, n, n_edges, n_years, levels)
         if graph.n_edges:
-            thresholds_both_ways(graph, years, local_spec(p, w, floor))
+            thresholds_both_ways(graph, years, local_config(p, w, floor))
 
     def test_edges_never_in_window(self):
         graph, years = hand_made_graph(seed=20, n=60, n_edges=900, n_years=40)
         w = 3
         span = np.abs(years[graph.src] - years[edge_dst(graph)])
         assert np.any(span > 2 * w) and np.any(span <= 2 * w)
-        thresholds_both_ways(graph, years, local_spec(w=w))
+        thresholds_both_ways(graph, years, local_config(w=w))
 
     def test_no_edge_ever_in_window(self):
         # every edge spans more than 2w years: all samples are empty, all years fall back
         graph = from_edges(cn.PaintingGraph, 3, [1, 0, 0], [0, 1, 2], [0.2, 0.7, 0.4])
         years = np.array([1500, 1510, 1520])
-        m = thresholds_both_ways(graph, years, local_spec(w=4))
+        m = thresholds_both_ways(graph, years, local_config(w=4))
         assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
 
     def test_fallback_for_some_years_only(self):
         graph, years = hand_made_graph(seed=21, n=80, n_edges=1500, n_years=30)
         for floor in (20, 40, 60):
-            spec = local_spec(w=2, floor=floor)
-            sizes = window_sample_sizes(graph, years, spec.local_window_years)
+            config = local_config(w=2, floor=floor)
+            sizes = window_sample_sizes(graph, years, config.local_window_years)
             assert np.any(sizes < floor) and np.any(sizes >= floor)
-            thresholds_both_ways(graph, years, spec)
+            thresholds_both_ways(graph, years, config)
 
     @pytest.mark.parametrize("p", [0.1, 100.0])
     def test_extreme_percentiles(self, p):
         graph, years = hand_made_graph(seed=22, n=70, n_edges=1200, n_years=25)
-        m = thresholds_both_ways(graph, years, local_spec(p=p, w=4))
+        m = thresholds_both_ways(graph, years, local_config(p=p, w=4))
         assert np.unique(m).size > 1
 
     def test_single_distinct_year(self):
         graph, years = hand_made_graph(seed=23, n=30, n_edges=200, n_years=1)
         assert np.unique(years).size == 1
         for p in (0.1, 50.0, 100.0):
-            m = thresholds_both_ways(graph, years, local_spec(p=p, w=1))
+            m = thresholds_both_ways(graph, years, local_config(p=p, w=1))
             assert m[0] == cn.nearest_rank_percentile(graph.weight, p)
 
     def test_quantised_weights_tie_across_ranks(self):
         graph, years = hand_made_graph(seed=24, n=70, n_edges=1500, n_years=20, levels=4)
         assert np.unique(graph.weight).size == 4
         for p in (10.0, 25.0, 50.0, 75.0, 100.0):
-            thresholds_both_ways(graph, years, local_spec(p=p, w=3))
+            thresholds_both_ways(graph, years, local_config(p=p, w=3))
 
     def test_window_wider_than_year_span(self):
         graph, years = hand_made_graph(seed=25, n=50, n_edges=600, n_years=15)
-        m = thresholds_both_ways(graph, years, local_spec(w=100))
+        m = thresholds_both_ways(graph, years, local_config(w=100))
         assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
 
     def test_sources_later_than_destinations(self):
@@ -879,7 +889,7 @@ class TestLocalThresholdsAgainstOracle:
                            [0.9, 0.3, 0.5, 0.6, 0.2, 0.8])
         years = np.array([1500, 1502, 1504, 1509])
         for w in (1, 2, 3, 5):
-            thresholds_both_ways(graph, years, local_spec(w=w))
+            thresholds_both_ways(graph, years, local_config(w=w))
 
     @pytest.mark.parametrize("n_edges", [1, 2, 3, 4, 8, 9, 10, 17, 120, 1000])
     def test_one_block_and_several(self, n_edges):
@@ -889,7 +899,7 @@ class TestLocalThresholdsAgainstOracle:
         graph, years = hand_made_graph(seed=26 + n_edges, n=60, n_edges=n_edges, n_years=4)
         assert graph.n_edges == n_edges
         for p in (0.1, 50.0, 100.0):
-            thresholds_both_ways(graph, years, local_spec(p=p, w=3))
+            thresholds_both_ways(graph, years, local_config(p=p, w=3))
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +920,7 @@ class TestCsvWritersAgainstOracle:
         rng = np.random.default_rng(12)
         n = len(AWKWARD_IDS)
         corpus = make_corpus(1500 + rng.permutation(n), rng.normal(size=(n, 2)), ids=AWKWARD_IDS)
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=4, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=4), 1.0)
         return corpus, graph, balance(graph, corpus.years)
 
     def test_graph_csv_bytes(self, tmp_path, csv_chunk):
@@ -922,7 +932,7 @@ class TestCsvWritersAgainstOracle:
     def test_cin_csv_bytes(self, tmp_path, csv_chunk):
         corpus, graph, net = self.build()
         assert net.kept_count and net.reversed_count
-        m = cn.compute_thresholds(graph, corpus.years, cn.BalanceSpec())
+        m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig())
         cn.write_cin_csv(net, corpus.ids, tmp_path / "got.csv")
         reference_write_cin_csv(reference_build_implication_network(graph, m, corpus.years),
                                 corpus.ids, tmp_path / "want.csv")
@@ -938,7 +948,7 @@ class TestCsvWritersAgainstOracle:
 
     def test_empty_edge_lists(self, tmp_path):
         corpus = make_corpus([1500, 1500], np.eye(2), ids=["a,b", "c"])
-        graph = cn.build_graph(corpus, "visual", cn.GraphParams(k=1, sigma=1.0))
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
         net = cn.build_network(corpus, "visual", cn.RunConfig(k=1), 1.0, graph)[2]
         empty = from_edges(ReferenceNetwork, corpus.n, [], [], [], prior=[], kept_count=0,
                            reversed_count=0, dropped_count=0)
@@ -974,16 +984,16 @@ class TestOperatorAgainstOracle:
             assert dense_matrix(op).tobytes() == dense_matrix(want).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(corpora(), graph_params, balance_specs, st.sampled_from(["destination", "source"]),
+    @given(corpora(), graph_configs, kernel_sigmas, balance_configs,
            st.none() | st.floats(0.01, 0.99), alphas)
-    def test_against_the_merged_network(self, corpus, params, spec, anchor, beta, alpha):
-        graph = cn.build_graph(corpus, "visual", params)
+    def test_against_the_merged_network(self, corpus, config, sigma, balancing, beta, alpha):
+        graph = cn.build_graph(corpus, "visual", config, sigma)
         if graph.n_edges == 0:
             return
-        m = cn.compute_thresholds(graph, corpus.years, spec)
-        op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, anchor), beta)
-        want = merged_network_operator(
-            reference_build_implication_network(graph, m, corpus.years, anchor), beta)
+        m = cn.compute_thresholds(graph, corpus.years, balancing)
+        op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, balancing), beta)
+        want = merged_network_operator(reference_build_implication_network(
+            graph, m, corpus.years, balancing.balance_anchor), beta)
         assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
         got, ref = cn.solve_power(op, alpha), cn.solve_power(want, alpha)
         assert np.max(np.abs(got.scores - ref.scores) / ref.scores) <= 1e-13

@@ -198,8 +198,7 @@ class TestScoreOutputs:
         path = tmp_path / "run_meta.json"
         cn.write_run_meta(results, corpus, config, path)
         stats = json.loads(path.read_text(encoding="utf-8"))["aspects"]["visual"]
-        spec = cn.BalanceSpec(mode="local", local_window_years=40)
-        m = cn.compute_thresholds(results["visual"].graph, corpus.years, spec)
+        m = cn.compute_thresholds(results["visual"].graph, corpus.years, config)
         assert np.unique(m).size > 1
         assert stats["threshold_min"] == m.min()
         assert stats["threshold_max"] == m.max()

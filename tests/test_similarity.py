@@ -53,8 +53,8 @@ def test_kernel_block_dimension_mismatch():
 def test_bad_sigma_rejected(sigma):
     with pytest.raises(ValueError):
         pair_weight(np.zeros(2), np.ones(2), sigma)
-    with pytest.raises(ValueError):
-        cn.SimilarityParams(sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        cn.pair_weights(np.zeros((1, 2)), np.ones((1, 2)), sigma)
 
 
 @settings(max_examples=50, deadline=None)

@@ -27,9 +27,9 @@ class TestSpec:
         assert spec.mean == 1750
 
     @pytest.mark.parametrize("kwargs,fragment", [
-        ({"group": "ids=a", "move": "sideways"}, "move"),
-        ({"group": "innovators", "move": "back"}, "group"),
-        ({"group": "ids=a", "move": "back", "move_std": 0.0}, "move_std"),
+        ({"group": "ids=a", "move": "sideways"}, "timemachine.move"),
+        ({"group": "innovators", "move": "back"}, "timemachine.group"),
+        ({"group": "ids=a", "move": "back", "move_std": 0.0}, "timemachine.move_std"),
         ({"group": "ids=a", "move": "back", "n_test": 0}, "n_test"),
         ({"group": "ids=a", "move": "back", "n_runs": 0}, "n_runs"),
         ({"group": "ids=a", "move": "back", "min_year": 1800, "max_year": 1700}, "min_year"),
