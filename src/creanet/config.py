@@ -31,7 +31,7 @@ parsed by its field's annotation, and any other key is rejected.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .similarity import check_sigma
@@ -58,6 +58,9 @@ class RunConfig:
     """All tunable parameters of a scoring run, read by every pipeline stage.
 
     Every value is checked on construction, and no field can be reassigned.
+    `sigma_overrides` may be given as a mapping of aspect to bandwidth; it is
+    held as (aspect, bandwidth) pairs sorted by aspect, so a config cannot be
+    changed after its checks and can be hashed.
     """
 
     k: int = 500
@@ -66,7 +69,7 @@ class RunConfig:
     scoring: str = "combined"
     percentile_p: float = 50.0
     sigma: float | str = "auto"
-    sigma_overrides: dict[str, float] = field(default_factory=dict)
+    sigma_overrides: tuple[tuple[str, float], ...] = ()
     balancing_mode: str = "global"
     local_window_years: int = 50
     min_local_sample: int = 20
@@ -82,6 +85,8 @@ class RunConfig:
             if not ok:
                 raise ConfigError(msg)
 
+        overrides = tuple(sorted(dict(self.sigma_overrides).items()))
+        object.__setattr__(self, "sigma_overrides", overrides)
         _check_types(self)
         check(self.k >= 1, f"k must be a positive integer, got {self.k!r}")
         check(self.temporal_prior in TEMPORAL_PRIORS,
@@ -91,7 +96,7 @@ class RunConfig:
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
-        sigmas = {f"sigma.{aspect}": value for aspect, value in self.sigma_overrides.items()}
+        sigmas = {f"sigma.{aspect}": value for aspect, value in overrides}
         if self.sigma != "auto":
             sigmas["sigma"] = self.sigma
         for key, value in sigmas.items():
@@ -115,12 +120,12 @@ class RunConfig:
 
     def sigma_for(self, aspect: str) -> float | str:
         """Configured bandwidth for one aspect ('auto' or a positive float)."""
-        return self.sigma_overrides.get(aspect, self.sigma)
+        return dict(self.sigma_overrides).get(aspect, self.sigma)
 
     def as_dict(self) -> dict:
         """Plain-type echo of the config, suitable for JSON metadata."""
         out = dataclasses.asdict(self)
-        out["sigma_overrides"] = dict(sorted(self.sigma_overrides.items()))
+        out["sigma_overrides"] = dict(self.sigma_overrides)
         return out
 
 

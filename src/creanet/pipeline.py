@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,6 +41,58 @@ class PipelineResult:
     network: ImplicationNetwork
     dangling_count: int
     score: ScoreVector
+
+
+def _fork_pair(first: Callable[[], Any], second: Callable[[], Any]) -> tuple[Any, Any]:
+    """Run `first()` in a forked child while `second()` runs here; return both results.
+
+    The child sends its result, or the exception it raised, back pickled over
+    a pipe, and leaves by `os._exit` without flushing the stdio it inherited.
+    A child exception is raised here with its own type and message, after
+    `second()` has finished; an exception of `second()` wins. A child that
+    dies without a result raises `OSError`. The child is reaped on every path.
+    Where there is no `os.fork`, the two run one after the other.
+    """
+    if not hasattr(os, "fork"):
+        return first(), second()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, first()), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # sent back, raised by the parent
+                try:
+                    payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                    pickle.loads(payload)
+                except Exception:
+                    payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        second_result = second()
+    finally:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()  # to EOF before waiting: a large result cannot block the child
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not payload:
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise OSError(f"worker process {pid} {how} before sending its result")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value, second_result
 
 
 def resolve_sigma(corpus: Corpus, aspect: str, config: RunConfig) -> float:

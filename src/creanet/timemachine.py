@@ -14,6 +14,12 @@ equals a full rebuild bit for bit. Balancing into the kept and reversed
 stores K and R, normalization of K + R^T and the solve then run in full, as
 balancing's thresholds depend on every edge.
 
+The baseline graph, its edge ranks and the baseline scores are computed
+once, before the runs, and every run reads only them and its own seed. So
+the runs are split over two processes: a forked child takes runs 1, 3, 5,
+... and this process takes runs 0, 2, 4, ...; the report holds them in run
+order, with the bytes of running them one after the other.
+
 The experiment's settings, `TimeMachineSpec` and its ``timemachine.*`` keys,
 live in :mod:`creanet.config` beside the scoring keys; this module resolves
 the targets, runs the passes and writes the reports.
@@ -31,7 +37,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, TimeMachineSpec
 from .corpus import Corpus
 from .graph import build_graph, edge_ranks, update_graph
-from .pipeline import resolve_sigma, run_pipeline
+from .pipeline import _fork_pair, resolve_sigma, run_pipeline
 
 
 def resolve_targets(corpus: Corpus, group: str) -> np.ndarray:
@@ -128,8 +134,8 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     baseline = base_score.scores
     converged = base_score.converged
 
-    runs = []
-    for r in range(spec.n_runs):
+    def one_run(r: int) -> tuple[TimeMachineRun, bool]:
+        """Run r, and whether its solve converged; only its scores outlive the call."""
         rng = np.random.default_rng([seed, r])
         targets = np.sort(rng.choice(pool, size=spec.n_test, replace=False))
         drawn = np.rint(rng.normal(spec.mean, spec.move_std, size=spec.n_test))
@@ -137,20 +143,26 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         perturbed_years = np.array(corpus.years)
         perturbed_years[targets] = new_years
         perturbed = corpus.with_years(perturbed_years)
-        rescored_result = run_pipeline(
+        score = run_pipeline(
             perturbed, aspect, config, sigma=sigma,
-            graph=update_graph(graph, ranks, corpus, aspect, config, sigma, perturbed_years))
-        converged = converged and rescored_result.score.converged
-        rescored = rescored_result.score.scores
+            graph=update_graph(graph, ranks, corpus, aspect, config, sigma, perturbed_years)).score
         base = baseline[targets]
-        new = rescored[targets]
+        new = score.scores[targets]
         gains = (new - base) / base * 100.0
-        runs.append(TimeMachineRun(
+        return TimeMachineRun(
             run=r, targets=targets, old_years=corpus.years[targets], new_years=new_years,
             base_scores=base, new_scores=new, gains_pct=gains,
             mean_gain=float(gains.mean()),
             pct_increase=float((gains > 0.0).mean() * 100.0),
-        ))
+        ), score.converged
+
+    # Each run reads only the baseline and its own seed, so a forked child
+    # takes the odd runs while this process takes the even ones.
+    odd, even = _fork_pair(lambda: [one_run(r) for r in range(1, spec.n_runs, 2)],
+                           lambda: [one_run(r) for r in range(0, spec.n_runs, 2)])
+    done = sorted(odd + even, key=lambda pair: pair[0].run)
+    runs = [run for run, _ in done]
+    converged = converged and all(ok for _, ok in done)
 
     mean_gains = [run.mean_gain for run in runs]
     pct_increases = [run.pct_increase for run in runs]

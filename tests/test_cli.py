@@ -435,6 +435,54 @@ class TestDumpGraph:
         assert (out / "graph.csv").read_bytes() == (tmp_path / "graph.csv").read_bytes()
         assert (out / "cin.csv").read_bytes() == (tmp_path / "cin.csv").read_bytes()
 
+    def test_two_aspects_equal_in_process_writers(self, tmp_path):
+        # each aspect's two files come from two processes; their bytes must be
+        # the sequential writers' own, aspect by aspect
+        rng = np.random.default_rng(56)
+        n = 120
+        years = rng.integers(1400, 1901, size=n)
+        corpus = make_corpus(years, rng.normal(size=(n, 6)))
+        corpus = cn.Corpus(corpus.artifacts, {
+            "visual": corpus.features["visual"],
+            "color": cn.FeatureSet("color", rng.normal(size=(n, 3)))})
+        manifest, paths = write_corpus_files(corpus, tmp_path / "corpus")
+        settings = {"k": "9", "balancing_mode": "local", "local_window_years": "60",
+                    "min_local_sample": "5", "sigma.color": "0.8"}
+        out = tmp_path / "out"
+        argv = ["dump-graph", "--manifest", str(manifest), "--out", str(out)]
+        for aspect, path in paths.items():
+            argv += ["--features", f"{aspect}={path}"]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) == EXIT_OK
+
+        corpus = cn.ingest_corpus(manifest, paths)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for aspect, suffix in (("visual", ""), ("color", "_color")):
+            result = cn.run_pipeline(corpus, aspect, cn.config_from_mapping(settings))
+            cn.write_graph_csv(result.graph, corpus.ids, expected / f"graph{suffix}.csv")
+            cn.write_cin_csv(result.network, corpus.ids, expected / f"cin{suffix}.csv")
+        names = sorted(p.name for p in expected.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("blocked", ["graph.csv", "cin.csv"])
+    def test_directory_in_place_of_an_output_exits_io(self, styled, tmp_path, capsys, blocked):
+        # graph.csv is written by a forked child and cin.csv by the command's
+        # own process; a failure in either exits 1 and names its file
+        manifest, features = styled
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        code = main(["dump-graph", "--manifest", str(manifest),
+                     "--features", f"visual={features}", "--set", "k=8", "--out", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and blocked in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestInstalledScript:
     """The `creanet` command declared in pyproject.toml, run as its own process."""

@@ -82,6 +82,18 @@ class TestRunConfigValidation:
             config.k = 0
         assert config.k == 500
 
+    def test_sigma_overrides_frozen_and_hashable(self):
+        overrides = {"visual": 1.0, "color": 2.0}
+        config = RunConfig(sigma_overrides=overrides)
+        overrides["visual"] = -1.0  # the caller's mapping is not the config's
+        assert config.sigma_overrides == (("color", 2.0), ("visual", 1.0))
+        with pytest.raises(TypeError):
+            config.sigma_overrides["visual"] = -1.0
+        assert config.sigma_for("visual") == 1.0
+        assert hash(config) == hash(RunConfig(sigma_overrides={"color": 2.0, "visual": 1.0}))
+        assert config == dataclasses.replace(config)
+        assert hash(RunConfig()) == hash(RunConfig())
+
     def test_sigma_for_prefers_override(self):
         config = RunConfig(sigma=2.0, sigma_overrides={"color": 0.5})
         assert config.sigma_for("color") == 0.5
@@ -178,7 +190,7 @@ class TestConfigFromMapping:
         })
         assert config.k == 25 and config.alpha == 0.5 and config.beta == 0.9
         assert config.scoring == "split" and config.percentile_p == 75.0
-        assert config.sigma == 1.25 and config.sigma_overrides == {"color": 0.5}
+        assert config.sigma == 1.25 and config.sigma_overrides == (("color", 0.5),)
         assert config.balancing_mode == "local" and config.local_window_years == 30
         assert config.min_local_sample == 10 and config.balance_anchor == "source"
         assert config.temporal_prior == "window" and config.temporal_window_k == 40

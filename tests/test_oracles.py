@@ -650,6 +650,17 @@ class TestTimeMachineAgainstOracle:
         assert_same_report(cn.run_time_machine(planted, config, spec),
                            reference_run_time_machine(planted, config, spec))
 
+    @pytest.mark.parametrize("n_runs", [1, 2, 3])
+    def test_every_split_of_the_runs(self, planted, n_runs):
+        # a forked child takes the odd runs: with one run its half is empty,
+        # with three the halves differ in size
+        config = dataclasses.replace(PLANTED_CONFIG, scoring="split", beta=0.3)
+        spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_test=10,
+                                  n_runs=n_runs, seed=8)
+        report = cn.run_time_machine(planted, config, spec)
+        assert [run.run for run in report.runs] == list(range(n_runs))
+        assert_same_report(report, reference_run_time_machine(planted, config, spec))
+
     def test_window_prior_and_grid_ties(self):
         corpus = quantised_corpus(seed=32, n=300, dim=2, levels=3, year_lo=1500, year_hi=1560)
         spec = cn.TimeMachineSpec(group="ids=" + ",".join(corpus.ids[:40]), move="wander",

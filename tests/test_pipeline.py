@@ -1,11 +1,16 @@
 """End-to-end pipeline: sigma resolution, stage stats, multi-aspect runs, outputs."""
 
+import io
 import json
+import os
+import signal
+import sys
 
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet.pipeline import _fork_pair
 
 from conftest import cin_edges, make_corpus, random_corpus, solve_closed_form
 
@@ -224,3 +229,93 @@ class TestScoreOutputs:
             cn.write_run_meta(results, corpus, config, out / "run_meta.json")
         assert (first / "scores.csv").read_bytes() == (second / "scores.csv").read_bytes()
         assert (first / "run_meta.json").read_bytes() == (second / "run_meta.json").read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkPair:
+    """`_fork_pair` runs its first callable in a forked child, its second here."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a test whose pipe read or wait hangs, rather than hang the suite."""
+        def expire(signum, frame):
+            raise TimeoutError("_fork_pair did not return within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_results_in_order(self):
+        first, second = _fork_pair(lambda: ("first", os.getpid()),
+                                   lambda: ("second", os.getpid()))
+        assert first[0] == "first" and first[1] != os.getpid()  # ran in the child
+        assert second == ("second", os.getpid())
+        assert_no_child_left()
+
+    def test_result_larger_than_the_pipe_buffer(self):
+        big = np.arange(1 << 20, dtype=np.float64)  # 8 MiB, far over a pipe's 64 KiB
+        got, mine = _fork_pair(lambda: big * 2.0, lambda: big.sum())
+        assert np.array_equal(got, big * 2.0) and mine == big.sum()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [FileNotFoundError(2, "No such file", "x/graph.csv"),
+                                       ValueError("row 7: bad year"),
+                                       cn.ConfigError("k must be a positive integer")])
+    def test_child_exception_keeps_type_and_message(self, error):
+        def fail():
+            raise error
+
+        with pytest.raises(type(error)) as got:
+            _fork_pair(fail, lambda: None)
+        assert type(got.value) is type(error) and str(got.value) == str(error)
+        assert_no_child_left()
+
+    def test_unpicklable_child_exception_keeps_its_name_and_message(self):
+        class LocalError(Exception):  # a local class cannot be pickled
+            pass
+
+        def fail():
+            raise LocalError("lost in transit")
+
+        with pytest.raises(RuntimeError, match="LocalError: lost in transit"):
+            _fork_pair(fail, lambda: None)
+        assert_no_child_left()
+
+    def test_child_killed_by_a_signal(self):
+        with pytest.raises(OSError, match="signal 9"):
+            _fork_pair(lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: "parent")
+        assert_no_child_left()
+
+    def test_parent_exception_wins_and_child_is_reaped(self, tmp_path):
+        marker = tmp_path / "child.done"
+
+        def fail():
+            raise ValueError("parent half failed")
+
+        with pytest.raises(ValueError, match="parent half failed"):
+            _fork_pair(lambda: marker.write_text("done"), fail)
+        assert marker.read_text() == "done"  # the child ran to its end before the raise
+        assert_no_child_left()
+
+    def test_without_fork_both_run_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _fork_pair(os.getpid, os.getpid) == (os.getpid(), os.getpid())
+
+    def test_buffered_output_from_before_the_fork_appears_once(self, capfd, monkeypatch):
+        buffered = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"), 1 << 16))
+        monkeypatch.setattr(sys, "stdout", buffered)
+        print("before the fork")  # still in this process's buffer when it forks
+        assert _fork_pair(lambda: 1, lambda: 2) == (1, 2)
+        buffered.flush()
+        monkeypatch.undo()
+        buffered.close()
+        assert capfd.readouterr().out == "before the fork\n"
+        assert_no_child_left()

@@ -180,23 +180,33 @@ class TestRunTimeMachine:
                                        dataclasses.replace(base, seed=99))
         assert not np.array_equal(with_fallback.runs[0].new_years, reseeded.runs[0].new_years)
 
-    def test_sigma_resolved_once_baseline_once(self, planted, monkeypatch):
+    def test_sigma_resolved_once_baseline_once(self, planted, monkeypatch, tmp_path):
         import creanet.graph as graph_module
         import creanet.pipeline as pipeline_module
         import creanet.timemachine as tm
-        sigma_calls, pipeline_calls, build_calls = [], [], []
+        # The runs are split over a forked child, so each call appends a line
+        # to a file that both processes write, not to a list in one of them.
+        log = tmp_path / "calls.log"
         real_sigma, real_pipeline, real_build = tm.resolve_sigma, tm.run_pipeline, tm.build_graph
 
+        def record(kind, value=None):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{kind} {value!r}\n")
+
+        def calls(kind):
+            lines = log.read_text(encoding="utf-8").splitlines()
+            return [line.split(" ", 1)[1] for line in lines if line.startswith(kind + " ")]
+
         def counting_sigma(*args, **kwargs):
-            sigma_calls.append(1)
+            record("sigma")
             return real_sigma(*args, **kwargs)
 
         def counting_pipeline(*args, **kwargs):
-            pipeline_calls.append(kwargs.get("sigma"))
+            record("pipeline", kwargs.get("sigma"))
             return real_pipeline(*args, **kwargs)
 
         def counting_build(*args, **kwargs):
-            build_calls.append(1)
+            record("build")
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(tm, "resolve_sigma", counting_sigma)
@@ -205,9 +215,10 @@ class TestRunTimeMachine:
             monkeypatch.setattr(module, "build_graph", counting_build)
         spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_runs=3)
         report = cn.run_time_machine(planted, PLANTED_CONFIG, spec)
+        sigma_calls, pipeline_calls, build_calls = calls("sigma"), calls("pipeline"), calls("build")
         assert len(sigma_calls) == 1
         assert len(pipeline_calls) == 1 + 3  # baseline + one per run
-        assert all(s == report.sigma for s in pipeline_calls)
+        assert all(s == repr(report.sigma) for s in pipeline_calls)
         assert len(build_calls) == 1  # the baseline's; each run updates its graph
 
     def test_new_years_clamped_to_corpus_range(self, planted):
