@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,8 +23,14 @@ from .corpus import Corpus
 from .similarity import check_sigma, distance_weights, pair_weights
 
 # Destinations are ranked in slabs of this many consecutive rows in year order,
-# bounding the slab and its partition at roughly 2 * 256 * n * 8 bytes.
-_DST_CHUNK = 256
+# bounding a slab and its partition at roughly 2 * 128 * n * 8 bytes; with two
+# slabs in flight, one per worker, that is what one 256-row slab held.
+_DST_CHUNK = 128
+
+# A slab's ranking product is taken this many columns at a time. At dim 16,
+# OpenBLAS runs a product this small on the calling thread, so its own thread
+# pool, which spins between calls, never wakes during a build.
+_GEMM_COLUMNS = 128
 
 # The CSV edge writers format this many rows per write, bounding the Python
 # strings alive at once.
@@ -217,6 +225,49 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
+def _on_two_workers(work: Callable[[Callable[[], int | None]], None], n_tasks: int) -> None:
+    """Run `work(claim)` here and, given two tasks and two CPUs, in one helper thread too.
+
+    `claim()` hands out the task numbers 0 .. n_tasks - 1, each once, to
+    whichever worker asks first, and None when none are left or a worker has
+    failed. The helper is joined before this returns, on every path, so no
+    thread outlives the call. An exception of the helper is raised here with
+    its own type after this thread's share is done; an exception of this
+    thread wins over it.
+    """
+    lock = threading.Lock()
+    tasks = iter(range(n_tasks))
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def claim() -> int | None:
+        with lock:
+            return None if stop.is_set() else next(tasks, None)
+
+    def helper() -> None:
+        try:
+            work(claim)
+        except BaseException as exc:  # raised in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    thread = None
+    if n_tasks >= 2 and cpus >= 2:
+        thread = threading.Thread(target=helper, name="creanet-slabs")
+        thread.start()
+    try:
+        work(claim)
+    except BaseException:
+        stop.set()  # the helper finishes the task it holds and takes no other
+        raise
+    finally:
+        if thread is not None:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float,
            listed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-K incoming edges of the artifacts `listed` marks (all when None); the others get none.
@@ -225,11 +276,15 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
     `sigma`. Returns (indptr, src, weight): artifact j owns [indptr[j],
     indptr[j + 1]), its sources ascending. Destinations are ranked in year order in slabs of
     up to `_DST_CHUNK` of them, which may span year groups, with one matrix
-    product against a year-ordered copy of the features each; only the kept
-    pairs are weighed, by `pair_weights`, so a weight depends on its pair
-    alone and a row's edges do not depend on which rows share its slab. Each
-    slab's picks are written straight to their row's place, inside room
-    reserved up front.
+    product against a year-ordered copy of the features each, taken in
+    panels of `_GEMM_COLUMNS` columns; only the kept pairs are weighed, by
+    `pair_weights`, so a weight depends on its pair alone and a row's edges
+    do not depend on which rows share its slab. Two workers, this thread and
+    one helper thread (see `_on_two_workers`), take slabs as they come, each
+    into its own block buffer, and write each slab's picks straight to their
+    rows' places, inside room reserved up front; a row belongs to one slab,
+    so no place is written twice. numpy releases the interpreter lock in the
+    products, partitions, gathers and ufuncs that take the time.
     """
     check_sigma(sigma)
     n, dim = feats.shape
@@ -255,37 +310,45 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
     src = np.empty(room[-1], dtype=np.int32)
     weight = np.empty(room[-1], dtype=np.float64)
 
-    # A slab's rows are ranked against the positions [c0, c1) their
-    # candidates span. Every slab's block lives in one buffer, so its pages
-    # are mapped once.
+    # Slab t holds the rows dest[first[t]:last[t]], ranked against the
+    # positions [lo[t], hi[t]) their candidates span.
     dest = np.flatnonzero(listed[order])
     dest = dest[dest >= ends[0]]  # the earliest year group has no candidates
     first = np.arange(0, dest.size, _DST_CHUNK)
     last = np.minimum(first + _DST_CHUNK, dest.size)
     lo, hi = a_lo[group[dest[first]]], starts[group[dest[last - 1]]]
-    buffer = np.empty(int(((last - first) * (hi - lo)).max(initial=0)))
-    for i0, i1, c0, c1 in zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()):
-        p = dest[i0:i1]
-        x = cols[:, p].T.copy()
-        x[:, :dim] *= -2.0
-        x[:, dim] = 1.0
-        block = buffer[:p.size * (c1 - c0)].reshape(p.size, c1 - c0)
-        np.matmul(x, cols[:, c0:c1], out=block)  # [-2x, 1] . [y, |y|^2] = d^2 - |x|^2
-        g = group[p]
-        cut = np.flatnonzero(np.diff(g)) + 1
-        for h, r0, r1 in zip(g[np.r_[0, cut]], np.r_[0, cut], np.r_[cut, p.size]):
-            # mask the non-candidates of the rows of year group h
-            block[r0:r1, :a_lo[h] - c0] = np.inf
-            block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
-            block[r0:r1, starts[h] - c0:] = np.inf
-        r, picks, s, w = _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
-                                     config.k, sigma)
-        dst = order[p[r]]
-        pos = _ranges(room[dst], picks)
-        src[pos] = s
-        weight[pos] = w
-        count[dst] = picks
+    slabs = list(zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()))
+    buffer_size = int(((last - first) * (hi - lo)).max(initial=0))
 
+    def work(claim: Callable[[], int | None]) -> None:
+        buffer = np.empty(buffer_size)  # every block of this worker, so its pages are mapped once
+        for t in iter(claim, None):
+            i0, i1, c0, c1 = slabs[t]
+            p = dest[i0:i1]
+            x = cols[:, p].T.copy()
+            x[:, :dim] *= -2.0
+            x[:, dim] = 1.0
+            block = buffer[:p.size * (c1 - c0)].reshape(p.size, c1 - c0)
+            for b0 in range(c0, c1, _GEMM_COLUMNS):
+                b1 = min(b0 + _GEMM_COLUMNS, c1)
+                # [-2x, 1] . [y, |y|^2] = d^2 - |x|^2
+                np.matmul(x, cols[:, b0:b1], out=block[:, b0 - c0:b1 - c0])
+            g = group[p]
+            cut = np.flatnonzero(np.diff(g)) + 1
+            for h, r0, r1 in zip(g[np.r_[0, cut]], np.r_[0, cut], np.r_[cut, p.size]):
+                # mask the non-candidates of the rows of year group h
+                block[r0:r1, :a_lo[h] - c0] = np.inf
+                block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
+                block[r0:r1, starts[h] - c0:] = np.inf
+            r, picks, s, w = _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
+                                         config.k, sigma)
+            dst = order[p[r]]
+            pos = _ranges(room[dst], picks)
+            src[pos] = s
+            weight[pos] = w
+            count[dst] = picks
+
+    _on_two_workers(work, len(slabs))
     indptr = np.concatenate(([0], np.cumsum(count)))
     if indptr[-1] < room[-1]:
         filled = np.arange(room[-1]) < np.repeat(room[:-1] + count, sizes)

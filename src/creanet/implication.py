@@ -155,11 +155,37 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig
     return m[year_of]
 
 
-def _edge_subset(graph: PaintingGraph, values: np.ndarray, mask: np.ndarray) -> PaintingGraph:
-    """The masked edges of `graph`, holding `values`, in the graph's order."""
-    picked = np.flatnonzero(mask)  # gathers by position beat boolean indexing severalfold
-    return PaintingGraph(n=graph.n, indptr=np.searchsorted(picked, graph.indptr),
-                         src=graph.src[picked], weight=values[picked])
+# Edges are judged and weighed this many at a time, bounding the per-edge temporaries.
+_EDGE_CHUNK = 1 << 18
+
+
+def _at_anchor(indptr: np.ndarray, src: np.ndarray, values: np.ndarray, anchor: str,
+               e0: int, e1: int) -> np.ndarray:
+    """values[anchor node] of each edge in [e0, e1) of the edge store (indptr, src)."""
+    if anchor == "source":
+        return values[src[e0:e1]]
+    j0 = int(np.searchsorted(indptr, e0, side="right")) - 1  # the destinations j0 .. j1 - 1
+    j1 = int(np.searchsorted(indptr, e1, side="left"))       # own the edges [e0, e1)
+    return np.repeat(values[j0:j1], np.diff(np.clip(indptr[j0:j1 + 1], e0, e1)))
+
+
+def _edge_subset(graph: PaintingGraph, picked: np.ndarray, m: np.ndarray, anchor: str,
+                 reverse: bool) -> PaintingGraph:
+    """The edges of `graph` at positions `picked`, in the graph's order, weighted w - m(anchor).
+
+    With `reverse` each weight is m - w instead, which is -(w - m) to the bit.
+    """
+    indptr = np.searchsorted(picked, graph.indptr.astype(picked.dtype))
+    src = graph.src[picked]  # gathers by position beat boolean indexing severalfold
+    weight = graph.weight[picked]
+    for e0 in range(0, src.size, _EDGE_CHUNK):
+        e1 = min(e0 + _EDGE_CHUNK, src.size)
+        w, at = weight[e0:e1], _at_anchor(indptr, src, m, anchor, e0, e1)
+        if reverse:
+            np.subtract(at, w, out=w)
+        else:
+            w -= at
+    return PaintingGraph(n=graph.n, indptr=indptr, src=src, weight=weight)
 
 
 def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.ndarray,
@@ -170,6 +196,9 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     receiving node j (destination, default) or the emitting node i (source).
     Every edge must run from an earlier to a later year, as a built similarity
     graph's edges do, so that the sign of b alone labels each surviving edge.
+    Edges are checked and judged `_EDGE_CHUNK` at a time, so no per-edge
+    array spans the graph, and each store's weights are then taken again at
+    its own edges alone.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -180,18 +209,26 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     # years as ranks in the smallest integer type that holds them, to keep the per-edge arrays small
     distinct, year_of = np.unique(years, return_inverse=True)
     year_of = year_of.astype(np.min_scalar_type(distinct.size))
-    backward = np.flatnonzero(year_of[graph.src] >= np.repeat(year_of, np.diff(graph.indptr)))
-    if backward.size:
-        e = int(backward[0])
-        src, dst = int(graph.src[e]), int(np.searchsorted(graph.indptr, e, side="right") - 1)
-        raise ValueError(f"edge {src} -> {dst} runs from year {years[src]} to year {years[dst]}; "
-                         f"every similarity edge must run from an earlier to a later year")
-
-    b = np.repeat(m, np.diff(graph.indptr)) if config.balance_anchor == "destination" else m[graph.src]
-    np.subtract(graph.weight, b, out=b)
-    kept = _edge_subset(graph, b, b > 0.0)
-    np.negative(b, out=b)
-    reversed_ = _edge_subset(graph, b, b > 0.0)
+    indptr, src, anchor = graph.indptr, graph.src, config.balance_anchor
+    # edge positions, in int32 where they fit, which halves their room
+    position = np.int32 if graph.n_edges < 2 ** 31 else np.int64
+    kept_at, reversed_at = [np.empty(0, dtype=position)], [np.empty(0, dtype=position)]
+    for e0 in range(0, graph.n_edges, _EDGE_CHUNK):
+        e1 = min(e0 + _EDGE_CHUNK, graph.n_edges)
+        backward = np.flatnonzero(year_of[src[e0:e1]]
+                                  >= _at_anchor(indptr, src, year_of, "destination", e0, e1))
+        if backward.size:
+            e = e0 + int(backward[0])
+            s, d = int(src[e]), int(np.searchsorted(indptr, e, side="right") - 1)
+            raise ValueError(f"edge {s} -> {d} runs from year {years[s]} to year {years[d]}; "
+                             f"every similarity edge must run from an earlier to a later year")
+        b = _at_anchor(indptr, src, m, anchor, e0, e1)
+        np.subtract(graph.weight[e0:e1], b, out=b)
+        kept_at.append((np.flatnonzero(b > 0.0) + e0).astype(position))
+        reversed_at.append((np.flatnonzero(b < 0.0) + e0).astype(position))
+    kept_at, reversed_at = np.concatenate(kept_at), np.concatenate(reversed_at)
+    kept = _edge_subset(graph, kept_at, m, anchor, reverse=False)
+    reversed_ = _edge_subset(graph, reversed_at, m, anchor, reverse=True)
     return ImplicationNetwork(kept=kept, reversed=reversed_,
                               dropped_count=graph.n_edges - kept.n_edges - reversed_.n_edges)
 

@@ -136,8 +136,9 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
     graph, thresholds, network = build_network(corpus, aspect, config, sigma, graph)
     op = normalize(network, None if config.scoring == "combined" else config.beta)
     score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
-    in_degree = np.diff(network.kept.indptr) + np.bincount(network.reversed.src, minlength=corpus.n)
-    dangling_count = int(np.count_nonzero(in_degree == 0))
+    entered = np.diff(network.kept.indptr) > 0  # the nodes with an edge into them in K + R^T
+    entered[network.reversed.src] = True
+    dangling_count = corpus.n - int(np.count_nonzero(entered))
 
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
                           network=network, dangling_count=dangling_count, score=score)
@@ -149,11 +150,16 @@ def run_multi_aspect(corpus: Corpus, config: RunConfig) -> dict[str, PipelineRes
 
 
 def score_ranks(scores: np.ndarray, ids: tuple[str, ...]) -> np.ndarray:
-    """Rank 1 = highest score; score ties broken by id ascending."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    """Rank 1 = highest score; score ties broken by id ascending.
+
+    Ids are ranked by Python's string order before the one `np.lexsort`:
+    numpy's strings drop trailing NUL characters, so "a" and "a\\0" would tie.
+    """
+    place = np.arange(1, len(ids) + 1)
+    by_id = np.empty(len(ids), dtype=np.int64)
+    by_id[sorted(range(len(ids)), key=ids.__getitem__)] = place
     ranks = np.empty(len(ids), dtype=np.int64)
-    for pos, i in enumerate(order):
-        ranks[i] = pos + 1
+    ranks[np.lexsort((by_id, -np.asarray(scores)))] = place
     return ranks
 
 

@@ -1,8 +1,11 @@
-"""Shared corpus builders, the dense closed-form solve oracle, and the acceptance-criteria reporting hook."""
+"""Shared corpus builders, the dense closed-form solve oracle, CPU and thread patches for the
+graph build, and the acceptance-criteria reporting hook."""
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,24 @@ def make_corpus(years, features, ids=None, styles=None, aspect="visual") -> cn.C
         styles = [None] * n
     artifacts = [cn.Artifact(id=ids[i], year=int(years[i]), style=styles[i]) for i in range(n)]
     return cn.Corpus(artifacts, {aspect: cn.FeatureSet(aspect, features)})
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    """Make the graph build see `count` available CPUs; with one it ranks its slabs serially."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def count_thread_starts(monkeypatch) -> list[str]:
+    """A list that gets the name of every thread started from now on, such as the build's helper."""
+    starts = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        starts.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
 
 
 def random_corpus(seed: int, n: int, dim: int, year_lo: int = 1400, year_hi: int = 1900) -> cn.Corpus:

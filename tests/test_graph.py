@@ -1,11 +1,16 @@
 """Graph construction against a brute-force all-pairs oracle."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import graph as graph_module
 
-from conftest import edge_dst, from_edges, make_corpus, random_corpus, visual_similarity
+from conftest import (edge_dst, from_edges, make_corpus, random_corpus, use_cpus,
+                      visual_similarity)
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -233,3 +238,84 @@ def test_write_graph_csv(tmp_path):
     src_id, dst_id, w = lines[1].split(",")
     assert (src_id, dst_id) == ("early", "late")
     assert float(w) == pytest.approx(np.exp(-0.5), rel=1e-15)
+
+
+class SlabError(Exception):
+    """Raised by a patched slab ranking."""
+
+
+class TestTwoWorkers:
+    """The build's helper thread: joined on every path, its exception raised in the caller."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 8)
+        use_cpus(monkeypatch, 2)
+
+    @pytest.fixture()
+    def corpus(self):
+        return random_corpus(seed=60, n=200, dim=3, year_lo=1500, year_hi=1520)
+
+    def rank_slabs_failing_in(self, monkeypatch, failing):
+        """Patch `_slab_top_k` to raise SlabError in the `failing` worker ("helper" or "caller").
+
+        The other worker waits until the failing one has claimed its slab, so
+        both take part whatever the scheduling.
+        """
+        real = graph_module._slab_top_k
+        failed = threading.Event()
+
+        def slab_top_k(*args):
+            helper = threading.current_thread() is not threading.main_thread()
+            if helper == (failing == "helper"):
+                failed.set()
+                raise SlabError(f"{failing} slab")
+            assert failed.wait(timeout=30)
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_slab_top_k", slab_top_k)
+
+    def test_no_thread_outlives_the_build(self, corpus):
+        before = threading.active_count()
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=5), 1.0)
+        assert graph.n_edges > 0
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, corpus, failing):
+        self.rank_slabs_failing_in(monkeypatch, failing)
+        before = threading.active_count()
+        with pytest.raises(SlabError, match=f"{failing} slab"):
+            cn.build_graph(corpus, "visual", cn.RunConfig(k=5), 1.0)
+        assert threading.active_count() == before  # the helper was joined
+
+    def test_each_task_claimed_once(self):
+        # many small tasks, a thread switch every microsecond: a task handed
+        # out twice or lost would show in the claimed lists
+        claimed = {}
+
+        def work(claim):
+            mine = claimed.setdefault(threading.current_thread().name, [])
+            for task in iter(claim, None):
+                mine.append(task)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            graph_module._on_two_workers(work, 20_000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sum(claimed.values(), [])) == list(range(20_000))
+        assert len(claimed) == 2
+
+    @pytest.mark.parametrize("tasks, cpus", [(1, 2), (5, 1)])
+    def test_no_helper_for_one_task_or_one_cpu(self, monkeypatch, tasks, cpus):
+        use_cpus(monkeypatch, cpus)
+        names = set()
+
+        def work(claim):
+            for _ in iter(claim, None):
+                names.add(threading.current_thread().name)
+
+        graph_module._on_two_workers(work, tasks)
+        assert names == {threading.main_thread().name}

@@ -25,12 +25,16 @@ fallback floor, edges never in any window, and p = 100. The graph update is
 checked against `build_graph` on the re-dated corpus for back, forward and
 wander moves, ties at the cut, underflow, targets moved onto their own or the
 earliest year, one-artifact years, every artifact moved, rebuilt rows over
-several slabs, and the window prior.
+several slabs, and the window prior. The build's slab loop, run by two
+workers, must give the bits of the serial loop (one available CPU) and of the
+oracle for 1, 2, 3 and many slabs, several slab sizes, the window prior, the
+update's listed rows and a thread switch every microsecond.
 """
 
 import csv
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -43,8 +47,9 @@ import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
 
-from conftest import (balance, cin_edges, dense_matrix, edge_dst, from_edges, make_corpus,
-                      random_corpus, random_network, solve_closed_form, visual_similarity)
+from conftest import (balance, cin_edges, count_thread_starts, dense_matrix, edge_dst, from_edges,
+                      make_corpus, random_corpus, random_network, solve_closed_form, use_cpus,
+                      visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +527,83 @@ def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
     for graph in graphs[1:]:
         assert_same_graph(graph, graphs[0])
     assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", config, sigma))
+
+
+def builds_on_one_and_two_cpus(monkeypatch, build):
+    """`build()` with one available CPU and with two; the second must start the helper."""
+    starts = count_thread_starts(monkeypatch)
+    use_cpus(monkeypatch, 1)
+    serial = build()
+    assert not starts
+    use_cpus(monkeypatch, 2)
+    both = build()
+    return serial, both, len(starts)
+
+
+class TestTwoWorkerBuild:
+    """The slab loop on two workers gives the serial loop's bits and the oracle's."""
+
+    @pytest.mark.parametrize("n, slabs", [(100, 1), (200, 2), (330, 3), (700, 6)])
+    @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 60)])
+    def test_slab_counts_and_chunks(self, monkeypatch, n, slabs, prior, window):
+        rng = np.random.default_rng(40 + n)
+        years = np.concatenate(([1500], rng.integers(1501, 1560, size=n - 1)))  # one earliest
+        corpus = make_corpus(years, rng.normal(size=(n, 3)))
+        config, sigma = cn.RunConfig(k=7, temporal_prior=prior, temporal_window_k=window), 1.3
+        want = reference_build_graph(corpus, "visual", config, sigma)
+        assert -(-(n - 1) // 128) == slabs  # every artifact but the earliest is a destination
+        for chunk in (1, 7, 128):
+            monkeypatch.setattr(graph_module, "_DST_CHUNK", chunk)
+            serial, both, helpers = builds_on_one_and_two_cpus(
+                monkeypatch, lambda: cn.build_graph(corpus, "visual", config, sigma))
+            assert helpers == (1 if -(-(n - 1) // chunk) >= 2 else 0)
+            assert_same_graph(serial, want)
+            assert_same_graph(both, want)
+
+    def test_ties_and_fallback_rows(self, monkeypatch):
+        corpus = quantised_corpus(seed=41, n=500, dim=2, levels=3, year_lo=1500, year_hi=1540)
+        config, sigma = cn.RunConfig(k=5), 0.8
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        serial, both, helpers = builds_on_one_and_two_cpus(
+            monkeypatch, lambda: count_fallback_rows(corpus, config, sigma))
+        assert helpers == 1 and serial[1] > 0
+        assert_same_graph(serial[0], both[0])
+        assert_same_graph(both[0], reference_build_graph(corpus, "visual", config, sigma))
+
+    @pytest.mark.parametrize("move", ["back", "forward", "wander"])
+    def test_update_rebuilds_listed_rows(self, monkeypatch, move):
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 7)
+        corpus = random_corpus(seed=42, n=600, dim=3, year_lo=1500, year_hi=1560)
+        config, sigma = cn.RunConfig(k=8), 1.0
+        years = redate(corpus, np.random.default_rng(43), 0.1, move)
+        graph = cn.build_graph(corpus, "visual", config, sigma)
+        ranks = graph_module.edge_ranks(graph)
+        with mock.patch.object(graph_module, "_top_k", wraps=graph_module._top_k) as spy:
+            serial, both, helpers = builds_on_one_and_two_cpus(
+                monkeypatch, lambda: graph_module.update_graph(graph, ranks, corpus, "visual",
+                                                               config, sigma, years))
+        listed = [c.args[4] for c in spy.call_args_list]
+        assert len(listed) == 2 and listed[0].sum() > 2 * 7 and helpers == 1
+        assert_same_graph(serial, both)
+        assert_same_graph(both, reference_build_graph(corpus.with_years(years), "visual",
+                                                      config, sigma))
+
+    def test_short_switch_interval(self, monkeypatch):
+        # the interpreter switches threads every microsecond, so the two
+        # workers interleave between nearly every pair of bytecodes
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 3)
+        corpus = random_corpus(seed=44, n=300, dim=2, year_lo=1500, year_hi=1530)
+        config, sigma = cn.RunConfig(k=4), 1.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, both, helpers = builds_on_one_and_two_cpus(
+                monkeypatch, lambda: cn.build_graph(corpus, "visual", config, sigma))
+        finally:
+            sys.setswitchinterval(interval)
+        assert helpers == 1
+        assert_same_graph(serial, both)
+        assert_same_graph(both, reference_build_graph(corpus, "visual", config, sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ import json
 import os
 import signal
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import graph as graph_module
+from creanet.cli import main
 from creanet.pipeline import _fork_pair
 
-from conftest import cin_edges, make_corpus, random_corpus, solve_closed_form
+from conftest import (cin_edges, count_thread_starts, make_corpus, random_corpus, solve_closed_form,
+                      use_cpus, write_corpus_files)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +134,19 @@ class TestRanks:
     def test_ties_break_by_id(self):
         ranks = cn.score_ranks(np.array([0.25, 0.25, 0.5]), ("b", "a", "c"))
         assert ranks.tolist() == [3, 2, 1]
+
+    def test_ids_differing_by_a_trailing_nul_do_not_tie(self):
+        ranks = cn.score_ranks(np.array([0.5, 0.5, 0.5]), ("a\0", "a", "b"))
+        assert ranks.tolist() == [2, 1, 3]
+
+    def test_like_a_sort_by_score_then_id(self):
+        rng = np.random.default_rng(52)
+        scores = rng.integers(0, 40, size=2000) / 40.0  # many ties
+        ids = tuple(f"p{i}" for i in rng.permutation(2000))  # "p10" sorts before "p9"
+        order = sorted(range(2000), key=lambda i: (-scores[i], ids[i]))
+        want = np.empty(2000, dtype=np.int64)
+        want[order] = np.arange(1, 2001)
+        assert np.array_equal(cn.score_ranks(scores, ids), want)
 
 
 @pytest.fixture(scope="module")
@@ -318,4 +335,28 @@ class TestForkPair:
         monkeypatch.undo()
         buffered.close()
         assert capfd.readouterr().out == "before the fork\n"
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore:n_test")
+    @pytest.mark.parametrize("command", ["dump-graph", "timemachine"])
+    def test_commands_leave_no_child_or_thread(self, tmp_path, monkeypatch, command):
+        # the graph build starts a helper thread (two CPUs, several slabs) and
+        # joins it before the command forks; nothing is left when it returns
+        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        use_cpus(monkeypatch, 2)
+        starts = count_thread_starts(monkeypatch)
+        rng = np.random.default_rng(51)
+        years = rng.integers(1500, 1600, size=120)
+        corpus = make_corpus(years, rng.normal(size=(120, 4)),
+                             styles=["late" if y >= 1580 else "early" for y in years])
+        manifest, features = write_corpus_files(corpus, tmp_path / "corpus")
+        argv = [command, "--manifest", str(manifest), "--features", f"visual={features['visual']}",
+                "--set", "k=6", "--out", str(tmp_path / "out")]
+        if command == "timemachine":
+            argv += ["--set", "timemachine.group=style=late", "--set", "timemachine.move=back",
+                     "--set", "timemachine.n_test=3", "--set", "timemachine.n_runs=3"]
+        before = threading.active_count()
+        assert main(argv) == 0
+        assert starts  # the build ran on two workers
+        assert threading.active_count() == before
         assert_no_child_left()
