@@ -42,11 +42,15 @@ corpus = cn.Corpus(artifacts, {"visual": cn.FeatureSet("visual", np.stack(featur
 config = cn.RunConfig(k=15)
 result = cn.run_pipeline(corpus, "visual", config)
 
-net = result.network
+# The result keeps each stage's counts, not its arrays, which the pipeline
+# frees as it goes; build_network gives the graph, thresholds and network.
+graph, thresholds, net = cn.build_network(corpus, "visual", config, result.sigma)
 print(f"kernel bandwidth (median heuristic): {result.sigma:.3f}")
-print(f"similarity graph: {result.graph.n_edges} edges over {n} artifacts")
+print(f"similarity graph: {graph.n_edges} edges over {n} artifacts, "
+      f"balancing threshold m = {thresholds[0]:.4f}")
 print(f"implication network: {net.kept.n_edges} kept (subsequent), "
-      f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped")
+      f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped; "
+      f"{result.dangling_count} nodes with no incoming edge")
 print(f"power iteration: {result.score.iterations} iterations, "
       f"residual {result.score.residual:.2e}")
 

@@ -37,6 +37,25 @@ _GEMM_COLUMNS = 128
 _CSV_CHUNK = 1 << 16
 
 
+# Per-edge checks and balancing work on this many edges at a time, bounding
+# their temporaries.
+_EDGE_CHUNK = 1 << 18
+
+
+def _edge_chunks(indptr: np.ndarray):
+    """(e0, e1, j0, bounds) for each `_EDGE_CHUNK` edges [e0, e1) of the store with this `indptr`.
+
+    The destinations j0, j0 + 1, ... own the chunk: j0 + i owns its edges
+    [e0 + bounds[i], e0 + bounds[i + 1]).
+    """
+    n_edges = int(indptr[-1])
+    for e0 in range(0, n_edges, _EDGE_CHUNK):
+        e1 = min(e0 + _EDGE_CHUNK, n_edges)
+        j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
+        j1 = int(np.searchsorted(indptr, e1, side="left"))
+        yield e0, e1, j0, np.clip(indptr[j0:j1 + 1], e0, e1) - e0
+
+
 @dataclass(frozen=True)
 class PaintingGraph:
     """Edges (src -> dst, weight) stored by destination: dst j owns [indptr[j], indptr[j + 1]).
@@ -70,14 +89,19 @@ class PaintingGraph:
         for name, arr in (("indptr", indptr), ("src", src), ("weight", weight)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if src.size:
-            if np.any(src == np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))):
+        # Each check reads the edges a chunk at a time, so no temporary spans them; the
+        # checks run one after another, so the first that fails names the fault.
+        for e0, e1, j0, bounds in _edge_chunks(indptr):
+            dst = np.repeat(np.arange(j0, j0 + bounds.size - 1, dtype=np.int32), np.diff(bounds))
+            if np.any(src[e0:e1] == dst):
                 raise ValueError("self edges are not allowed")
-            if not (np.all(np.isfinite(weight)) and weight.min() > 0.0):
-                raise ValueError("edge weights must be positive and finite")
-            falling = src[1:] <= src[:-1]
-            starts = indptr[1:-1]
-            falling[starts[(starts > 0) & (starts < src.size)] - 1] = False  # a new column may restart
+        if src.size and not (weight.min() > 0.0 and weight.max() < np.inf):  # NaN fails both
+            raise ValueError("edge weights must be positive and finite")
+        for e0, e1, j0, bounds in _edge_chunks(indptr):
+            lo = max(e0, 1)
+            falling = src[lo:e1] <= src[lo - 1:e1 - 1]  # the pairs (e - 1, e) for e in [lo, e1)
+            starts = indptr[j0:j0 + bounds.size - 1]
+            falling[starts[starts >= lo] - lo] = False  # a new column may restart
             if np.any(falling):
                 raise ValueError("edges must be strictly sorted by (dst, src)")
 

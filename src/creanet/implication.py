@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .config import RunConfig
-from .graph import PaintingGraph, _write_edge_rows
+from .graph import PaintingGraph, _edge_chunks, _write_edge_rows
 
 
 @dataclass(frozen=True)
@@ -155,39 +155,6 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig
     return m[year_of]
 
 
-# Edges are judged and weighed this many at a time, bounding the per-edge temporaries.
-_EDGE_CHUNK = 1 << 18
-
-
-def _at_anchor(indptr: np.ndarray, src: np.ndarray, values: np.ndarray, anchor: str,
-               e0: int, e1: int) -> np.ndarray:
-    """values[anchor node] of each edge in [e0, e1) of the edge store (indptr, src)."""
-    if anchor == "source":
-        return values[src[e0:e1]]
-    j0 = int(np.searchsorted(indptr, e0, side="right")) - 1  # the destinations j0 .. j1 - 1
-    j1 = int(np.searchsorted(indptr, e1, side="left"))       # own the edges [e0, e1)
-    return np.repeat(values[j0:j1], np.diff(np.clip(indptr[j0:j1 + 1], e0, e1)))
-
-
-def _edge_subset(graph: PaintingGraph, picked: np.ndarray, m: np.ndarray, anchor: str,
-                 reverse: bool) -> PaintingGraph:
-    """The edges of `graph` at positions `picked`, in the graph's order, weighted w - m(anchor).
-
-    With `reverse` each weight is m - w instead, which is -(w - m) to the bit.
-    """
-    indptr = np.searchsorted(picked, graph.indptr.astype(picked.dtype))
-    src = graph.src[picked]  # gathers by position beat boolean indexing severalfold
-    weight = graph.weight[picked]
-    for e0 in range(0, src.size, _EDGE_CHUNK):
-        e1 = min(e0 + _EDGE_CHUNK, src.size)
-        w, at = weight[e0:e1], _at_anchor(indptr, src, m, anchor, e0, e1)
-        if reverse:
-            np.subtract(at, w, out=w)
-        else:
-            w -= at
-    return PaintingGraph(n=graph.n, indptr=indptr, src=src, weight=weight)
-
-
 def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.ndarray,
                               config: RunConfig) -> ImplicationNetwork:
     """Apply b = w - m(anchor node) to every edge; keep, drop, or reverse.
@@ -196,9 +163,10 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     receiving node j (destination, default) or the emitting node i (source).
     Every edge must run from an earlier to a later year, as a built similarity
     graph's edges do, so that the sign of b alone labels each surviving edge.
-    Edges are checked and judged `_EDGE_CHUNK` at a time, so no per-edge
-    array spans the graph, and each store's weights are then taken again at
-    its own edges alone.
+    Edges are judged `_EDGE_CHUNK` at a time, twice: the first pass checks
+    their direction and counts each destination's kept and reversed edges, so
+    K and R are allocated at their exact sizes; the second fills them. No
+    per-edge array spans the graph.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -209,26 +177,48 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     # years as ranks in the smallest integer type that holds them, to keep the per-edge arrays small
     distinct, year_of = np.unique(years, return_inverse=True)
     year_of = year_of.astype(np.min_scalar_type(distinct.size))
-    indptr, src, anchor = graph.indptr, graph.src, config.balance_anchor
-    # edge positions, in int32 where they fit, which halves their room
-    position = np.int32 if graph.n_edges < 2 ** 31 else np.int64
-    kept_at, reversed_at = [np.empty(0, dtype=position)], [np.empty(0, dtype=position)]
-    for e0 in range(0, graph.n_edges, _EDGE_CHUNK):
-        e1 = min(e0 + _EDGE_CHUNK, graph.n_edges)
+    indptr, src = graph.indptr, graph.src
+
+    def balanced(e0: int, e1: int, j0: int, bounds: np.ndarray) -> np.ndarray:
+        """b = w - m(anchor) of the edges [e0, e1), owned as `_edge_chunks` gives them."""
+        if config.balance_anchor == "source":
+            at = m[src[e0:e1]]
+        else:
+            at = np.repeat(m[j0:j0 + bounds.size - 1], np.diff(bounds))
+        return np.subtract(graph.weight[e0:e1], at, out=at)
+
+    counts = np.zeros((2, graph.n), dtype=np.int64)  # kept and reversed edges of each destination
+    for e0, e1, j0, bounds in _edge_chunks(indptr):
+        owners = slice(j0, j0 + bounds.size - 1)
         backward = np.flatnonzero(year_of[src[e0:e1]]
-                                  >= _at_anchor(indptr, src, year_of, "destination", e0, e1))
+                                  >= np.repeat(year_of[owners], np.diff(bounds)))
         if backward.size:
             e = e0 + int(backward[0])
             s, d = int(src[e]), int(np.searchsorted(indptr, e, side="right") - 1)
             raise ValueError(f"edge {s} -> {d} runs from year {years[s]} to year {years[d]}; "
                              f"every similarity edge must run from an earlier to a later year")
-        b = _at_anchor(indptr, src, m, anchor, e0, e1)
-        np.subtract(graph.weight[e0:e1], b, out=b)
-        kept_at.append((np.flatnonzero(b > 0.0) + e0).astype(position))
-        reversed_at.append((np.flatnonzero(b < 0.0) + e0).astype(position))
-    kept_at, reversed_at = np.concatenate(kept_at), np.concatenate(reversed_at)
-    kept = _edge_subset(graph, kept_at, m, anchor, reverse=False)
-    reversed_ = _edge_subset(graph, reversed_at, m, anchor, reverse=True)
+        b = balanced(e0, e1, j0, bounds)
+        seen = np.zeros(e1 - e0 + 1, dtype=np.int32)  # int32 holds a chunk's counts
+        for row, judged in enumerate((b > 0.0, b < 0.0)):
+            np.cumsum(judged, dtype=np.int32, out=seen[1:])  # sampled at each owner's edges
+            counts[row, owners] += np.diff(seen[bounds])
+
+    indptrs = [np.concatenate(([0], np.cumsum(row))) for row in counts]
+    del counts
+    srcs = [np.empty(indptr_[-1], dtype=np.int32) for indptr_ in indptrs]
+    weights = [np.empty(indptr_[-1], dtype=np.float64) for indptr_ in indptrs]
+    filled = [0, 0]
+    for e0, e1, j0, bounds in _edge_chunks(indptr):
+        b = balanced(e0, e1, j0, bounds)
+        for row, judged in enumerate((b > 0.0, b < 0.0)):
+            picked = np.flatnonzero(judged)  # gathers by position beat boolean indexing twofold
+            lo, hi = filled[row], filled[row] + picked.size
+            np.take(src[e0:e1], picked, out=srcs[row][lo:hi])
+            np.take(b, picked, out=weights[row][lo:hi])
+            filled[row] = hi
+    np.negative(weights[1], out=weights[1])  # R's m - w, which is -(w - m) to the bit
+    kept, reversed_ = (PaintingGraph(n=graph.n, indptr=indptrs[row], src=srcs[row],
+                                     weight=weights[row]) for row in (0, 1))
     return ImplicationNetwork(kept=kept, reversed=reversed_,
                               dropped_count=graph.n_edges - kept.n_edges - reversed_.n_edges)
 

@@ -4,6 +4,10 @@ One aspect flows: features -> similarity graph -> implication network ->
 stochastic operator -> score vector; the operator scales the network's
 K + R^T term by term, from the graph's own kept and reversed edges. Aspects
 never mix; the multi-aspect driver just runs the pipeline once per aspect.
+
+Scoring holds each per-edge array only while a later stage reads it, and a
+`PipelineResult` keeps the counts and statistics `run_meta.json` records,
+not the arrays; `build_network` gives those.
 """
 
 from __future__ import annotations
@@ -28,17 +32,23 @@ from .scoring import ScoreVector, normalize, solve_power
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Scores for one aspect plus the stats of every intermediate stage.
+    """Scores for one aspect plus the facts `run_meta.json` records of every stage.
 
-    `thresholds` holds the balancing threshold m of every artifact, or None
-    when the graph has no edges and balancing had nothing to judge.
+    It holds counts and statistics, not the stages' per-edge arrays, which
+    `run_pipeline` frees as soon as no later stage reads them;
+    `build_network` gives the graph, thresholds and network themselves.
+    `threshold_stats` holds the balancing threshold(s): the global m, or the
+    min, nearest-rank median and max of the local ones, each None when the
+    graph has no edges and balancing had nothing to judge.
     """
 
     aspect: str
     sigma: float
-    graph: PaintingGraph
-    thresholds: np.ndarray | None
-    network: ImplicationNetwork
+    graph_edges: int
+    kept_count: int
+    reversed_count: int
+    dropped_count: int
+    threshold_stats: dict[str, float | None]
     dangling_count: int
     score: ScoreVector
 
@@ -122,26 +132,36 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
 
 
 def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | None = None,
-                 graph: PaintingGraph | None = None) -> PipelineResult:
+                 graph: Callable[[], PaintingGraph] | None = None) -> PipelineResult:
     """Score one aspect. Passing `sigma` pins the bandwidth (skips resolution).
 
-    Passing `graph` skips the graph build: it must be the similarity graph of
-    `corpus` at this bandwidth and these settings.
+    Passing `graph` skips the graph build: it is called once, with no
+    arguments, for the similarity graph of `corpus` at this bandwidth and
+    these settings. The graph is dropped once the network is built, and the
+    network once the operator is normalized, so a graph that no caller
+    holds is freed before the solve.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
     if sigma is None:
         sigma = resolve_sigma(corpus, aspect, config)
 
-    graph, thresholds, network = build_network(corpus, aspect, config, sigma, graph)
-    op = normalize(network, None if config.scoring == "combined" else config.beta)
-    score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    built, thresholds, network = build_network(corpus, aspect, config, sigma,
+                                               None if graph is None else graph())
+    graph_edges = built.n_edges
+    threshold_stats = _threshold_stats(thresholds, config.balancing_mode)
+    del built, thresholds  # a graph the caller holds stays; one made here is freed
     entered = np.diff(network.kept.indptr) > 0  # the nodes with an edge into them in K + R^T
     entered[network.reversed.src] = True
     dangling_count = corpus.n - int(np.count_nonzero(entered))
-
-    return PipelineResult(aspect=aspect, sigma=float(sigma), graph=graph, thresholds=thresholds,
-                          network=network, dangling_count=dangling_count, score=score)
+    kept, reversed_, dropped = network.kept_count, network.reversed_count, network.dropped_count
+    op = normalize(network, None if config.scoring == "combined" else config.beta)
+    del network  # the operator holds scaled copies of the weights
+    score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    return PipelineResult(aspect=aspect, sigma=float(sigma), graph_edges=graph_edges,
+                          kept_count=kept, reversed_count=reversed_, dropped_count=dropped,
+                          threshold_stats=threshold_stats, dangling_count=dangling_count,
+                          score=score)
 
 
 def run_multi_aspect(corpus: Corpus, config: RunConfig) -> dict[str, PipelineResult]:
@@ -196,18 +216,18 @@ def run_metadata(results: dict[str, PipelineResult], corpus: Corpus,
     """Config echo plus graph and solver stats, JSON-ready (plain types only)."""
     aspects = {}
     for aspect, r in results.items():
-        edges = r.graph.n_edges
+        edges = r.graph_edges
         aspects[aspect] = {
             "sigma": r.sigma,
             "sigma_auto": config.sigma_for(aspect) == "auto",
             "graph_edges": edges,
-            "cin_edges": r.network.n_edges,
-            "kept": r.network.kept_count,
-            "reversed": r.network.reversed_count,
-            "dropped": r.network.dropped_count,
-            "reversed_fraction": (r.network.reversed_count / edges) if edges else 0.0,
+            "cin_edges": r.kept_count + r.reversed_count,
+            "kept": r.kept_count,
+            "reversed": r.reversed_count,
+            "dropped": r.dropped_count,
+            "reversed_fraction": (r.reversed_count / edges) if edges else 0.0,
             "dangling_count": r.dangling_count,
-            **_threshold_stats(r.thresholds, config.balancing_mode),
+            **r.threshold_stats,
             "solver": {
                 "name": r.score.solver,
                 "iterations": r.score.iterations,

@@ -130,7 +130,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     ranks = edge_ranks(graph)
     # Of the baseline pass only the graph and the scores are used again; its
     # network is freed here rather than held through every run.
-    base_score = run_pipeline(corpus, aspect, config, sigma=sigma, graph=graph).score
+    base_score = run_pipeline(corpus, aspect, config, sigma=sigma, graph=lambda: graph).score
     baseline = base_score.scores
     converged = base_score.converged
 
@@ -143,9 +143,12 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         perturbed_years = np.array(corpus.years)
         perturbed_years[targets] = new_years
         perturbed = corpus.with_years(perturbed_years)
+        # The run's graph is made inside `run_pipeline`, which holds the only
+        # reference to it and frees it once the network is built.
         score = run_pipeline(
             perturbed, aspect, config, sigma=sigma,
-            graph=update_graph(graph, ranks, corpus, aspect, config, sigma, perturbed_years)).score
+            graph=lambda: update_graph(graph, ranks, corpus, aspect, config, sigma,
+                                       perturbed_years)).score
         base = baseline[targets]
         new = score.scores[targets]
         gains = (new - base) / base * 100.0

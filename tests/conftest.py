@@ -6,12 +6,14 @@ from __future__ import annotations
 import csv
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import graph as graph_module
 
 _criterion_lines: list[str] = []
 
@@ -42,6 +44,37 @@ def make_corpus(years, features, ids=None, styles=None, aspect="visual") -> cn.C
 def use_cpus(monkeypatch, count: int) -> None:
     """Make the graph build see `count` available CPUs; with one it ranks its slabs serially."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def use_edge_chunk(monkeypatch, size: int) -> None:
+    """Make `PaintingGraph`'s checks and the CIN's balancing work `size` edges at a time."""
+    monkeypatch.setattr(graph_module, "_EDGE_CHUNK", size)
+
+
+def chain_graph(n: int, per_node: int, seed: int = 0) -> tuple[cn.PaintingGraph, np.ndarray]:
+    """A graph whose node j >= per_node takes the sources j - per_node .. j - 1, and its years.
+
+    Years rise with the node index, so every edge runs forward in time; the
+    weights are uniform in (0, 1].
+    """
+    counts = np.where(np.arange(n) >= per_node, per_node, 0)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    dst = np.repeat(np.arange(n, dtype=np.int32), counts)
+    src = dst - np.int32(per_node) + np.tile(np.arange(per_node, dtype=np.int32), n - per_node)
+    weight = 1.0 - np.random.default_rng(seed).random(src.size)
+    return cn.PaintingGraph(n=n, indptr=indptr, src=src, weight=weight), 1000 + np.arange(n)
+
+
+def traced_peak(call) -> int:
+    """Bytes that `call()` allocated at its peak, above what was allocated before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def count_thread_starts(monkeypatch) -> list[str]:

@@ -428,10 +428,15 @@ class TestDumpGraph:
         assert main(argv) == EXIT_OK
 
         corpus = cn.ingest_corpus(manifest, {"visual": features})
-        result = cn.run_pipeline(corpus, "visual", cn.config_from_mapping(settings))
-        assert np.unique(result.thresholds).size > 1
-        cn.write_graph_csv(result.graph, corpus.ids, tmp_path / "graph.csv")
-        cn.write_cin_csv(result.network, corpus.ids, tmp_path / "cin.csv")
+        config = cn.config_from_mapping(settings)
+        result = cn.run_pipeline(corpus, "visual", config)
+        graph, thresholds, network = cn.build_network(corpus, "visual", config, result.sigma)
+        assert np.unique(thresholds).size > 1
+        assert (result.graph_edges, result.kept_count, result.reversed_count,
+                result.dropped_count) == (graph.n_edges, network.kept_count,
+                                          network.reversed_count, network.dropped_count)
+        cn.write_graph_csv(graph, corpus.ids, tmp_path / "graph.csv")
+        cn.write_cin_csv(network, corpus.ids, tmp_path / "cin.csv")
         assert (out / "graph.csv").read_bytes() == (tmp_path / "graph.csv").read_bytes()
         assert (out / "cin.csv").read_bytes() == (tmp_path / "cin.csv").read_bytes()
 
@@ -460,9 +465,11 @@ class TestDumpGraph:
         expected = tmp_path / "expected"
         expected.mkdir()
         for aspect, suffix in (("visual", ""), ("color", "_color")):
-            result = cn.run_pipeline(corpus, aspect, cn.config_from_mapping(settings))
-            cn.write_graph_csv(result.graph, corpus.ids, expected / f"graph{suffix}.csv")
-            cn.write_cin_csv(result.network, corpus.ids, expected / f"cin{suffix}.csv")
+            config = cn.config_from_mapping(settings)
+            graph, _, network = cn.build_network(corpus, aspect, config,
+                                                 cn.resolve_sigma(corpus, aspect, config))
+            cn.write_graph_csv(graph, corpus.ids, expected / f"graph{suffix}.csv")
+            cn.write_cin_csv(network, corpus.ids, expected / f"cin{suffix}.csv")
         names = sorted(p.name for p in expected.iterdir())
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:

@@ -9,8 +9,8 @@ import pytest
 import creanet as cn
 from creanet import graph as graph_module
 
-from conftest import (edge_dst, from_edges, make_corpus, random_corpus, use_cpus,
-                      visual_similarity)
+from conftest import (chain_graph, edge_dst, from_edges, make_corpus, random_corpus, traced_peak,
+                      use_cpus, use_edge_chunk, visual_similarity)
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -226,6 +226,140 @@ class TestPaintingGraphValidation:
     def test_rejects_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="weight"):
             cn.PaintingGraph(n=2, indptr=[0, 0, 1], src=[0], weight=[0.5, 0.5])
+
+    @pytest.mark.parametrize("n", [-1, 2 ** 31])
+    def test_rejects_node_count_out_of_range(self, n):
+        with pytest.raises(ValueError, match=r"n must be in \[1, 2\*\*31\)"):
+            cn.PaintingGraph(n=n, indptr=[0], src=[], weight=[])
+
+    def test_rejects_two_dimensional_src(self):
+        with pytest.raises(ValueError, match="src must be 1-D"):
+            cn.PaintingGraph(n=2, indptr=[0, 0, 0], src=np.zeros((1, 0)), weight=[])
+
+
+RING_N = 8
+
+
+def ring_edges():
+    """A valid store of 24 edges: destination j takes the sources (j + 1 .. j + 3) mod 8, sorted.
+
+    Destination 0 owns edges 0-2, destination 1 owns 3-5 and destination 7 owns
+    21-23, so with 2 or 4 edges per span destination 1's edges straddle a span
+    boundary.
+    """
+    src = [sorted((j + d) % RING_N for d in (1, 2, 3)) for j in range(RING_N)]
+    return ([s for row in src for s in row], [j for j in range(RING_N) for _ in range(3)],
+            [0.5] * (3 * RING_N))
+
+
+def ring_graph(src, dst, weight):
+    return from_edges(cn.PaintingGraph, RING_N, src, dst, weight)
+
+
+def with_self_edge(src, j, at):
+    """Destination j's sources replaced by j - at, j - at + 1, j - at + 2: ascending, j at offset `at`."""
+    return src[:3 * j] + [j - at + i for i in range(3)] + src[3 * j + 3:]
+
+
+# Which message wins when an input breaks several checks: the checks run in this order.
+MESSAGES = {
+    "range": "out of range",
+    "weight length": "weight must be 1-D",
+    "self": "self edges are not allowed",
+    "weight": "positive and finite",
+    "sort": r"strictly sorted by \(dst, src\)",
+}
+
+
+class TestPaintingGraphChecks:
+    """The per-edge checks, with the fault in the first, the last and a straddling destination."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 4, None], ids=["chunk1", "chunk2", "chunk4", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            use_edge_chunk(monkeypatch, request.param)
+
+    def test_valid_store_accepted(self):
+        # most destinations restart their sources below the previous destination's last one
+        src, dst, weight = ring_edges()
+        assert sum(src[3 * j] < src[3 * j - 1] for j in range(1, RING_N)) >= 2
+        assert ring_graph(src, dst, weight).n_edges == 24
+
+    @pytest.mark.parametrize("edge", [0, 4, 23])
+    @pytest.mark.parametrize("value", [-1, RING_N, 2 ** 32])
+    def test_endpoint_range(self, edge, value):
+        src, dst, weight = ring_edges()
+        src[edge] = value
+        with pytest.raises(ValueError, match="edge endpoints out of range"):
+            ring_graph(src, dst, weight)
+
+    @pytest.mark.parametrize("j, at", [(0, 0), (1, 0), (1, 1), (7, 2)],
+                             ids=["first", "before_boundary", "after_boundary", "last"])
+    def test_self_edge(self, j, at):
+        src, dst, weight = ring_edges()
+        with pytest.raises(ValueError, match=MESSAGES["self"]):
+            ring_graph(with_self_edge(src, j, at), dst, weight)
+
+    @pytest.mark.parametrize("edge", [0, 3, 4, 5, 23])
+    @pytest.mark.parametrize("value", [0.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_weight_positive_and_finite(self, edge, value):
+        src, dst, weight = ring_edges()
+        weight[edge] = value
+        with pytest.raises(ValueError, match="edge weights must be positive and finite"):
+            ring_graph(src, dst, weight)
+
+    @pytest.mark.parametrize("edge", [1, 4, 5, 22, 23], ids=["first", "straddling", "after_boundary",
+                                                              "last_front", "last_back"])
+    @pytest.mark.parametrize("fault", ["duplicate", "falling"])
+    def test_sort_order(self, edge, fault):
+        src, dst, weight = ring_edges()
+        # pair (edge - 1, edge) within one destination; edges 3 and 4 sit across a boundary
+        if fault == "duplicate":
+            src[edge] = src[edge - 1]
+        else:
+            src[edge - 1], src[edge] = src[edge], src[edge - 1]
+        with pytest.raises(ValueError, match=MESSAGES["sort"]):
+            ring_graph(src, dst, weight)
+
+    @pytest.mark.parametrize("faults, wins", [
+        (("self", "weight"), "self"),
+        (("self", "sort"), "self"),
+        (("weight", "sort"), "weight"),
+        (("self", "weight", "sort"), "self"),
+        (("range", "self"), "range"),
+        (("range", "weight length"), "range"),
+    ])
+    @pytest.mark.parametrize("late", ["self", "weight", "sort", "range"])
+    def test_the_earlier_check_wins(self, faults, wins, late):
+        # the fault of kind `late` goes into the last destination, every other into the
+        # first, so a check that stopped at the first faulty span would name the wrong one
+        src, dst, weight = ring_edges()
+        n_weight = 24
+        for fault in faults:
+            j = RING_N - 1 if fault == late else 0
+            if fault == "self":
+                src[3 * j + 1] = j
+            elif fault == "weight":
+                weight[3 * j + 1] = np.nan
+            elif fault == "sort":
+                src[3 * j + 2] = src[3 * j + 1]
+            elif fault == "range":
+                src[3 * j] = -1
+            else:
+                n_weight = 23
+        with pytest.raises(ValueError, match=MESSAGES[wins]):
+            cn.PaintingGraph(n=RING_N, indptr=np.arange(0, 25, 3), src=src, weight=weight[:n_weight])
+
+
+def test_checks_hold_no_full_length_temporary(monkeypatch):
+    # two million edges, checked 4,096 at a time: a temporary over every edge,
+    # even one byte per edge, would outgrow the bound
+    use_edge_chunk(monkeypatch, 4096)
+    graph, _ = chain_graph(n=10_200, per_node=200)
+    assert graph.n_edges == 2_000_000
+    arrays = (np.array(graph.indptr), np.array(graph.src), np.array(graph.weight))
+    peak = traced_peak(lambda: cn.PaintingGraph(graph.n, *arrays))
+    assert peak <= 8 * 4096 * 8 + 8 * graph.n * 8
 
 
 def test_write_graph_csv(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import creanet as cn
 
-from conftest import (balance, cin_edges, edge_dst, from_edges, make_corpus, make_network,
-                      random_corpus, solve_closed_form)
+from conftest import (balance, chain_graph, cin_edges, edge_dst, from_edges, make_corpus,
+                      make_network, random_corpus, solve_closed_form, traced_peak, use_edge_chunk)
 
 
 def build(seed=20, n=100, k=8, **balance_kwargs):
@@ -201,6 +201,23 @@ def test_semantics_increasing_edge_weight_never_hurts_source():
         scores = solve_closed_form(cn.normalize(net), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("anchor", ["destination", "source"])
+def test_balancing_holds_no_full_length_temporary(monkeypatch, anchor):
+    # two million edges judged 4,096 at a time: beyond K and R themselves, the
+    # build may hold a few chunks and a few words per node, not an array over the edges
+    use_edge_chunk(monkeypatch, 4096)
+    graph, years = chain_graph(n=10_200, per_node=200)
+    m = np.random.default_rng(1).uniform(0.3, 0.7, size=graph.n)
+    config = cn.RunConfig(balance_anchor=anchor)
+    nets = []
+    peak = traced_peak(lambda: nets.append(cn.build_implication_network(graph, m, years, config)))
+    net, = nets
+    assert net.kept_count > 0 and net.reversed_count > 0
+    stores = sum(a.nbytes for store in (net.kept, net.reversed)
+                 for a in (store.indptr, store.src, store.weight))
+    assert peak <= stores + 8 * 4096 * 8 + 8 * graph.n * 8
 
 
 class TestImplicationNetworkValidation:

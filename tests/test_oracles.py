@@ -4,7 +4,9 @@ The library ranks each slab of destinations with one matrix product and one
 partial selection and weighs only the pairs it keeps, writes the picks
 straight into destination order, keeps the implication network as the graph's
 own kept and reversed edges (K and R, the network being K + R^T) instead of
-merging them into one sorted store, reads percentiles with a partition, finds
+merging them into one sorted store, counts and then fills K and R a chunk of
+edges at a time instead of gathering them at full-length position arrays,
+reads percentiles with a partition, finds
 local thresholds in one sweep over weight ranks, cuts window candidates as two
 position ranges per year group, writes edge dumps a chunk at a time, takes
 operator column sums from a sparse product, scores the beta split with one
@@ -31,6 +33,7 @@ oracle for 1, 2, 3 and many slabs, several slab sizes, the window prior, the
 update's listed rows and a thread switch every microsecond.
 """
 
+import contextlib
 import csv
 import dataclasses
 import math
@@ -194,7 +197,7 @@ def merged(net):
                       dropped_count=net.dropped_count)
 
 
-def reference_build_implication_network(graph, m, years, anchor="destination"):
+def reference_merged_network(graph, m, years, anchor="destination"):
     """Keep, drop or reverse every edge, then lexsort the survivors; labels from the years."""
     m = np.asarray(m, dtype=np.float64)
     years = np.asarray(years, dtype=np.int64)
@@ -335,6 +338,62 @@ def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters
         c = c / c.sum()
     return cn.ScoreVector(scores=c, solver="power", iterations=iterations,
                           residual=residual, converged=residual < tol)
+
+
+REFERENCE_EDGE_CHUNK = 1 << 18
+
+
+def reference_at_anchor(indptr, src, values, anchor, e0, e1):
+    """values[anchor node] of each edge in [e0, e1) of the edge store (indptr, src)."""
+    if anchor == "source":
+        return values[src[e0:e1]]
+    j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
+    j1 = int(np.searchsorted(indptr, e1, side="left"))
+    return np.repeat(values[j0:j1], np.diff(np.clip(indptr[j0:j1 + 1], e0, e1)))
+
+
+def reference_edge_subset(graph, picked, m, anchor, reverse):
+    """The edges of `graph` at positions `picked`, weighted w - m(anchor), or m - w with `reverse`."""
+    indptr = np.searchsorted(picked, graph.indptr.astype(picked.dtype))
+    src = graph.src[picked]
+    weight = graph.weight[picked]
+    for e0 in range(0, src.size, REFERENCE_EDGE_CHUNK):
+        e1 = min(e0 + REFERENCE_EDGE_CHUNK, src.size)
+        w, at = weight[e0:e1], reference_at_anchor(indptr, src, m, anchor, e0, e1)
+        if reverse:
+            np.subtract(at, w, out=w)
+        else:
+            w -= at
+    return cn.PaintingGraph(n=graph.n, indptr=indptr, src=src, weight=weight)
+
+
+def reference_build_implication_network(graph, m, years, config):
+    """K and R from full-length arrays of the kept and the reversed edges' positions."""
+    m = np.asarray(m, dtype=np.float64)
+    years = np.asarray(years, dtype=np.int64)
+    distinct, year_of = np.unique(years, return_inverse=True)
+    year_of = year_of.astype(np.min_scalar_type(distinct.size))
+    indptr, src, anchor = graph.indptr, graph.src, config.balance_anchor
+    position = np.int32 if graph.n_edges < 2 ** 31 else np.int64
+    kept_at, reversed_at = [np.empty(0, dtype=position)], [np.empty(0, dtype=position)]
+    for e0 in range(0, graph.n_edges, REFERENCE_EDGE_CHUNK):
+        e1 = min(e0 + REFERENCE_EDGE_CHUNK, graph.n_edges)
+        backward = np.flatnonzero(year_of[src[e0:e1]]
+                                  >= reference_at_anchor(indptr, src, year_of, "destination", e0, e1))
+        if backward.size:
+            e = e0 + int(backward[0])
+            s, d = int(src[e]), int(np.searchsorted(indptr, e, side="right") - 1)
+            raise ValueError(f"edge {s} -> {d} runs from year {years[s]} to year {years[d]}; "
+                             f"every similarity edge must run from an earlier to a later year")
+        b = reference_at_anchor(indptr, src, m, anchor, e0, e1)
+        np.subtract(graph.weight[e0:e1], b, out=b)
+        kept_at.append((np.flatnonzero(b > 0.0) + e0).astype(position))
+        reversed_at.append((np.flatnonzero(b < 0.0) + e0).astype(position))
+    kept_at, reversed_at = np.concatenate(kept_at), np.concatenate(reversed_at)
+    kept = reference_edge_subset(graph, kept_at, m, anchor, reverse=False)
+    reversed_ = reference_edge_subset(graph, reversed_at, m, anchor, reverse=True)
+    return cn.ImplicationNetwork(kept=kept, reversed=reversed_,
+                                 dropped_count=graph.n_edges - kept.n_edges - reversed_.n_edges)
 
 
 def reference_solve_split_closed_form(op_prior, op_subseq, alpha, beta):
@@ -831,7 +890,7 @@ class TestNetworkAgainstOracle:
             return
         m = thresholds_both_ways(graph, corpus.years, balancing)
         assert_same_network(cn.build_implication_network(graph, m, corpus.years, balancing),
-                            reference_build_implication_network(graph, m, corpus.years,
+                            reference_merged_network(graph, m, corpus.years,
                                                                 balancing.balance_anchor))
 
     @pytest.mark.parametrize("anchor", ["destination", "source"])
@@ -845,7 +904,7 @@ class TestNetworkAgainstOracle:
         m = thresholds_both_ways(graph, corpus.years, config)
         net = cn.build_implication_network(graph, m, corpus.years, config)
         assert net.reversed_count > 0
-        assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
+        assert_same_network(net, reference_merged_network(graph, m, corpus.years, anchor))
 
     def test_runs_to_merge_are_each_canonical(self):
         # `write_cin_csv` relies on scipy's sum of K and R^T being canonical,
@@ -874,7 +933,7 @@ class TestNetworkAgainstOracle:
             net = cn.build_implication_network(graph, m, corpus.years,
                                                cn.RunConfig(balance_anchor=anchor))
             assert net.dropped_count > 0
-            assert_same_network(net, reference_build_implication_network(graph, m, corpus.years, anchor))
+            assert_same_network(net, reference_merged_network(graph, m, corpus.years, anchor))
 
     def test_opposed_pair_rejected_like_the_oracle(self):
         # a hand-made graph holding both 0 -> 1 and 1 -> 0: keeping one and reversing
@@ -886,7 +945,141 @@ class TestNetworkAgainstOracle:
         with pytest.raises(ValueError, match="edge 1 -> 0 runs from year 1600 to year 1500"):
             cn.build_implication_network(graph, m, years, cn.RunConfig())
         with pytest.raises(ValueError, match="strictly sorted"):
-            reference_build_implication_network(graph, m, years)
+            reference_merged_network(graph, m, years)
+
+
+@contextlib.contextmanager
+def edge_chunk(size):
+    """`PaintingGraph`'s checks and the CIN's balancing `size` edges at a time, None for the default."""
+    with mock.patch.object(graph_module, "_EDGE_CHUNK", size or graph_module._EDGE_CHUNK):
+        yield
+
+
+def assert_same_stores(got, want):
+    """K, R and the dropped count of two networks, bit for bit."""
+    for name in ("kept", "reversed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.n == b.n
+        for field in ("indptr", "src", "weight"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)
+    assert got.dropped_count == want.dropped_count
+
+
+def networks_both_ways(graph, m, years, config, chunk):
+    with edge_chunk(chunk):
+        got = cn.build_implication_network(graph, m, years, config)
+    assert_same_stores(got, reference_build_implication_network(graph, m, years, config))
+    return got
+
+
+def error_both_ways(graph, m, years, config, chunk):
+    """The message of the library's and of the oracle's ValueError, which must agree; None if neither raises."""
+    messages = []
+    for build in (cn.build_implication_network, reference_build_implication_network):
+        try:
+            with edge_chunk(chunk if build is cn.build_implication_network else None):
+                build(graph, m, years, config)
+        except ValueError as exc:
+            messages.append(str(exc))
+        else:
+            messages.append(None)
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+EDGE_CHUNKS = [1, 7, None]
+ANCHORS = [cn.RunConfig(balance_anchor="destination"), cn.RunConfig(balance_anchor="source")]
+
+
+class TestChunkedNetworkAgainstPositionArrays:
+    """K and R counted, then filled, a chunk at a time equal the position-array build bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora(), graph_configs, kernel_sigmas, balance_configs, st.sampled_from(EDGE_CHUNKS))
+    def test_random_corpora(self, corpus, config, sigma, balancing, chunk):
+        graph = cn.build_graph(corpus, "visual", config, sigma)
+        if graph.n_edges:
+            m = cn.compute_thresholds(graph, corpus.years, balancing)
+            networks_both_ways(graph, m, corpus.years, balancing, chunk)
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    @pytest.mark.parametrize("anchor", ["destination", "source"])
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_both_anchors_and_modes(self, chunk, anchor, mode):
+        corpus = random_corpus(seed=10, n=150, dim=4)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=8), 1.2)
+        config = cn.RunConfig(balancing_mode=mode, local_window_years=30, balance_anchor=anchor)
+        m = cn.compute_thresholds(graph, corpus.years, config)
+        net = networks_both_ways(graph, m, corpus.years, config, chunk)
+        assert net.kept_count > 0 and net.reversed_count > 0
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    @pytest.mark.parametrize("config", ANCHORS, ids=["destination", "source"])
+    def test_exact_zero_balance(self, chunk, config):
+        corpus = quantised_corpus(seed=11, n=150, dim=2, levels=3, year_lo=1500, year_hi=1560)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=6), 1.0)
+        m = np.random.default_rng(11).choice(np.unique(graph.weight), size=corpus.n)
+        net = networks_both_ways(graph, m, corpus.years, config, chunk)
+        assert net.dropped_count > 0
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    @pytest.mark.parametrize("config", ANCHORS, ids=["destination", "source"])
+    @pytest.mark.parametrize("m, empty", [(0.0, "reversed"), (2.0, "kept")],
+                             ids=["all_kept", "all_reversed"])
+    def test_one_store_empty(self, chunk, config, m, empty):
+        # every weight lies in (0, 1]
+        corpus = random_corpus(seed=12, n=60, dim=3)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=5), 1.0)
+        net = networks_both_ways(graph, np.full(graph.n, m), corpus.years, config, chunk)
+        assert getattr(net, empty).n_edges == 0
+        assert net.n_edges == graph.n_edges > 0
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_every_edge_dropped(self, chunk):
+        # one edge into each destination, judged by a threshold equal to its weight
+        weight = np.linspace(0.1, 0.9, 29)
+        graph = from_edges(cn.PaintingGraph, 30, np.arange(29), np.arange(1, 30), weight)
+        net = networks_both_ways(graph, np.r_[0.5, weight], 1500 + np.arange(30), ANCHORS[0], chunk)
+        assert net.n_edges == 0 and net.dropped_count == 29
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_graph_without_edges(self, chunk):
+        graph = cn.PaintingGraph(n=4, indptr=np.zeros(5, dtype=np.int64), src=[], weight=[])
+        net = networks_both_ways(graph, np.full(4, 0.5), np.arange(4), ANCHORS[0], chunk)
+        assert net.n_edges == net.dropped_count == 0
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_backward_edge_named_like_the_oracle(self, chunk, seed):
+        # a built graph whose years are then disturbed: some edges no longer run forward
+        corpus = random_corpus(seed=13, n=120, dim=3, year_lo=1500, year_hi=1540)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=6), 1.0)
+        rng = np.random.default_rng(seed)
+        years = np.array(corpus.years)
+        moved = rng.choice(corpus.n, size=1 + seed, replace=False)
+        years[moved] = rng.integers(1500, 1541, size=moved.size)
+        m = cn.compute_thresholds(graph, years, cn.RunConfig())
+        message = error_both_ways(graph, m, years, ANCHORS[seed % 2], chunk)
+        assert message is None or "every similarity edge must run" in message
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_backward_edges_everywhere(self, chunk):
+        graph, years = hand_made_graph(seed=14, n=40, n_edges=300, n_years=5)
+        message = error_both_ways(graph, np.full(40, 0.5), years, ANCHORS[0], chunk)
+        assert message.startswith("edge ")
+
+    @pytest.mark.parametrize("chunk", EDGE_CHUNKS)
+    def test_only_the_last_edge_backward(self, chunk):
+        # destination j takes the sources j - 4 .. j - 1; moving artifact 48 to artifact
+        # 49's year turns the last edge, 48 -> 49, and no other, backward
+        dst = np.repeat(np.arange(50), np.minimum(np.arange(50), 4))
+        src = dst - np.concatenate([np.arange(min(j, 4), 0, -1) for j in range(50)])
+        graph = from_edges(cn.PaintingGraph, 50, src, dst, np.full(src.size, 0.5))
+        years = 1500 + np.arange(50)
+        years[48] = years[49]
+        message = error_both_ways(graph, np.full(50, 0.25), years, ANCHORS[0], chunk)
+        assert message.startswith("edge 48 -> 49 runs from year 1549 to year 1549")
 
 
 def hand_made_graph(seed, n, n_edges, n_years, levels=0):
@@ -1027,7 +1220,7 @@ class TestCsvWritersAgainstOracle:
         assert net.kept_count and net.reversed_count
         m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig())
         cn.write_cin_csv(net, corpus.ids, tmp_path / "got.csv")
-        reference_write_cin_csv(reference_build_implication_network(graph, m, corpus.years),
+        reference_write_cin_csv(reference_merged_network(graph, m, corpus.years),
                                 corpus.ids, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -1085,7 +1278,7 @@ class TestOperatorAgainstOracle:
             return
         m = cn.compute_thresholds(graph, corpus.years, balancing)
         op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, balancing), beta)
-        want = merged_network_operator(reference_build_implication_network(
+        want = merged_network_operator(reference_merged_network(
             graph, m, corpus.years, balancing.balance_anchor), beta)
         assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
         got, ref = cn.solve_power(op, alpha), cn.solve_power(want, alpha)

@@ -1,11 +1,13 @@
 """End-to-end pipeline: sigma resolution, stage stats, multi-aspect runs, outputs."""
 
+import dataclasses
 import io
 import json
 import os
 import signal
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,11 @@ def config():
     return cn.RunConfig(k=8, seed=3)
 
 
+def stages_of(corpus, config, result):
+    """The graph, thresholds and network that `run_pipeline` scored for `result`, built again."""
+    return cn.build_network(corpus, result.aspect, config, result.sigma)
+
+
 class TestResolveSigma:
     def test_numeric_sigma_passes_through(self, corpus):
         assert cn.resolve_sigma(corpus, "visual", cn.RunConfig(sigma=1.5)) == 1.5
@@ -49,9 +56,11 @@ class TestRunPipeline:
 
     def test_stage_stats_are_consistent(self, corpus, config):
         result = cn.run_pipeline(corpus, "visual", config)
-        net = result.network
-        assert net.kept_count + net.reversed_count == net.n_edges
-        assert net.kept_count + net.reversed_count + net.dropped_count == result.graph.n_edges
+        graph, _, net = stages_of(corpus, config, result)
+        assert (result.graph_edges, result.kept_count, result.reversed_count,
+                result.dropped_count) == (graph.n_edges, net.kept_count, net.reversed_count,
+                                          net.dropped_count)
+        assert net.kept_count + net.reversed_count + net.dropped_count == result.graph_edges
         has_incoming = np.zeros(corpus.n, dtype=bool)
         has_incoming[cin_edges(net)[1]] = True
         assert result.dangling_count == int((~has_incoming).sum())
@@ -65,17 +74,18 @@ class TestRunPipeline:
     def test_power_and_closed_form_agree(self, corpus):
         config = cn.RunConfig(k=8, seed=3, tol=1e-13)
         a = cn.run_pipeline(corpus, "visual", config)
-        b = solve_closed_form(cn.normalize(a.network), config.alpha)
+        b = solve_closed_form(cn.normalize(stages_of(corpus, config, a)[2]), config.alpha)
         assert np.abs(a.score.scores - b.scores).max() < 1e-8
 
     def test_split_scoring_paths(self, corpus):
         config = cn.RunConfig(k=8, seed=3, scoring="split", beta=0.3, tol=1e-13)
         a = cn.run_pipeline(corpus, "visual", config)
-        b = solve_closed_form(cn.normalize(a.network, config.beta), config.alpha)
+        net = stages_of(corpus, config, a)[2]
+        b = solve_closed_form(cn.normalize(net, config.beta), config.alpha)
         assert np.abs(a.score.scores - b.scores).max() < 1e-8
         # split dangling = no incoming edge of either label
         has_incoming = np.zeros(corpus.n, dtype=bool)
-        has_incoming[cin_edges(a.network)[1]] = True
+        has_incoming[cin_edges(net)[1]] = True
         assert a.dangling_count == int((~has_incoming).sum())
 
     def test_rerun_is_bitwise_identical(self, corpus, config):
@@ -87,10 +97,49 @@ class TestRunPipeline:
     def test_single_year_corpus_scores_uniform(self):
         corpus = make_corpus([1700] * 5, np.arange(10.0).reshape(5, 2))
         result = cn.run_pipeline(corpus, "visual", cn.RunConfig(), sigma=1.0)
-        assert result.graph.n_edges == 0
-        assert result.network.n_edges == 0
+        assert result.graph_edges == 0
+        assert result.kept_count == result.reversed_count == result.dropped_count == 0
         assert result.dangling_count == 5
         np.testing.assert_allclose(result.score.scores, 0.2, atol=1e-15)
+
+
+class TestStagesFreed:
+    """`run_pipeline` keeps facts, not arrays, and drops each stage once the next has read it."""
+
+    def test_result_holds_no_per_edge_array(self, corpus, config):
+        result = cn.run_pipeline(corpus, "visual", config)
+        assert result.graph_edges > corpus.n
+        for field in dataclasses.fields(result):
+            value = getattr(result, field.name)
+            assert not isinstance(value, (np.ndarray, cn.PaintingGraph, cn.ImplicationNetwork))
+        arrays = [value for value in vars(result.score).values() if isinstance(value, np.ndarray)]
+        assert [a.size for a in arrays] == [corpus.n]
+        assert set(map(type, result.threshold_stats.values())) == {float}
+
+    @pytest.mark.parametrize("given", [False, True], ids=["built", "made_by_caller"])
+    def test_graph_and_weights_freed_before_the_solve(self, monkeypatch, corpus, config, given):
+        import creanet.pipeline as pipeline_module
+        refs, alive = [], []
+        real_build, real_solve = pipeline_module.build_network, pipeline_module.solve_power
+
+        def build_network(*args):
+            graph, thresholds, network = real_build(*args)
+            refs.extend(weakref.ref(a) for a in (graph, network, network.kept.weight,
+                                                 network.reversed.weight))
+            return graph, thresholds, network
+
+        def solve_power(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "build_network", build_network)
+        monkeypatch.setattr(pipeline_module, "solve_power", solve_power)
+        sigma = cn.resolve_sigma(corpus, "visual", config)
+        made = (lambda: cn.build_graph(corpus, "visual", config, sigma)) if given else None
+        result = cn.run_pipeline(corpus, "visual", config, sigma=sigma, graph=made)
+        assert alive == [False] * 4
+        assert result.score.scores.tobytes() == \
+            cn.run_pipeline(corpus, "visual", config).score.scores.tobytes()
 
 
 class TestMultiAspect:
@@ -192,19 +241,18 @@ class TestScoreOutputs:
         assert meta["n_artifacts"] == corpus.n
         assert meta["config"] == json.loads(json.dumps(config.as_dict()))
         stats = meta["aspects"]["visual"]
-        net = results["visual"].network
-        assert stats["graph_edges"] == results["visual"].graph.n_edges
+        graph, thresholds, net = stages_of(corpus, config, results["visual"])
+        assert stats["graph_edges"] == graph.n_edges == results["visual"].graph_edges
         assert stats["cin_edges"] == net.n_edges
         assert stats["kept"] == net.kept_count
         assert stats["reversed"] == net.reversed_count
         assert stats["dropped"] == net.dropped_count
-        assert stats["reversed_fraction"] == net.reversed_count / results["visual"].graph.n_edges
+        assert stats["reversed_fraction"] == net.reversed_count / graph.n_edges
         assert stats["dangling_count"] == results["visual"].dangling_count
         assert stats["solver"]["name"] == "power"
         assert stats["solver"]["converged"] is True
-        graph = results["visual"].graph
         assert stats["threshold"] == cn.nearest_rank_percentile(graph.weight, config.percentile_p)
-        assert np.all(results["visual"].thresholds == stats["threshold"])
+        assert np.all(thresholds == stats["threshold"])
         assert not {"threshold_min", "threshold_median", "threshold_max"} & set(stats)
         assert stats["sigma_auto"] is True
         assert stats["sigma"] == results["visual"].sigma
@@ -220,7 +268,7 @@ class TestScoreOutputs:
         path = tmp_path / "run_meta.json"
         cn.write_run_meta(results, corpus, config, path)
         stats = json.loads(path.read_text(encoding="utf-8"))["aspects"]["visual"]
-        m = cn.compute_thresholds(results["visual"].graph, corpus.years, config)
+        m = stages_of(corpus, config, results["visual"])[1]
         assert np.unique(m).size > 1
         assert stats["threshold_min"] == m.min()
         assert stats["threshold_max"] == m.max()

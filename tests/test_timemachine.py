@@ -1,6 +1,7 @@
 """Time-machine experiments: spec parsing, target selection, runs, reports."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -220,6 +221,28 @@ class TestRunTimeMachine:
         assert len(pipeline_calls) == 1 + 3  # baseline + one per run
         assert all(s == repr(report.sigma) for s in pipeline_calls)
         assert len(build_calls) == 1  # the baseline's; each run updates its graph
+
+    def test_each_run_frees_its_graph_before_its_solve(self, planted, monkeypatch):
+        import creanet.pipeline as pipeline_module
+        import creanet.timemachine as tm
+        made, alive = [], []
+        real_update, real_solve = tm.update_graph, pipeline_module.solve_power
+
+        def update_graph(*args):
+            graph = real_update(*args)
+            made.append(weakref.ref(graph))
+            return graph
+
+        def solve_power(*args, **kwargs):
+            if made:  # the baseline's graph is kept for the runs; a run's is not
+                alive.append(made[-1]() is not None)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(tm, "update_graph", update_graph)
+        monkeypatch.setattr(pipeline_module, "solve_power", solve_power)
+        spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_runs=1)
+        cn.run_time_machine(planted, PLANTED_CONFIG, spec)
+        assert alive == [False]  # run 0, in this process; a second run would go to the child
 
     def test_new_years_clamped_to_corpus_range(self, planted):
         spec = cn.TimeMachineSpec(group="style=innovator", move="forward",
