@@ -41,7 +41,11 @@ class Artifact:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Feature matrix for one visual aspect, one row per artifact in corpus order."""
+    """Feature matrix for one visual aspect, one row per artifact in corpus order.
+
+    `vectors` is held as it is, not copied, and made read-only: building a
+    feature set freezes the caller's array.
+    """
 
     aspect: str
     vectors: np.ndarray
@@ -111,14 +115,14 @@ class Corpus:
         return Corpus(artifacts, self.features)
 
 
-def _parse_year(raw: str, row: int) -> int:
+def _parse_year(raw: str, where: str) -> int:
     text = (raw or "").strip()
     if not text:
-        raise IngestError(f"manifest row {row}: missing year")
+        raise IngestError(f"{where}: missing year")
     try:
         return int(text)
     except ValueError:
-        raise IngestError(f"manifest row {row}: year '{text}' is not an integer") from None
+        raise IngestError(f"{where}: year '{text}' is not an integer") from None
 
 
 def read_manifest(path: str | Path) -> list[Artifact]:
@@ -148,19 +152,17 @@ def read_manifest(path: str | Path) -> list[Artifact]:
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            where = f"{path}: manifest row {row_no}"
             if len(row) != len(header):
-                raise IngestError(
-                    f"manifest row {row_no}: expected {len(header)} columns, got {len(row)}"
-                )
+                raise IngestError(f"{where}: expected {len(header)} columns, got {len(row)}")
             art_id = row[col["id"]].strip()
             if not art_id:
-                raise IngestError(f"manifest row {row_no}: empty id")
+                raise IngestError(f"{where}: empty id")
             if art_id in seen:
-                raise IngestError(
-                    f"duplicate artifact id '{art_id}' (manifest rows {seen[art_id]} and {row_no})"
-                )
+                raise IngestError(f"{path}: duplicate artifact id '{art_id}' "
+                                  f"(manifest rows {seen[art_id]} and {row_no})")
             seen[art_id] = row_no
-            year = _parse_year(row[col["year"]], row_no)
+            year = _parse_year(row[col["year"]], where)
 
             def opt(name: str) -> str | None:
                 if name not in col:
@@ -210,9 +212,7 @@ def _read_features_binary(path: Path, aspect: str) -> np.ndarray:
     data = path.read_bytes()
     if len(data) < 16:
         raise IngestError(f"feature file '{path}' (aspect '{aspect}'): truncated header")
-    magic, n_rows, dim, reserved = struct.unpack("<4sII4s", data[:16])
-    if magic != FEATURE_MAGIC:
-        raise IngestError(f"feature file '{path}' (aspect '{aspect}'): bad magic {magic!r}")
+    _, n_rows, dim, reserved = struct.unpack("<4sII4s", data[:16])  # `read_features` read the magic
     if reserved != b"\x00" * 4:
         raise IngestError(f"feature file '{path}' (aspect '{aspect}'): reserved bytes not zero")
     if dim < 1:

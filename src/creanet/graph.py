@@ -63,6 +63,10 @@ class PaintingGraph:
     Invariants: no self edges, every weight > 0, at most one edge per ordered
     pair, sources strictly increasing within each destination, so the edges
     are in canonical (dst, src) order. `src` is int32, which caps n below 2**31.
+
+    An array that is already contiguous in its field's dtype (int64 `indptr`,
+    int32 `src`, float64 `weight`) is held as it is, not copied, and made
+    read-only: building a graph freezes the caller's arrays.
     """
 
     n: int

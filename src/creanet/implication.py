@@ -56,13 +56,8 @@ class ImplicationNetwork:
         return self.kept.n_edges + self.reversed.n_edges
 
 
-def nearest_rank_percentile(values: np.ndarray, p: float) -> float:
-    """Nearest-rank percentile (no interpolation): the ceil(p/100 * n)-th smallest."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("percentile of an empty sample")
-    if not 0.0 < p <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {p!r}")
+def _nearest_rank_percentile(values: np.ndarray, p: float) -> float:
+    """The ceil(p/100 * n)-th smallest of n >= 1 values, p in (0, 100]: no interpolation."""
     rank = math.ceil(p / 100.0 * values.size)
     return float(np.partition(values, rank - 1)[rank - 1])
 
@@ -80,7 +75,7 @@ def compute_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfi
     years = np.asarray(years, dtype=np.int64)
     if years.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} years, got shape {years.shape}")
-    global_m = nearest_rank_percentile(graph.weight, config.percentile_p)
+    global_m = _nearest_rank_percentile(graph.weight, config.percentile_p)
     if config.balancing_mode == "global":
         return np.full(graph.n, global_m, dtype=np.float64)
     return _local_thresholds(graph, years, config, global_m)
@@ -116,7 +111,7 @@ def _local_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig
     into blocks of about sqrt(E). Per-block in-window counts of every year
     locate the block holding each year's nearest-rank edge, and one scan of
     that block picks it. The pick is the ceil(p/100 * count)-th smallest
-    in-window weight, the value `nearest_rank_percentile` reads off the same
+    in-window weight, the value `_nearest_rank_percentile` reads off the same
     sample, so every threshold is exact. Cost: O(E log E + years * sqrt(E)) time
     and O(E + years * sqrt(E)) memory.
     """

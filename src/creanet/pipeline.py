@@ -25,8 +25,8 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import PaintingGraph, build_graph
-from .implication import (ImplicationNetwork, build_implication_network, compute_thresholds,
-                          nearest_rank_percentile)
+from .implication import (ImplicationNetwork, _nearest_rank_percentile,
+                          build_implication_network, compute_thresholds)
 from .scoring import ScoreVector, normalize, solve_power
 
 
@@ -155,9 +155,9 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
     entered[network.reversed.src] = True
     dangling_count = corpus.n - int(np.count_nonzero(entered))
     kept, reversed_, dropped = network.kept_count, network.reversed_count, network.dropped_count
-    op = normalize(network, None if config.scoring == "combined" else config.beta)
+    op = normalize(network, config)
     del network  # the operator holds scaled copies of the weights
-    score = solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    score = solve_power(op, config)
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph_edges=graph_edges,
                           kept_count=kept, reversed_count=reversed_, dropped_count=dropped,
                           threshold_stats=threshold_stats, dangling_count=dangling_count,
@@ -207,7 +207,7 @@ def _threshold_stats(thresholds: np.ndarray | None, mode: str) -> dict:
     if thresholds is None:
         return dict.fromkeys(("threshold_min", "threshold_median", "threshold_max"))
     return {"threshold_min": float(thresholds.min()),
-            "threshold_median": nearest_rank_percentile(thresholds, 50.0),
+            "threshold_median": _nearest_rank_percentile(thresholds, 50.0),
             "threshold_max": float(thresholds.max())}
 
 
@@ -229,7 +229,7 @@ def run_metadata(results: dict[str, PipelineResult], corpus: Corpus,
             "dangling_count": r.dangling_count,
             **r.threshold_stats,
             "solver": {
-                "name": r.score.solver,
+                "name": "power",
                 "iterations": r.score.iterations,
                 "residual": float(r.score.residual),
                 "converged": r.score.converged,

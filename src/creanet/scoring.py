@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
+from .config import RunConfig
 from .implication import ImplicationNetwork
 
 COLUMN_SUM_TOL = 1e-12
@@ -70,10 +71,14 @@ class StochasticOperator:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Scores on the probability simplex plus solver diagnostics."""
+    """Scores on the probability simplex plus the power solve's diagnostics.
+
+    `scores` is the caller's array itself when it is already a contiguous
+    float64 vector, and construction makes it read-only: the caller's array
+    is frozen, not copied.
+    """
 
     scores: np.ndarray
-    solver: str
     iterations: int
     residual: float
     converged: bool
@@ -92,8 +97,8 @@ class ScoreVector:
         object.__setattr__(self, "scores", scores)
 
 
-def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticOperator:
-    """The scoring operator of a CIN: combined when `beta` is None, else the beta split.
+def normalize(cin: ImplicationNetwork, config: RunConfig) -> StochasticOperator:
+    """The scoring operator of a CIN: combined, or the split at `config.beta`, by `config.scoring`.
 
     Its terms are the network's K and R^T, scaled, on the stores' `indptr`
     and `src` (R^T is a transposed view of R, not a copy). Combined scoring
@@ -109,13 +114,12 @@ def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticO
     # its columns as rows, R's source sums read R as it is stored.
     subsequent = sparse.csr_matrix((kept.weight, kept.src, kept.indptr), shape=(n, n)) @ np.ones(n)
     prior = sparse.csc_matrix((rev.weight, rev.src, rev.indptr), shape=(n, n)) @ np.ones(n)
-    if beta is None:
+    if config.scoring == "combined":
         total = subsequent + prior
         scaled = ((kept, total, 1.0, False), (rev, total, 1.0, True))
         dangling = (total == 0.0).astype(np.float64)
     else:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {beta!r}")
+        beta = config.beta
         scaled = ((kept, subsequent, 1.0 - beta, False), (rev, prior, beta, True))
         dangling = beta * (prior == 0.0) + (1.0 - beta) * (subsequent == 0.0)
     terms = []
@@ -131,24 +135,21 @@ def normalize(cin: ImplicationNetwork, beta: float | None = None) -> StochasticO
     return StochasticOperator(n=n, terms=tuple(terms), dangling=dangling)
 
 
-def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,
-                max_iters: int = 1000,
+def solve_power(op: StochasticOperator, config: RunConfig,
                 on_iteration: Callable[[np.ndarray], None] | None = None) -> ScoreVector:
     """Iterate C <- (1-alpha)/n + alpha * M C from uniform until the L1 step < tol.
 
-    A run that exhausts max_iters still returns its scores, flagged
-    converged=False with the final residual.
+    alpha, tol and max_iters are `config`'s. A run that exhausts max_iters
+    still returns its scores, flagged converged=False with the final residual.
+    `on_iteration`, when given, is called with each new iterate.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    if tol <= 0.0 or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
+    alpha, tol = config.alpha, config.tol
     n = op.n
     teleport = (1.0 - alpha) / n
     c = np.full(n, 1.0 / n)
     residual = float("inf")
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, config.max_iters + 1):
         nxt = teleport + alpha * op.apply(c)
         residual = float(np.abs(nxt - c).sum())
         if on_iteration is not None:
@@ -160,5 +161,4 @@ def solve_power(op: StochasticOperator, alpha: float, tol: float = 1e-10,
         # Pure eigenvector mode has no teleport mass pinning the total;
         # renormalize the limit onto the simplex.
         c = c / c.sum()
-    return ScoreVector(scores=c, solver="power", iterations=iterations,
-                       residual=residual, converged=residual < tol)
+    return ScoreVector(scores=c, iterations=iterations, residual=residual, converged=residual < tol)

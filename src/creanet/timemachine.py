@@ -40,24 +40,22 @@ from .graph import build_graph, edge_ranks, update_graph
 from .pipeline import _fork_pair, resolve_sigma, run_pipeline
 
 
-def resolve_targets(corpus: Corpus, group: str) -> np.ndarray:
-    """Corpus row indices matched by a selector, in manifest order."""
-    if group.startswith("style="):
-        label = group[len("style="):]
-        rows = [i for i, a in enumerate(corpus.artifacts) if a.style == label]
+def _resolve_targets(corpus: Corpus, group: str) -> np.ndarray:
+    """Corpus row indices matched by a `TimeMachineSpec.group` selector, in manifest order."""
+    kind, _, selected = group.partition("=")
+    if kind == "style":
+        rows = [i for i, a in enumerate(corpus.artifacts) if a.style == selected]
         if not rows:
-            raise ConfigError(f"no artifacts with style '{label}'")
+            raise ConfigError(f"no artifacts with style '{selected}'")
         return np.array(rows, dtype=np.int64)
-    if group.startswith("ids="):
-        rows = []
-        for artifact_id in group[len("ids="):].split(","):
-            artifact_id = artifact_id.strip()
-            try:
-                rows.append(corpus.index_of(artifact_id))
-            except KeyError:
-                raise ConfigError(f"unknown artifact id '{artifact_id}'") from None
-        return np.array(sorted(set(rows)), dtype=np.int64)
-    raise ConfigError(f"group must look like style=NAME or ids=ID1,ID2,..., got {group!r}")
+    rows = []
+    for artifact_id in selected.split(","):
+        artifact_id = artifact_id.strip()
+        try:
+            rows.append(corpus.index_of(artifact_id))
+        except KeyError:
+            raise ConfigError(f"unknown artifact id '{artifact_id}'") from None
+    return np.array(sorted(set(rows)), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     if spec.n_test > 0.01 * corpus.n:
         warnings.warn(f"n_test {spec.n_test} exceeds 1% of the corpus "
                       f"({corpus.n}); the protocol assumes a small test fraction", stacklevel=2)
-    pool = resolve_targets(corpus, spec.group)
+    pool = _resolve_targets(corpus, spec.group)
     if pool.size < spec.n_test:
         raise ConfigError(f"selector '{spec.group}' matches {pool.size} artifacts, "
                           f"fewer than n_test {spec.n_test}")

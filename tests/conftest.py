@@ -165,6 +165,14 @@ def random_network(seed: int, n: int, k: int = 8, p: float = 50.0) -> cn.Implica
     return balance(graph, corpus.years, cn.RunConfig(percentile_p=p))
 
 
+COMBINED = cn.RunConfig()  # combined scoring, every setting at its default
+
+
+def split(beta: float) -> cn.RunConfig:
+    """Split scoring at `beta`, every other setting at its default."""
+    return cn.RunConfig(scoring="split", beta=beta)
+
+
 def dense_matrix(op: cn.StochasticOperator) -> np.ndarray:
     """Full matrix of a scoring operator with the dangling weights filled in; for small n only."""
     m = np.zeros((op.n, op.n))
@@ -181,8 +189,7 @@ def solve_closed_form(op: cn.StochasticOperator, alpha: float) -> cn.ScoreVector
     a = np.eye(op.n) - alpha * dense_matrix(op)
     b = np.full(op.n, (1.0 - alpha) / op.n)
     scores = np.linalg.solve(a, b)
-    return cn.ScoreVector(scores=scores, solver="closed_form", iterations=0,
-                          residual=0.0, converged=True)
+    return cn.ScoreVector(scores=scores, iterations=0, residual=0.0, converged=True)
 
 
 def planted_corpus(seed: int = 7) -> cn.Corpus:

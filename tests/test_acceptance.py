@@ -18,8 +18,8 @@ import pytest
 
 import creanet as cn
 
-from conftest import (PIONEER, balance, edge_dst, make_network, pioneer_corpus, random_corpus,
-                      record_criterion, solve_closed_form, write_corpus_files)
+from conftest import (COMBINED, PIONEER, balance, edge_dst, make_network, pioneer_corpus,
+                      random_corpus, record_criterion, solve_closed_form, split, write_corpus_files)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -68,9 +68,9 @@ def test_criterion_1_solver_oracle_equivalence():
     worst = 0.0
     pairs = 0
     for i, (n, dim) in enumerate(CORPUS_GRID):
-        op = cn.normalize(_network(100 + i, n, dim))
+        op = cn.normalize(_network(100 + i, n, dim), COMBINED)
         for alpha in ALPHAS:
-            power = cn.solve_power(op, alpha, tol=1e-13)
+            power = cn.solve_power(op, cn.RunConfig(alpha=alpha, tol=1e-13))
             closed = solve_closed_form(op, alpha)
             worst = max(worst, float(np.abs(power.scores - closed.scores).max()))
             pairs += 1
@@ -86,7 +86,7 @@ def test_criterion_2_simplex_invariants():
     runs = 0
     iterates = 0
     for i, (n, dim) in enumerate(CORPUS_GRID[:6]):
-        op = cn.normalize(_network(120 + i, n, dim))
+        op = cn.normalize(_network(120 + i, n, dim), COMBINED)
         for alpha in ALPHAS:
             floor = (1.0 - alpha) / op.n - 1e-12
             seen = []
@@ -96,7 +96,7 @@ def test_criterion_2_simplex_invariants():
                 assert float(c.min()) >= floor, "iterate broke the teleport floor"
                 seen.append(1)
 
-            power = cn.solve_power(op, alpha, on_iteration=check)
+            power = cn.solve_power(op, cn.RunConfig(alpha=alpha), on_iteration=check)
             closed = solve_closed_form(op, alpha)
             for result in (power, closed):
                 assert abs(float(result.scores.sum()) - 1.0) <= 1e-9
@@ -144,9 +144,10 @@ def test_criterion_3_cin_conservation():
 def test_criterion_4_teleport_limit():
     corpora = 0
     for seed, n, dim in ((160, 50, 4), (161, 120, 16), (162, 200, 64)):
-        op = cn.normalize(_network(seed, n, dim))
+        op = cn.normalize(_network(seed, n, dim), COMBINED)
         uniform = np.full(op.n, 1.0 / op.n)
-        assert np.array_equal(cn.solve_power(op, 0.0).scores, uniform), "power not exactly uniform"
+        assert np.array_equal(cn.solve_power(op, cn.RunConfig(alpha=0.0)).scores, uniform), \
+            "power not exactly uniform"
         assert np.array_equal(solve_closed_form(op, 0.0).scores, uniform), \
             "closed form not exactly uniform"
         corpora += 1
@@ -162,8 +163,8 @@ def test_criterion_5_two_node_fixture():
         "re-derived dense solution does not match the quoted fixture values"
 
     net = make_network(2, kept=([0], [1], [0.3]))
-    op = cn.normalize(net)
-    power = cn.solve_power(op, 0.85, tol=1e-14).scores
+    op = cn.normalize(net, COMBINED)
+    power = cn.solve_power(op, cn.RunConfig(alpha=0.85, tol=1e-14)).scores
     closed = solve_closed_form(op, 0.85).scores
     for scores in (power, closed):
         assert abs(scores[0] - 0.6491) < 1e-3, f"C(a) = {scores[0]!r}"
@@ -179,10 +180,11 @@ def test_criterion_6_beta_split_limits():
         net = _network(seed, 100, 6)
         # the single-label operators come from the reference normalization, so
         # the limits are checked against code the beta blend does not share
-        one = cn.solve_power(cn.normalize(net, beta=1.0), 0.5)
-        zero = cn.solve_power(cn.normalize(net, beta=0.0), 0.5)
-        prior_only = cn.solve_power(reference_normalize(net, "prior"), 0.5)
-        subseq_only = cn.solve_power(reference_normalize(net, "subsequent"), 0.5)
+        solving = cn.RunConfig(alpha=0.5)
+        one = cn.solve_power(cn.normalize(net, split(1.0)), solving)
+        zero = cn.solve_power(cn.normalize(net, split(0.0)), solving)
+        prior_only = cn.solve_power(reference_normalize(net, "prior"), solving)
+        subseq_only = cn.solve_power(reference_normalize(net, "subsequent"), solving)
         assert np.array_equal(one.scores, prior_only.scores), \
             "beta = 1 does not bitwise match the prior-only solve"
         assert np.array_equal(zero.scores, subseq_only.scores), \
@@ -343,15 +345,20 @@ def test_criterion_9_scale_smoke():
     graph = cn.build_graph(corpus, "visual", config, sigma)
     graph_done = time.monotonic()
 
-    network = balance(graph, corpus.years)
-    op = cn.normalize(network)
-    score = cn.solve_power(op, config.alpha, tol=config.tol, max_iters=config.max_iters)
+    # Each stage's input is dropped once the next has read it, as `run_pipeline`
+    # does, so the printed peak is the scoring path's.
+    n_edges = graph.n_edges
+    network = balance(graph, corpus.years, config)
+    del graph
+    op = cn.normalize(network, config)
+    del network
+    score = cn.solve_power(op, config)
     elapsed = time.monotonic() - start
 
     assert score.converged, f"power iteration stalled at residual {score.residual:.3e}"
     assert abs(float(score.scores.sum()) - 1.0) <= 1e-9
     assert elapsed < 900.0, f"took {elapsed:.1f}s >= 900s"
-    return (f"n = {n}, K = 500, alpha = 0.15: {graph.n_edges} edges in "
+    return (f"n = {n}, K = 500, alpha = 0.15: {n_edges} edges in "
             f"{graph_done - built:.0f}s, power converged in {score.iterations} "
             f"iterations; total {elapsed:.0f}s (< 900s); peak RSS {_peak_rss_mib():.0f} MiB "
             f"(reported, not gated)")

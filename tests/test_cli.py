@@ -117,6 +117,55 @@ class TestValidate:
         assert "ASPECT=PATH" in capsys.readouterr().err
 
 
+
+def crft_file(path, transform):
+    """A valid 3 x 4 CRFT file of ones, its bytes passed through `transform`."""
+    write_features_binary(path, np.ones((3, 4)))
+    path.write_bytes(transform(path.read_bytes()))
+    return path
+
+
+ROW_2 = 16 + 4 * 4  # the byte offset of a 3 x 4 CRFT file's second row
+
+# Each fault: the bytes of a valid CRFT file made bad, and the row the message names.
+FEATURE_FAULTS = {
+    "crft_truncated_header": (lambda raw: raw[:10], None),
+    "crft_bad_magic": (lambda raw: b"CRFX" + raw[4:], None),  # read as text, which it is not
+    "crft_dim_zero": (lambda raw: raw[:8] + bytes(8), None),
+    "crft_non_finite": (lambda raw: raw[:ROW_2] + np.float32(np.inf).tobytes() + raw[ROW_2 + 4:],
+                        2),
+    "csv_no_rows": (lambda raw: b"\n \n", None),
+}
+
+
+class TestValidateRejectsBadInput:
+    """Bad input exits 2 with a message that names the file and, where there is one, the row."""
+
+    @pytest.mark.parametrize("fault", sorted(FEATURE_FAULTS))
+    def test_bad_feature_file(self, tiny, tmp_path, capsys, fault):
+        manifest, _ = tiny
+        transform, row = FEATURE_FAULTS[fault]
+        bad = crft_file(tmp_path / "bad.bin", transform)
+        code = main(["validate", "--manifest", str(manifest), "--features", f"visual={bad}"])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{bad}'" in err
+        if row is not None:
+            assert f"row {row}:" in err
+
+    @pytest.mark.parametrize("text", ["id,year\na,1500\nb,\nc,1700\n",
+                                      "id,year\na,1500\n,1600\nc,1700\n"],
+                             ids=["empty_year", "empty_id"])
+    def test_bad_manifest_row(self, tiny, tmp_path, capsys, text):
+        _, features = tiny
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text, encoding="utf-8")
+        code = main(["validate", "--manifest", str(manifest), "--features", f"visual={features}"])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: manifest row 2: ")
+
+
 class TestScore:
     def test_writes_scores_and_meta(self, tiny, tmp_path):
         out = tmp_path / "out"
@@ -363,6 +412,19 @@ class TestTimeMachine:
         err = capsys.readouterr().err
         assert "timemachine.min_year" in err and "timemachine.max_year" in err
         assert not (out / "runs.csv").exists()
+
+    def test_non_convergence_exits_numerical_but_writes(self, styled, tmp_path, capsys):
+        manifest, features = styled
+        out = tmp_path / "out"
+        code = main(["timemachine", "--manifest", str(manifest),
+                     "--features", f"visual={features}", "--set", "k=8",
+                     "--set", "timemachine.group=style=late", "--set", "timemachine.move=back",
+                     "--set", "timemachine.n_test=2", "--set", "timemachine.n_runs=2",
+                     "--set", "max_iters=1", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "did not converge" in capsys.readouterr().err
+        assert len((out / "report.csv").read_text(encoding="utf-8").splitlines()) == 2
+        assert len((out / "runs.csv").read_text(encoding="utf-8").splitlines()) == 1 + 2 * 2
 
     def test_negative_seed_exits_invalid(self, styled, tmp_path, capsys):
         manifest, features = styled

@@ -178,6 +178,17 @@ class TestGraphInvariants:
 
 
 class TestPaintingGraphValidation:
+    def test_holds_and_freezes_the_callers_arrays(self):
+        # arrays already in their fields' dtypes are kept, not copied, and made read-only
+        indptr = np.array([0, 0, 1], dtype=np.int64)
+        src = np.array([0], dtype=np.int32)
+        w = np.array([0.5])
+        graph = cn.PaintingGraph(n=2, indptr=indptr, src=src, weight=w)
+        assert graph.weight is w and graph.src is src and graph.indptr is indptr
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.7
+
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError, match="self edges"):
             from_edges(cn.PaintingGraph, 2, [1], [1], [0.5])

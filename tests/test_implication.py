@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creanet as cn
+from creanet.implication import _nearest_rank_percentile
 
-from conftest import (balance, chain_graph, cin_edges, edge_dst, from_edges, make_corpus,
-                      make_network, random_corpus, solve_closed_form, traced_peak, use_edge_chunk)
+from conftest import (COMBINED, balance, chain_graph, cin_edges, edge_dst, from_edges,
+                      make_corpus, make_network, random_corpus, solve_closed_form, traced_peak,
+                      use_edge_chunk)
+from test_oracles import reference_percentile
 
 
 def build(seed=20, n=100, k=8, **balance_kwargs):
@@ -23,32 +26,23 @@ def build(seed=20, n=100, k=8, **balance_kwargs):
 
 class TestNearestRankPercentile:
     def test_median_of_three(self):
-        assert cn.nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 50.0) == 0.5
+        assert _nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 50.0) == 0.5
 
     def test_p100_is_max(self):
-        assert cn.nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 100.0) == 0.8
+        assert _nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 100.0) == 0.8
 
     def test_small_p_is_min(self):
-        assert cn.nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 1.0) == 0.2
+        assert _nearest_rank_percentile(np.array([0.2, 0.5, 0.8]), 1.0) == 0.2
 
     def test_no_interpolation(self):
         # nearest-rank of four values at p=50 is the 2nd smallest, not an average
-        assert cn.nearest_rank_percentile(np.array([1.0, 2.0, 3.0, 4.0]), 50.0) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cn.nearest_rank_percentile(np.array([]), 50.0)
-
-    @pytest.mark.parametrize("p", [0.0, -1.0, 100.5])
-    def test_out_of_range_p_rejected(self, p):
-        with pytest.raises(ValueError):
-            cn.nearest_rank_percentile(np.array([1.0]), p)
+        assert _nearest_rank_percentile(np.array([1.0, 2.0, 3.0, 4.0]), 50.0) == 2.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
            st.floats(0.1, 100.0))
     def test_definition_holds(self, values, p):
-        result = cn.nearest_rank_percentile(np.array(values), p)
+        result = _nearest_rank_percentile(np.array(values), p)
         ordered = sorted(values)
         assert result == ordered[math.ceil(p / 100.0 * len(values)) - 1]
         # rank property: at least ceil(p% n) of the sample is <= the result
@@ -59,7 +53,7 @@ class TestComputeThresholds:
     def test_global_mode_constant(self):
         corpus, graph, _ = build()
         m = cn.compute_thresholds(graph, corpus.years, cn.RunConfig(percentile_p=50.0))
-        expected = cn.nearest_rank_percentile(graph.weight, 50.0)
+        expected = reference_percentile(graph.weight, 50.0)
         assert np.all(m == expected)
 
     def test_zero_edge_graph_rejected(self):
@@ -87,7 +81,7 @@ class TestComputeThresholds:
             y = years[node]
             mask = (np.abs(ys - y) <= 30) & (np.abs(yd - y) <= 30)
             assert mask.sum() >= 5
-            assert m[node] == cn.nearest_rank_percentile(graph.weight[mask], 50.0)
+            assert m[node] == reference_percentile(graph.weight[mask], 50.0)
         assert m[0] != m[39]  # eras get genuinely different thresholds
 
     def test_local_mode_falls_back_to_global(self):
@@ -95,7 +89,7 @@ class TestComputeThresholds:
         config = cn.RunConfig(balancing_mode="local", percentile_p=50.0,
                               local_window_years=1, min_local_sample=10**6)
         m = cn.compute_thresholds(graph, corpus.years, config)
-        assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
+        assert np.all(m == reference_percentile(graph.weight, 50.0))
 
     def test_percentile_100_drops_or_reverses_everything(self):
         corpus, graph, net = build(percentile_p=100.0)
@@ -198,7 +192,7 @@ def test_semantics_increasing_edge_weight_never_hurts_source():
     gaps = []
     for w in (0.1, 0.3, 0.6, 1.0, 2.0):
         net = make_network(3, kept=([0], [1], [w]), reversed_=([1], [2], [0.4]))
-        scores = solve_closed_form(cn.normalize(net), alpha=0.85).scores
+        scores = solve_closed_form(cn.normalize(net, COMBINED), alpha=0.85).scores
         gaps.append(scores[0] - scores[1])
     assert all(b >= a - 1e-12 for a, b in zip(gaps, gaps[1:]))
 

@@ -1,6 +1,8 @@
-"""The settings module sits at the bottom of the package and owns every enum."""
+"""The settings module sits at the bottom of the package and owns every enum and range check."""
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import creanet as cn
@@ -51,3 +53,41 @@ def test_enum_tuples_are_assigned_only_in_config():
                     if isinstance(name, ast.Name) and name.id in ENUMS:
                         owners.setdefault(name.id, []).append(path.name)
     assert owners == {name: ["config.py"] for name in ENUMS}
+
+
+# Raises allowed to check a setting outside `config.py`: (module, enclosing function).
+SETTING_CHECKS_ALLOWED = {("similarity.py", "check_sigma")}  # `config.py` calls it
+
+
+def raise_messages(tree: ast.Module):
+    """(enclosing function, message) of each `raise X("...")`, an f-string's fields read as {}."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) and child.exc.args:
+                message = child.exc.args[0]
+                if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                    yield function, message.value
+                elif isinstance(message, ast.JoinedStr):
+                    yield function, "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                                            for part in message.values)
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_settings_are_checked_only_in_config():
+    names = {f.name for cls in (cn.RunConfig, cn.TimeMachineSpec) for f in dataclasses.fields(cls)}
+    names |= {"percentile", "group"}
+    checks_setting = re.compile(rf"({'|'.join(sorted(names))}) must")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for function, message in raise_messages(parse(path)):
+            allowed = (path.name, function) in SETTING_CHECKS_ALLOWED
+            if checks_setting.match(message) and not allowed:
+                found.append(f"{path.name}:{function}: {message!r}")
+    assert not found, f"settings checked outside config.py: {found}"

@@ -49,10 +49,11 @@ from scipy import sparse
 import creanet as cn
 from creanet import graph as graph_module
 from creanet import implication as implication_module
+from creanet import timemachine as timemachine_module
 
-from conftest import (balance, cin_edges, count_thread_starts, dense_matrix, edge_dst, from_edges,
-                      make_corpus, random_corpus, random_network, solve_closed_form, use_cpus,
-                      visual_similarity)
+from conftest import (COMBINED, balance, cin_edges, count_thread_starts, dense_matrix, edge_dst,
+                      from_edges, make_corpus, random_corpus, random_network, solve_closed_form,
+                      split, use_cpus, visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def reference_run_time_machine(corpus, config, spec, aspect=None):
     """The whole pipeline, graph build included, once per run on the perturbed corpus."""
     if aspect is None:
         aspect = corpus.aspects[0]
-    pool = cn.resolve_targets(corpus, spec.group)
+    pool = timemachine_module._resolve_targets(corpus, spec.group)
     sigma = cn.resolve_sigma(corpus, aspect, config)
     base_result = cn.run_pipeline(corpus, aspect, config, sigma=sigma)
     baseline = base_result.score.scores
@@ -336,8 +337,7 @@ def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters
             break
     if alpha == 1.0:
         c = c / c.sum()
-    return cn.ScoreVector(scores=c, solver="power", iterations=iterations,
-                          residual=residual, converged=residual < tol)
+    return cn.ScoreVector(scores=c, iterations=iterations, residual=residual, converged=residual < tol)
 
 
 REFERENCE_EDGE_CHUNK = 1 << 18
@@ -401,8 +401,7 @@ def reference_solve_split_closed_form(op_prior, op_subseq, alpha, beta):
     n = op_prior.n
     m = beta * op_prior.dense() + (1.0 - beta) * op_subseq.dense()
     scores = np.linalg.solve(np.eye(n) - alpha * m, np.full(n, (1.0 - alpha) / n))
-    return cn.ScoreVector(scores=scores, solver="closed_form", iterations=0,
-                          residual=0.0, converged=True)
+    return cn.ScoreVector(scores=scores, iterations=0, residual=0.0, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -851,19 +850,20 @@ class TestPercentileAgainstOracle:
            st.sampled_from([0.5, 1.0, 33.3, 50.0, 99.9, 100.0]) | st.floats(0.01, 100.0))
     def test_random_samples(self, values, p):
         values = np.array(values)
-        assert cn.nearest_rank_percentile(values, p) == reference_percentile(values, p)
+        got = implication_module._nearest_rank_percentile(values, p)
+        assert got == reference_percentile(values, p)
 
     def test_graph_weights_every_p(self):
         corpus = random_corpus(seed=9, n=300, dim=4)
         graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=12), 1.5)
         for p in (0.1, 25.0, 50.0, 75.0, 100.0):
-            assert cn.nearest_rank_percentile(graph.weight, p) == \
+            assert implication_module._nearest_rank_percentile(graph.weight, p) == \
                 reference_percentile(graph.weight, p)
 
 
 def thresholds_both_ways(graph, years, config):
     got = cn.compute_thresholds(graph, years, config)
-    with mock.patch.object(implication_module, "nearest_rank_percentile", reference_percentile):
+    with mock.patch.object(implication_module, "_nearest_rank_percentile", reference_percentile):
         want = cn.compute_thresholds(graph, years, config)
     assert got.tobytes() == want.tobytes()
     if config.balancing_mode == "local":
@@ -1135,7 +1135,7 @@ class TestLocalThresholdsAgainstOracle:
         graph = from_edges(cn.PaintingGraph, 3, [1, 0, 0], [0, 1, 2], [0.2, 0.7, 0.4])
         years = np.array([1500, 1510, 1520])
         m = thresholds_both_ways(graph, years, local_config(w=4))
-        assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
+        assert np.all(m == reference_percentile(graph.weight, 50.0))
 
     def test_fallback_for_some_years_only(self):
         graph, years = hand_made_graph(seed=21, n=80, n_edges=1500, n_years=30)
@@ -1156,7 +1156,7 @@ class TestLocalThresholdsAgainstOracle:
         assert np.unique(years).size == 1
         for p in (0.1, 50.0, 100.0):
             m = thresholds_both_ways(graph, years, local_config(p=p, w=1))
-            assert m[0] == cn.nearest_rank_percentile(graph.weight, p)
+            assert m[0] == reference_percentile(graph.weight, p)
 
     def test_quantised_weights_tie_across_ranks(self):
         graph, years = hand_made_graph(seed=24, n=70, n_edges=1500, n_years=20, levels=4)
@@ -1167,7 +1167,7 @@ class TestLocalThresholdsAgainstOracle:
     def test_window_wider_than_year_span(self):
         graph, years = hand_made_graph(seed=25, n=50, n_edges=600, n_years=15)
         m = thresholds_both_ways(graph, years, local_config(w=100))
-        assert np.all(m == cn.nearest_rank_percentile(graph.weight, 50.0))
+        assert np.all(m == reference_percentile(graph.weight, 50.0))
 
     def test_sources_later_than_destinations(self):
         # every edge points back in time, unlike any graph `build_graph` makes
@@ -1254,6 +1254,11 @@ networks = st.builds(random_network, seed=st.integers(0, 2**32 - 1), n=st.intege
 alphas = st.sampled_from([0.15, 0.5, 0.85])
 
 
+def scoring(beta):
+    """The scoring settings of the merged-network oracles' `beta`: combined when it is None."""
+    return COMBINED if beta is None else split(beta)
+
+
 class TestOperatorAgainstOracle:
     @settings(max_examples=60, deadline=None)
     @given(networks, st.sampled_from([None, 0.0, 1.0]) | st.floats(0.01, 0.99))
@@ -1261,7 +1266,7 @@ class TestOperatorAgainstOracle:
         # split scoring divides each store as the merged operator divided each
         # label, so every entry keeps its bits; a combined column total adds
         # K's sum and R's in another order
-        op = cn.normalize(net, beta)
+        op = cn.normalize(net, scoring(beta))
         want = merged_network_operator(merged(net), beta)
         assert op.dangling.tobytes() == want.dangling.tobytes()
         if beta is None:
@@ -1277,11 +1282,13 @@ class TestOperatorAgainstOracle:
         if graph.n_edges == 0:
             return
         m = cn.compute_thresholds(graph, corpus.years, balancing)
-        op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, balancing), beta)
+        op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, balancing),
+                          scoring(beta))
         want = merged_network_operator(reference_merged_network(
             graph, m, corpus.years, balancing.balance_anchor), beta)
         assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
-        got, ref = cn.solve_power(op, alpha), cn.solve_power(want, alpha)
+        solving = cn.RunConfig(alpha=alpha)
+        got, ref = cn.solve_power(op, solving), cn.solve_power(want, solving)
         assert np.max(np.abs(got.scores - ref.scores) / ref.scores) <= 1e-13
 
     @settings(max_examples=60, deadline=None)
@@ -1292,8 +1299,8 @@ class TestOperatorAgainstOracle:
         for beta in (0.0, 1.0):
             power = reference_solve_split(ref_prior, ref_subseq, alpha, beta)
             closed = reference_solve_split_closed_form(ref_prior, ref_subseq, alpha, beta)
-            op = cn.normalize(net, beta)
-            got = cn.solve_power(op, alpha)
+            op = cn.normalize(net, split(beta))
+            got = cn.solve_power(op, cn.RunConfig(alpha=alpha))
             assert np.array_equal(got.scores, power.scores)
             assert got.iterations == power.iterations
             assert np.array_equal(solve_closed_form(op, alpha).scores, closed.scores)
@@ -1303,8 +1310,8 @@ class TestOperatorAgainstOracle:
     def test_fractional_beta(self, net, alpha, beta):
         ref_prior = reference_normalize(net, "prior")
         ref_subseq = reference_normalize(net, "subsequent")
-        op = cn.normalize(net, beta)
-        got = cn.solve_power(op, alpha)
+        op = cn.normalize(net, split(beta))
+        got = cn.solve_power(op, cn.RunConfig(alpha=alpha))
         want = reference_solve_split(ref_prior, ref_subseq, alpha, beta)
         assert got.iterations == want.iterations
         assert np.max(np.abs(got.scores - want.scores) / want.scores) <= 1e-13

@@ -19,6 +19,7 @@ from creanet.pipeline import _fork_pair
 
 from conftest import (cin_edges, count_thread_starts, make_corpus, random_corpus, solve_closed_form,
                       use_cpus, write_corpus_files)
+from test_oracles import reference_percentile
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,6 @@ class TestRunPipeline:
         has_incoming[cin_edges(net)[1]] = True
         assert result.dangling_count == int((~has_incoming).sum())
         assert result.score.converged
-        assert result.score.solver == "power"
 
     def test_pinned_sigma_skips_estimation(self, corpus, config):
         result = cn.run_pipeline(corpus, "visual", config, sigma=0.75)
@@ -74,14 +74,14 @@ class TestRunPipeline:
     def test_power_and_closed_form_agree(self, corpus):
         config = cn.RunConfig(k=8, seed=3, tol=1e-13)
         a = cn.run_pipeline(corpus, "visual", config)
-        b = solve_closed_form(cn.normalize(stages_of(corpus, config, a)[2]), config.alpha)
+        b = solve_closed_form(cn.normalize(stages_of(corpus, config, a)[2], config), config.alpha)
         assert np.abs(a.score.scores - b.scores).max() < 1e-8
 
     def test_split_scoring_paths(self, corpus):
         config = cn.RunConfig(k=8, seed=3, scoring="split", beta=0.3, tol=1e-13)
         a = cn.run_pipeline(corpus, "visual", config)
         net = stages_of(corpus, config, a)[2]
-        b = solve_closed_form(cn.normalize(net, config.beta), config.alpha)
+        b = solve_closed_form(cn.normalize(net, config), config.alpha)
         assert np.abs(a.score.scores - b.scores).max() < 1e-8
         # split dangling = no incoming edge of either label
         has_incoming = np.zeros(corpus.n, dtype=bool)
@@ -251,7 +251,7 @@ class TestScoreOutputs:
         assert stats["dangling_count"] == results["visual"].dangling_count
         assert stats["solver"]["name"] == "power"
         assert stats["solver"]["converged"] is True
-        assert stats["threshold"] == cn.nearest_rank_percentile(graph.weight, config.percentile_p)
+        assert stats["threshold"] == reference_percentile(graph.weight, config.percentile_p)
         assert np.all(thresholds == stats["threshold"])
         assert not {"threshold_min", "threshold_median", "threshold_max"} & set(stats)
         assert stats["sigma_auto"] is True

@@ -5,8 +5,8 @@ import pytest
 
 import creanet as cn
 
-from conftest import (PIONEER, cin_edges, dense_matrix, edge_dst, from_edges, make_network,
-                      pioneer_corpus, random_network, solve_closed_form)
+from conftest import (COMBINED, PIONEER, cin_edges, dense_matrix, edge_dst, from_edges,
+                      make_network, pioneer_corpus, random_network, solve_closed_form, split)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -22,7 +22,7 @@ def nnz(op):
 
 class TestNormalize:
     def test_single_edge(self):
-        op = cn.normalize(single_edge_network())
+        op = cn.normalize(single_edge_network(), COMBINED)
         dense = dense_matrix(op)
         # column b: all weight from a; column a dangling, completed uniformly
         assert dense[0, 1] == 1.0 and dense[1, 1] == 0.0
@@ -31,14 +31,14 @@ class TestNormalize:
 
     def test_proportional_split(self):
         net = make_network(3, kept=([0, 1], [2, 2], [0.1, 0.3]))
-        dense = dense_matrix(cn.normalize(net))
+        dense = dense_matrix(cn.normalize(net, COMBINED))
         assert dense[0, 2] == pytest.approx(0.25, abs=1e-15)
         assert dense[1, 2] == pytest.approx(0.75, abs=1e-15)
 
     def test_column_sums_random_network(self):
         net = random_network(seed=30, n=90)
-        for beta in (None, 1.0, 0.0, 0.3):
-            op = cn.normalize(net, beta)
+        for config in (COMBINED, split(1.0), split(0.0), split(0.3)):
+            op = cn.normalize(net, config)
             dense = dense_matrix(op)
             sums = dense.sum(axis=0)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -46,11 +46,12 @@ class TestNormalize:
     def test_filters_partition_edges(self):
         # the beta limits keep only one label's edges; a fractional beta keeps all
         net = random_network(seed=31, n=70)
-        total = nnz(cn.normalize(net))
-        prior = nnz(cn.normalize(net, beta=1.0))
-        subseq = nnz(cn.normalize(net, beta=0.0))
-        assert prior + subseq == total == nnz(cn.normalize(net, beta=0.5)) == net.n_edges
-        assert len(cn.normalize(net, beta=1.0).terms) == len(cn.normalize(net, beta=0.0).terms) == 1
+        total = nnz(cn.normalize(net, COMBINED))
+        prior = nnz(cn.normalize(net, split(1.0)))
+        subseq = nnz(cn.normalize(net, split(0.0)))
+        assert prior + subseq == total == nnz(cn.normalize(net, split(0.5))) == net.n_edges
+        for limit in (1.0, 0.0):
+            assert len(cn.normalize(net, split(limit)).terms) == 1
 
     def test_split_dangling_weights(self):
         # no prior in-edge leaves beta of a column dangling, no subsequent in-edge 1 - beta
@@ -59,15 +60,15 @@ class TestNormalize:
         no_prior = np.bincount(dst[prior], minlength=70) == 0
         no_subseq = np.bincount(dst[~prior], minlength=70) == 0
         assert no_prior.any() and no_subseq.any()
-        op = cn.normalize(net, beta=0.3)
+        op = cn.normalize(net, split(0.3))
         np.testing.assert_allclose(op.dangling, 0.3 * no_prior + 0.7 * no_subseq, rtol=0, atol=1e-16)
 
     def test_operator_shares_the_cin_sources(self):
         # no E-length copy of an index array, and no transposed copy of R: the
         # terms read the stores' int32 src, K by column and R^T by row
         net = random_network(seed=31, n=70)
-        for beta in (None, 0.5):
-            kept, flipped = cn.normalize(net, beta).terms
+        for config in (COMBINED, split(0.5)):
+            kept, flipped = cn.normalize(net, config).terms
             for term, store, layout in ((kept, net.kept, "csc"), (flipped, net.reversed, "csr")):
                 assert store.src.dtype == np.int32 and term.format == layout
                 assert np.shares_memory(term.indices, store.src)
@@ -78,13 +79,9 @@ class TestNormalize:
         rng = np.random.default_rng(0)
         c = rng.random(60)
         c /= c.sum()
-        for beta in (None, 0.3):
-            op = cn.normalize(net, beta)
+        for config in (COMBINED, split(0.3)):
+            op = cn.normalize(net, config)
             np.testing.assert_allclose(op.apply(c), dense_matrix(op) @ c, atol=1e-14)
-
-    def test_bad_filter_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            cn.normalize(single_edge_network(), beta=1.5)
 
 
 class TestOperatorValidation:
@@ -133,14 +130,14 @@ class TestTwoNodeFixture:
 
     @pytest.mark.parametrize("weight", [0.3, 1.0, 17.5])
     def test_power_solver(self, weight):
-        op = cn.normalize(single_edge_network(weight))
-        result = cn.solve_power(op, alpha=0.85, tol=1e-14)
+        op = cn.normalize(single_edge_network(weight), COMBINED)
+        result = cn.solve_power(op, cn.RunConfig(alpha=0.85, tol=1e-14))
         assert result.converged
         assert result.scores[0] == pytest.approx(self.EXPECTED_A, abs=1e-12)
         assert result.scores[1] == pytest.approx(self.EXPECTED_B, abs=1e-12)
 
     def test_closed_form_solver(self):
-        op = cn.normalize(single_edge_network())
+        op = cn.normalize(single_edge_network(), COMBINED)
         result = solve_closed_form(op, alpha=0.85)
         assert result.scores[0] == pytest.approx(self.EXPECTED_A, abs=1e-14)
         assert result.scores[1] == pytest.approx(self.EXPECTED_B, abs=1e-14)
@@ -149,22 +146,22 @@ class TestTwoNodeFixture:
 class TestSolvers:
     def test_alpha_zero_exactly_uniform(self):
         net = random_network(seed=33, n=50)
-        op = cn.normalize(net)
-        for result in (cn.solve_power(op, 0.0), solve_closed_form(op, 0.0)):
+        op = cn.normalize(net, COMBINED)
+        for result in (cn.solve_power(op, cn.RunConfig(alpha=0.0)), solve_closed_form(op, 0.0)):
             np.testing.assert_array_equal(result.scores, np.full(50, 1.0 / 50))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_cross_solver_agreement(self, alpha):
         net = random_network(seed=34, n=150)
-        op = cn.normalize(net)
-        power = cn.solve_power(op, alpha, tol=1e-13)
+        op = cn.normalize(net, COMBINED)
+        power = cn.solve_power(op, cn.RunConfig(alpha=alpha, tol=1e-13))
         closed = solve_closed_form(op, alpha)
         assert power.converged
         assert np.abs(power.scores - closed.scores).max() < 1e-8
 
     def test_per_iteration_simplex(self):
         net = random_network(seed=35, n=80)
-        op = cn.normalize(net)
+        op = cn.normalize(net, COMBINED)
         for alpha in ALPHAS:
             floor = (1.0 - alpha) / op.n - 1e-12
             seen = []
@@ -174,21 +171,21 @@ class TestSolvers:
                 assert abs(c.sum() - 1.0) <= 1e-9
                 assert c.min() >= floor
 
-            cn.solve_power(op, alpha, on_iteration=check)
+            cn.solve_power(op, cn.RunConfig(alpha=alpha), on_iteration=check)
             assert seen
 
     def test_score_floor_is_teleport_mass(self):
         net = random_network(seed=36, n=40)
-        op = cn.normalize(net)
+        op = cn.normalize(net, COMBINED)
         for alpha in ALPHAS:
-            result = cn.solve_power(op, alpha)
+            result = cn.solve_power(op, cn.RunConfig(alpha=alpha))
             assert result.scores.min() >= (1.0 - alpha) / op.n - 1e-12
             assert result.scores.min() > 0.0
 
     def test_non_convergence_flagged_but_scored(self):
         net = random_network(seed=37, n=60)
-        op = cn.normalize(net)
-        result = cn.solve_power(op, 0.85, tol=1e-30, max_iters=3)
+        op = cn.normalize(net, COMBINED)
+        result = cn.solve_power(op, cn.RunConfig(alpha=0.85, tol=1e-30, max_iters=3))
         assert not result.converged
         assert result.iterations == 3
         assert result.residual > 1e-30
@@ -196,8 +193,8 @@ class TestSolvers:
 
     def test_alpha_one_eigenvector_mode(self):
         net = random_network(seed=38, n=40)
-        op = cn.normalize(net)
-        result = cn.solve_power(op, 1.0, tol=1e-12, max_iters=5000)
+        op = cn.normalize(net, COMBINED)
+        result = cn.solve_power(op, cn.RunConfig(alpha=1.0, tol=1e-12, max_iters=5000))
         assert abs(result.scores.sum() - 1.0) <= 1e-9
         assert result.scores.min() >= -1e-12
         with pytest.raises(ValueError, match="alpha"):
@@ -216,8 +213,9 @@ class TestSolvers:
 
         permuted = cn.ImplicationNetwork(kept=relabel(net.kept), reversed=relabel(net.reversed),
                                          dropped_count=net.dropped_count)
-        base = cn.solve_power(cn.normalize(net), 0.5, tol=1e-13).scores
-        moved = cn.solve_power(cn.normalize(permuted), 0.5, tol=1e-13).scores
+        config = cn.RunConfig(alpha=0.5, tol=1e-13)
+        base = cn.solve_power(cn.normalize(net, config), config).scores
+        moved = cn.solve_power(cn.normalize(permuted, config), config).scores
         np.testing.assert_allclose(moved[perm], base, atol=1e-12)
 
 
@@ -228,33 +226,35 @@ def net():
 
 class TestSplit:
     def test_beta_one_bitwise_prior_only(self, net):
-        split = cn.solve_power(cn.normalize(net, beta=1.0), alpha=0.5)
-        single = cn.solve_power(reference_normalize(net, "prior"), alpha=0.5)
-        assert np.array_equal(split.scores, single.scores)
-        assert split.iterations == single.iterations
+        config = cn.RunConfig(alpha=0.5, scoring="split", beta=1.0)
+        blend = cn.solve_power(cn.normalize(net, config), config)
+        single = cn.solve_power(reference_normalize(net, "prior"), config)
+        assert np.array_equal(blend.scores, single.scores)
+        assert blend.iterations == single.iterations
 
     def test_beta_zero_bitwise_subsequent_only(self, net):
-        split = cn.solve_power(cn.normalize(net, beta=0.0), alpha=0.5)
-        single = cn.solve_power(reference_normalize(net, "subsequent"), alpha=0.5)
-        assert np.array_equal(split.scores, single.scores)
-        assert split.iterations == single.iterations
+        config = cn.RunConfig(alpha=0.5, scoring="split", beta=0.0)
+        blend = cn.solve_power(cn.normalize(net, config), config)
+        single = cn.solve_power(reference_normalize(net, "subsequent"), config)
+        assert np.array_equal(blend.scores, single.scores)
+        assert blend.iterations == single.iterations
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_split_against_closed_form(self, net, beta):
-        op = cn.normalize(net, beta)
-        power = cn.solve_power(op, alpha=0.5, tol=1e-13)
+        op = cn.normalize(net, split(beta))
+        power = cn.solve_power(op, cn.RunConfig(alpha=0.5, tol=1e-13))
         closed = solve_closed_form(op, alpha=0.5)
         assert np.abs(power.scores - closed.scores).max() < 1e-8
 
     def test_split_simplex_per_iteration(self, net):
-        op = cn.normalize(net, beta=0.3)
+        op = cn.normalize(net, split(0.3))
         floor = (1.0 - 0.85) / op.n - 1e-12
 
         def check(c):
             assert abs(c.sum() - 1.0) <= 1e-9
             assert c.min() >= floor
 
-        cn.solve_power(op, alpha=0.85, on_iteration=check)
+        cn.solve_power(op, cn.RunConfig(alpha=0.85), on_iteration=check)
 
     def test_mismatched_node_counts_rejected(self):
         from scipy import sparse
