@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,6 +23,10 @@ MANIFEST_OPTIONAL = ("artist", "style", "genre")
 
 # cap on sampled artifact pairs when estimating sigma
 MAX_SIGMA_PAIRS = 10_000
+
+# Sampled pairs' distances are taken, and a CRFT file's rows read, in chunks
+# whose float64 rows stay under this many bytes.
+_CHUNK_BYTES = 1 << 22
 
 
 class IngestError(ValueError):
@@ -209,27 +214,32 @@ def _read_features_csv(path: Path, aspect: str) -> np.ndarray:
 
 
 def _read_features_binary(path: Path, aspect: str) -> np.ndarray:
-    data = path.read_bytes()
-    if len(data) < 16:
-        raise IngestError(f"feature file '{path}' (aspect '{aspect}'): truncated header")
-    _, n_rows, dim, reserved = struct.unpack("<4sII4s", data[:16])  # `read_features` read the magic
-    if reserved != b"\x00" * 4:
-        raise IngestError(f"feature file '{path}' (aspect '{aspect}'): reserved bytes not zero")
-    if dim < 1:
-        raise IngestError(f"feature file '{path}' (aspect '{aspect}'): dim must be >= 1")
-    expected = 16 + 4 * n_rows * dim
-    if len(data) != expected:
-        raise IngestError(
-            f"feature file '{path}' (aspect '{aspect}'): payload is {len(data) - 16} bytes, "
-            f"expected {expected - 16} for {n_rows}x{dim} float32"
-        )
-    flat = np.frombuffer(data, dtype="<f4", offset=16)
-    vectors = flat.reshape(n_rows, dim).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        raise IngestError(
-            f"feature file '{path}' (aspect '{aspect}') row {bad[0] + 1}: non-finite value"
-        )
+    """A CRFT file's rows as float64, read and checked a chunk of rows at a time."""
+    where = f"feature file '{path}' (aspect '{aspect}')"
+    with path.open("rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise IngestError(f"{where}: truncated header")
+        _, n_rows, dim, reserved = struct.unpack("<4sII4s", header)  # `read_features` read the magic
+        if reserved != b"\x00" * 4:
+            raise IngestError(f"{where}: reserved bytes not zero")
+        if dim < 1:
+            raise IngestError(f"{where}: dim must be >= 1")
+        payload = os.fstat(fh.fileno()).st_size - 16
+        if payload != 4 * n_rows * dim:
+            raise IngestError(f"{where}: payload is {payload} bytes, "
+                              f"expected {4 * n_rows * dim} for {n_rows}x{dim} float32")
+        vectors = np.empty((n_rows, dim))
+        step = max(1, _CHUNK_BYTES // (8 * dim))
+        chunk = np.empty((min(step, n_rows), dim), dtype="<f4")
+        for r0 in range(0, n_rows, step):
+            rows = chunk[:min(step, n_rows - r0)]
+            if fh.readinto(rows) != rows.nbytes:
+                raise IngestError(f"{where}: payload ended before row {r0 + rows.shape[0]}")
+            vectors[r0:r0 + rows.shape[0]] = rows
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                raise IngestError(f"{where} row {r0 + bad[0] + 1}: non-finite value")
     return vectors
 
 
@@ -312,7 +322,10 @@ def estimate_sigma(features: FeatureSet, seed: int) -> float:
                 break
         lo = keys // n
         hi = keys % n
-        distances = np.linalg.norm(x[lo] - x[hi], axis=1)
+        # each pair's norm reduces its own row alone, so chunking keeps the bits
+        step = max(1, _CHUNK_BYTES // (8 * x.shape[1]))
+        distances = np.concatenate([np.linalg.norm(x[lo[i:i + step]] - x[hi[i:i + step]], axis=1)
+                                    for i in range(0, keys.size, step)])
     sigma = float(np.median(distances))
     if sigma <= 0.0:
         raise ValueError("degenerate feature set: median pairwise distance is zero")

@@ -20,40 +20,53 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import Corpus
-from .similarity import check_sigma, distance_weights, pair_weights
+from .similarity import check_sigma, distance_weights, gathered_pair_weights, pair_weights
 
-# Destinations are ranked in slabs of this many consecutive rows in year order,
-# bounding a slab and its partition at roughly 2 * 128 * n * 8 bytes; with two
-# slabs in flight, one per worker, that is what one 256-row slab held.
-_DST_CHUNK = 128
+# Every stage sizes its scratch in bytes, not rows, so that no temporary grows
+# with the corpus. A ranking slab takes as many consecutive destinations as
+# keep its block of candidate values, and so its partition, under
+# `_SLAB_BYTES`: at least one, whatever its width.
+_SLAB_BYTES = 1 << 21
 
-# A slab's ranking product is taken this many columns at a time. At dim 16,
-# OpenBLAS runs a product this small on the calling thread, so its own thread
-# pool, which spins between calls, never wakes during a build.
-_GEMM_COLUMNS = 128
+# A slab's ranking product is taken in panels of this many block entries, as
+# many columns as fit beside its rows. At dim 16, OpenBLAS runs a product this
+# small on the calling thread, so its own thread pool, which spins between
+# calls, never wakes during a build.
+_GEMM_ENTRIES = 1 << 14
 
-# The CSV edge writers format this many rows per write, bounding the Python
-# strings alive at once.
-_CSV_CHUNK = 1 << 16
+# The CSV edge writers format rows in batches of `_CSV_BYTES`, a row holding
+# about `_CSV_ROW_BYTES` of Python strings and lists while its batch is alive.
+_CSV_BYTES = 1 << 21
+_CSV_ROW_BYTES = 256
 
-
-# Per-edge checks and balancing work on this many edges at a time, bounding
-# their temporaries.
-_EDGE_CHUNK = 1 << 18
+# Per-edge checks and balancing work on chunks of edges whose float64
+# temporaries stay under `_EDGE_BYTES`.
+_EDGE_BYTES = 1 << 19
 
 
 def _edge_chunks(indptr: np.ndarray):
-    """(e0, e1, j0, bounds) for each `_EDGE_CHUNK` edges [e0, e1) of the store with this `indptr`.
+    """(e0, e1, j0, bounds) for each chunk of edges [e0, e1) of the store with this `indptr`.
 
-    The destinations j0, j0 + 1, ... own the chunk: j0 + i owns its edges
+    A chunk holds `_EDGE_BYTES // 8` edges, the last one fewer. The
+    destinations j0, j0 + 1, ... own it: j0 + i owns its edges
     [e0 + bounds[i], e0 + bounds[i + 1]).
     """
-    n_edges = int(indptr[-1])
-    for e0 in range(0, n_edges, _EDGE_CHUNK):
-        e1 = min(e0 + _EDGE_CHUNK, n_edges)
+    n_edges, size = int(indptr[-1]), max(1, _EDGE_BYTES // 8)
+    for e0 in range(0, n_edges, size):
+        e1 = min(e0 + size, n_edges)
         j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
         j1 = int(np.searchsorted(indptr, e1, side="left"))
         yield e0, e1, j0, np.clip(indptr[j0:j1 + 1], e0, e1) - e0
+
+
+def _reverse_in_chunks(values: np.ndarray) -> None:
+    """Reverse the 1-D `values` in place, a chunk of `_edge_chunks`' size from each end at a time."""
+    size, step = values.size, max(1, _EDGE_BYTES // 8)
+    for i0 in range(0, size // 2, step):
+        i1 = min(i0 + step, size // 2)
+        head = values[i0:i1].copy()
+        values[i0:i1] = values[size - i1:size - i0][::-1]
+        values[size - i1:size - i0] = head[::-1]
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,8 @@ class PaintingGraph:
 
     An array that is already contiguous in its field's dtype (int64 `indptr`,
     int32 `src`, float64 `weight`) is held as it is, not copied, and made
-    read-only: building a graph freezes the caller's arrays.
+    read-only once every check has passed: building a graph freezes the
+    caller's arrays, and a rejected input leaves them as they were.
     """
 
     n: int
@@ -90,9 +104,6 @@ class PaintingGraph:
         weight = np.ascontiguousarray(self.weight, dtype=np.float64)
         if weight.shape != src.shape:
             raise ValueError("weight must be 1-D and as long as src")
-        for name, arr in (("indptr", indptr), ("src", src), ("weight", weight)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         # Each check reads the edges a chunk at a time, so no temporary spans them; the
         # checks run one after another, so the first that fails names the fault.
         for e0, e1, j0, bounds in _edge_chunks(indptr):
@@ -108,6 +119,9 @@ class PaintingGraph:
             falling[starts[starts >= lo] - lo] = False  # a new column may restart
             if np.any(falling):
                 raise ValueError("edges must be strictly sorted by (dst, src)")
+        for name, arr in (("indptr", indptr), ("src", src), ("weight", weight)):
+            arr.setflags(write=False)  # only once every check has passed
+            object.__setattr__(self, name, arr)
 
     @property
     def n_edges(self) -> int:
@@ -158,11 +172,6 @@ def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarra
     return np.concatenate((above, ties))
 
 
-def _rows_at(cols: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Feature rows at year-order `positions`, as a view each of whose dimensions is contiguous."""
-    return np.moveaxis(np.take(cols[:-1], positions, axis=1), 0, -1)
-
-
 def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray, cols: np.ndarray,
                 order: np.ndarray, position: np.ndarray, k: int,
                 sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -174,7 +183,8 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
     artifact to its year-order position. block[i, c] is d^2 - |x|^2 between x
     and the artifact at position c0 + c, or +inf where that artifact is not
     one of x's candidates. One `argpartition` takes each row's k smallest
-    values, and only those picks are weighed. Returns (row, count, src,
+    values, and only those picks are weighed, a feature dimension at a time,
+    so that no temporary outgrows the block. Returns (row, count, src,
     weight): the slab rows that have picks, how many each has, and the picks
     of those rows one after another.
     """
@@ -208,8 +218,8 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
         part = np.argpartition(block if big.size == r else block[big], k, axis=1)
         top = np.sort(order[part[:, :k] + c0], axis=1)
         after = block[big, part[:, k]]  # each row's (k+1)-th smallest value
-        del part  # as large as the block; free it before the picks are gathered
-        w = pair_weights(_rows_at(cols, dest[big, None]), _rows_at(cols, position[top]), sigma)
+        del part  # as large as the block; free it before the picks are weighed
+        w = gathered_pair_weights(cols[:dim], dest[big, None], position[top], sigma)
         floor[big] = w.min(axis=1)
         with np.errstate(over="ignore"):
             cap = distance_weights(sx[big] + after - slack[big], sigma)
@@ -226,11 +236,15 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
     # going to the smaller source, and underflowed weights are dropped.
     slow = np.flatnonzero(~fast)
     if slow.size:
+        bound = block[slow]
+        bound += sx[slow, None]
+        bound -= slack[slow, None]
         with np.errstate(over="ignore"):
-            cap = distance_weights(sx[slow, None] + block[slow] - slack[slow, None], sigma)
+            cap = distance_weights(bound, sigma)
+        del bound
         band_row, band_col = np.nonzero((cap >= floor[slow, None]) & (cap > 0.0))
-        band_w = pair_weights(_rows_at(cols, dest[slow[band_row]]),
-                              _rows_at(cols, band_col + c0), sigma)
+        del cap
+        band_w = gathered_pair_weights(cols[:dim], dest[slow[band_row]], band_col + c0, sigma)
         band_src = order[band_col + c0]
         band_size = np.bincount(band_row, minlength=slow.size)
         band_end = np.cumsum(band_size)
@@ -296,22 +310,41 @@ def _on_two_workers(work: Callable[[Callable[[], int | None]], None], n_tasks: i
         raise errors[0]
 
 
+def _plan_slabs(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Ranking slabs (i0, i1, c0, c1) over rows whose candidates span [lo[i], hi[i]).
+
+    `lo` and `hi` ascend, so a slab of the rows [i0, i1) spans the columns
+    [lo[i0], hi[i1 - 1]). Each slab takes as many rows as keep its float64
+    block under `_SLAB_BYTES`, and at least one.
+    """
+    cells = _SLAB_BYTES // 8
+    slabs, i0 = [], 0
+    while i0 < lo.size:
+        c0 = int(lo[i0])
+        most = min(lo.size, i0 + max(1, cells // int(hi[i0] - c0)))
+        fits = np.arange(1, most - i0 + 1) * (hi[i0:most] - c0) <= cells  # falls once, never rises
+        i1 = i0 + max(1, int(np.count_nonzero(fits)))
+        slabs.append((i0, i1, c0, int(hi[i1 - 1])))
+        i0 = i1
+    return slabs
+
+
 def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float,
            listed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-K incoming edges of the artifacts `listed` marks (all when None); the others get none.
 
     K and the temporal prior come from `config`, the kernel bandwidth is
     `sigma`. Returns (indptr, src, weight): artifact j owns [indptr[j],
-    indptr[j + 1]), its sources ascending. Destinations are ranked in year order in slabs of
-    up to `_DST_CHUNK` of them, which may span year groups, with one matrix
-    product against a year-ordered copy of the features each, taken in
-    panels of `_GEMM_COLUMNS` columns; only the kept pairs are weighed, by
-    `pair_weights`, so a weight depends on its pair alone and a row's edges
-    do not depend on which rows share its slab. Two workers, this thread and
-    one helper thread (see `_on_two_workers`), take slabs as they come, each
-    into its own block buffer, and write each slab's picks straight to their
-    rows' places, inside room reserved up front; a row belongs to one slab,
-    so no place is written twice. numpy releases the interpreter lock in the
+    indptr[j + 1]), its sources ascending. Destinations are ranked in year
+    order in slabs that `_plan_slabs` sizes to `_SLAB_BYTES`, which may span
+    year groups, with one matrix product against a year-ordered copy of the
+    features each, taken in panels of `_GEMM_ENTRIES` entries; only the kept
+    pairs are weighed, as `pair_weights` would, so a weight depends on its
+    pair alone and a row's edges do not depend on which rows share its slab.
+    Two workers, this thread and one helper thread (see `_on_two_workers`),
+    take slabs as they come, each into its own block buffer, and write each
+    slab's picks straight to their rows' places, inside room reserved up
+    front; a row belongs to one slab, so no place is written twice. numpy releases the interpreter lock in the
     products, partitions, gathers and ufuncs that take the time.
     """
     check_sigma(sigma)
@@ -326,7 +359,7 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
     # The year-ordered features one row per dimension, then their squared
     # norms: column c is [y, |y|^2] for the artifact at position c.
     cols = np.empty((dim + 1, n))
-    np.take(feats.T, order, axis=1, out=cols[:dim])
+    np.take(feats.T, order, axis=1, out=cols[:dim], mode="clip")  # "clip": no output buffer
     cols[dim] = np.einsum("ij,ij->j", cols[:dim], cols[:dim])
     # A listed artifact j gets room for min(k, its candidate count) edges from
     # room[j] on; weights that underflow leave some of it empty.
@@ -338,15 +371,12 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
     src = np.empty(room[-1], dtype=np.int32)
     weight = np.empty(room[-1], dtype=np.float64)
 
-    # Slab t holds the rows dest[first[t]:last[t]], ranked against the
-    # positions [lo[t], hi[t]) their candidates span.
+    # Slab t holds the rows dest[i0:i1], ranked against the positions [c0, c1)
+    # their candidates span.
     dest = np.flatnonzero(listed[order])
     dest = dest[dest >= ends[0]]  # the earliest year group has no candidates
-    first = np.arange(0, dest.size, _DST_CHUNK)
-    last = np.minimum(first + _DST_CHUNK, dest.size)
-    lo, hi = a_lo[group[dest[first]]], starts[group[dest[last - 1]]]
-    slabs = list(zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist()))
-    buffer_size = int(((last - first) * (hi - lo)).max(initial=0))
+    slabs = _plan_slabs(a_lo[group[dest]], starts[group[dest]])
+    buffer_size = max(((i1 - i0) * (c1 - c0) for i0, i1, c0, c1 in slabs), default=0)
 
     def work(claim: Callable[[], int | None]) -> None:
         buffer = np.empty(buffer_size)  # every block of this worker, so its pages are mapped once
@@ -357,8 +387,9 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
             x[:, :dim] *= -2.0
             x[:, dim] = 1.0
             block = buffer[:p.size * (c1 - c0)].reshape(p.size, c1 - c0)
-            for b0 in range(c0, c1, _GEMM_COLUMNS):
-                b1 = min(b0 + _GEMM_COLUMNS, c1)
+            panel = max(1, _GEMM_ENTRIES // p.size)
+            for b0 in range(c0, c1, panel):
+                b1 = min(b0 + panel, c1)
                 # [-2x, 1] . [y, |y|^2] = d^2 - |x|^2
                 np.matmul(x, cols[:, b0:b1], out=block[:, b0 - c0:b1 - c0])
             g = group[p]
@@ -406,14 +437,16 @@ def edge_ranks(graph: PaintingGraph) -> np.ndarray:
     edge in that order, the order `update_graph` cuts rows by, in the
     smallest unsigned integer type that holds every offset.
     Destinations are ranked a slab at a time, each as one row of a sort
-    padded to the longest run; rows with equal weights are sorted again
-    stably, which puts the smaller source first, as sources ascend in a run.
+    padded to the longest run, as many rows as keep a slab's sort keys under
+    `_SLAB_BYTES`; rows with equal weights are sorted again stably, which
+    puts the smaller source first, as sources ascend in a run.
     """
     count = np.diff(graph.indptr)
     width = int(count.max(initial=0))
     ranks = np.empty(graph.n_edges, dtype=np.min_scalar_type(max(width - 1, 0)))
-    for j0 in range(0, graph.n, _DST_CHUNK):
-        j1 = min(j0 + _DST_CHUNK, graph.n)
+    step = max(1, _SLAB_BYTES // (8 * max(width, 1)))
+    for j0 in range(0, graph.n, step):
+        j1 = min(j0 + step, graph.n)
         e0, e1 = graph.indptr[j0], graph.indptr[j1]
         row = np.repeat(np.arange(j1 - j0), count[j0:j1])
         col = np.arange(e1 - e0) - (graph.indptr[j0:j1] - e0)[row]
@@ -562,16 +595,18 @@ def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str]
                      weight, labels: tuple[str, str] | None = None) -> None:
     """Rows `src_id,dst_id,weight[,label]` of an edge store, one `csv.writer` row per edge.
 
-    Ids are formatted once, weights with `repr`, and rows a chunk at a time,
-    each chunk's destinations read off `indptr`. With `labels`, a weight's
-    sign picks its label (labels[1] when negative) and its magnitude is written.
+    Ids are formatted once, weights with `repr`, and rows a batch of about
+    `_CSV_BYTES` at a time, each batch's destinations read off `indptr`. With
+    `labels`, a weight's sign picks its label (labels[1] when negative) and
+    its magnitude is written.
     """
     id_fields = _csv_fields(ids)
     names = np.asarray(labels or (), dtype=object)
+    step = max(1, _CSV_BYTES // _CSV_ROW_BYTES)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, src.size, _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, src.size)
+        for lo in range(0, src.size, step):
+            hi = min(lo + step, src.size)
             dst = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
             w = weight[lo:hi]
             columns = [id_fields[src[lo:hi]].tolist(), id_fields[dst].tolist(),

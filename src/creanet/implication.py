@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .config import RunConfig
-from .graph import PaintingGraph, _edge_chunks, _write_edge_rows
+from .graph import PaintingGraph, _edge_chunks, _reverse_in_chunks, _write_edge_rows
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,10 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     receiving node j (destination, default) or the emitting node i (source).
     Every edge must run from an earlier to a later year, as a built similarity
     graph's edges do, so that the sign of b alone labels each surviving edge.
-    Edges are judged `_EDGE_CHUNK` at a time, twice: the first pass checks
-    their direction and counts each destination's kept and reversed edges, so
-    K and R are allocated at their exact sizes; the second fills them. No
-    per-edge array spans the graph.
+    Edges are judged a chunk at a time (see `graph._edge_chunks`), in one pass
+    that checks their direction, counts each destination's kept and reversed
+    edges and copies them into K and R. K and R share one store as long as
+    the graph, and no other per-edge array spans the graph.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -182,7 +182,13 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
             at = np.repeat(m[j0:j0 + bounds.size - 1], np.diff(bounds))
         return np.subtract(graph.weight[e0:e1], at, out=at)
 
+    # K fills one store as long as the graph from the front and R from the
+    # back, last edge first, then R is turned around; the pages the dropped
+    # edges would take are never written, so never resident.
+    store_src = np.empty(graph.n_edges, dtype=np.int32)
+    store_weight = np.empty(graph.n_edges, dtype=np.float64)
     counts = np.zeros((2, graph.n), dtype=np.int64)  # kept and reversed edges of each destination
+    kept_end, reversed_start = 0, graph.n_edges
     for e0, e1, j0, bounds in _edge_chunks(indptr):
         owners = slice(j0, j0 + bounds.size - 1)
         backward = np.flatnonzero(year_of[src[e0:e1]]
@@ -193,27 +199,22 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
             raise ValueError(f"edge {s} -> {d} runs from year {years[s]} to year {years[d]}; "
                              f"every similarity edge must run from an earlier to a later year")
         b = balanced(e0, e1, j0, bounds)
-        seen = np.zeros(e1 - e0 + 1, dtype=np.int32)  # int32 holds a chunk's counts
-        for row, judged in enumerate((b > 0.0, b < 0.0)):
-            np.cumsum(judged, dtype=np.int32, out=seen[1:])  # sampled at each owner's edges
-            counts[row, owners] += np.diff(seen[bounds])
-
-    indptrs = [np.concatenate(([0], np.cumsum(row))) for row in counts]
-    del counts
-    srcs = [np.empty(indptr_[-1], dtype=np.int32) for indptr_ in indptrs]
-    weights = [np.empty(indptr_[-1], dtype=np.float64) for indptr_ in indptrs]
-    filled = [0, 0]
-    for e0, e1, j0, bounds in _edge_chunks(indptr):
-        b = balanced(e0, e1, j0, bounds)
-        for row, judged in enumerate((b > 0.0, b < 0.0)):
-            picked = np.flatnonzero(judged)  # gathers by position beat boolean indexing twofold
-            lo, hi = filled[row], filled[row] + picked.size
-            np.take(src[e0:e1], picked, out=srcs[row][lo:hi])
-            np.take(b, picked, out=weights[row][lo:hi])
-            filled[row] = hi
-    np.negative(weights[1], out=weights[1])  # R's m - w, which is -(w - m) to the bit
-    kept, reversed_ = (PaintingGraph(n=graph.n, indptr=indptrs[row], src=srcs[row],
-                                     weight=weights[row]) for row in (0, 1))
+        up, down = np.flatnonzero(b > 0.0), np.flatnonzero(b < 0.0)  # kept, reversed
+        counts[0, owners] += np.diff(np.searchsorted(up, bounds))
+        counts[1, owners] += np.diff(np.searchsorted(down, bounds))
+        at_up = slice(kept_end, kept_end + up.size)
+        at_down = slice(reversed_start - down.size, reversed_start)
+        kept_end, reversed_start = at_up.stop, at_down.start
+        # gathers by position beat boolean indexing twofold; "clip" spares take a buffer
+        for picked, at in ((up, at_up), (down[::-1], at_down)):
+            np.take(src[e0:e1], picked, out=store_src[at], mode="clip")
+            np.take(b, picked, out=store_weight[at], mode="clip")
+        np.negative(store_weight[at_down], out=store_weight[at_down])  # m - w, -(w - m) to the bit
+    _reverse_in_chunks(store_src[reversed_start:])
+    _reverse_in_chunks(store_weight[reversed_start:])
+    kept, reversed_ = (PaintingGraph(n=graph.n, indptr=np.concatenate(([0], np.cumsum(counts[row]))),
+                                     src=store_src[at], weight=store_weight[at])
+                       for row, at in enumerate((slice(0, kept_end), slice(reversed_start, None))))
     return ImplicationNetwork(kept=kept, reversed=reversed_,
                               dropped_count=graph.n_edges - kept.n_edges - reversed_.n_edges)
 

@@ -44,8 +44,6 @@ class StochasticOperator:
             raise ValueError(f"dangling must have shape ({self.n},)")
         if not np.all((dangling >= 0.0) & (dangling <= 1.0)):
             raise ValueError("dangling weights must lie in [0, 1]")
-        dangling.setflags(write=False)
-        object.__setattr__(self, "dangling", dangling)
         col_sums = dangling.copy()
         for term in self.terms:
             if term.shape != (self.n, self.n):
@@ -56,6 +54,8 @@ class StochasticOperator:
             col_sums += term.T @ np.ones(self.n)  # a transpose is a view: no copy
         if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
             raise ValueError("every column's entries plus its dangling weight must sum to 1")
+        dangling.setflags(write=False)  # only once every check has passed
+        object.__setattr__(self, "dangling", dangling)
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """M @ c with each column's dangling weight spread uniformly."""

@@ -39,10 +39,31 @@ def pair_weights(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
         raise ValueError("feature rows must have matching dimension")
-    d2 = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return _summed_weights(((a[..., i], b[..., i]) for i in range(a.shape[-1])), shape, sigma)
+
+
+def gathered_pair_weights(columns: np.ndarray, a: np.ndarray, b: np.ndarray,
+                          sigma: float) -> np.ndarray:
+    """`pair_weights` of the artifacts at indices `a` and `b`, paired by broadcasting.
+
+    `columns` holds the features one row per dimension, an artifact to a
+    column. Each dimension's values are gathered in turn, so the scratch
+    spans the pairs, not the pairs times the dimension; the bits are those of
+    `pair_weights` on the gathered rows.
+    """
+    a_i, b_i = np.empty(np.shape(a)), np.empty(np.shape(b))
+    dims = ((np.take(row, a, out=a_i, mode="clip"), np.take(row, b, out=b_i, mode="clip"))
+            for row in columns)  # indices are in range; "clip" spares take an output buffer
+    return _summed_weights(dims, np.broadcast_shapes(a_i.shape, b_i.shape), sigma)
+
+
+def _summed_weights(dims, shape: tuple[int, ...], sigma: float) -> np.ndarray:
+    """Kernel weights of the squared distances summed over `dims`, (a_i, b_i) in order."""
+    d2 = np.zeros(shape)
     diff = np.empty_like(d2)
-    for i in range(a.shape[-1]):
-        np.subtract(a[..., i], b[..., i], out=diff)
+    for a_i, b_i in dims:
+        np.subtract(a_i, b_i, out=diff)
         diff *= diff
         d2 += diff
     return distance_weights(d2, sigma)

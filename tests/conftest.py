@@ -47,8 +47,33 @@ def use_cpus(monkeypatch, count: int) -> None:
 
 
 def use_edge_chunk(monkeypatch, size: int) -> None:
-    """Make `PaintingGraph`'s checks and the CIN's balancing work `size` edges at a time."""
-    monkeypatch.setattr(graph_module, "_EDGE_CHUNK", size)
+    """Make `PaintingGraph`'s checks and the CIN's balancing work `size` edges at a time.
+
+    The chunks are sized by their byte budget, `size` float64 values.
+    """
+    monkeypatch.setattr(graph_module, "_EDGE_BYTES", 8 * size)
+
+
+def use_slab_rows(monkeypatch, rows: int, n: int) -> None:
+    """Size the graph build's slab budget to `rows` destinations of `n` candidates each.
+
+    A slab of narrower rows takes more of them; a budget of one float64 (rows
+    = 0) gives every destination a slab of its own.
+    """
+    monkeypatch.setattr(graph_module, "_SLAB_BYTES", max(8, 8 * rows * n))
+
+
+def planned_slabs(monkeypatch) -> list[list[tuple[int, int, int, int]]]:
+    """A list that gets the slabs `graph._plan_slabs` plans from now on, one list per build."""
+    plans = []
+    real = graph_module._plan_slabs
+
+    def plan(lo, hi):
+        plans.append(real(lo, hi))
+        return plans[-1]
+
+    monkeypatch.setattr(graph_module, "_plan_slabs", plan)
+    return plans
 
 
 def chain_graph(n: int, per_node: int, seed: int = 0) -> tuple[cn.PaintingGraph, np.ndarray]:

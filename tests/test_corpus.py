@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 import creanet as cn
+from creanet import corpus as corpus_module
 
 from conftest import make_corpus, write_features_binary
 
@@ -121,6 +122,20 @@ class TestFeatureFiles:
         assert back.shape == (7, 5) and back.dtype == np.float64
         np.testing.assert_array_equal(back, vectors.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, 7])
+    def test_binary_read_in_chunks(self, tmp_path, monkeypatch, rows_per_chunk):
+        # rows are read a chunk at a time; the first non-finite row is named whatever the chunking
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(7, 5)).astype(np.float32)
+        p = tmp_path / "f.bin"
+        write_features_binary(p, vectors)
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", 8 * 5 * rows_per_chunk)
+        np.testing.assert_array_equal(cn.read_features(p, "visual"), vectors.astype(np.float64))
+        vectors[5, 1], vectors[6, 0] = np.inf, np.nan
+        write_features_binary(p, vectors)
+        with pytest.raises(cn.IngestError, match=r"\(aspect 'visual'\) row 6: non-finite value"):
+            cn.read_features(p, "visual")
+
     def test_binary_header_layout(self, tmp_path):
         # magic, u32 LE row count, u32 LE dim, four reserved zero bytes, then f32 LE rows
         header = b"CRFT" + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\x00" * 4
@@ -205,6 +220,24 @@ class TestEstimateSigma:
         assert first == cn.estimate_sigma(fs, seed=1)
         full = float(np.median(pdist(vectors)))
         assert abs(first - full) / full < 0.1
+
+    def test_chunked_distances_equal_the_unchunked_form(self, monkeypatch):
+        # each pair's norm reduces its own row of differences, so the chunking keeps the bits
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(200, 640))  # 19900 pairs, above the cap; 2.5 MiB per 512 pairs
+        fs = cn.FeatureSet("visual", vectors)
+        sigmas = []
+        for budget in (1 << 40, None, 8 * 640 * 7, 8):  # one chunk, the default, 7 pairs, 1 pair
+            if budget is not None:
+                monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", budget)
+            sigmas.append(cn.estimate_sigma(fs, seed=3))
+        assert len(set(sigmas)) == 1
+        lo, hi = rng.integers(0, 200, size=(2, 3000))
+        whole = np.linalg.norm(vectors[lo] - vectors[hi], axis=1)
+        for step in (1, 7, 1024):
+            parts = [np.linalg.norm(vectors[lo[i:i + step]] - vectors[hi[i:i + step]], axis=1)
+                     for i in range(0, lo.size, step)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_degenerate_set_rejected(self):
         fs = cn.FeatureSet("visual", np.ones((5, 3)))

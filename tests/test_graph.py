@@ -10,7 +10,8 @@ import creanet as cn
 from creanet import graph as graph_module
 
 from conftest import (chain_graph, edge_dst, from_edges, make_corpus, random_corpus, traced_peak,
-                      use_cpus, use_edge_chunk, visual_similarity)
+                      use_cpus, use_edge_chunk, use_slab_rows, visual_similarity)
+from test_oracles import assert_same_graph
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -188,6 +189,19 @@ class TestPaintingGraphValidation:
         assert not w.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.7
+
+    @pytest.mark.parametrize("src, weight, message", [
+        ([1], [0.5], "self edges"),
+        ([0], [0.0], "positive and finite"),
+        ([0, 0], [0.5, 0.5], "sorted"),
+    ], ids=["self", "weight", "sort"])
+    def test_a_rejected_input_leaves_the_callers_arrays_writeable(self, src, weight, message):
+        # the arrays are held as they are, so they are frozen only once every check has passed
+        indptr = np.array([0, 0, len(src)], dtype=np.int64)
+        src, weight = np.array(src, dtype=np.int32), np.array(weight)
+        with pytest.raises(ValueError, match=message):
+            cn.PaintingGraph(n=2, indptr=indptr, src=src, weight=weight)
+        assert indptr.flags.writeable and src.flags.writeable and weight.flags.writeable
 
     def test_rejects_self_edge(self):
         with pytest.raises(ValueError, match="self edges"):
@@ -394,7 +408,7 @@ class TestTwoWorkers:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 8)
+        use_slab_rows(monkeypatch, 8, 200)
         use_cpus(monkeypatch, 2)
 
     @pytest.fixture()
@@ -464,3 +478,73 @@ class TestTwoWorkers:
 
         graph_module._on_two_workers(work, tasks)
         assert names == {threading.main_thread().name}
+
+
+class TestByteBudgets:
+    """Slabs, their partitions and their pick gathers stay under `_SLAB_BYTES` but for the one-row floor."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plan_is_maximal_and_under_budget(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 400))
+        lo = np.sort(rng.integers(0, 300, size=size))
+        hi = np.maximum(np.sort(rng.integers(1, 600, size=size)), lo + 1)
+        hi = np.maximum.accumulate(hi)
+        for cells in (1, 7, 250, 4_000, 10 ** 6):
+            monkeypatch.setattr(graph_module, "_SLAB_BYTES", 8 * cells)
+            slabs = graph_module._plan_slabs(lo, hi)
+            assert [s[0] for s in slabs] == [0] + [s[1] for s in slabs[:-1]] and slabs[-1][1] == size
+            for i0, i1, c0, c1 in slabs:
+                assert (c0, c1) == (lo[i0], hi[i1 - 1])
+                assert (i1 - i0) * (c1 - c0) <= cells or i1 - i0 == 1
+                if i1 < size:  # one more row would not have fit
+                    assert (i1 + 1 - i0) * (hi[i1] - c0) > cells
+
+    @pytest.mark.parametrize("rows", [4, 0.5], ids=["four_rows", "half_a_row"])
+    def test_blocks_partitions_and_gathers_stay_under_budget(self, monkeypatch, rows):
+        # a slab's block, its partition and each per-dimension pick gather, in the
+        # order the serial build makes them; only a one-row slab may pass the budget
+        corpus = random_corpus(seed=61, n=400, dim=5, year_lo=1500, year_hi=1540)
+        budget = int(8 * rows * corpus.n)
+        monkeypatch.setattr(graph_module, "_SLAB_BYTES", budget)
+        use_cpus(monkeypatch, 1)
+        events = []
+        real_slab, real_gather, real_partition = (graph_module._slab_top_k,
+                                                  graph_module.gathered_pair_weights, np.argpartition)
+
+        def slab_top_k(block, *args):
+            events.append(("slab", block.shape[0], block.nbytes))
+            return real_slab(block, *args)
+
+        def gathered(columns, a, b, sigma):
+            events.append(("gather", None, 8 * int(np.prod(np.broadcast_shapes(a.shape, b.shape)))))
+            return real_gather(columns, a, b, sigma)
+
+        def argpartition(*args, **kwargs):
+            part = real_partition(*args, **kwargs)
+            events.append(("partition", None, part.nbytes))
+            return part
+
+        monkeypatch.setattr(graph_module, "_slab_top_k", slab_top_k)
+        monkeypatch.setattr(graph_module, "gathered_pair_weights", gathered)
+        monkeypatch.setattr(np, "argpartition", argpartition)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=30), 0.8)
+        monkeypatch.undo()
+        assert_same_graph(graph, cn.build_graph(corpus, "visual", cn.RunConfig(k=30), 0.8))
+        kinds = {kind for kind, _, _ in events}
+        assert kinds == {"slab", "gather", "partition"}
+        floor = 0
+        for kind, slab_rows, nbytes in events:
+            if kind == "slab":
+                one_row, block_bytes = slab_rows == 1, nbytes
+            assert nbytes <= budget or (one_row and nbytes <= block_bytes)
+            floor += nbytes > budget
+        assert (floor > 0) == (rows < 1)  # half a row: the widest rows rank alone, over budget
+
+    def test_edge_ranks_under_budget(self, monkeypatch):
+        corpus = random_corpus(seed=62, n=300, dim=3, year_lo=1500, year_hi=1530)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=12), 1.0)
+        want = graph_module.edge_ranks(graph)
+        for cells in (1, 12 * 5, 12 * 64):
+            monkeypatch.setattr(graph_module, "_SLAB_BYTES", 8 * cells)
+            assert np.array_equal(graph_module.edge_ranks(graph), want)

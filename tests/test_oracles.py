@@ -53,7 +53,7 @@ from creanet import timemachine as timemachine_module
 
 from conftest import (COMBINED, balance, cin_edges, count_thread_starts, dense_matrix, edge_dst,
                       from_edges, make_corpus, random_corpus, random_network, solve_closed_form,
-                      split, use_cpus, visual_similarity)
+                      planned_slabs, split, use_cpus, use_slab_rows, visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +579,8 @@ def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
     corpus = quantised_corpus(seed=15, n=700, dim=3, levels=4, year_lo=1500, year_hi=1560)
     config, sigma = cn.RunConfig(k=9, temporal_prior=prior, temporal_window_k=window), 1.7
     graphs = []
-    for chunk in (1, 7, 256):
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", chunk)
+    for rows in (0, 7, 256):  # one destination per slab, then slabs of at least 7 and 256
+        use_slab_rows(monkeypatch, rows, corpus.n)
         graphs.append(cn.build_graph(corpus, "visual", config, sigma))
     for graph in graphs[1:]:
         assert_same_graph(graph, graphs[0])
@@ -609,19 +609,23 @@ class TestTwoWorkerBuild:
         corpus = make_corpus(years, rng.normal(size=(n, 3)))
         config, sigma = cn.RunConfig(k=7, temporal_prior=prior, temporal_window_k=window), 1.3
         want = reference_build_graph(corpus, "visual", config, sigma)
-        assert -(-(n - 1) // 128) == slabs  # every artifact but the earliest is a destination
-        for chunk in (1, 7, 128):
-            monkeypatch.setattr(graph_module, "_DST_CHUNK", chunk)
+        plans = planned_slabs(monkeypatch)
+        for rows in (0, 7, 128):  # a slab per destination, then budgets of 7 and 128 whole rows
+            use_slab_rows(monkeypatch, rows, n)
             serial, both, helpers = builds_on_one_and_two_cpus(
                 monkeypatch, lambda: cn.build_graph(corpus, "visual", config, sigma))
-            assert helpers == (1 if -(-(n - 1) // chunk) >= 2 else 0)
+            assert plans[-1] == plans[-2]
+            assert helpers == (1 if len(plans[-1]) >= 2 else 0)
             assert_same_graph(serial, want)
             assert_same_graph(both, want)
+        # every artifact but the earliest is a destination; narrow early rows pack more densely
+        assert len(plans[0]) == n - 1
+        assert len(plans[-1]) <= slabs
 
     def test_ties_and_fallback_rows(self, monkeypatch):
         corpus = quantised_corpus(seed=41, n=500, dim=2, levels=3, year_lo=1500, year_hi=1540)
         config, sigma = cn.RunConfig(k=5), 0.8
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        use_slab_rows(monkeypatch, 16, corpus.n)
         serial, both, helpers = builds_on_one_and_two_cpus(
             monkeypatch, lambda: count_fallback_rows(corpus, config, sigma))
         assert helpers == 1 and serial[1] > 0
@@ -630,7 +634,7 @@ class TestTwoWorkerBuild:
 
     @pytest.mark.parametrize("move", ["back", "forward", "wander"])
     def test_update_rebuilds_listed_rows(self, monkeypatch, move):
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 7)
+        use_slab_rows(monkeypatch, 7, 600)
         corpus = random_corpus(seed=42, n=600, dim=3, year_lo=1500, year_hi=1560)
         config, sigma = cn.RunConfig(k=8), 1.0
         years = redate(corpus, np.random.default_rng(43), 0.1, move)
@@ -649,7 +653,7 @@ class TestTwoWorkerBuild:
     def test_short_switch_interval(self, monkeypatch):
         # the interpreter switches threads every microsecond, so the two
         # workers interleave between nearly every pair of bytecodes
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 3)
+        use_slab_rows(monkeypatch, 3, 300)
         corpus = random_corpus(seed=44, n=300, dim=2, year_lo=1500, year_hi=1530)
         config, sigma = cn.RunConfig(k=4), 1.0
         interval = sys.getswitchinterval()
@@ -754,17 +758,21 @@ class TestGraphUpdateAgainstOracle:
 
     @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
     def test_rebuilt_rows_span_several_slabs(self, monkeypatch, prior, window):
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        use_slab_rows(monkeypatch, 16, 800)
         corpus = random_corpus(seed=30, n=800, dim=3, year_lo=1500, year_hi=1600)
         config, sigma = cn.RunConfig(k=10, temporal_prior=prior, temporal_window_k=window), 1.0
         rng = np.random.default_rng(31)
+        plans = planned_slabs(monkeypatch)
         for move in ("back", "forward", "wander"):
             years = redate(corpus, rng, 0.05, move)
+            first = len(plans)
             with mock.patch.object(graph_module, "_top_k", wraps=graph_module._top_k) as spy:
                 assert_update_like_rebuild(corpus, config, sigma, years)
             rebuilt = [c.args[4] for c in spy.call_args_list if len(c.args) > 4]
             if prior == "none":
-                assert len(rebuilt) == 1 and rebuilt[0].sum() > 2 * 16
+                # the baseline build, the update's rebuild of its listed rows, the full rebuild
+                _, update, _ = plans[first:]
+                assert len(rebuilt) == 1 and len(update) >= 2
             else:
                 assert not rebuilt  # the window prior rebuilds every row as a full build
 
@@ -951,7 +959,7 @@ class TestNetworkAgainstOracle:
 @contextlib.contextmanager
 def edge_chunk(size):
     """`PaintingGraph`'s checks and the CIN's balancing `size` edges at a time, None for the default."""
-    with mock.patch.object(graph_module, "_EDGE_CHUNK", size or graph_module._EDGE_CHUNK):
+    with mock.patch.object(graph_module, "_EDGE_BYTES", 8 * size if size else graph_module._EDGE_BYTES):
         yield
 
 
@@ -1198,7 +1206,7 @@ AWKWARD_IDS = ["plain", "with,comma", 'with"quote', "with space", ' "both", ', "
 @pytest.fixture(params=[None, 5], ids=["one_chunk", "chunk_5"])
 def csv_chunk(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(graph_module, "_CSV_CHUNK", request.param)
+        monkeypatch.setattr(graph_module, "_CSV_BYTES", request.param * graph_module._CSV_ROW_BYTES)
 
 
 class TestCsvWritersAgainstOracle:

@@ -1,6 +1,7 @@
 """End-to-end pipeline: sigma resolution, stage stats, multi-aspect runs, outputs."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import corpus as corpus_module
 from creanet import graph as graph_module
 from creanet.cli import main
 from creanet.pipeline import _fork_pair
 
 from conftest import (cin_edges, count_thread_starts, make_corpus, random_corpus, solve_closed_form,
-                      use_cpus, write_corpus_files)
+                      use_cpus, use_slab_rows, write_corpus_files, write_features_binary)
 from test_oracles import reference_percentile
 
 
@@ -390,7 +392,7 @@ class TestForkPair:
     def test_commands_leave_no_child_or_thread(self, tmp_path, monkeypatch, command):
         # the graph build starts a helper thread (two CPUs, several slabs) and
         # joins it before the command forks; nothing is left when it returns
-        monkeypatch.setattr(graph_module, "_DST_CHUNK", 16)
+        use_slab_rows(monkeypatch, 16, 120)
         use_cpus(monkeypatch, 2)
         starts = count_thread_starts(monkeypatch)
         rng = np.random.default_rng(51)
@@ -408,3 +410,45 @@ class TestForkPair:
         assert starts  # the build ran on two workers
         assert threading.active_count() == before
         assert_no_child_left()
+
+
+class TestTinyBudgets:
+    """Every stage's scratch budget cut to one row, edge or pair: the output files keep their bytes."""
+
+    COMMANDS = {
+        "score": ["--plot", "--set", "k=9", "--set", "alpha=0.5"],
+        "dump-graph": ["--set", "k=9", "--set", "balancing_mode=local", "--set", "temporal_prior=window",
+                       "--set", "temporal_window_k=60"],
+        "timemachine": ["--set", "k=9", "--set", "scoring=split", "--set", "timemachine.group=style=late",
+                        "--set", "timemachine.move=back", "--set", "timemachine.n_test=4",
+                        "--set", "timemachine.n_runs=3"],
+    }
+
+    @pytest.mark.filterwarnings("ignore:n_test")
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_outputs_equal_the_default_budgets(self, tmp_path, monkeypatch, command):
+        rng = np.random.default_rng(70)
+        years = rng.integers(1500, 1600, size=160)
+        corpus = make_corpus(years, rng.normal(size=(160, 6)),
+                             styles=["late" if y >= 1580 else "early" for y in years])
+        manifest, _ = write_corpus_files(corpus, tmp_path / "corpus")
+        features = tmp_path / "corpus" / "visual.crft"
+        write_features_binary(features, corpus.features["visual"].vectors)
+        argv = [command, "--manifest", str(manifest), "--features", f"visual={features}",
+                *self.COMMANDS[command]]
+
+        def outputs(out):
+            assert main([*argv, "--out", str(out)]) == 0
+            return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in sorted(out.iterdir())}
+
+        default = outputs(tmp_path / "default")
+        use_cpus(monkeypatch, 2)
+        for module, name in ((graph_module, "_SLAB_BYTES"), (graph_module, "_EDGE_BYTES"),
+                             (graph_module, "_CSV_BYTES"), (corpus_module, "_CHUNK_BYTES")):
+            monkeypatch.setattr(module, name, 1)  # the one-row, one-edge, one-pair floors
+        tiny = outputs(tmp_path / "tiny")
+        assert tiny == default
+        assert set(default) >= {"score": {"scores.csv", "run_meta.json", "plot.svg"},
+                                "dump-graph": {"graph.csv", "cin.csv"},
+                                "timemachine": {"report.csv", "runs.csv"}}[command]

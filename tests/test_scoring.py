@@ -112,6 +112,26 @@ class TestOperatorValidation:
             cn.StochasticOperator(n=2, terms=(m,), dangling=np.array([1.0, weight]))
 
 
+    @pytest.mark.parametrize("entries, dangling, message", [
+        ([[0.0, 0.7], [0.0, 0.7]], [1.0, 0.0], "sum to 1"),
+        ([[0.0, 2.0], [0.0, -1.0]], [1.0, 0.0], "entries"),
+        ([[0.0, 0.75], [0.0, 0.75]], [1.0, -0.5], "dangling weights must lie in"),
+    ], ids=["column_sum", "entry", "dangling_range"])
+    def test_a_rejected_operator_leaves_dangling_writeable(self, entries, dangling, message):
+        from scipy import sparse
+        dangling = np.array(dangling)
+        with pytest.raises(ValueError, match=message):
+            cn.StochasticOperator(n=2, terms=(sparse.csr_matrix(np.array(entries)),), dangling=dangling)
+        assert dangling.flags.writeable
+
+    def test_holds_and_freezes_the_callers_dangling(self):
+        from scipy import sparse
+        dangling = np.array([1.0, 0.0])
+        op = cn.StochasticOperator(n=2, terms=(sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),),
+                                   dangling=dangling)
+        assert op.dangling is dangling and not dangling.flags.writeable
+
+
 class TestTwoNodeFixture:
     """Single CIN edge (a -> b), alpha = 0.85, dangling column completed uniformly.
 
