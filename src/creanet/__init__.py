@@ -17,7 +17,6 @@ from .implication import (ImplicationNetwork, build_implication_network, compute
 from .pipeline import (PipelineResult, build_network, resolve_sigma, run_multi_aspect,
                        run_pipeline, score_ranks, write_run_meta, write_scores_csv)
 from .scoring import ScoreVector, StochasticOperator, normalize, solve_power
-from .similarity import pair_weights
 from .svgplot import write_scatter_svg
 from .timemachine import (TimeMachineReport, TimeMachineRun, run_time_machine, write_report_csv,
                           write_runs_csv)
@@ -29,9 +28,9 @@ __all__ = [
     "PaintingGraph", "PipelineResult", "RunConfig", "ScoreVector", "StochasticOperator",
     "TimeMachineReport", "TimeMachineRun", "TimeMachineSpec", "__version__", "build_graph",
     "build_implication_network", "build_network", "compute_thresholds", "config_from_mapping",
-    "estimate_sigma", "ingest_corpus", "load_config_file", "normalize", "pair_weights",
-    "read_features", "read_manifest", "resolve_sigma", "run_multi_aspect", "run_pipeline",
-    "run_time_machine", "score_ranks", "solve_power", "spec_from_mapping", "write_cin_csv",
-    "write_graph_csv", "write_report_csv", "write_run_meta", "write_runs_csv",
-    "write_scatter_svg", "write_scores_csv",
+    "estimate_sigma", "ingest_corpus", "load_config_file", "normalize", "read_features",
+    "read_manifest", "resolve_sigma", "run_multi_aspect", "run_pipeline", "run_time_machine",
+    "score_ranks", "solve_power", "spec_from_mapping", "write_cin_csv", "write_graph_csv",
+    "write_report_csv", "write_run_meta", "write_runs_csv", "write_scatter_svg",
+    "write_scores_csv",
 ]

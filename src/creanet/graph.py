@@ -14,13 +14,13 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .corpus import Corpus
-from .similarity import check_sigma, distance_weights, gathered_pair_weights, pair_weights
+from .similarity import check_sigma, distance_weights, pair_weights
 
 # Every stage sizes its scratch in bytes, not rows, so that no temporary grows
 # with the corpus. A ranking slab takes as many consecutive destinations as
@@ -128,14 +128,37 @@ class PaintingGraph:
         return int(self.src.size)
 
 
-def _year_groups(years: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable year-ascending int32 order plus [start, end) bounds of each year group."""
+class _YearLayout(NamedTuple):
+    """The artifacts in stable year order, as the build and the update read them.
+
+    `order` (int32) lists the artifacts by year, manifest order within a
+    year; year group g holds the positions [starts[g], ends[g]), and
+    `position` (int64) maps an artifact to its position. `cols` holds the
+    features in that order one row per dimension, then their squared norms:
+    column c is [y, |y|^2] for the artifact at position c.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    position: np.ndarray
+    cols: np.ndarray
+
+
+def _year_layout(feats: np.ndarray, years: np.ndarray) -> _YearLayout:
+    """The `_YearLayout` of the artifacts with these feature rows and years."""
+    n, dim = feats.shape
     order = np.argsort(years, kind="stable").astype(np.int32)
-    sorted_years = years[order]
-    change = np.flatnonzero(np.diff(sorted_years)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [years.size]))
-    return order, starts, ends
+    change = np.flatnonzero(np.diff(years[order])) + 1
+    starts, ends = np.concatenate(([0], change)), np.concatenate((change, [n]))
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    cols = np.empty((dim + 1, n))
+    step = max(1, _SLAB_BYTES // (8 * dim))  # rows gathered at a time, so no copy spans the features
+    for c0 in range(0, n, step):
+        cols[:dim, c0:c0 + step] = feats[order[c0:c0 + step]].T
+    cols[dim] = np.einsum("ij,ij->j", cols[:dim], cols[:dim])
+    return _YearLayout(order, starts, ends, position, cols)
 
 
 def _candidate_ranges(starts: np.ndarray, ends: np.ndarray,
@@ -165,8 +188,6 @@ def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarra
     kth = np.partition(weights, weights.size - k)[weights.size - k]
     above = np.flatnonzero(weights > kth)
     need = k - above.size
-    if need == 0:
-        return above
     ties = np.flatnonzero(weights == kth)
     ties = ties[np.argsort(sources[ties])][:need]
     return np.concatenate((above, ties))
@@ -219,7 +240,7 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
         top = np.sort(order[part[:, :k] + c0], axis=1)
         after = block[big, part[:, k]]  # each row's (k+1)-th smallest value
         del part  # as large as the block; free it before the picks are weighed
-        w = gathered_pair_weights(cols[:dim], dest[big, None], position[top], sigma)
+        w = pair_weights(cols[:dim], dest[big, None], position[top], sigma)
         floor[big] = w.min(axis=1)
         with np.errstate(over="ignore"):
             cap = distance_weights(sx[big] + after - slack[big], sigma)
@@ -244,7 +265,7 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
         del bound
         band_row, band_col = np.nonzero((cap >= floor[slow, None]) & (cap > 0.0))
         del cap
-        band_w = gathered_pair_weights(cols[:dim], dest[slow[band_row]], band_col + c0, sigma)
+        band_w = pair_weights(cols[:dim], dest[slow[band_row]], band_col + c0, sigma)
         band_src = order[band_col + c0]
         band_size = np.bincount(band_row, minlength=slow.size)
         band_end = np.cumsum(band_size)
@@ -329,18 +350,19 @@ def _plan_slabs(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int
     return slabs
 
 
-def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float,
+def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
            listed: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-K incoming edges of the artifacts `listed` marks (all when None); the others get none.
 
-    K and the temporal prior come from `config`, the kernel bandwidth is
-    `sigma`. Returns (indptr, src, weight): artifact j owns [indptr[j],
-    indptr[j + 1]), its sources ascending. Destinations are ranked in year
-    order in slabs that `_plan_slabs` sizes to `_SLAB_BYTES`, which may span
-    year groups, with one matrix product against a year-ordered copy of the
-    features each, taken in panels of `_GEMM_ENTRIES` entries; only the kept
-    pairs are weighed, as `pair_weights` would, so a weight depends on its
-    pair alone and a row's edges do not depend on which rows share its slab.
+    The artifacts, their years and features are those of `layout`; K and the
+    temporal prior come from `config`, the kernel bandwidth is `sigma`.
+    Returns (indptr, src, weight): artifact j owns [indptr[j], indptr[j +
+    1]), its sources ascending. Destinations are ranked in year order in
+    slabs that `_plan_slabs` sizes to `_SLAB_BYTES`, which may span year
+    groups, with one matrix product against the layout's `cols` each, taken
+    in panels of `_GEMM_ENTRIES` entries; only the kept pairs are weighed,
+    with `pair_weights`, so a weight depends on its pair alone and a row's
+    edges do not depend on which rows share its slab.
     Two workers, this thread and one helper thread (see `_on_two_workers`),
     take slabs as they come, each into its own block buffer, and write each
     slab's picks straight to their rows' places, inside room reserved up
@@ -348,19 +370,12 @@ def _top_k(feats: np.ndarray, years: np.ndarray, config: RunConfig, sigma: float
     products, partitions, gathers and ufuncs that take the time.
     """
     check_sigma(sigma)
-    n, dim = feats.shape
-    order, starts, ends = _year_groups(years)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
+    order, starts, ends, position, cols = layout
+    dim, n = cols.shape[0] - 1, cols.shape[1]
     window = config.temporal_window_k if config.temporal_prior == "window" else n
     a_lo, a_hi, b_lo = _candidate_ranges(starts, ends, window)
     n_cand = a_hi - a_lo + starts - b_lo
     group = np.repeat(np.arange(starts.size), ends - starts)  # year group of each position
-    # The year-ordered features one row per dimension, then their squared
-    # norms: column c is [y, |y|^2] for the artifact at position c.
-    cols = np.empty((dim + 1, n))
-    np.take(feats.T, order, axis=1, out=cols[:dim], mode="clip")  # "clip": no output buffer
-    cols[dim] = np.einsum("ij,ij->j", cols[:dim], cols[:dim])
     # A listed artifact j gets room for min(k, its candidate count) edges from
     # room[j] on; weights that underflow leave some of it empty.
     listed = np.ones(n, dtype=bool) if listed is None else listed
@@ -425,8 +440,8 @@ def build_graph(corpus: Corpus, aspect: str, config: RunConfig, sigma: float) ->
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
-    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
-    indptr, src, weight = _top_k(feats, corpus.years, config, sigma)
+    layout = _year_layout(corpus.features[aspect].vectors, corpus.years)
+    indptr, src, weight = _top_k(layout, config, sigma)
     return PaintingGraph(n=corpus.n, indptr=indptr, src=src, weight=weight)
 
 
@@ -486,16 +501,17 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
       that underflow are dropped.
 
     Under the window prior, candidate sets depend on rank in year order, so
-    every row is rebuilt.
+    every row is rebuilt. Both the rebuild and the entrants' weights read one
+    `_YearLayout` of `years`.
     """
-    feats = np.asarray(corpus.features[aspect].vectors, dtype=np.float64)
     n, k = corpus.n, config.k
     old = corpus.years
     years = np.asarray(years, dtype=np.int64)
     if years.shape != old.shape:
         raise ValueError(f"expected {n} years, got shape {years.shape}")
+    layout = _year_layout(corpus.features[aspect].vectors, years)
     if config.temporal_prior != "none":
-        indptr, src, weight = _top_k(feats, years, config, sigma)
+        indptr, src, weight = _top_k(layout, config, sigma)
         return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
     moved = np.flatnonzero(years != old)
     count = np.diff(graph.indptr)
@@ -508,20 +524,20 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
         rebuild[out_dst[years[graph.src[out]] >= years[out_dst]]] = True
     rebuild[moved] = True
 
-    # An artifact moved earlier enters the candidate sets of the rows dated
-    # after its new year and up to its old year, a range in year order. It
-    # can only enter a full row if it weighs at least the row's lightest edge.
+    # An artifact moved earlier enters the candidate sets of the unmoved rows
+    # dated after its new year and up to its old year. An unmoved row's year
+    # is the same in `years`, so those rows lie in one range of layout
+    # positions (the moved rows there are rebuilt). It can only enter a full
+    # row if it weighs at least the row's lightest edge.
     lightest = np.zeros(n)
     full = np.flatnonzero(count == k)
     lightest[full] = graph.weight[graph.indptr[full] + ranks[graph.indptr[full + 1] - 1]]
-    year_order = np.argsort(old, kind="stable")
-    sorted_years = old[year_order]
-    sorted_feats = feats[year_order]
+    sorted_years = years[layout.order]
     e_row, e_src, e_w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for m in moved[years[moved] < old[moved]].tolist():
         lo, hi = np.searchsorted(sorted_years, [years[m], old[m]], side="right")
-        rows = year_order[lo:hi]
-        w = pair_weights(sorted_feats[lo:hi], feats[m], sigma)
+        rows = layout.order[lo:hi].astype(np.int64)  # int64, so that `c_row * n` below cannot wrap
+        w = pair_weights(layout.cols[:-1], np.arange(lo, hi), layout.position[m], sigma)
         keep = (w > 0.0) & (w >= lightest[rows]) & ~rebuild[rows]
         e_row.append(rows[keep])
         e_src.append(np.full(int(keep.sum()), m))
@@ -546,7 +562,7 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     lost = ~won & (c_edge >= 0)
     entered = won & (c_edge < 0)
 
-    r_indptr, r_src, r_w = _top_k(feats, years, config, sigma, rebuild)
+    r_indptr, r_src, r_w = _top_k(layout, config, sigma, rebuild)
     new_count = (count - np.bincount(c_row[lost], minlength=n)
                  + np.bincount(c_row[entered], minlength=n))
     new_count[rebuild] = np.diff(r_indptr)[rebuild]

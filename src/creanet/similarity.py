@@ -27,42 +27,22 @@ def distance_weights(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(np.asarray(d2, dtype=np.float64) / (-2.0 * sigma * sigma))
 
 
-def pair_weights(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel weights between feature rows of `a` and `b`, paired by broadcasting.
+def pair_weights(columns: np.ndarray, a, b, sigma: float) -> np.ndarray:
+    """Kernel weights between the artifacts at indices `a` and `b`, paired by broadcasting.
 
-    Each row runs along the last axis. The squared distance of a pair is
-    summed over the dimensions left to right in float64, with one rounding
-    per subtraction, square and addition, so a weight depends on its pair
-    alone.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[-1]:
-        raise ValueError("feature rows must have matching dimension")
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    return _summed_weights(((a[..., i], b[..., i]) for i in range(a.shape[-1])), shape, sigma)
-
-
-def gathered_pair_weights(columns: np.ndarray, a: np.ndarray, b: np.ndarray,
-                          sigma: float) -> np.ndarray:
-    """`pair_weights` of the artifacts at indices `a` and `b`, paired by broadcasting.
-
-    `columns` holds the features one row per dimension, an artifact to a
-    column. Each dimension's values are gathered in turn, so the scratch
-    spans the pairs, not the pairs times the dimension; the bits are those of
-    `pair_weights` on the gathered rows.
+    `columns` holds the float64 features one row per dimension, an artifact
+    to a column, and every index must lie in [0, n). The squared distance of
+    a pair is summed over the dimensions in order, with one rounding per
+    subtraction, square and addition, so a weight depends on its pair alone.
+    Each dimension's values are gathered in turn, so the scratch spans the
+    pairs, not the pairs times the dimension.
     """
     a_i, b_i = np.empty(np.shape(a)), np.empty(np.shape(b))
-    dims = ((np.take(row, a, out=a_i, mode="clip"), np.take(row, b, out=b_i, mode="clip"))
-            for row in columns)  # indices are in range; "clip" spares take an output buffer
-    return _summed_weights(dims, np.broadcast_shapes(a_i.shape, b_i.shape), sigma)
-
-
-def _summed_weights(dims, shape: tuple[int, ...], sigma: float) -> np.ndarray:
-    """Kernel weights of the squared distances summed over `dims`, (a_i, b_i) in order."""
-    d2 = np.zeros(shape)
+    d2 = np.zeros(np.broadcast_shapes(a_i.shape, b_i.shape))
     diff = np.empty_like(d2)
-    for a_i, b_i in dims:
+    for row in columns:
+        np.take(row, a, out=a_i, mode="clip")  # indices are in range; "clip" spares take a buffer
+        np.take(row, b, out=b_i, mode="clip")
         np.subtract(a_i, b_i, out=diff)
         diff *= diff
         d2 += diff

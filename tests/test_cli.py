@@ -116,6 +116,12 @@ class TestValidate:
                      "--features", "just-a-path.csv"]) == EXIT_INVALID
         assert "ASPECT=PATH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["=features.csv", "visual="], ids=["no_aspect", "no_path"])
+    def test_features_flag_without_aspect_or_path(self, tiny, capsys, pair):
+        manifest, _ = tiny
+        assert main(["validate", "--manifest", str(manifest), "--features", pair]) == EXIT_INVALID
+        assert "ASPECT=PATH" in capsys.readouterr().err
+
 
 
 def crft_file(path, transform):

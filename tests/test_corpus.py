@@ -268,6 +268,21 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match="2 feature rows for 1"):
             cn.Corpus(arts, {"visual": cn.FeatureSet("visual", np.ones((2, 2)))})
 
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValueError, match="row 2 has an empty id"):
+            cn.Corpus([cn.Artifact("a", 1500), cn.Artifact("", 1600)], {})
+
+    @pytest.mark.parametrize("vectors", [np.ones(3), np.ones((3, 0)), np.ones((1, 3, 2))],
+                             ids=["one_dim", "no_columns", "three_dim"])
+    def test_feature_matrix_must_be_2d_with_a_column(self, vectors):
+        with pytest.raises(ValueError, match="must be 2-D with dim >= 1"):
+            cn.FeatureSet("visual", vectors)
+
+    def test_with_years_of_another_length_rejected(self):
+        corpus = make_corpus([1500, 1600], np.eye(2))
+        with pytest.raises(ValueError, match="expected 2 years"):
+            corpus.with_years([1500])
+
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError):
             cn.FeatureSet("visual", np.array([[np.inf, 0.0]]))

@@ -510,7 +510,7 @@ class TestByteBudgets:
         use_cpus(monkeypatch, 1)
         events = []
         real_slab, real_gather, real_partition = (graph_module._slab_top_k,
-                                                  graph_module.gathered_pair_weights, np.argpartition)
+                                                  graph_module.pair_weights, np.argpartition)
 
         def slab_top_k(block, *args):
             events.append(("slab", block.shape[0], block.nbytes))
@@ -526,7 +526,7 @@ class TestByteBudgets:
             return part
 
         monkeypatch.setattr(graph_module, "_slab_top_k", slab_top_k)
-        monkeypatch.setattr(graph_module, "gathered_pair_weights", gathered)
+        monkeypatch.setattr(graph_module, "pair_weights", gathered)
         monkeypatch.setattr(np, "argpartition", argpartition)
         graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=30), 0.8)
         monkeypatch.undo()
@@ -548,3 +548,28 @@ class TestByteBudgets:
         for cells in (1, 12 * 5, 12 * 64):
             monkeypatch.setattr(graph_module, "_SLAB_BYTES", 8 * cells)
             assert np.array_equal(graph_module.edge_ranks(graph), want)
+
+
+class TestUpdateGraph:
+    def test_years_of_another_length_rejected(self):
+        corpus = random_corpus(seed=63, n=20, dim=3)
+        config, sigma = cn.RunConfig(k=4), 1.0
+        graph = cn.build_graph(corpus, "visual", config, sigma)
+        with pytest.raises(ValueError, match="expected 20 years"):
+            graph_module.update_graph(graph, graph_module.edge_ranks(graph), corpus, "visual",
+                                      config, sigma, corpus.years[:-1])
+
+    def test_holds_one_year_ordered_copy_of_the_features(self):
+        # features dominate memory here: the update's peak leaves room for its
+        # one year-ordered layout of them, and not for a second copy
+        corpus = random_corpus(seed=64, n=600, dim=4096, year_lo=1500, year_hi=1560)
+        config, sigma = cn.RunConfig(k=8), 90.0
+        graph = cn.build_graph(corpus, "visual", config, sigma)
+        ranks = graph_module.edge_ranks(graph)
+        years = np.array(corpus.years)
+        years[::100] -= 30  # six artifacts moved back
+        got = []
+        peak = traced_peak(lambda: got.append(graph_module.update_graph(
+            graph, ranks, corpus, "visual", config, sigma, years)))
+        assert peak < 1.5 * corpus.features["visual"].vectors.nbytes
+        assert_same_graph(got[0], cn.build_graph(corpus.with_years(years), "visual", config, sigma))

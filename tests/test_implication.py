@@ -56,6 +56,11 @@ class TestComputeThresholds:
         expected = reference_percentile(graph.weight, 50.0)
         assert np.all(m == expected)
 
+    def test_years_of_another_length_rejected(self):
+        corpus, graph, _ = build()
+        with pytest.raises(ValueError, match="expected 100 years"):
+            cn.compute_thresholds(graph, corpus.years[:-1], cn.RunConfig())
+
     def test_zero_edge_graph_rejected(self):
         corpus = make_corpus([1500, 1500], np.eye(2))
         graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
@@ -98,6 +103,20 @@ class TestComputeThresholds:
 
 
 class TestBuildImplicationNetwork:
+    @pytest.mark.parametrize("cut, message", [("m", "expected 100 thresholds"),
+                                              ("years", "expected 100 years")])
+    def test_inputs_of_another_length_rejected(self, cut, message):
+        corpus, graph, _ = build()
+        config = cn.RunConfig()
+        m = cn.compute_thresholds(graph, corpus.years, config)
+        years = corpus.years
+        if cut == "m":
+            m = m[:-1]
+        else:
+            years = years[:-1]
+        with pytest.raises(ValueError, match=message):
+            cn.build_implication_network(graph, m, years, config)
+
     def test_kept_edge(self):
         graph = from_edges(cn.PaintingGraph, 2, [0], [1], [0.8])
         net = cn.build_implication_network(graph, np.array([0.5, 0.5]),

@@ -36,6 +36,7 @@ update's listed rows and a thread switch every microsecond.
 import contextlib
 import csv
 import dataclasses
+import inspect
 import math
 import sys
 from unittest import mock
@@ -89,10 +90,16 @@ def reference_window_candidates(order, starts, ends, group, budget):
     return np.concatenate(pieces[::-1]) if pieces else np.empty(0, dtype=np.int64)
 
 
+def year_groups(years):
+    """The library's stable year order of `years` and the [start, end) bounds of each year group."""
+    layout = graph_module._year_layout(np.zeros((len(years), 1)), np.asarray(years))
+    return layout.order, layout.starts, layout.ends
+
+
 def reference_build_graph(corpus, aspect, config, sigma):
     """Weigh every candidate pair on its own, select each row's top K, then one lexsort."""
     feats = corpus.features[aspect].vectors
-    order, starts, ends = graph_module._year_groups(corpus.years)
+    order, starts, ends = year_groups(corpus.years)
     src_parts, dst_parts, w_parts = [], [], []
     for g in range(starts.size):
         gs, ge = int(starts[g]), int(ends[g])
@@ -598,6 +605,15 @@ def builds_on_one_and_two_cpus(monkeypatch, build):
     return serial, both, len(starts)
 
 
+TOP_K_SIGNATURE = inspect.signature(graph_module._top_k)
+
+
+def listed_rows(spy) -> list:
+    """The `listed` argument of each call a `_top_k` spy saw, however passed; None if left out."""
+    return [TOP_K_SIGNATURE.bind(*c.args, **c.kwargs).arguments.get("listed")
+            for c in spy.call_args_list]
+
+
 class TestTwoWorkerBuild:
     """The slab loop on two workers gives the serial loop's bits and the oracle's."""
 
@@ -644,7 +660,7 @@ class TestTwoWorkerBuild:
             serial, both, helpers = builds_on_one_and_two_cpus(
                 monkeypatch, lambda: graph_module.update_graph(graph, ranks, corpus, "visual",
                                                                config, sigma, years))
-        listed = [c.args[4] for c in spy.call_args_list]
+        listed = listed_rows(spy)
         assert len(listed) == 2 and listed[0].sum() > 2 * 7 and helpers == 1
         assert_same_graph(serial, both)
         assert_same_graph(both, reference_build_graph(corpus.with_years(years), "visual",
@@ -768,7 +784,7 @@ class TestGraphUpdateAgainstOracle:
             first = len(plans)
             with mock.patch.object(graph_module, "_top_k", wraps=graph_module._top_k) as spy:
                 assert_update_like_rebuild(corpus, config, sigma, years)
-            rebuilt = [c.args[4] for c in spy.call_args_list if len(c.args) > 4]
+            rebuilt = [rows for rows in listed_rows(spy) if rows is not None]
             if prior == "none":
                 # the baseline build, the update's rebuild of its listed rows, the full rebuild
                 _, update, _ = plans[first:]
@@ -829,7 +845,7 @@ class TestWindowCandidatesAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 11), min_size=1, max_size=40))
     def test_every_group_and_budget(self, years):
-        order, starts, ends = graph_module._year_groups(np.array(years))
+        order, starts, ends = year_groups(years)
         for g in range(starts.size):
             for budget in range(1, len(years) + 2):
                 got = window_candidates(order, starts, ends, g, budget)
@@ -839,7 +855,7 @@ class TestWindowCandidatesAgainstOracle:
     def test_cut_inside_and_at_group_edges(self):
         # groups of 3, 1 and 4 artifacts, manifest order mixed across years
         years = np.array([1502, 1500, 1501, 1500, 1502, 1503, 1500, 1502, 1502])
-        order, starts, ends = graph_module._year_groups(years)
+        order, starts, ends = year_groups(years)
         assert [list(order[a:b]) for a, b in zip(starts, ends)] == \
             [[1, 3, 6], [2], [0, 4, 7, 8], [5]]
         for budget, want in ((1, [0]), (4, [0, 4, 7, 8]), (5, [2, 0, 4, 7, 8]),

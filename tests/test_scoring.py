@@ -84,6 +84,19 @@ class TestNormalize:
             np.testing.assert_allclose(op.apply(c), dense_matrix(op) @ c, atol=1e-14)
 
 
+class TestScoreVectorValidation:
+    @pytest.mark.parametrize("scores, message", [
+        ([], "non-empty 1-D"),
+        ([[0.5, 0.5]], "non-empty 1-D"),
+        ([0.5, np.nan], "finite"),
+        ([1.5, -0.5], "non-negative"),
+        ([0.5, 0.25], "sum to 1"),
+    ], ids=["empty", "two_dim", "nan", "negative", "sum"])
+    def test_rejects(self, scores, message):
+        with pytest.raises(ValueError, match=message):
+            cn.ScoreVector(scores=scores, iterations=0, residual=0.0, converged=True)
+
+
 class TestOperatorValidation:
     def test_rejects_bad_column_sum(self):
         from scipy import sparse

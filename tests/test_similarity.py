@@ -1,4 +1,4 @@
-"""Gaussian kernel: hand values, symmetry, pair function against the per-pair scalar."""
+"""Gaussian kernel: hand values, symmetry, the gathered kernel against the per-pair scalar."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import creanet as cn
+from creanet.similarity import pair_weights
 
 from conftest import visual_similarity
 
@@ -15,8 +15,8 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
 def pair_weight(f_i, f_j, sigma):
-    """Kernel weight of one pair of feature vectors."""
-    return float(cn.pair_weights(f_i, f_j, sigma))
+    """Kernel weight of one pair of feature vectors, as columns 0 and 1 of a two-artifact layout."""
+    return float(pair_weights(np.array([f_i, f_j], dtype=np.float64).T, 0, 1, sigma))
 
 
 def test_identical_vectors_weigh_one():
@@ -39,22 +39,12 @@ def test_weight_in_unit_interval_and_decreasing():
     assert w == sorted(w, reverse=True)
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="matching dimension"):
-        pair_weight(np.zeros(2), np.zeros(3), 1.0)
-
-
-def test_kernel_block_dimension_mismatch():
-    with pytest.raises(ValueError, match="matching dimension"):
-        cn.pair_weights(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
-
-
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
 def test_bad_sigma_rejected(sigma):
     with pytest.raises(ValueError):
         pair_weight(np.zeros(2), np.ones(2), sigma)
     with pytest.raises(ValueError, match="sigma"):
-        cn.pair_weights(np.zeros((1, 2)), np.ones((1, 2)), sigma)
+        pair_weights(np.zeros((2, 3)), [0, 1], 2, sigma)
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,19 +69,30 @@ def test_scale_invariance(seed, factor):
 
 def test_pair_weights_match_scalar():
     # every pair of a broadcast block weighs bit for bit what the pair alone weighs
-    rng = np.random.default_rng(2)
-    rows = rng.normal(size=(5, 4))
-    cols = rng.normal(size=(7, 4))
-    block = cn.pair_weights(rows[:, None], cols[None], sigma=1.1)
+    feats = np.random.default_rng(2).normal(size=(12, 4))
+    rows, cols = np.arange(5), np.arange(5, 12)
+    block = pair_weights(feats.T, rows[:, None], cols[None], sigma=1.1)
     assert block.shape == (5, 7)
     for i in range(5):
         for j in range(7):
-            assert block[i, j] == visual_similarity(rows[i], cols[j], 1.1)
-            assert pair_weight(rows[i], cols[j], 1.1) == block[i, j]
+            assert block[i, j] == visual_similarity(feats[rows[i]], feats[cols[j]], 1.1)
+            assert pair_weight(feats[rows[i]], feats[cols[j]], 1.1) == block[i, j]
+
+
+def test_range_against_one_artifact():
+    # a run of positions against one scalar index, as the graph update weighs
+    # an artifact's entrants; the dimension is high enough for the summation
+    # order to show in the last bits
+    feats = np.random.default_rng(3).normal(size=(30, 300))
+    columns = np.ascontiguousarray(feats.T)
+    got = pair_weights(columns, np.arange(4, 25), 27, sigma=9.0)
+    assert got.shape == (21,)
+    assert got.tolist() == [visual_similarity(feats[i], feats[27], 9.0) for i in range(4, 25)]
+    assert np.shape(pair_weights(columns, 3, 27, sigma=9.0)) == ()
 
 
 def test_identical_rows_far_from_origin_weigh_one():
     # a distance expanded as |x|^2 + |y|^2 - 2 x.y loses these to rounding; the pair sum does not
-    v = np.full((3, 6), 1e3)
-    block = cn.pair_weights(v[:, None], v[None], sigma=0.01)
+    columns = np.full((6, 3), 1e3)
+    block = pair_weights(columns, np.arange(3)[:, None], np.arange(3)[None], sigma=0.01)
     assert np.all(block == 1.0)
