@@ -43,7 +43,7 @@ config = cn.RunConfig(k=15)
 result = cn.run_pipeline(corpus, "visual", config)
 
 # The result keeps each stage's counts, not its arrays, which the pipeline
-# frees as it goes; build_network gives the graph, thresholds and network.
+# writes over as it goes; build_network gives the graph, thresholds and network.
 graph, thresholds, net = cn.build_network(corpus, "visual", config, result.sigma)
 print(f"kernel bandwidth (median heuristic): {result.sigma:.3f}")
 print(f"similarity graph: {graph.n_edges} edges over {n} artifacts, "
@@ -51,6 +51,9 @@ print(f"similarity graph: {graph.n_edges} edges over {n} artifacts, "
 print(f"implication network: {net.kept.n_edges} kept (subsequent), "
       f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped; "
       f"{result.dangling_count} nodes with no incoming edge")
+op = cn.normalize(net, config)  # the column-stochastic operator the power iteration applies
+print(f"scoring operator: {len(op.terms)} sparse terms (K and R^T), "
+      f"{int(np.count_nonzero(op.dangling))} columns spread over every node")
 print(f"power iteration: {result.score.iterations} iterations, "
       f"residual {result.score.residual:.2e}")
 

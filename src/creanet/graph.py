@@ -44,14 +44,19 @@ _CSV_ROW_BYTES = 256
 _EDGE_BYTES = 1 << 19
 
 
+def _chunk_size() -> int:
+    """Edges, or per-edge values, in one chunk: `_EDGE_BYTES // 8`, and at least one."""
+    return max(1, _EDGE_BYTES // 8)
+
+
 def _edge_chunks(indptr: np.ndarray):
     """(e0, e1, j0, bounds) for each chunk of edges [e0, e1) of the store with this `indptr`.
 
-    A chunk holds `_EDGE_BYTES // 8` edges, the last one fewer. The
+    A chunk holds `_chunk_size()` edges, the last one fewer. The
     destinations j0, j0 + 1, ... own it: j0 + i owns its edges
     [e0 + bounds[i], e0 + bounds[i + 1]).
     """
-    n_edges, size = int(indptr[-1]), max(1, _EDGE_BYTES // 8)
+    n_edges, size = int(indptr[-1]), _chunk_size()
     for e0 in range(0, n_edges, size):
         e1 = min(e0 + size, n_edges)
         j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
@@ -61,7 +66,7 @@ def _edge_chunks(indptr: np.ndarray):
 
 def _reverse_in_chunks(values: np.ndarray) -> None:
     """Reverse the 1-D `values` in place, a chunk of `_edge_chunks`' size from each end at a time."""
-    size, step = values.size, max(1, _EDGE_BYTES // 8)
+    size, step = values.size, _chunk_size()
     for i0 in range(0, size // 2, step):
         i1 = min(i0 + step, size // 2)
         head = values[i0:i1].copy()
@@ -331,18 +336,20 @@ def _on_two_workers(work: Callable[[Callable[[], int | None]], None], n_tasks: i
         raise errors[0]
 
 
-def _plan_slabs(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int]]:
+def _plan_slabs(lo: np.ndarray, hi: np.ndarray, width: int) -> list[tuple[int, int, int, int]]:
     """Ranking slabs (i0, i1, c0, c1) over rows whose candidates span [lo[i], hi[i]).
 
     `lo` and `hi` ascend, so a slab of the rows [i0, i1) spans the columns
     [lo[i0], hi[i1 - 1]). Each slab takes as many rows as keep its float64
-    block under `_SLAB_BYTES`, and at least one.
+    block, and its rows' copy of `width` float64 values each, under
+    `_SLAB_BYTES`, and at least one.
     """
     cells = _SLAB_BYTES // 8
+    tallest = max(1, cells // width)
     slabs, i0 = [], 0
     while i0 < lo.size:
         c0 = int(lo[i0])
-        most = min(lo.size, i0 + max(1, cells // int(hi[i0] - c0)))
+        most = min(lo.size, i0 + max(1, cells // int(hi[i0] - c0)), i0 + tallest)
         fits = np.arange(1, most - i0 + 1) * (hi[i0:most] - c0) <= cells  # falls once, never rises
         i1 = i0 + max(1, int(np.count_nonzero(fits)))
         slabs.append((i0, i1, c0, int(hi[i1 - 1])))
@@ -358,9 +365,10 @@ def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
     temporal prior come from `config`, the kernel bandwidth is `sigma`.
     Returns (indptr, src, weight): artifact j owns [indptr[j], indptr[j +
     1]), its sources ascending. Destinations are ranked in year order in
-    slabs that `_plan_slabs` sizes to `_SLAB_BYTES`, which may span year
-    groups, with one matrix product against the layout's `cols` each, taken
-    in panels of `_GEMM_ENTRIES` entries; only the kept pairs are weighed,
+    slabs that `_plan_slabs` sizes to `_SLAB_BYTES`, block and copied
+    destination features alike, which may span year groups, with one matrix
+    product against the layout's `cols` each, taken in panels of
+    `_GEMM_ENTRIES` entries; only the kept pairs are weighed,
     with `pair_weights`, so a weight depends on its pair alone and a row's
     edges do not depend on which rows share its slab.
     Two workers, this thread and one helper thread (see `_on_two_workers`),
@@ -390,7 +398,7 @@ def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
     # their candidates span.
     dest = np.flatnonzero(listed[order])
     dest = dest[dest >= ends[0]]  # the earliest year group has no candidates
-    slabs = _plan_slabs(a_lo[group[dest]], starts[group[dest]])
+    slabs = _plan_slabs(a_lo[group[dest]], starts[group[dest]], dim + 1)
     buffer_size = max(((i1 - i0) * (c1 - c0) for i0, i1, c0, c1 in slabs), default=0)
 
     def work(claim: Callable[[], int | None]) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .config import RunConfig
-from .graph import PaintingGraph, _edge_chunks, _reverse_in_chunks, _write_edge_rows
+from .graph import PaintingGraph, _chunk_size, _edge_chunks, _reverse_in_chunks, _write_edge_rows
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,53 @@ class ImplicationNetwork:
 
 
 def _nearest_rank_percentile(values: np.ndarray, p: float) -> float:
-    """The ceil(p/100 * n)-th smallest of n >= 1 values, p in (0, 100]: no interpolation."""
-    rank = math.ceil(p / 100.0 * values.size)
-    return float(np.partition(values, rank - 1)[rank - 1])
+    """The ceil(p/100 * n)-th smallest of n >= 1 values, none NaN, p in (0, 100]: no interpolation.
+
+    No copy spans the values. A sorted sample of every stride-th value, at
+    most `_chunk_size()` of them, brackets the rank between two of its values
+    lo <= hi, and one pass a chunk at a time counts the values below, at and
+    above lo and hi, and gathers those strictly between them, about 8 sqrt(n
+    stride) values; `np.partition` picks the rank among those. A bracket that
+    misses the rank is widened on the missing side, up to -inf or inf; ties at
+    lo or hi are counted, never gathered. When the sample is every value, it
+    gives the rank itself.
+    """
+    n, step = values.size, _chunk_size()
+    rank = math.ceil(p / 100.0 * n)
+    stride = -(-n // step)
+    sample = np.sort(values[::stride])
+    if stride == 1:
+        return float(sample[rank - 1])
+    size = sample.size
+    guess = (rank - 1) * size // n  # where the rank falls in the sample
+    margin = 4 * math.isqrt(size) + 1
+    lo_at, hi_at = guess - margin, guess + margin  # out of the sample: -inf, inf
+    while True:
+        lo = sample[lo_at] if lo_at >= 0 else -np.inf
+        hi = sample[hi_at] if hi_at < size else np.inf
+        below = through_lo = below_hi = through_hi = 0
+        inside = []
+        for i0 in range(0, n, step):
+            v = values[i0:i0 + step]
+            at_most_lo, under_hi = v <= lo, v < hi
+            below += np.count_nonzero(v < lo)
+            through_lo += np.count_nonzero(at_most_lo)
+            below_hi += np.count_nonzero(under_hi)
+            through_hi += np.count_nonzero(v <= hi)
+            inside.append(v[under_hi > at_most_lo])  # lo < v < hi
+        margin *= 2
+        if rank <= below:
+            lo_at, hi_at = lo_at - margin, lo_at
+        elif rank > through_hi:
+            lo_at, hi_at = hi_at, hi_at + margin
+        elif rank <= through_lo:
+            return float(lo)
+        elif rank > below_hi:
+            return float(hi)
+        else:
+            between = np.concatenate(inside)
+            between.partition(rank - through_lo - 1)  # in place, not a second copy
+            return float(between[rank - through_lo - 1])
 
 
 def compute_thresholds(graph: PaintingGraph, years: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -160,8 +204,22 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     graph's edges do, so that the sign of b alone labels each surviving edge.
     Edges are judged a chunk at a time (see `graph._edge_chunks`), in one pass
     that checks their direction, counts each destination's kept and reversed
-    edges and copies them into K and R. K and R share one store as long as
-    the graph, and no other per-edge array spans the graph.
+    edges and copies them into K and R. K and R share one fresh store as long
+    as the graph, which is left as it is; no other per-edge array spans the
+    graph.
+    """
+    return _balance(graph, m, years, config, kept_into=None)
+
+
+def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: RunConfig,
+             kept_into: tuple[np.ndarray, np.ndarray] | None) -> ImplicationNetwork:
+    """`build_implication_network`, writing K's sources and weights to the front of `kept_into`.
+
+    `kept_into` is a writable (src, weight) pair at least as long as the
+    graph, or None for the front of R's store. It may be the graph's own
+    `src` and `weight`: a chunk's kept edges land at or before the chunk's
+    start, and each chunk is read before K is written, so the graph is read
+    whole before it is overwritten (and is no longer a graph after).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -172,7 +230,7 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
     # years as ranks in the smallest integer type that holds them, to keep the per-edge arrays small
     distinct, year_of = np.unique(years, return_inverse=True)
     year_of = year_of.astype(np.min_scalar_type(distinct.size))
-    indptr, src = graph.indptr, graph.src
+    indptr, src, weight = graph.indptr, graph.src, graph.weight
 
     def balanced(e0: int, e1: int, j0: int, bounds: np.ndarray) -> np.ndarray:
         """b = w - m(anchor) of the edges [e0, e1), owned as `_edge_chunks` gives them."""
@@ -180,13 +238,15 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
             at = m[src[e0:e1]]
         else:
             at = np.repeat(m[j0:j0 + bounds.size - 1], np.diff(bounds))
-        return np.subtract(graph.weight[e0:e1], at, out=at)
+        return np.subtract(weight[e0:e1], at, out=at)
 
-    # K fills one store as long as the graph from the front and R from the
-    # back, last edge first, then R is turned around; the pages the dropped
-    # edges would take are never written, so never resident.
+    # R fills a store as long as the graph from the back, last edge first,
+    # then is turned around; K fills `kept_into`, or that store, from the
+    # front. The pages the dropped edges would take are never written, so
+    # never resident.
     store_src = np.empty(graph.n_edges, dtype=np.int32)
     store_weight = np.empty(graph.n_edges, dtype=np.float64)
+    kept_src, kept_weight = (store_src, store_weight) if kept_into is None else kept_into
     counts = np.zeros((2, graph.n), dtype=np.int64)  # kept and reversed edges of each destination
     kept_end, reversed_start = 0, graph.n_edges
     for e0, e1, j0, bounds in _edge_chunks(indptr):
@@ -205,16 +265,21 @@ def build_implication_network(graph: PaintingGraph, m: np.ndarray, years: np.nda
         at_up = slice(kept_end, kept_end + up.size)
         at_down = slice(reversed_start - down.size, reversed_start)
         kept_end, reversed_start = at_up.stop, at_down.start
-        # gathers by position beat boolean indexing twofold; "clip" spares take a buffer
-        for picked, at in ((up, at_up), (down[::-1], at_down)):
-            np.take(src[e0:e1], picked, out=store_src[at], mode="clip")
-            np.take(b, picked, out=store_weight[at], mode="clip")
+        # R before K, which may overwrite this chunk's sources; gathers by
+        # position beat boolean indexing twofold; "clip" spares take a buffer
+        for picked, at, to_src, to_weight in ((down[::-1], at_down, store_src, store_weight),
+                                              (up, at_up, kept_src, kept_weight)):
+            np.take(src[e0:e1], picked, out=to_src[at], mode="clip")
+            np.take(b, picked, out=to_weight[at], mode="clip")
         np.negative(store_weight[at_down], out=store_weight[at_down])  # m - w, -(w - m) to the bit
     _reverse_in_chunks(store_src[reversed_start:])
     _reverse_in_chunks(store_weight[reversed_start:])
-    kept, reversed_ = (PaintingGraph(n=graph.n, indptr=np.concatenate(([0], np.cumsum(counts[row]))),
-                                     src=store_src[at], weight=store_weight[at])
-                       for row, at in enumerate((slice(0, kept_end), slice(reversed_start, None))))
+    indptrs = np.zeros((2, graph.n + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=indptrs[:, 1:])
+    kept = PaintingGraph(n=graph.n, indptr=indptrs[0], src=kept_src[:kept_end],
+                         weight=kept_weight[:kept_end])
+    reversed_ = PaintingGraph(n=graph.n, indptr=indptrs[1], src=store_src[reversed_start:],
+                              weight=store_weight[reversed_start:])
     return ImplicationNetwork(kept=kept, reversed=reversed_,
                               dropped_count=graph.n_edges - kept.n_edges - reversed_.n_edges)
 

@@ -5,9 +5,11 @@ stochastic operator -> score vector; the operator scales the network's
 K + R^T term by term, from the graph's own kept and reversed edges. Aspects
 never mix; the multi-aspect driver just runs the pipeline once per aspect.
 
-Scoring holds each per-edge array only while a later stage reads it, and a
-`PipelineResult` keeps the counts and statistics `run_meta.json` records,
-not the arrays; `build_network` gives those.
+`run_pipeline` owns its graph, so each stage writes into the memory of the
+stage before it: balancing writes K over the graph's own arrays, and
+normalization divides K's and R's weights in place. A `PipelineResult`
+keeps the counts and statistics `run_meta.json` records, not the arrays;
+`build_network`, which leaves its graph as it is, gives those.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import PaintingGraph, build_graph
-from .implication import (ImplicationNetwork, _nearest_rank_percentile,
+from .implication import (ImplicationNetwork, _balance, _nearest_rank_percentile,
                           build_implication_network, compute_thresholds)
-from .scoring import ScoreVector, normalize, solve_power
+from .scoring import ScoreVector, _scale, solve_power
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class PipelineResult:
     """Scores for one aspect plus the facts `run_meta.json` records of every stage.
 
     It holds counts and statistics, not the stages' per-edge arrays, which
-    `run_pipeline` frees as soon as no later stage reads them;
-    `build_network` gives the graph, thresholds and network themselves.
+    `run_pipeline` writes over or frees as soon as no later stage reads
+    them; `build_network` gives the graph, thresholds and network themselves.
     `threshold_stats` holds the balancing threshold(s): the global m, or the
     min, nearest-rank median and max of the local ones, each None when the
     graph has no edges and balancing had nothing to judge.
@@ -119,16 +121,31 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
     """Similarity graph, balancing thresholds and implication network of one aspect.
 
     `graph`, when given, is the similarity graph already built for these
-    settings. The thresholds are None when the graph has no edges and
-    balancing had nothing to judge.
+    settings; it is left as it is. The thresholds are None when the graph
+    has no edges and balancing had nothing to judge.
     """
     if graph is None:
         graph = build_graph(corpus, aspect, config, sigma)
+    return (graph, *_network(graph, corpus.years, config, build_implication_network))
+
+
+def _network(graph: PaintingGraph, years: np.ndarray, config: RunConfig,
+             balance: Callable[..., ImplicationNetwork]
+             ) -> tuple[np.ndarray | None, ImplicationNetwork]:
+    """Thresholds and implication network of `graph`, balanced by `balance(graph, m, years, config)`."""
     if graph.n_edges == 0:
-        return graph, None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
-    thresholds = compute_thresholds(graph, corpus.years, config)
-    network = build_implication_network(graph, thresholds, corpus.years, config)
-    return graph, thresholds, network
+        return None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
+    thresholds = compute_thresholds(graph, years, config)
+    return thresholds, balance(graph, thresholds, years, config)
+
+
+def _handed_over(values: np.ndarray) -> np.ndarray:
+    """`values` made writable, for the next stage to write into; a fresh array if its memory is read-only."""
+    try:
+        values.setflags(write=True)
+    except ValueError:  # a view of memory that cannot be written, such as a read-only map
+        return np.empty_like(values)
+    return values
 
 
 def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | None = None,
@@ -137,26 +154,31 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
 
     Passing `graph` skips the graph build: it is called once, with no
     arguments, for the similarity graph of `corpus` at this bandwidth and
-    these settings. The graph is dropped once the network is built, and the
-    network once the operator is normalized, so a graph that no caller
-    holds is freed before the solve.
+    these settings, and hands that graph over. Its `src` and `weight` become
+    the kept edges' store and, scaled in place, the operator's values, so the
+    graph is no longer a graph once this returns: pass a copy of one you
+    keep. The reversed edges get a store of their own, scaled in place too,
+    so scoring never holds a second copy of the graph's edges.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")
     if sigma is None:
         sigma = resolve_sigma(corpus, aspect, config)
 
-    built, thresholds, network = build_network(corpus, aspect, config, sigma,
-                                               None if graph is None else graph())
-    graph_edges = built.n_edges
+    made = build_graph(corpus, aspect, config, sigma) if graph is None else graph()
+    graph_edges = made.n_edges
+    kept_into = (_handed_over(made.src), _handed_over(made.weight))
+    thresholds, network = _network(made, corpus.years, config,
+                                   lambda *args: _balance(*args, kept_into=kept_into))
     threshold_stats = _threshold_stats(thresholds, config.balancing_mode)
-    del built, thresholds  # a graph the caller holds stays; one made here is freed
+    del made, thresholds  # the graph's arrays now hold K
     entered = np.diff(network.kept.indptr) > 0  # the nodes with an edge into them in K + R^T
     entered[network.reversed.src] = True
     dangling_count = corpus.n - int(np.count_nonzero(entered))
     kept, reversed_, dropped = network.kept_count, network.reversed_count, network.dropped_count
-    op = normalize(network, config)
-    del network  # the operator holds scaled copies of the weights
+    op = _scale(network, config, _handed_over(network.kept.weight),
+                _handed_over(network.reversed.weight))
+    del network  # its weights are the operator's values now
     score = solve_power(op, config)
     return PipelineResult(aspect=aspect, sigma=float(sigma), graph_edges=graph_edges,
                           kept_count=kept, reversed_count=reversed_, dropped_count=dropped,

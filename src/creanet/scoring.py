@@ -19,10 +19,28 @@ import numpy as np
 from scipy import sparse
 
 from .config import RunConfig
+from .graph import _edge_chunks
 from .implication import ImplicationNetwork
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_SUM_TOL = 1e-9
+
+
+def _compressed(container: type, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                n: int) -> sparse.spmatrix:
+    """The n x n `container` (`csc_matrix` or `csr_matrix`) on these arrays themselves.
+
+    scipy's constructor, and so its `transpose`, copies `data` or `indices`
+    when either is a view of less than half its base, as K's and R's arrays
+    are of the stores they were written into; so the arrays are set on an
+    empty matrix instead. `indptr` takes the index type of `indices`, int64
+    only past 2**31 - 1 entries.
+    """
+    index = np.int32 if int(indptr[-1]) < 2 ** 31 else np.int64
+    matrix = container((n, n))
+    matrix.data, matrix.indices = data, indices.astype(index, copy=False)
+    matrix.indptr = indptr.astype(index)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -49,9 +67,12 @@ class StochasticOperator:
             if term.shape != (self.n, self.n):
                 raise ValueError(f"matrix must be {self.n}x{self.n}, got {term.shape}")
             data = term.data
-            if data.size and not (np.all(np.isfinite(data)) and data.min() >= 0.0 and data.max() <= 1.0):
+            if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails both
                 raise ValueError("operator entries must lie in [0, 1]")
-            col_sums += term.T @ np.ones(self.n)  # a transpose is a view: no copy
+            flipped = {"csc": sparse.csr_matrix, "csr": sparse.csc_matrix}.get(term.format)
+            transposed = (term.T if flipped is None
+                          else _compressed(flipped, data, term.indices, term.indptr, self.n))
+            col_sums += transposed @ np.ones(self.n)
         if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
             raise ValueError("every column's entries plus its dangling weight must sum to 1")
         dangling.setflags(write=False)  # only once every check has passed
@@ -101,37 +122,55 @@ def normalize(cin: ImplicationNetwork, config: RunConfig) -> StochasticOperator:
     """The scoring operator of a CIN: combined, or the split at `config.beta`, by `config.scoring`.
 
     Its terms are the network's K and R^T, scaled, on the stores' `indptr`
-    and `src` (R^T is a transposed view of R, not a copy). Combined scoring
+    and `src` (R^T is a transposed view of R, not a copy), with the scaled
+    values in fresh arrays: `cin` is left as it is. Combined scoring
     divides each edge by its column's total, K's column sum plus R's source
     sum. Split scoring gives beta * M_prior + (1 - beta) * M_subseq: K divided
     by its own column sums, R by its own source sums. At beta = 1 or 0 the
     store with zero weight is left out, so each limit scores bit for bit like
     an operator built from that one store.
     """
+    return _scale(cin, config, np.empty(cin.kept.n_edges), np.empty(cin.reversed.n_edges))
+
+
+def _scale(cin: ImplicationNetwork, config: RunConfig, kept_values: np.ndarray,
+           reversed_values: np.ndarray) -> StochasticOperator:
+    """`normalize`, writing K's and R's scaled values to `kept_values` and `reversed_values`.
+
+    Each is a writable float64 array as long as its store; it may be the
+    store's own `weight`, which is then divided in place, as every divisor
+    is summed before the first edge is scaled. Divisors are taken a chunk of
+    edges at a time (see `graph._edge_chunks`), so no per-edge temporary
+    spans a store.
+    """
     kept, rev = cin.kept, cin.reversed
     n = kept.n
     # Sparse products add each node's edges in edge order: K's column sums read
     # its columns as rows, R's source sums read R as it is stored.
-    subsequent = sparse.csr_matrix((kept.weight, kept.src, kept.indptr), shape=(n, n)) @ np.ones(n)
-    prior = sparse.csc_matrix((rev.weight, rev.src, rev.indptr), shape=(n, n)) @ np.ones(n)
+    subsequent = _compressed(sparse.csr_matrix, kept.weight, kept.src, kept.indptr, n) @ np.ones(n)
+    prior = _compressed(sparse.csc_matrix, rev.weight, rev.src, rev.indptr, n) @ np.ones(n)
     if config.scoring == "combined":
         total = subsequent + prior
-        scaled = ((kept, total, 1.0, False), (rev, total, 1.0, True))
+        scaled = ((kept, total, 1.0, False, kept_values), (rev, total, 1.0, True, reversed_values))
         dangling = (total == 0.0).astype(np.float64)
     else:
         beta = config.beta
-        scaled = ((kept, subsequent, 1.0 - beta, False), (rev, prior, beta, True))
+        scaled = ((kept, subsequent, 1.0 - beta, False, kept_values),
+                  (rev, prior, beta, True, reversed_values))
         dangling = beta * (prior == 0.0) + (1.0 - beta) * (subsequent == 0.0)
     terms = []
-    for store, sums, scale, transpose in scaled:
+    for store, sums, scale, transpose, values in scaled:
         if scale == 0.0:
             continue
-        values = sums[store.src] if transpose else np.repeat(sums, np.diff(store.indptr))
-        np.divide(store.weight, values, out=values)
+        for e0, e1, j0, bounds in _edge_chunks(store.indptr):
+            divisors = (sums[store.src[e0:e1]] if transpose
+                        else np.repeat(sums[j0:j0 + bounds.size - 1], np.diff(bounds)))
+            np.divide(store.weight[e0:e1], divisors, out=values[e0:e1])
         if scale != 1.0:
             values *= scale
-        matrix = sparse.csc_matrix((values, store.src, store.indptr), shape=(n, n))
-        terms.append(matrix.T if transpose else matrix)
+        # R^T is R's arrays read by row
+        terms.append(_compressed(sparse.csr_matrix if transpose else sparse.csc_matrix,
+                                 values, store.src, store.indptr, n))
     return StochasticOperator(n=n, terms=tuple(terms), dangling=dangling)
 
 

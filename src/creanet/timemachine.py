@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,9 +126,11 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
     sigma = resolve_sigma(corpus, aspect, config)
     graph = build_graph(corpus, aspect, config, sigma)
     ranks = edge_ranks(graph)
-    # Of the baseline pass only the graph and the scores are used again; its
-    # network is freed here rather than held through every run.
-    base_score = run_pipeline(corpus, aspect, config, sigma=sigma, graph=lambda: graph).score
+    # `run_pipeline` writes over the graph it is handed, and every run reads
+    # the baseline graph, so the baseline pass takes a copy of it.
+    base_score = run_pipeline(corpus, aspect, config, sigma=sigma,
+                              graph=lambda: replace(graph, src=graph.src.copy(),
+                                                    weight=graph.weight.copy())).score
     baseline = base_score.scores
     converged = base_score.converged
 
@@ -142,7 +144,7 @@ def run_time_machine(corpus: Corpus, config: RunConfig, spec: TimeMachineSpec,
         perturbed_years[targets] = new_years
         perturbed = corpus.with_years(perturbed_years)
         # The run's graph is made inside `run_pipeline`, which holds the only
-        # reference to it and frees it once the network is built.
+        # reference to it and balances and scales in its memory.
         score = run_pipeline(
             perturbed, aspect, config, sigma=sigma,
             graph=lambda: update_graph(graph, ranks, corpus, aspect, config, sigma,

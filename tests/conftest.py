@@ -68,8 +68,8 @@ def planned_slabs(monkeypatch) -> list[list[tuple[int, int, int, int]]]:
     plans = []
     real = graph_module._plan_slabs
 
-    def plan(lo, hi):
-        plans.append(real(lo, hi))
+    def plan(lo, hi, width):
+        plans.append(real(lo, hi, width))
         return plans[-1]
 
     monkeypatch.setattr(graph_module, "_plan_slabs", plan)

@@ -11,7 +11,7 @@ from creanet import graph as graph_module
 
 from conftest import (chain_graph, edge_dst, from_edges, make_corpus, random_corpus, traced_peak,
                       use_cpus, use_edge_chunk, use_slab_rows, visual_similarity)
-from test_oracles import assert_same_graph
+from test_oracles import assert_same_graph, reference_build_graph
 
 
 def brute_force_edges(corpus, aspect, k, sigma, window_k=None):
@@ -481,10 +481,11 @@ class TestTwoWorkers:
 
 
 class TestByteBudgets:
-    """Slabs, their partitions and their pick gathers stay under `_SLAB_BYTES` but for the one-row floor."""
+    """Slabs, their feature copies, partitions and pick gathers stay under `_SLAB_BYTES` but for the one-row floor."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_plan_is_maximal_and_under_budget(self, monkeypatch, seed):
+        # a slab's rows are charged the wider of their block row and their feature row
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 400))
         lo = np.sort(rng.integers(0, 300, size=size))
@@ -492,25 +493,35 @@ class TestByteBudgets:
         hi = np.maximum.accumulate(hi)
         for cells in (1, 7, 250, 4_000, 10 ** 6):
             monkeypatch.setattr(graph_module, "_SLAB_BYTES", 8 * cells)
-            slabs = graph_module._plan_slabs(lo, hi)
-            assert [s[0] for s in slabs] == [0] + [s[1] for s in slabs[:-1]] and slabs[-1][1] == size
-            for i0, i1, c0, c1 in slabs:
-                assert (c0, c1) == (lo[i0], hi[i1 - 1])
-                assert (i1 - i0) * (c1 - c0) <= cells or i1 - i0 == 1
-                if i1 < size:  # one more row would not have fit
-                    assert (i1 + 1 - i0) * (hi[i1] - c0) > cells
+            for width in (1, 17, 2_660):
+                slabs = graph_module._plan_slabs(lo, hi, width)
+                assert [s[0] for s in slabs] == [0] + [s[1] for s in slabs[:-1]]
+                assert slabs[-1][1] == size
+                for i0, i1, c0, c1 in slabs:
+                    assert (c0, c1) == (lo[i0], hi[i1 - 1])
+                    assert (i1 - i0) * max(c1 - c0, width) <= cells or i1 - i0 == 1
+                    if i1 < size:  # one more row would not have fit
+                        assert (i1 + 1 - i0) * max(hi[i1] - c0, width) > cells
 
-    @pytest.mark.parametrize("rows", [4, 0.5], ids=["four_rows", "half_a_row"])
-    def test_blocks_partitions_and_gathers_stay_under_budget(self, monkeypatch, rows):
-        # a slab's block, its partition and each per-dimension pick gather, in the
-        # order the serial build makes them; only a one-row slab may pass the budget
-        corpus = random_corpus(seed=61, n=400, dim=5, year_lo=1500, year_hi=1540)
+    @pytest.mark.parametrize("rows, dim", [(4, 5), (0.5, 5), (4, 300)],
+                             ids=["four_rows", "half_a_row", "four_rows_dim_300"])
+    def test_blocks_partitions_and_gathers_stay_under_budget(self, monkeypatch, rows, dim):
+        # a slab's feature copy (the left operand of its products), its block, its
+        # partition and each per-dimension pick gather, in the order the serial
+        # build makes them; only a one-row slab may pass the budget. At dim 300
+        # a feature row outweighs most block rows.
+        corpus = random_corpus(seed=61, n=400, dim=dim, year_lo=1500, year_hi=1540)
+        sigma = 0.8 * np.sqrt(dim / 5)
         budget = int(8 * rows * corpus.n)
         monkeypatch.setattr(graph_module, "_SLAB_BYTES", budget)
         use_cpus(monkeypatch, 1)
         events = []
-        real_slab, real_gather, real_partition = (graph_module._slab_top_k,
-                                                  graph_module.pair_weights, np.argpartition)
+        real_slab, real_gather, real_partition, real_matmul = (
+            graph_module._slab_top_k, graph_module.pair_weights, np.argpartition, np.matmul)
+
+        def matmul(x, *args, **kwargs):
+            events.append(("copy", x.shape[0], x.nbytes))
+            return real_matmul(x, *args, **kwargs)
 
         def slab_top_k(block, *args):
             events.append(("slab", block.shape[0], block.nbytes))
@@ -528,16 +539,21 @@ class TestByteBudgets:
         monkeypatch.setattr(graph_module, "_slab_top_k", slab_top_k)
         monkeypatch.setattr(graph_module, "pair_weights", gathered)
         monkeypatch.setattr(np, "argpartition", argpartition)
-        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=30), 0.8)
+        monkeypatch.setattr(np, "matmul", matmul)
+        graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=30), sigma)
         monkeypatch.undo()
-        assert_same_graph(graph, cn.build_graph(corpus, "visual", cn.RunConfig(k=30), 0.8))
+        assert_same_graph(graph, cn.build_graph(corpus, "visual", cn.RunConfig(k=30), sigma))
+        assert_same_graph(graph, reference_build_graph(corpus, "visual", cn.RunConfig(k=30), sigma))
         kinds = {kind for kind, _, _ in events}
-        assert kinds == {"slab", "gather", "partition"}
+        assert kinds == {"copy", "slab", "gather", "partition"}
         floor = 0
         for kind, slab_rows, nbytes in events:
-            if kind == "slab":
-                one_row, block_bytes = slab_rows == 1, nbytes
-            assert nbytes <= budget or (one_row and nbytes <= block_bytes)
+            if kind == "copy":
+                assert nbytes <= budget or slab_rows == 1
+            else:
+                if kind == "slab":
+                    one_row, block_bytes = slab_rows == 1, nbytes
+                assert nbytes <= budget or (one_row and nbytes <= block_bytes)
             floor += nbytes > budget
         assert (floor > 0) == (rows < 1)  # half a row: the widest rows rank alone, over budget
 

@@ -49,6 +49,64 @@ class TestNearestRankPercentile:
         assert sum(v <= result for v in values) >= math.ceil(p / 100.0 * len(values))
 
 
+def percentile_sample(case: str, chunk: int) -> np.ndarray:
+    """Values for the copy-free percentile's oracle, by `case`; some read the sampling stride."""
+    rng = np.random.default_rng(len(case) + chunk)
+    n = 5_000
+    stride = -(-n // chunk)  # every stride-th value is sampled
+    if case == "random":
+        return rng.random(n)
+    if case == "ties_at_rank":
+        values = rng.random(n)
+        values[rng.random(n) < 0.4] = 0.5  # 40% tie at the median, which falls among them
+        return values
+    if case == "all_equal":
+        return np.full(n, 0.3)
+    if case == "one_value":
+        return np.array([0.7])
+    if case == "subnormal":  # whole-number multiples of the smallest subnormal, and normal values
+        return np.concatenate((rng.integers(1, 50, size=n // 2) * 5e-324, rng.random(n // 2)))
+    if case == "few_levels":  # ties at the bracket's ends and inside it
+        return rng.integers(1, 4, size=n).astype(np.float64)
+    if case == "misleading_sample":  # the sampled values are all far below the rest
+        values = 1_000.0 + rng.random(n)
+        values[::stride] = np.arange(values[::stride].size, dtype=np.float64)
+        return values
+    if case == "misleading_sample_above":
+        values = rng.random(n)
+        values[::stride] = 1_000.0 + np.arange(values[::stride].size)
+        return values
+    raise AssertionError(case)
+
+
+class TestCopyFreePercentile:
+    """`_nearest_rank_percentile` against `np.partition` at the nearest rank, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [4, 64, 1 << 16], ids=["chunk_4", "chunk_64", "one_chunk"])
+    @pytest.mark.parametrize("case", ["random", "ties_at_rank", "all_equal", "one_value", "subnormal",
+                                      "few_levels", "misleading_sample", "misleading_sample_above"])
+    def test_equals_partition_at_the_nearest_rank(self, monkeypatch, chunk, case):
+        use_edge_chunk(monkeypatch, chunk)
+        values = percentile_sample(case, chunk)
+        before = values.tobytes()
+        for p in (1e-9, 0.5, 10.0, 25.0, 50.0, 90.0, 99.99, 100.0):
+            rank = math.ceil(p / 100.0 * values.size)
+            want = np.partition(values, rank - 1)[rank - 1]
+            got = _nearest_rank_percentile(values, p)
+            assert np.float64(got).tobytes() == want.tobytes(), (case, p)
+        assert values.tobytes() == before
+
+    def test_global_threshold_holds_no_copy_of_the_weights(self):
+        # a sample of at most one chunk and a bracket of about 8 sqrt(n stride)
+        # weights, not all 2 * 10^6 of them
+        graph, years = chain_graph(n=10_000, per_node=200, seed=5)
+        config = cn.RunConfig(percentile_p=37.5)
+        got = []
+        peak = traced_peak(lambda: got.append(cn.compute_thresholds(graph, years, config)))
+        assert peak < 0.15 * graph.weight.nbytes
+        assert np.all(got[0] == reference_percentile(graph.weight, 37.5))
+
+
 class TestComputeThresholds:
     def test_global_mode_constant(self):
         corpus, graph, _ = build()

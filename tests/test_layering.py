@@ -91,3 +91,55 @@ def test_settings_are_checked_only_in_config():
             if checks_setting.match(message) and not allowed:
                 found.append(f"{path.name}:{function}: {message!r}")
     assert not found, f"settings checked outside config.py: {found}"
+
+
+# The stage cores that write into memory their caller hands them, and the
+# public wrappers that hand them fresh memory; only `pipeline.py` hands one
+# stage the memory of the stage before it.
+STAGE_CORES = {"_balance": ("implication.py", "build_implication_network"),
+               "_scale": ("scoring.py", "normalize")}
+
+
+def calls_and_writes(tree: ast.Module):
+    """(enclosing function, name, node) of each call by name, and of each `.writeable =` assignment."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                yield function, name, child
+            elif isinstance(child, ast.Assign):
+                for target in child.targets:
+                    if isinstance(target, ast.Attribute) and target.attr in ("writeable", "WRITEABLE"):
+                        yield function, "writeable", child
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def unfreezes(name: str, node: ast.AST) -> bool:
+    """Whether a call or assignment may make an array writable again."""
+    if name == "writeable":
+        return True
+    if name == "setflags":
+        return any(kw.arg == "write" and not (isinstance(kw.value, ast.Constant) and kw.value.value is False)
+                   for kw in node.keywords) or bool(node.args)
+    return False
+
+
+def test_only_the_pipeline_hands_a_stage_its_inputs_memory():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        for function, name, node in calls_and_writes(parse(path)):
+            if unfreezes(name, node):
+                found.append(f"{path.name}:{function}: makes an array writable")
+            if name in STAGE_CORES and STAGE_CORES[name] != (path.name, function):
+                found.append(f"{path.name}:{function}: calls {name}")
+    assert not found, f"stage memory handed over outside pipeline.py: {found}"
+    pipeline_calls = {name for _, name, _ in calls_and_writes(parse(PACKAGE / "pipeline.py"))}
+    assert set(STAGE_CORES) <= pipeline_calls and "setflags" in pipeline_calls

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -20,8 +21,9 @@ from creanet.cli import main
 from creanet.pipeline import _fork_pair
 
 from conftest import (cin_edges, count_thread_starts, make_corpus, random_corpus, solve_closed_form,
-                      use_cpus, use_slab_rows, write_corpus_files, write_features_binary)
-from test_oracles import reference_percentile
+                      traced_peak, use_cpus, use_edge_chunk, use_slab_rows, write_corpus_files,
+                      write_features_binary)
+from test_oracles import quantised_corpus, reference_percentile
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +107,8 @@ class TestRunPipeline:
         np.testing.assert_allclose(result.score.scores, 0.2, atol=1e-15)
 
 
-class TestStagesFreed:
-    """`run_pipeline` keeps facts, not arrays, and drops each stage once the next has read it."""
+class TestStagesReuseMemory:
+    """`run_pipeline` keeps facts, not arrays, and each stage writes into the memory of the one before."""
 
     def test_result_holds_no_per_edge_array(self, corpus, config):
         result = cn.run_pipeline(corpus, "visual", config)
@@ -119,29 +121,107 @@ class TestStagesFreed:
         assert set(map(type, result.threshold_stats.values())) == {float}
 
     @pytest.mark.parametrize("given", [False, True], ids=["built", "made_by_caller"])
-    def test_graph_and_weights_freed_before_the_solve(self, monkeypatch, corpus, config, given):
+    def test_k_and_the_operator_live_in_the_graphs_buffers(self, monkeypatch, corpus, config, given):
         import creanet.pipeline as pipeline_module
-        refs, alive = [], []
-        real_build, real_solve = pipeline_module.build_network, pipeline_module.solve_power
+        seen = {}
+        real_scale, real_solve = pipeline_module._scale, pipeline_module.solve_power
+        sigma = cn.resolve_sigma(corpus, "visual", config)
 
-        def build_network(*args):
-            graph, thresholds, network = real_build(*args)
-            refs.extend(weakref.ref(a) for a in (graph, network, network.kept.weight,
-                                                 network.reversed.weight))
-            return graph, thresholds, network
+        def build_graph(*args):
+            graph = cn.build_graph(*args)
+            seen["graph"], seen["buffers"] = weakref.ref(graph), (graph.src, graph.weight)
+            return graph
+
+        def scale(network, *args):
+            seen["network"] = weakref.ref(network)
+            seen["stores"] = (network.kept.src, network.kept.weight, network.reversed.weight)
+            op = real_scale(network, *args)
+            seen["values"] = [term.data for term in op.terms]
+            return op
 
         def solve_power(*args, **kwargs):
-            alive.extend(ref() is not None for ref in refs)
+            seen["alive"] = (seen["graph"]() is not None, seen["network"]() is not None)
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline_module, "build_network", build_network)
+        if not given:
+            monkeypatch.setattr(pipeline_module, "build_graph", build_graph)
+        monkeypatch.setattr(pipeline_module, "_scale", scale)
         monkeypatch.setattr(pipeline_module, "solve_power", solve_power)
-        sigma = cn.resolve_sigma(corpus, "visual", config)
-        made = (lambda: cn.build_graph(corpus, "visual", config, sigma)) if given else None
+        made = (lambda: build_graph(corpus, "visual", config, sigma)) if given else None
         result = cn.run_pipeline(corpus, "visual", config, sigma=sigma, graph=made)
-        assert alive == [False] * 4
+        assert seen["alive"] == (False, False)  # the objects go; their buffers are reused
+        src, weight = seen["buffers"]
+        kept_src, kept_weight, reversed_weight = seen["stores"]
+        assert np.shares_memory(kept_src, src) and np.shares_memory(kept_weight, weight)
+        assert not np.shares_memory(reversed_weight, weight)
+        kept_values, reversed_values = seen["values"]
+        assert np.shares_memory(kept_values, weight)
+        assert np.shares_memory(reversed_values, reversed_weight)
+        network = stages_of(corpus, config, result)[2]
         assert result.score.scores.tobytes() == \
-            cn.run_pipeline(corpus, "visual", config).score.scores.tobytes()
+            cn.solve_power(cn.normalize(network, config), config).scores.tobytes()
+
+    def test_scoring_allocates_one_store_beyond_the_graph(self, monkeypatch):
+        # balancing's R store is as long as the graph; the percentile, K and the
+        # operator's values take no more per-edge memory
+        corpus = random_corpus(seed=53, n=1000, dim=4)
+        config = cn.RunConfig(k=300, seed=3)
+        sigma = cn.resolve_sigma(corpus, "visual", config)
+        graphs = [cn.build_graph(corpus, "visual", config, sigma)]
+        edge_bytes = graphs[0].src.nbytes + graphs[0].weight.nbytes
+        use_edge_chunk(monkeypatch, 512)
+        peak = traced_peak(lambda: cn.run_pipeline(corpus, "visual", config, sigma=sigma,
+                                                   graph=graphs.pop))
+        assert edge_bytes <= peak < 1.1 * edge_bytes
+
+
+def test_owner_scores_a_graph_in_read_only_memory(corpus, config):
+    # memory that cannot be made writable, such as a read-only map, is read, not written
+    sigma = cn.resolve_sigma(corpus, "visual", config)
+    graph = cn.build_graph(corpus, "visual", config, sigma)
+    src, weight = (np.frombuffer(a.tobytes(), dtype=a.dtype) for a in (graph.src, graph.weight))
+    before = (src.tobytes(), weight.tobytes())
+    result = cn.run_pipeline(corpus, "visual", config, sigma=sigma,
+                             graph=lambda: cn.PaintingGraph(graph.n, graph.indptr, src, weight))
+    assert (src.tobytes(), weight.tobytes()) == before
+    assert result.score.scores.tobytes() == \
+        cn.run_pipeline(corpus, "visual", config, sigma=sigma).score.scores.tobytes()
+
+
+def owner_cases():
+    """(corpus, config) pairs over balancing modes, anchors and scorings, edgeless and all-dropped graphs."""
+    corpora = {"random": random_corpus(seed=54, n=150, dim=4),
+               "ties": quantised_corpus(seed=55, n=150, dim=2, levels=3, year_lo=1500, year_hi=1540)}
+    for (name, corpus), mode, anchor, (scoring, beta) in itertools.product(
+            corpora.items(), ("global", "local"), ("destination", "source"),
+            (("combined", 0.5), ("split", 0.0), ("split", 0.5), ("split", 1.0))):
+        config = cn.RunConfig(k=10, seed=3, sigma=1.0, balancing_mode=mode, local_window_years=15,
+                              min_local_sample=5, balance_anchor=anchor, scoring=scoring, beta=beta)
+        yield pytest.param(corpus, config, id=f"{name}-{mode}-{anchor}-{scoring}-{beta}")
+    yield pytest.param(make_corpus([1700] * 5, np.arange(10.0).reshape(5, 2)), cn.RunConfig(sigma=1.0),
+                       id="edgeless")
+    yield pytest.param(make_corpus(np.arange(1500, 1520), np.ones((20, 3))), cn.RunConfig(sigma=1.0),
+                       id="all_dropped")
+
+
+@pytest.mark.parametrize("corpus, config", owner_cases())
+def test_owner_scores_like_the_stages_that_keep_their_inputs(monkeypatch, corpus, config):
+    use_edge_chunk(monkeypatch, 64)
+    result = cn.run_pipeline(corpus, "visual", config)
+    graph = cn.build_graph(corpus, "visual", config, result.sigma)
+    before = (graph.src.tobytes(), graph.weight.tobytes())
+    _, thresholds, network = cn.build_network(corpus, "visual", config, result.sigma, graph)
+    op = cn.normalize(network, config)
+    score = cn.solve_power(op, config)
+    assert (graph.src.tobytes(), graph.weight.tobytes()) == before  # left as it was
+    assert result.score.scores.tobytes() == score.scores.tobytes()
+    assert (result.score.iterations, result.score.residual) == (score.iterations, score.residual)
+    assert (result.graph_edges, result.kept_count, result.reversed_count, result.dropped_count) == \
+        (graph.n_edges, network.kept_count, network.reversed_count, network.dropped_count)
+    if config.balancing_mode == "global":
+        assert result.threshold_stats["threshold"] == (None if thresholds is None else thresholds[0])
+    if corpus.n == 20:
+        assert result.dropped_count == result.graph_edges > 0
 
 
 class TestMultiAspect:

@@ -219,27 +219,43 @@ class TestRunTimeMachine:
         assert all(s == repr(report.sigma) for s in pipeline_calls)
         assert len(build_calls) == 1  # the baseline's; each run updates its graph
 
-    def test_each_run_frees_its_graph_before_its_solve(self, planted, monkeypatch):
+    def test_each_run_scores_in_its_graphs_memory(self, planted, monkeypatch):
+        # every run reads the baseline graph, so the baseline pass scores a copy
+        # of it; a run's own graph is handed over: the object is gone by the
+        # solve, and its weight buffer holds the operator's kept values
         import creanet.pipeline as pipeline_module
         import creanet.timemachine as tm
-        made, alive = [], []
-        real_update, real_solve = tm.update_graph, pipeline_module.solve_power
+        built, made, seen = [], [], []
+        real_build, real_update, real_solve = tm.build_graph, tm.update_graph, pipeline_module.solve_power
+
+        def build_graph(*args):
+            graph = real_build(*args)
+            built.append((graph, graph.src.tobytes(), graph.weight.tobytes()))
+            return graph
 
         def update_graph(*args):
             graph = real_update(*args)
-            made.append(weakref.ref(graph))
+            made.append((weakref.ref(graph), graph.weight))
             return graph
 
-        def solve_power(*args, **kwargs):
-            if made:  # the baseline's graph is kept for the runs; a run's is not
-                alive.append(made[-1]() is not None)
-            return real_solve(*args, **kwargs)
+        def solve_power(op, *args, **kwargs):
+            kept_values = op.terms[0].data
+            baseline = built[0][0]
+            if made:
+                ref, weight = made[-1]
+                seen.append((ref() is not None, np.shares_memory(kept_values, weight)))
+            else:
+                seen.append(("baseline", np.shares_memory(kept_values, baseline.weight)))
+            return real_solve(op, *args, **kwargs)
 
+        monkeypatch.setattr(tm, "build_graph", build_graph)
         monkeypatch.setattr(tm, "update_graph", update_graph)
         monkeypatch.setattr(pipeline_module, "solve_power", solve_power)
         spec = cn.TimeMachineSpec(group="style=innovator", move="back", n_runs=1)
         cn.run_time_machine(planted, PLANTED_CONFIG, spec)
-        assert alive == [False]  # run 0, in this process; a second run would go to the child
+        assert seen == [("baseline", False), (False, True)]  # run 0, in this process
+        graph, src, weight = built[0]
+        assert (graph.src.tobytes(), graph.weight.tobytes()) == (src, weight)
 
     def test_new_years_clamped_to_corpus_range(self, planted):
         spec = cn.TimeMachineSpec(group="style=innovator", move="forward",
