@@ -287,10 +287,24 @@ def ingest_corpus(manifest: str | Path, features: Mapping[str, str | Path]) -> C
     return Corpus(artifacts, feature_sets)
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a non-empty float64 vector with no NaN, to the bit.
+
+    `np.median` imports `numpy.ma` (12 ms) on its first call, to check for
+    masked arrays.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1:half + 1]
+    return float((low + high) / 2)  # np.mean of the middle two: their sum, halved
+
+
 def estimate_sigma(features: FeatureSet, seed: int) -> float:
     """Median Euclidean distance over a seeded sample of distinct artifact pairs.
 
-    Uses all pairs when there are at most ``MAX_SIGMA_PAIRS`` of them, otherwise
+    Uses all pairs when there are at most ``MAX_SIGMA_PAIRS`` of them, with
+    the distances `scipy.spatial.distance.pdist` gives, to the bit; otherwise
     a uniform sample of exactly ``MAX_SIGMA_PAIRS`` distinct pairs. Deterministic
     for a fixed seed.
     """
@@ -299,10 +313,10 @@ def estimate_sigma(features: FeatureSet, seed: int) -> float:
         raise ValueError("sigma estimation needs at least 2 artifacts")
     x = features.vectors
     total = n * (n - 1) // 2
-    if total <= MAX_SIGMA_PAIRS:
-        from scipy.spatial.distance import pdist
-
-        distances = pdist(x, "euclidean")
+    every_pair = total <= MAX_SIGMA_PAIRS
+    if every_pair:
+        x = x.astype(np.float64, copy=False)  # as `pdist` reads it
+        lo, hi = np.triu_indices(n, 1)
     else:
         rng = np.random.default_rng(seed)
         keys = np.empty(0, dtype=np.int64)
@@ -322,11 +336,17 @@ def estimate_sigma(features: FeatureSet, seed: int) -> float:
                 break
         lo = keys // n
         hi = keys % n
-        # each pair's norm reduces its own row alone, so chunking keeps the bits
-        step = max(1, _CHUNK_BYTES // (8 * x.shape[1]))
-        distances = np.concatenate([np.linalg.norm(x[lo[i:i + step]] - x[hi[i:i + step]], axis=1)
-                                    for i in range(0, keys.size, step)])
-    sigma = float(np.median(distances))
+    # each pair's norm reduces its own row alone, so chunking keeps the bits
+    step = max(1, _CHUNK_BYTES // (8 * x.shape[1]))
+    chunks = []
+    for i in range(0, lo.size, step):
+        d = x[lo[i:i + step]] - x[hi[i:i + step]]
+        # every pair's squares are added one dimension after another, as
+        # `scipy.spatial.distance.pdist` adds them
+        chunks.append(np.sqrt(np.cumsum(d * d, axis=1)[:, -1]) if every_pair
+                      else np.linalg.norm(d, axis=1))
+    distances = np.concatenate(chunks)
+    sigma = _median(distances)
     if sigma <= 0.0:
         raise ValueError("degenerate feature set: median pairwise distance is zero")
     return sigma

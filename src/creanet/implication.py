@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from ._kernels import sparsetools
 from .config import RunConfig
 from .graph import PaintingGraph, _chunk_size, _edge_chunks, _reverse_in_chunks, _write_edge_rows
 
@@ -287,10 +287,32 @@ def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: Run
 def write_cin_csv(net: ImplicationNetwork, ids: Sequence[str], path: str | Path) -> None:
     """Edge dump `src_id,dst_id,weight,label` of the network K + R^T in canonical (dst, src) order.
 
-    R^T enters negated, so each entry's sign in scipy's canonical sum gives its label.
+    R^T enters negated, so each entry's sign in the canonical sum gives its label.
+    """
+    _write_edge_rows(path, ("src_id", "dst_id", "weight", "label"), ids, *_merged(net),
+                     labels=("subsequent", "prior"))
+
+
+def _merged(net: ImplicationNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of K - R^T in CSC: the kernel calls of scipy's `csc_matrix` sum.
+
+    R^T in CSC is R read as CSR and transposed by `csr_tocsc`, as R's
+    `tocsc()` does, and `csr_plus_csr` adds the two CSC matrices with the
+    dimensions swapped, as their `+` does; both read the stores' own arrays.
     """
     n, kept, rev = net.kept.n, net.kept, net.reversed
-    cin = (sparse.csc_matrix((kept.weight, kept.src, kept.indptr), shape=(n, n))
-           + sparse.csr_matrix((-rev.weight, rev.src, rev.indptr), shape=(n, n)).tocsc())
-    _write_edge_rows(path, ("src_id", "dst_id", "weight", "label"), ids, cin.indptr, cin.indices,
-                     cin.data, labels=("subsequent", "prior"))
+    most = net.n_edges
+    index = np.int32 if most < 2 ** 31 else np.int64
+    flip_ptr = np.empty(n + 1, dtype=index)
+    flip_src = np.empty(rev.n_edges, dtype=index)
+    flip_weight = np.empty(rev.n_edges)
+    sparsetools.csr_tocsc(n, n, rev.indptr.astype(index), rev.src.astype(index, copy=False),
+                          rev.weight, flip_ptr, flip_src, flip_weight)
+    np.negative(flip_weight, out=flip_weight)  # -(m - w) to the bit, as negating before
+    indptr = np.empty(n + 1, dtype=index)
+    indices = np.empty(most, dtype=index)
+    data = np.empty(most)
+    sparsetools.csr_plus_csr(n, n, kept.indptr.astype(index), kept.src.astype(index, copy=False),
+                             kept.weight, flip_ptr, flip_src, flip_weight, indptr, indices, data)
+    end = int(indptr[-1])
+    return indptr, indices[:end], data[:end]

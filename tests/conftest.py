@@ -202,7 +202,9 @@ def dense_matrix(op: cn.StochasticOperator) -> np.ndarray:
     """Full matrix of a scoring operator with the dangling weights filled in; for small n only."""
     m = np.zeros((op.n, op.n))
     for term in op.terms:
-        m += term.toarray()
+        major = np.repeat(np.arange(op.n), np.diff(term.indptr))
+        rows, cols = (major, term.indices) if term.format == "csr" else (term.indices, major)
+        np.add.at(m, (rows, cols), term.data)
     m += op.dangling / op.n
     return m
 

@@ -1,8 +1,14 @@
-"""The settings module sits at the bottom of the package and owns every enum and range check."""
+"""The settings module sits at the bottom of the package and owns every enum and range check.
+
+The package reaches scipy's sparse kernels without importing `scipy.sparse`.
+"""
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import creanet as cn
@@ -143,3 +149,43 @@ def test_only_the_pipeline_hands_a_stage_its_inputs_memory():
     assert not found, f"stage memory handed over outside pipeline.py: {found}"
     pipeline_calls = {name for _, name, _ in calls_and_writes(parse(PACKAGE / "pipeline.py"))}
     assert set(STAGE_CORES) <= pipeline_calls and "setflags" in pipeline_calls
+
+
+# Imports of `scipy.sparse` allowed in the package: (module, enclosing function).
+SCIPY_SPARSE_ALLOWED = {("_kernels.py", "load")}  # the fallback when the direct load fails
+
+
+def scipy_sparse_imports(tree: ast.Module):
+    """The enclosing function of each import of `scipy.sparse` or of a name under it."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+                yield function
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_no_module_imports_scipy_sparse_but_the_kernel_fallback():
+    found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function in scipy_sparse_imports(parse(path))}
+    assert found == SCIPY_SPARSE_ALLOWED
+
+
+def test_the_cli_imports_neither_scipy_sparse_nor_f2py():
+    code = ("import sys\nimport creanet.cli\n"
+            "print(sorted(m for m in ('scipy.sparse', 'numpy.f2py') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,8 +11,10 @@ local thresholds in one sweep over weight ranks, cuts window candidates as two
 position ranges per year group, writes edge dumps a chunk at a time, takes
 operator column sums from a sparse product, scores the beta split with one
 operator whose dangling columns carry fractional weights, scores straight from
-K and R^T instead of the merged network, and updates the time machine's
-baseline graph per run instead of rebuilding it. The implementations they
+K and R^T instead of the merged network, updates the time machine's
+baseline graph per run instead of rebuilding it, calls scipy's compiled
+sparse kernels on the stores' arrays instead of through scipy's matrices,
+and takes sigma's all-pairs distances in numpy instead of with `pdist`. The implementations they
 replaced live here, and every test asserts that both give the same bits,
 except where the sums run in another order: the split at fractional beta, and
 combined scoring from K and R^T, agree with the merged-network operator to the
@@ -46,10 +48,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.spatial.distance import pdist
 
 import creanet as cn
+from creanet import corpus as corpus_module
 from creanet import graph as graph_module
 from creanet import implication as implication_module
+from creanet import scoring as scoring_module
 from creanet import timemachine as timemachine_module
 
 from conftest import (COMBINED, balance, cin_edges, count_thread_starts, dense_matrix, edge_dst,
@@ -1341,3 +1346,68 @@ class TestOperatorAgainstOracle:
         assert np.max(np.abs(got.scores - want.scores) / want.scores) <= 1e-13
         blend = beta * ref_prior.dense() + (1.0 - beta) * ref_subseq.dense()
         assert np.max(np.abs(dense_matrix(op) - blend)) <= 1e-15
+
+
+class TestKernelsAgainstScipyMatrices:
+    """The kernel calls give the bits of the scipy matrix operations they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(networks, st.sampled_from([None, 0.0, 1.0, 0.3]))
+    def test_operator_products(self, net, beta):
+        op = cn.normalize(net, scoring(beta))
+        n = op.n
+        c = np.random.default_rng(n).dirichlet(np.ones(n))
+        ones = np.ones(n)
+        want = np.zeros(n)
+        for term in op.terms:
+            kind = {"csr": sparse.csr_matrix, "csc": sparse.csc_matrix}[term.format]
+            matrix = kind((term.data, term.indices, term.indptr), shape=(n, n))
+            product = matrix @ c
+            want += product
+            assert scoring_module._product(term, c).tobytes() == product.tobytes()
+            assert scoring_module._product(term, ones, flip=True).tobytes() == \
+                (matrix.T @ ones).tobytes()
+        got = op.apply(c)
+        support = np.flatnonzero(op.dangling)
+        lost = float((op.dangling[support] * c[support]).sum())
+        if lost:
+            want += lost / n
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(networks)
+    def test_merged_network(self, net):
+        n, kept, rev = net.kept.n, net.kept, net.reversed
+        want = (sparse.csc_matrix((kept.weight, kept.src, kept.indptr), shape=(n, n))
+                + sparse.csr_matrix((-rev.weight, rev.src, rev.indptr), shape=(n, n)).tocsc())
+        indptr, indices, data = implication_module._merged(net)
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist()
+        assert data.tobytes() == want.data.tobytes()
+
+
+class TestSigmaAgainstPdist:
+    @pytest.mark.parametrize("dim", range(1, 129))
+    def test_every_pair_distance_bits(self, dim):
+        # up to 141 artifacts every pair is measured; the median of the same
+        # distances is the same sigma
+        rng = np.random.default_rng(dim)
+        for n, scale in ((2, 1.0), (int(rng.integers(3, 142)), 1e-3), (141, 1e6)):
+            x = rng.normal(size=(n, dim)) * scale
+            x[-1] = x[0]  # a zero distance too
+            want = float(np.median(pdist(x, "euclidean")))
+            if want > 0.0:
+                assert cn.estimate_sigma(cn.FeatureSet("visual", x), seed=0) == want
+
+    def test_median_bits(self):
+        # sigma is the median of the distances without `np.median`, which imports `numpy.ma`
+        rng = np.random.default_rng(4)
+        for size in (*range(1, 40), 9870, 10_000):
+            for values in (rng.random(size), rng.integers(0, 3, size).astype(np.float64),
+                           rng.random(size) * 1e300):
+                assert corpus_module._median(values) == float(np.median(values))
+
+    def test_float32_features(self):
+        x = np.random.default_rng(3).normal(size=(90, 7)).astype(np.float32)
+        want = float(np.median(pdist(x, "euclidean")))
+        assert cn.estimate_sigma(cn.FeatureSet("visual", x), seed=0) == want

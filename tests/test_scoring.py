@@ -1,12 +1,23 @@
-"""Solvers: normalization, fixtures, oracle agreement, simplex invariants."""
+"""Solvers: normalization, fixtures, oracle agreement, simplex invariants, the kernel loader."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import _kernels
+from creanet import implication as implication_module
+from creanet import scoring as scoring_module
+from creanet.scoring import Compressed
 
-from conftest import (COMBINED, PIONEER, cin_edges, dense_matrix, edge_dst, from_edges,
-                      make_network, pioneer_corpus, random_network, solve_closed_form, split)
+from conftest import (COMBINED, PIONEER, balance, cin_edges, dense_matrix, edge_dst, from_edges,
+                      make_network, pioneer_corpus, random_corpus, random_network,
+                      solve_closed_form, split)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -17,7 +28,7 @@ def single_edge_network(w=0.3):
 
 
 def nnz(op):
-    return sum(term.nnz for term in op.terms)
+    return sum(term.data.size for term in op.terms)
 
 
 class TestNormalize:
@@ -136,6 +147,59 @@ class TestOperatorValidation:
         with pytest.raises(ValueError, match=message):
             cn.StochasticOperator(n=2, terms=(sparse.csr_matrix(np.array(entries)),), dangling=dangling)
         assert dangling.flags.writeable
+
+    # Term arrays the compiled kernels would read or write out of bounds, or
+    # could not read: each is refused before any product is taken.
+    @staticmethod
+    def term(format="csr", indptr=(0, 1, 1), indices=(1,), data=(1.0,), index=np.int32,
+             indptr_index=None):
+        return Compressed(format, np.array(indptr, dtype=indptr_index or index),
+                          np.array(indices, dtype=index), np.array(data))
+
+    def test_the_unaltered_term_is_accepted(self):
+        op = cn.StochasticOperator(n=2, terms=(self.term(),), dangling=np.array([1.0, 0.0]))
+        assert dense_matrix(op).tolist() == [[0.5, 1.0], [0.5, 0.0]]
+
+    def test_rejects_a_format_other_than_csr_or_csc(self):
+        from scipy import sparse
+        coo = sparse.coo_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for term in (coo, self.term(format="coo")):
+            with pytest.raises(ValueError, match="csr or csc"):
+                cn.StochasticOperator(n=2, terms=(term,), dangling=np.array([1.0, 0.0]))
+
+    def test_rejects_an_indptr_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="matrix must be 2x2"):
+            cn.StochasticOperator(n=2, terms=(self.term(indptr=(0, 1)),),
+                                  dangling=np.array([1.0, 0.0]))
+
+    def test_rejects_a_falling_indptr(self):
+        term = self.term(indptr=(0, 2, 1), indices=(1, 0), data=(0.5, 0.5))
+        with pytest.raises(ValueError, match="indptr must rise"):
+            cn.StochasticOperator(n=2, terms=(term,), dangling=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("indptr", [(0, 1, 2), (0, 0, 0), (1, 1, 1)])
+    def test_rejects_an_indptr_not_ending_at_the_entries(self, indptr):
+        with pytest.raises(ValueError, match="indptr must rise"):
+            cn.StochasticOperator(n=2, terms=(self.term(indptr=indptr),), dangling=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("index", [2, -1, 2 ** 31 - 1])
+    def test_rejects_indices_out_of_range(self, index):
+        for format in ("csr", "csc"):
+            with pytest.raises(ValueError, match=r"indices must lie in \[0, 2\)"):
+                cn.StochasticOperator(n=2, terms=(self.term(format=format, indices=(index,)),),
+                                      dangling=np.array([1.0, 0.0]))
+
+    def test_rejects_indptr_and_indices_of_different_types(self):
+        for index, indptr_index in ((np.int32, np.int64), (np.int64, np.int32), (np.int16, np.int16)):
+            with pytest.raises(ValueError, match="one index type"):
+                cn.StochasticOperator(n=2, terms=(self.term(index=index, indptr_index=indptr_index),),
+                                      dangling=np.array([1.0, 0.0]))
+
+    def test_apply_rejects_a_vector_of_another_length(self):
+        op = cn.StochasticOperator(n=2, terms=(self.term(),), dangling=np.array([1.0, 0.0]))
+        for c in (np.ones(1), np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match=r"c must have shape \(2,\)"):
+                op.apply(c)
 
     def test_holds_and_freezes_the_callers_dangling(self):
         from scipy import sparse
@@ -316,3 +380,54 @@ class TestPioneerFixture:
         # makes P first under both, so influence rank >= originality rank holds.
         assert ranks[0.1] == 1 and ranks[0.9] == 1
         assert ranks[0.1] >= ranks[0.9]
+
+
+class TestKernelLoader:
+    """scipy's kernels loaded directly, or through `scipy.sparse` when that fails, give one result."""
+
+    @staticmethod
+    def outputs(path: Path) -> tuple[bytes, ...]:
+        """Scores, combined and split, and the `cin.csv` bytes of a small corpus."""
+        corpus = random_corpus(seed=23, n=120, dim=5)
+        net = balance(cn.build_graph(corpus, "visual", cn.RunConfig(k=12), 1.0), corpus.years)
+        assert net.kept_count and net.reversed_count
+        cn.write_cin_csv(net, corpus.ids, path)
+        return (*(cn.solve_power(cn.normalize(net, config), config).scores.tobytes()
+                  for config in (COMBINED, split(0.3))), path.read_bytes())
+
+    def test_the_fallback_scores_and_dumps_alike(self, tmp_path, monkeypatch):
+        direct = self.outputs(tmp_path / "direct.csv")
+
+        def fail():
+            raise ImportError("no direct load")
+
+        monkeypatch.setattr(_kernels, "_load_direct", fail)
+        fallback = _kernels.load()
+        assert fallback is sys.modules["scipy.sparse._sparsetools"]
+        assert fallback is not scoring_module.sparsetools
+        for module in (scoring_module, implication_module):
+            monkeypatch.setattr(module, "sparsetools", fallback)
+        assert self.outputs(tmp_path / "fallback.csv") == direct
+        monkeypatch.undo()
+        # the directly loaded kernels, with `scipy.sparse` now imported here too
+        assert "scipy.sparse" in sys.modules
+        assert self.outputs(tmp_path / "again.csv") == direct
+
+    def test_direct_load_after_scipy_sparse_was_imported(self):
+        code = ("import json, scipy.sparse, numpy as np, creanet as cn\n"
+                "net = cn.ImplicationNetwork(kept=cn.PaintingGraph(n=2, indptr=np.array([0, 0, 1]),\n"
+                "    src=np.array([0], dtype=np.int32), weight=np.array([0.5])),\n"
+                "    reversed=cn.PaintingGraph(n=2, indptr=np.array([0, 0, 0]),\n"
+                "    src=np.array([], dtype=np.int32), weight=np.array([])), dropped_count=0)\n"
+                "scores = cn.solve_power(cn.normalize(net, cn.RunConfig()), cn.RunConfig()).scores\n"
+                "print(json.dumps([cn.scoring.sparsetools.__name__, scores.tolist()]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cn.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, got = json.loads(proc.stdout)
+        assert loaded == "_sparsetools"  # loaded directly, not `scipy.sparse._sparsetools`
+        got = np.array(got)
+        want = cn.solve_power(cn.normalize(make_network(2, kept=([0], [1], [0.5])), COMBINED),
+                              COMBINED).scores
+        assert got.tobytes() == want.tobytes()
