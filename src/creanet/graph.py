@@ -9,8 +9,11 @@ by the smaller source index so rebuilds are bit-identical.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
+import mmap
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +46,12 @@ _CSV_ROW_BYTES = 256
 # temporaries stay under `_EDGE_BYTES`.
 _EDGE_BYTES = 1 << 19
 
+# Spent memory goes back to the system in aligned blocks of `_RELEASE_BYTES`:
+# a multiple of every Linux page size, and the size of a transparent huge page
+# on x86-64. A huge page is then dropped whole, never split, and a later write
+# into the block faults in one huge page, not 512 small ones.
+_RELEASE_BYTES = 1 << 21
+
 
 def _chunk_size() -> int:
     """Edges, or per-edge values, in one chunk: `_EDGE_BYTES // 8`, and at least one."""
@@ -62,6 +71,44 @@ def _edge_chunks(indptr: np.ndarray):
         j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
         j1 = int(np.searchsorted(indptr, e1, side="left"))
         yield e0, e1, j0, np.clip(indptr[j0:j1 + 1], e0, e1) - e0
+
+
+def _libc_madvise() -> Callable[[int, int, int], int] | None:
+    """libc's `madvise(address, length, advice)` on Linux, or None where it cannot be called.
+
+    Only Linux is used: there a page that `MADV_DONTNEED` drops reads back as
+    zeros, or as its file's contents for a map of a file.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    try:
+        madvise = ctypes.CDLL(None, use_errno=True).madvise
+    except (OSError, AttributeError):
+        return None
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise.restype = ctypes.c_int
+    return madvise
+
+
+_MADVISE = _libc_madvise()
+
+
+def _release(values: np.ndarray, start: int, stop: int) -> None:
+    """Hand the memory that lies wholly inside `values[start:stop]` back to the system.
+
+    For a caller whose values there are spent. The memory goes back in
+    aligned `_RELEASE_BYTES` blocks: none is resident until it is written
+    again, and a read before that gets zeros. The partial blocks at both
+    ends, which may hold values outside the span, are kept. It is a hint:
+    where `madvise` cannot be called, or fails, nothing changes.
+    """
+    span = values[start:stop]
+    if _MADVISE is None or not span.flags.c_contiguous:
+        return
+    at, block = span.ctypes.data, _RELEASE_BYTES
+    first, last = -(-at // block) * block, (at + span.nbytes) // block * block
+    if first < last:
+        _MADVISE(first, last - first, mmap.MADV_DONTNEED)  # -1 on failure: the memory stays
 
 
 def _reverse_in_chunks(values: np.ndarray) -> None:
@@ -432,9 +479,21 @@ def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
 
     _on_two_workers(work, len(slabs))
     indptr = np.concatenate(([0], np.cumsum(count)))
-    if indptr[-1] < room[-1]:
-        filled = np.arange(room[-1]) < np.repeat(room[:-1] + count, sizes)
-        src, weight = src[filled], weight[filled]
+    edges = int(indptr[-1])
+    if edges < room[-1]:
+        # Close the empty room in place, a chunk of edges at a time: edge e of
+        # row j moves from e + room[j] - indptr[j] down to e, and the shift
+        # never falls from row to row, so no chunk reads a place an earlier
+        # chunk wrote.
+        shift = room[:-1] - indptr[:-1]
+        for e0, e1, j0, bounds in _edge_chunks(indptr):
+            at = np.repeat(shift[j0:j0 + bounds.size - 1], np.diff(bounds))
+            at += np.arange(e0, e1)
+            src[e0:e1] = src[at]
+            weight[e0:e1] = weight[at]
+        _release(src, edges, src.size)
+        _release(weight, edges, weight.size)
+        src, weight = src[:edges], weight[:edges]
     return indptr, src, weight
 
 

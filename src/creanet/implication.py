@@ -20,7 +20,8 @@ import numpy as np
 
 from ._kernels import sparsetools
 from .config import RunConfig
-from .graph import PaintingGraph, _chunk_size, _edge_chunks, _reverse_in_chunks, _write_edge_rows
+from .graph import (PaintingGraph, _chunk_size, _edge_chunks, _release, _reverse_in_chunks,
+                    _write_edge_rows)
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,12 @@ def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: Run
 
     `kept_into` is a writable (src, weight) pair at least as long as the
     graph, or None for the front of R's store. It may be the graph's own
-    `src` and `weight`: a chunk's kept edges land at or before the chunk's
-    start, and each chunk is read before K is written, so the graph is read
-    whole before it is overwritten (and is no longer a graph after).
+    `src` and `weight`: each kept edge lands at or before its own place, and
+    a chunk is read before its K is written. Once a chunk's R and K are
+    written, `kept_into` holds nothing from K's end up to the chunk's end
+    that is read before K writes it, so the memory wholly inside that span
+    goes back to the system then (`graph._release`), and the graph's values
+    past K's end may read as zeros after. The graph is no longer a graph after.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -272,6 +276,9 @@ def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: Run
             np.take(src[e0:e1], picked, out=to_src[at], mode="clip")
             np.take(b, picked, out=to_weight[at], mode="clip")
         np.negative(store_weight[at_down], out=store_weight[at_down])  # m - w, -(w - m) to the bit
+        if kept_into is not None:
+            _release(kept_src, kept_end, e1)
+            _release(kept_weight, kept_end, e1)
     _reverse_in_chunks(store_src[reversed_start:])
     _reverse_in_chunks(store_weight[reversed_start:])
     indptrs = np.zeros((2, graph.n + 1), dtype=np.int64)

@@ -6,8 +6,10 @@ K + R^T term by term, from the graph's own kept and reversed edges. Aspects
 never mix; the multi-aspect driver just runs the pipeline once per aspect.
 
 `run_pipeline` owns its graph, so each stage writes into the memory of the
-stage before it: balancing writes K over the graph's own arrays, and
-normalization divides K's and R's weights in place. A `PipelineResult`
+stage before it: balancing writes K over the graph's own arrays and, on
+Linux, hands their pages past K back to the system as it goes, so that K and
+R together hold about one graph's memory; normalization divides K's and R's
+weights in place. A `PipelineResult`
 keeps the counts and statistics `run_meta.json` records, not the arrays;
 `build_network`, which leaves its graph as it is, gives those.
 """
@@ -157,8 +159,11 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
     these settings, and hands that graph over. Its `src` and `weight` become
     the kept edges' store and, scaled in place, the operator's values, so the
     graph is no longer a graph once this returns: pass a copy of one you
-    keep. The reversed edges get a store of their own, scaled in place too,
-    so scoring never holds a second copy of the graph's edges.
+    keep. Their pages past the kept edges are handed back to the system
+    while balancing runs, and may read as zeros after. The reversed edges get
+    a store of their own, scaled in place too, so scoring never holds a
+    second copy of the graph's edges. A graph in memory that cannot be made
+    writable is only read, and its pages stay.
     """
     if aspect not in corpus.features:
         raise ValueError(f"aspect '{aspect}' not found; corpus has {list(corpus.aspects)}")

@@ -1,5 +1,7 @@
 """Graph construction against a brute-force all-pairs oracle."""
 
+import mmap
+import os
 import sys
 import threading
 
@@ -564,6 +566,82 @@ class TestByteBudgets:
         for cells in (1, 12 * 5, 12 * 64):
             monkeypatch.setattr(graph_module, "_SLAB_BYTES", 8 * cells)
             assert np.array_equal(graph_module.edge_ranks(graph), want)
+
+    def test_underflowed_room_closes_in_place(self, monkeypatch):
+        # at sigma 0.15 about 6% of the picks underflow and leave their room
+        # empty; closing it costs no more memory than a build where none does
+        corpus = random_corpus(seed=62, n=4000, dim=16)
+        config = cn.RunConfig(k=500)
+        built = []
+        peaks = [traced_peak(lambda: built.append(cn.build_graph(corpus, "visual", config, sigma)))
+                 for sigma in (4.0, 0.15)]
+        full, closed = built
+        assert closed.n_edges < 0.95 * full.n_edges
+        assert peaks[1] - peaks[0] < 0.25 * (full.src.nbytes + full.weight.nbytes)
+        use_edge_chunk(monkeypatch, 4096)  # closed 4,096 edges at a time, not 65,536
+        assert_same_graph(cn.build_graph(corpus, "visual", config, 0.15), closed)
+        # closed 64 edges at a time where the oracle can weigh every pair
+        small = random_corpus(seed=63, n=300, dim=16)
+        use_edge_chunk(monkeypatch, 64)
+        graph = cn.build_graph(small, "visual", cn.RunConfig(k=20), 0.12)
+        assert graph.n_edges < 0.8 * cn.build_graph(small, "visual", cn.RunConfig(k=20), 4.0).n_edges
+        assert_same_graph(graph, reference_build_graph(small, "visual", cn.RunConfig(k=20), 0.12))
+
+
+def vm_rss_bytes() -> int:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+
+def aligned_up(values: np.ndarray, i: int, align: int) -> int:
+    """The first index at or after i whose value starts on an `align`-byte boundary."""
+    at = values.ctypes.data + values.itemsize * i
+    return i + (-at % align) // values.itemsize
+
+
+@pytest.mark.skipif(graph_module._MADVISE is None or not os.path.exists("/proc/self/status"),
+                    reason="needs libc's madvise and /proc/self/status")
+class TestRelease:
+    """`graph._release` hands back the aligned blocks wholly inside a span, and touches nothing else."""
+
+    def test_whole_blocks_go_back_and_the_rest_stays(self):
+        values = np.arange(1 << 21, dtype=np.float64)  # 16 MiB, every page touched
+        start, stop = 100_001, 1_900_001  # on no page boundary
+        block = graph_module._RELEASE_BYTES // 8
+        first, last = aligned_up(values, start, 8 * block), aligned_up(values, stop, 8 * block) - block
+        assert start < first < last < stop  # partial blocks at both ends
+        before = vm_rss_bytes()
+        graph_module._release(values, start, stop)
+        assert before - vm_rss_bytes() > 0.8 * 8 * (last - first)
+        assert not values[first:last].any()  # read back as zeros
+        kept = np.r_[0:first, last:values.size]
+        assert np.array_equal(values[kept], kept.astype(np.float64))
+
+    @pytest.mark.parametrize("span", ["empty", "reversed", "under_a_page", "under_a_block"])
+    def test_a_span_holding_no_whole_block_changes_nothing(self, monkeypatch, span):
+        values = np.arange(1 << 20, dtype=np.float64)
+        page, block = mmap.PAGESIZE // 8, graph_module._RELEASE_BYTES // 8
+        crossing = {"under_a_page": page, "under_a_block": block}  # one value short, across a boundary
+        if span in crossing:
+            boundary = aligned_up(values, 200, 8 * crossing[span])
+            lo, hi = boundary - 100, boundary - 101 + crossing[span]
+        else:
+            lo, hi = (5000, 5000) if span == "empty" else (5000, 4000)
+        calls = []
+        monkeypatch.setattr(graph_module, "_MADVISE", lambda *args: calls.append(args) or 0)
+        graph_module._release(values, lo, hi)
+        monkeypatch.undo()
+        graph_module._release(values, lo, hi)
+        assert calls == []
+        assert np.array_equal(values, np.arange(values.size, dtype=np.float64))
+
+    def test_a_failed_call_is_not_an_error(self, monkeypatch):
+        values = np.arange(1 << 20, dtype=np.float64)
+        calls = []
+        monkeypatch.setattr(graph_module, "_MADVISE", lambda *args: calls.append(args) or -1)
+        graph_module._release(values, 0, values.size)
+        assert len(calls) == 1
+        assert np.array_equal(values, np.arange(values.size, dtype=np.float64))
 
 
 class TestUpdateGraph:

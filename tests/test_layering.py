@@ -1,6 +1,7 @@
 """The settings module sits at the bottom of the package and owns every enum and range check.
 
-The package reaches scipy's sparse kernels without importing `scipy.sparse`.
+The package reaches scipy's sparse kernels without importing `scipy.sparse`,
+and one module alone calls libc's `madvise` through `ctypes`.
 """
 
 import ast
@@ -189,3 +190,28 @@ def test_the_cli_imports_neither_scipy_sparse_nor_f2py():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def platform_calls(tree: ast.Module) -> set[str]:
+    """'ctypes' if the file imports ctypes, 'madvise' if any name, attribute or string names madvise."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "ctypes" for module in modules):
+            found.add("ctypes")
+        text = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else "")
+        if "madvise" in text.lower():
+            found.add("madvise")
+    return found
+
+
+def test_only_the_graph_module_loads_libc_and_names_madvise():
+    # the one platform call, `graph._release`, stays in one place
+    found = {path.name: platform_calls(parse(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {"graph.py": {"ctypes", "madvise"}}

@@ -7,9 +7,11 @@ import itertools
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +188,78 @@ def test_owner_scores_a_graph_in_read_only_memory(corpus, config):
     assert (src.tobytes(), weight.tobytes()) == before
     assert result.score.scores.tobytes() == \
         cn.run_pipeline(corpus, "visual", config, sigma=sigma).score.scores.tobytes()
+
+
+def test_owner_scores_a_graph_in_writable_memory_of_another_kind():
+    # bytearray-backed arrays are written in place like numpy's own, and the
+    # spent memory past K goes back to the system, reading as zeros after
+    corpus = random_corpus(seed=56, n=4000, dim=16)
+    config = cn.RunConfig(k=500, seed=3)
+    sigma = cn.resolve_sigma(corpus, "visual", config)
+    graph = cn.build_graph(corpus, "visual", config, sigma)
+    src, weight = (np.frombuffer(bytearray(a.tobytes()), dtype=a.dtype) for a in (graph.src, graph.weight))
+    result = cn.run_pipeline(corpus, "visual", config, sigma=sigma,
+                             graph=lambda: cn.PaintingGraph(graph.n, graph.indptr, src, weight))
+    assert result.score.scores.tobytes() == \
+        cn.run_pipeline(corpus, "visual", config, sigma=sigma).score.scores.tobytes()
+    past_k, block = weight[result.kept_count:], graph_module._RELEASE_BYTES // 8
+    assert past_k.size > 3 * block
+    if graph_module._MADVISE is not None:  # all but the partial blocks at both ends
+        assert np.count_nonzero(past_k == 0.0) > past_k.size - 2 * block
+
+
+SCORE_HANDED_OVER_GRAPH = """
+import sys
+import hashlib
+import numpy as np
+import creanet as cn
+
+def status(key):
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+folder, sigma = sys.argv[1], float(sys.argv[2])
+load = lambda name: np.load(f"{folder}/{name}.npy")
+years, features = load("years"), load("features")
+corpus = cn.Corpus(artifacts=[cn.Artifact(id=f"p{i}", year=int(y)) for i, y in enumerate(years)],
+                   features={"visual": cn.FeatureSet("visual", features)})
+after_graph = []
+
+def graph():
+    handed_over = cn.PaintingGraph(corpus.n, load("indptr"), load("src"), load("weight"))
+    after_graph.append(status("VmRSS"))
+    return handed_over
+
+result = cn.run_pipeline(corpus, "visual", cn.RunConfig(k=500, seed=3), sigma=sigma, graph=graph)
+print(status("VmHWM") - after_graph[0], hashlib.sha256(result.score.scores.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM")
+def test_owner_scores_in_about_one_graph_of_memory(tmp_path):
+    # Scoring a graph it owns takes little memory beyond the graph: K is written
+    # over the graph's front, and the memory past K goes back as balancing runs,
+    # so R's store is the only new per-edge memory. The graph is built here and
+    # loaded in a fresh interpreter, whose peak then holds no build scratch. The
+    # partial blocks left at both ends of a released span, and the huge pages
+    # K's and R's stores grow into, take a few MiB at any size, so the corpus
+    # is large enough for them to stay well under a quarter of the graph.
+    corpus = random_corpus(seed=62, n=12_000, dim=16)
+    config = cn.RunConfig(k=500, seed=3)
+    sigma = cn.resolve_sigma(corpus, "visual", config)
+    graph = cn.build_graph(corpus, "visual", config, sigma)
+    for name, values in (("years", corpus.years), ("features", corpus.features["visual"].vectors),
+                         ("indptr", graph.indptr), ("src", graph.src), ("weight", graph.weight)):
+        np.save(tmp_path / f"{name}.npy", values)
+    env = dict(os.environ, PYTHONPATH=str(Path(cn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SCORE_HANDED_OVER_GRAPH, str(tmp_path), repr(sigma)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rise, digest = proc.stdout.split()
+    want = cn.run_pipeline(corpus, "visual", config, sigma=sigma, graph=lambda: graph)
+    assert digest == hashlib.sha256(want.score.scores.tobytes()).hexdigest()
+    if graph_module._MADVISE is not None:  # elsewhere R's touched pages stay on top
+        assert int(rise) < 0.25 * (graph.src.nbytes + graph.weight.nbytes)
 
 
 def owner_cases():
