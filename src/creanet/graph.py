@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ._floatrepr import PAD, repr_bytes
 from .config import RunConfig
 from .corpus import Corpus
 from .similarity import check_sigma, distance_weights, pair_weights
@@ -37,10 +38,12 @@ _SLAB_BYTES = 1 << 21
 # calls, never wakes during a build.
 _GEMM_ENTRIES = 1 << 14
 
-# The CSV edge writers format rows in batches of `_CSV_BYTES`, a row holding
-# about `_CSV_ROW_BYTES` of Python strings and lists while its batch is alive.
+# The CSV edge writers lay rows out as numpy bytes in batches of `_CSV_BYTES`.
+# While its batch is alive, a row with ids of a few characters takes about
+# `_CSV_ROW_BYTES`: its padded bytes, their mask, the bytes kept and the
+# weight formatter's scratch. Longer ids widen every row.
 _CSV_BYTES = 1 << 21
-_CSV_ROW_BYTES = 256
+_CSV_ROW_BYTES = 320
 
 # Per-edge checks and balancing work on chunks of edges whose float64
 # temporaries stay under `_EDGE_BYTES`.
@@ -58,14 +61,14 @@ def _chunk_size() -> int:
     return max(1, _EDGE_BYTES // 8)
 
 
-def _edge_chunks(indptr: np.ndarray):
+def _edge_chunks(indptr: np.ndarray, size: int | None = None):
     """(e0, e1, j0, bounds) for each chunk of edges [e0, e1) of the store with this `indptr`.
 
-    A chunk holds `_chunk_size()` edges, the last one fewer. The
+    A chunk holds `size` edges, by default `_chunk_size()`, the last one fewer. The
     destinations j0, j0 + 1, ... own it: j0 + i owns its edges
     [e0 + bounds[i], e0 + bounds[i + 1]).
     """
-    n_edges, size = int(indptr[-1]), _chunk_size()
+    n_edges, size = int(indptr[-1]), size or _chunk_size()
     for e0 in range(0, n_edges, size):
         e1 = min(e0 + size, n_edges)
         j0 = int(np.searchsorted(indptr, e0, side="right")) - 1
@@ -661,43 +664,49 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
 
 
-def _csv_fields(values: Sequence[str]) -> np.ndarray:
-    """Each value as `csv.writer` writes it inside a row (quoted where needed)."""
+def _csv_fields(values: Sequence[str]) -> list[bytes]:
+    """Each value as `csv.writer` writes it inside a row (quoted where needed), in UTF-8."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    fields = np.empty(len(values), dtype=object)
-    for i, value in enumerate(values):
+    fields = []
+    for value in values:
         buf.seek(0)
         buf.truncate()
         writer.writerow((value, ""))
-        fields[i] = buf.getvalue()[:-len(",\r\n")]
+        fields.append(buf.getvalue()[:-len(",\r\n")].encode("utf-8"))
     return fields
+
+
+def _padded(fields: Sequence[bytes]) -> np.ndarray:
+    """A table whose row i holds fields[i], then `PAD` bytes to the longest field's length."""
+    lengths = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    table = np.full((len(fields), int(lengths.max(initial=0))), PAD, dtype=np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(fields), dtype=np.uint8)
+    return table
 
 
 def _write_edge_rows(path: str | Path, header: Sequence[str], ids: Sequence[str], indptr, src,
                      weight, labels: tuple[str, str] | None = None) -> None:
-    """Rows `src_id,dst_id,weight[,label]` of an edge store, one `csv.writer` row per edge.
+    """Rows `src_id,dst_id,weight[,label]` of an edge store, as `csv.writer` writes them.
 
-    Ids are formatted once, weights with `repr`, and rows a batch of about
-    `_CSV_BYTES` at a time, each batch's destinations read off `indptr`. With
-    `labels`, a weight's sign picks its label (labels[1] when negative) and
-    its magnitude is written.
+    A batch of rows is one byte matrix: each id's field and comma from a
+    padded table, the weight's `repr` bytes from `repr_bytes`, then the
+    row's end. With `labels`, a weight's sign picks its label (labels[1]
+    when negative) and its magnitude is written. Dropping the `PAD` bytes
+    leaves the batch's rows; its destinations are read off `indptr`.
     """
-    id_fields = _csv_fields(ids)
-    names = np.asarray(labels or (), dtype=object)
-    step = max(1, _CSV_BYTES // _CSV_ROW_BYTES)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for lo in range(0, src.size, step):
-            hi = min(lo + step, src.size)
-            dst = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
-            w = weight[lo:hi]
-            columns = [id_fields[src[lo:hi]].tolist(), id_fields[dst].tolist(),
-                       map(repr, np.abs(w).tolist())]
-            if labels is not None:
-                columns.append(names[(w < 0.0).astype(np.intp)].tolist())
-            fh.write("\r\n".join(map(",".join, zip(*columns))))
-            fh.write("\r\n")
+    id_fields = _padded([field + b"," for field in _csv_fields(ids)])
+    # Without labels both of a row's possible ends are the bare b"\r\n".
+    names = [b"," + field for field in _csv_fields(labels)] if labels else [b"", b""]
+    ends = _padded([name + b"\r\n" for name in names])
+    with open(path, "wb") as fh:
+        fh.write(b",".join(_csv_fields(header)) + b"\r\n")
+        for e0, e1, j0, bounds in _edge_chunks(indptr, max(1, _CSV_BYTES // _CSV_ROW_BYTES)):
+            w = weight[e0:e1]
+            dst = np.repeat(np.arange(j0, j0 + bounds.size - 1), np.diff(bounds))
+            rows = np.concatenate((id_fields[src[e0:e1]], id_fields[dst], repr_bytes(np.abs(w)),
+                                   ends[(w < 0.0).astype(np.intp)]), axis=1)
+            fh.write(rows[rows != PAD])
 
 
 def write_graph_csv(graph: PaintingGraph, ids: Sequence[str], path: str | Path) -> None:

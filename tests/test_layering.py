@@ -1,7 +1,8 @@
 """The settings module sits at the bottom of the package and owns every enum and range check.
 
 The package reaches scipy's sparse kernels without importing `scipy.sparse`,
-and one module alone calls libc's `madvise` through `ctypes`.
+one module alone calls libc's `madvise` through `ctypes`, and the edge dumps'
+float formatter imports only numpy.
 """
 
 import ast
@@ -188,6 +189,21 @@ def test_the_cli_imports_neither_scipy_sparse_nor_f2py():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_float_formatter_needs_only_numpy():
+    # the edge dumps' formatter adds no import to `creanet.cli`, which loads numpy anyway
+    tree = parse(PACKAGE / "_floatrepr.py")
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules == {"__future__", "numpy"}
+    code = ("import __future__, importlib.util, sys\nimport numpy\nbefore = set(sys.modules)\n"
+            f"spec = importlib.util.spec_from_file_location('alone', {str(PACKAGE / '_floatrepr.py')!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -8,7 +8,8 @@ merging them into one sorted store, counts and then fills K and R a chunk of
 edges at a time instead of gathering them at full-length position arrays,
 reads percentiles with a partition, finds
 local thresholds in one sweep over weight ranks, cuts window candidates as two
-position ranges per year group, writes edge dumps a chunk at a time, takes
+position ranges per year group, writes edge dumps a chunk at a time as
+numpy bytes (`repr` itself is the oracle of their weights' bytes), takes
 operator column sums from a sparse product, scores the beta split with one
 operator whose dangling columns carry fractional weights, scores straight from
 K and R^T instead of the merged network, updates the time machine's
@@ -51,6 +52,7 @@ from scipy import sparse
 from scipy.spatial.distance import pdist
 
 import creanet as cn
+from creanet import _floatrepr as floatrepr_module
 from creanet import corpus as corpus_module
 from creanet import graph as graph_module
 from creanet import implication as implication_module
@@ -1218,13 +1220,99 @@ class TestLocalThresholdsAgainstOracle:
 
 
 # ---------------------------------------------------------------------------
+# The edge dumps' weights: `repr_bytes` against `repr`.
+
+def assert_reprs(values):
+    """Each value's row of `repr_bytes`, PAD bytes dropped, is `repr(float(value))`."""
+    values = np.asarray(values, dtype=np.float64)
+    chars = floatrepr_module.repr_bytes(values)
+    kept = chars != floatrepr_module.PAD
+    want = [repr(v).encode() for v in values.tolist()]
+    if chars[kept].tobytes() != b"".join(want) or kept.sum(axis=1).tolist() != list(map(len, want)):
+        got = [row[row != floatrepr_module.PAD].tobytes() for row in chars]
+        wrong = [(w, g) for w, g in zip(want, got) if w != g]
+        pytest.fail(f"{len(wrong)} of {len(want)} differ from repr, first {wrong[:5]}")
+
+
+def bit_patterns(rng, n, lo, hi):
+    """n doubles of random sign and mantissa, biased exponents uniform in [lo, hi)."""
+    exponent = rng.integers(lo, hi, n, dtype=np.uint64) | (rng.integers(0, 2, n, dtype=np.uint64) << 11)
+    return ((exponent << np.uint64(52)) | rng.integers(0, 1 << 52, n, dtype=np.uint64)).view(np.float64)
+
+
+def neighbours(values, steps):
+    """`values` and the `steps` doubles on either side of each."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (-np.inf, np.inf):
+        near = out[0]
+        for _ in range(steps):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    return np.concatenate(out)
+
+
+class TestReprBytesAgainstRepr:
+    """The vector path covers [1e-7, 1); `repr` formats the rest and the doubtful cases."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(40)
+        # every binade (exponent 0 holds the subnormals, 2047 inf and NaN), then the vector path's
+        assert_reprs(bit_patterns(rng, 250_000, 0, 2048))
+        assert_reprs(bit_patterns(rng, 250_000, 1023 - 25, 1023 + 1))
+
+    def test_weight_like_draws(self):
+        rng = np.random.default_rng(41)
+        assert_reprs(rng.random(150_000))
+        assert_reprs(10.0 ** rng.uniform(-8, 1, 150_000))
+        assert_reprs(np.exp(-rng.uniform(0, 40, 150_000)))
+
+    def test_short_decimals(self):
+        rng = np.random.default_rng(42)
+        x = rng.random(50_000) * 10.0 ** -rng.integers(0, 8, 50_000)
+        rounded = [round(v, d) for v, d in zip(x.tolist(), rng.integers(1, 17, x.size).tolist())]
+        assert_reprs(neighbours(rounded, 1))
+        numerators = [rng.integers(1, 10 ** int(d)) for d in rng.integers(1, 18, 50_000)]
+        assert_reprs(np.array(numerators, dtype=np.float64) / 10.0 ** rng.integers(1, 23, 50_000))
+
+    def test_edge_cases(self):
+        rng = np.random.default_rng(43)
+        powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+        specials = [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan, 1.0, 0.1, 0.2,
+                    0.3, -0.5, 2.0 ** -20, 1.5e-5, 9.999999999999999e-05]
+        powers_of_ten = neighbours([10.0 ** e for e in range(-8, 1)] + [1e16], 50)
+        # 16-digit candidates of 2**53 or more: the top tenth of each decade
+        top = np.concatenate([10.0 ** -k * rng.uniform(0.9007199254740992, 1.0, 10_000)
+                              for k in range(8)])
+        # 17-digit candidates that round up to a power of ten: the doubles just below one
+        below = np.concatenate([neighbours([10.0 ** -k], 200)[1:201] for k in range(8)])
+        # odd multiples of 2**-j: exact decimals, ties at 16 or 17 digits among them
+        j = rng.integers(4, 31, 20_000)
+        dyadic = np.ldexp(2.0 * np.floor(rng.random(j.size) * 2.0 ** (j - 1)) + 1, -j)
+        for values in (powers_of_two, specials, powers_of_ten, top, below, dyadic):
+            assert_reprs(values)
+
+    def test_weights_rarely_fall_back(self, monkeypatch):
+        # a vector path silently off would send every value to `repr` and still match it
+        taken = []
+        fill = floatrepr_module._fill_with_repr
+        monkeypatch.setattr(floatrepr_module, "_fill_with_repr",
+                            lambda x, rows, chars: (taken.append(rows.size), fill(x, rows, chars)))
+        weights = np.exp(-np.random.default_rng(44).uniform(0, 14, 200_000))
+        assert_reprs(weights)
+        assert sum(taken) < 0.01 * weights.size
+
+
+# ---------------------------------------------------------------------------
 # CSV edge writers.
 
 AWKWARD_IDS = ["plain", "with,comma", 'with"quote', "with space", ' "both", ', "line\nbreak",
-               "tab\there", "ünïcode", "x" * 40]
+               "tab\there", "ünïcode", "x" * 40, "nul\x00inside", "four-byte \U0001F600"]
+
+# Weights for both of `repr_bytes`' paths in one batch.
+MIXED_WEIGHTS = [1.0, 5e-324, 1e-300, 2.0 ** -20, 1.5e-5, 9.999999999999999e-05, 0.5]
 
 
-@pytest.fixture(params=[None, 5], ids=["one_chunk", "chunk_5"])
+@pytest.fixture(params=[None, 3, 5], ids=["one_chunk", "chunk_3", "chunk_5"])
 def csv_chunk(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(graph_module, "_CSV_BYTES", request.param * graph_module._CSV_ROW_BYTES)
@@ -1252,6 +1340,34 @@ class TestCsvWritersAgainstOracle:
         reference_write_cin_csv(reference_merged_network(graph, m, corpus.years),
                                 corpus.ids, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def mixed(self, seed):
+        """A graph and a network over AWKWARD_IDS with every pair's edge, weights from both paths.
+
+        Destination j's run holds j edges, so small batches end inside runs.
+        K's edges run forward and R's flipped ones backward, so no entry of
+        K + R^T sums two edges.
+        """
+        rng = np.random.default_rng(seed)
+        n = len(AWKWARD_IDS)
+        dst, src = np.nonzero(np.tri(n, k=-1, dtype=bool))
+        weight = rng.choice(MIXED_WEIGHTS + np.exp(-rng.uniform(0, 14, 8)).tolist(), src.size)
+        graph = from_edges(cn.PaintingGraph, n, src, dst, weight)
+        kept = rng.random(src.size) < 0.5
+        flipped = rng.permutation(weight)
+        net = cn.ImplicationNetwork(kept=from_edges(cn.PaintingGraph, n, src[kept], dst[kept], weight[kept]),
+                                    reversed=from_edges(cn.PaintingGraph, n, src[~kept], dst[~kept],
+                                                        flipped[~kept]),
+                                    dropped_count=0)
+        return graph, net
+
+    def test_weights_of_both_paths(self, tmp_path, csv_chunk):
+        graph, net = self.mixed(13)
+        for write, reference, store in ((cn.write_graph_csv, reference_write_graph_csv, graph),
+                                        (cn.write_cin_csv, reference_write_cin_csv, net)):
+            write(store, AWKWARD_IDS, tmp_path / "got.csv")
+            reference(store if store is graph else merged(store), AWKWARD_IDS, tmp_path / "want.csv")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_quoted_ids_read_back(self, tmp_path):
         corpus, graph, _ = self.build()
