@@ -52,8 +52,8 @@ print(f"implication network: {net.kept.n_edges} kept (subsequent), "
       f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped; "
       f"{result.dangling_count} nodes with no incoming edge")
 op = cn.normalize(net, config)  # the column-stochastic operator the power iteration applies
-print(f"scoring operator: {len(op.terms)} sparse terms (K and R^T), "
-      f"{int(np.count_nonzero(op.dangling))} columns spread over every node")
+print(f"scoring operator: K and R^T scaled, {op.kept_values.size + op.reversed_values.size} "
+      f"entries, {int(np.count_nonzero(op.dangling))} columns spread over every node")
 print(f"power iteration: {result.score.iterations} iterations, "
       f"residual {result.score.residual:.2e}")
 

@@ -10,9 +10,9 @@ work starts. So the extension is loaded from the installed scipy's
 Where that fails, the normal import gives the same kernels.
 
 The kernels do not check their arguments: an index out of range reads or
-writes out of bounds. Their arrays are checked first: an operator's terms
-by `scoring.StochasticOperator`, the stores the `cin.csv` merge reads by
-`graph.PaintingGraph`.
+writes out of bounds. They read only an implication network's stores, whose
+structure `graph.PaintingGraph` checks, and the values of each store that
+`scoring.StochasticOperator` checks against it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import importlib.machinery
 import importlib.util
 import os
 from types import ModuleType
+
+import numpy as np
 
 
 def _load_direct() -> ModuleType:
@@ -45,3 +47,12 @@ def load() -> ModuleType:
 
 
 sparsetools = load()
+
+
+def index_arrays(store, entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """An edge store's `indptr`, copied, and `src` in the kernels' index type for `entries` entries.
+
+    The type is int32, int64 only past 2**31 - 1 entries; `src` is copied only to change its type.
+    """
+    index = np.int32 if entries < 2 ** 31 else np.int64
+    return store.indptr.astype(index), store.src.astype(index, copy=False)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import sparsetools
+from ._kernels import index_arrays, sparsetools
 from .config import RunConfig
 from .graph import (PaintingGraph, _chunk_size, _edge_chunks, _release, _reverse_in_chunks,
                     _write_edge_rows)
@@ -309,17 +309,15 @@ def _merged(net: ImplicationNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     n, kept, rev = net.kept.n, net.kept, net.reversed
     most = net.n_edges
-    index = np.int32 if most < 2 ** 31 else np.int64
-    flip_ptr = np.empty(n + 1, dtype=index)
-    flip_src = np.empty(rev.n_edges, dtype=index)
+    kept_ptr, kept_src = index_arrays(kept, most)
+    flip_ptr, flip_src = np.empty_like(kept_ptr), np.empty(rev.n_edges, dtype=kept_ptr.dtype)
     flip_weight = np.empty(rev.n_edges)
-    sparsetools.csr_tocsc(n, n, rev.indptr.astype(index), rev.src.astype(index, copy=False),
-                          rev.weight, flip_ptr, flip_src, flip_weight)
+    sparsetools.csr_tocsc(n, n, *index_arrays(rev, most), rev.weight, flip_ptr, flip_src, flip_weight)
     np.negative(flip_weight, out=flip_weight)  # -(m - w) to the bit, as negating before
-    indptr = np.empty(n + 1, dtype=index)
-    indices = np.empty(most, dtype=index)
+    indptr = np.empty_like(kept_ptr)
+    indices = np.empty(most, dtype=kept_ptr.dtype)
     data = np.empty(most)
-    sparsetools.csr_plus_csr(n, n, kept.indptr.astype(index), kept.src.astype(index, copy=False),
-                             kept.weight, flip_ptr, flip_src, flip_weight, indptr, indices, data)
+    sparsetools.csr_plus_csr(n, n, kept_ptr, kept_src, kept.weight, flip_ptr, flip_src, flip_weight,
+                             indptr, indices, data)
     end = int(indptr[-1])
     return indptr, indices[:end], data[:end]

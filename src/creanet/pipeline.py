@@ -128,17 +128,19 @@ def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
     """
     if graph is None:
         graph = build_graph(corpus, aspect, config, sigma)
-    return (graph, *_network(graph, corpus.years, config, build_implication_network))
+    return (graph, *_network(graph, corpus.years, config, kept_into=None))
 
 
 def _network(graph: PaintingGraph, years: np.ndarray, config: RunConfig,
-             balance: Callable[..., ImplicationNetwork]
+             kept_into: tuple[np.ndarray, np.ndarray] | None
              ) -> tuple[np.ndarray | None, ImplicationNetwork]:
-    """Thresholds and implication network of `graph`, balanced by `balance(graph, m, years, config)`."""
+    """Thresholds and implication network of `graph`, K written to `kept_into` (see `_balance`) if given."""
     if graph.n_edges == 0:
         return None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
     thresholds = compute_thresholds(graph, years, config)
-    return thresholds, balance(graph, thresholds, years, config)
+    if kept_into is None:
+        return thresholds, build_implication_network(graph, thresholds, years, config)
+    return thresholds, _balance(graph, thresholds, years, config, kept_into=kept_into)
 
 
 def _handed_over(values: np.ndarray) -> np.ndarray:
@@ -173,8 +175,7 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
     made = build_graph(corpus, aspect, config, sigma) if graph is None else graph()
     graph_edges = made.n_edges
     kept_into = (_handed_over(made.src), _handed_over(made.weight))
-    thresholds, network = _network(made, corpus.years, config,
-                                   lambda *args: _balance(*args, kept_into=kept_into))
+    thresholds, network = _network(made, corpus.years, config, kept_into)
     threshold_stats = _threshold_stats(thresholds, config.balancing_mode)
     del made, thresholds  # the graph's arrays now hold K
     entered = np.diff(network.kept.indptr) > 0  # the nodes with an edge into them in K + R^T

@@ -12,112 +12,85 @@ the probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from ._kernels import sparsetools
+from ._kernels import index_arrays, sparsetools
 from .config import RunConfig
 from .graph import _edge_chunks
 from .implication import ImplicationNetwork
 
 COLUMN_SUM_TOL = 1e-12
 SIMPLEX_SUM_TOL = 1e-9
-_FLIPPED = {"csr": "csc", "csc": "csr"}
 
 
-@dataclass(frozen=True)
-class Compressed:
-    """An n x n sparse matrix in `format` "csr" or "csc", on the arrays scipy's matrices keep.
+def _product(by_row: bool, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+             x: np.ndarray) -> np.ndarray:
+    """`A @ x` in a fresh vector, as scipy's own product, for the n x n matrix A on these arrays.
 
-    A scipy `csr_matrix` or `csc_matrix` has the same four attributes and
-    may stand in for it. Read by the other format, the same arrays are the
-    transpose.
-    """
-
-    format: str
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-
-def _compressed(kind: str, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> Compressed:
-    """The matrix of format `kind` on these arrays themselves, `indptr` in the index type of `indices`.
-
-    The index type is int32, int64 only past 2**31 - 1 entries; `indices`
-    is copied only when its type must change.
-    """
-    index = np.int32 if int(indptr[-1]) < 2 ** 31 else np.int64
-    return Compressed(kind, indptr.astype(index), indices.astype(index, copy=False), data)
-
-
-def _product(term, x: np.ndarray, flip: bool = False) -> np.ndarray:
-    """`term @ x`, or its transpose's when `flip`, in a fresh vector, as scipy's own product.
-
-    scipy's product fills `np.zeros(n)` through the same kernel, so the bits
-    are scipy's.
+    The arrays hold A by row (CSR) when `by_row`, else by column (CSC); read
+    the other way, they hold A's transpose. scipy's product fills
+    `np.zeros(n)` through the same kernel, so the bits are scipy's.
     """
     n = x.size
     out = np.zeros(n)
-    kind = _FLIPPED[term.format] if flip else term.format
-    getattr(sparsetools, f"{kind}_matvec")(n, n, term.indptr, term.indices, term.data, x, out)
+    kernel = sparsetools.csr_matvec if by_row else sparsetools.csc_matvec
+    kernel(n, n, indptr, indices, data, x, out)
     return out
-
-
-def _check_term(term, n: int) -> None:
-    """Raise ValueError unless `term` is an n x n CSR or CSC matrix the kernels can read safely."""
-    kind = getattr(term, "format", None)
-    if kind not in _FLIPPED:
-        raise ValueError(f"operator terms must be csr or csc, got {kind!r}")
-    indptr, indices, data = term.indptr, term.indices, term.data
-    if not (indptr.dtype == indices.dtype and indptr.dtype in (np.int32, np.int64)):
-        raise ValueError(f"indptr and indices must share one index type, int32 or int64; "
-                         f"got {indptr.dtype} and {indices.dtype}")
-    if indptr.shape != (n + 1,):
-        raise ValueError(f"matrix must be {n}x{n}: indptr needs {n + 1} entries, got {indptr.shape}")
-    if data.ndim != 1 or indices.shape != data.shape:
-        raise ValueError("indices and data must be 1-D and of one length")
-    if indptr[0] != 0 or indptr[-1] != data.size or np.any(indptr[1:] < indptr[:-1]):
-        raise ValueError(f"indptr must rise from 0 to the {data.size} entries")
-    unsigned = np.uint32 if indices.dtype == np.int32 else np.uint64
-    if indices.size and indices.view(unsigned).max() >= n:  # read unsigned, a negative is huge
-        raise ValueError(f"indices must lie in [0, {n})")
 
 
 @dataclass(frozen=True)
 class StochasticOperator:
-    """Column-stochastic operator: entry (i, j) moves score from j to i.
+    """Column-stochastic operator of an implication network: entry (i, j) moves score from j to i.
 
-    The sparse `terms`, each a `Compressed` matrix or a scipy `csr_matrix`
-    or `csc_matrix`, add up to the edge-backed entries; `dangling[j]` in
-    [0, 1] is the share of column j spread as 1/n over every node when the
-    operator is applied. Each column's entries plus its dangling weight sum to 1.
+    Its edge-backed entries are the network's K + R^T, K's edges valued
+    `kept_values` and R's `reversed_values`: each a float64 vector as long
+    as its store, or None to leave that store out. `dangling[j]` in [0, 1]
+    is the share of column j spread as 1/n over every node when the operator
+    is applied. Each column's entries plus its dangling weight sum to 1.
+    The operator keeps the arrays it reads, not the `network`; K's are read
+    by column and R's by row, as R^T.
     """
 
-    n: int
-    terms: tuple[Compressed, ...]
+    network: InitVar[ImplicationNetwork]
+    kept_values: np.ndarray | None
+    reversed_values: np.ndarray | None
     dangling: np.ndarray
+    n: int = field(init=False)
+    _terms: tuple = field(init=False, repr=False, compare=False)
     _support: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, network: ImplicationNetwork):
+        n = network.kept.n
         dangling = np.ascontiguousarray(self.dangling, dtype=np.float64)
-        if dangling.shape != (self.n,):
-            raise ValueError(f"dangling must have shape ({self.n},)")
+        if dangling.shape != (n,):
+            raise ValueError(f"dangling must have shape ({n},)")
         if not np.all((dangling >= 0.0) & (dangling <= 1.0)):
             raise ValueError("dangling weights must lie in [0, 1]")
         col_sums = dangling.copy()
-        ones = np.ones(self.n)
-        for term in self.terms:
-            _check_term(term, self.n)  # before a kernel reads it
-            data = term.data
-            if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):  # NaN fails both
+        ones = np.ones(n)
+        terms = []
+        for by_row, store, values in ((False, network.kept, self.kept_values),
+                                      (True, network.reversed, self.reversed_values)):
+            if values is None:
+                continue
+            # the store's own structure was checked when it was built
+            if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                    and values.shape == (store.n_edges,)):
+                raise ValueError(f"operator values must be a float64 vector of their store's {store.n_edges} edges")
+            if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails both
                 raise ValueError("operator entries must lie in [0, 1]")
-            col_sums += _product(term, ones, flip=True)
+            indptr, src = index_arrays(store, store.n_edges)
+            col_sums += _product(not by_row, indptr, src, values, ones)
+            terms.append((by_row, indptr, src, values))
         if np.any(np.abs(col_sums - 1.0) > COLUMN_SUM_TOL):
             raise ValueError("every column's entries plus its dangling weight must sum to 1")
         dangling.setflags(write=False)  # only once every check has passed
         object.__setattr__(self, "dangling", dangling)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", tuple(terms))
         object.__setattr__(self, "_support", np.flatnonzero(dangling))
 
     def apply(self, c: np.ndarray) -> np.ndarray:
@@ -125,8 +98,8 @@ class StochasticOperator:
         if c.shape != (self.n,):  # the kernels would read past a shorter vector
             raise ValueError(f"c must have shape ({self.n},), got {c.shape}")
         out = np.zeros(self.n)
-        for term in self.terms:
-            out += _product(term, c)
+        for term in self._terms:
+            out += _product(*term, c)
         support = self._support
         lost = float((self.dangling[support] * c[support]).sum())
         if lost:
@@ -165,14 +138,13 @@ class ScoreVector:
 def normalize(cin: ImplicationNetwork, config: RunConfig) -> StochasticOperator:
     """The scoring operator of a CIN: combined, or the split at `config.beta`, by `config.scoring`.
 
-    Its terms are the network's K and R^T, scaled, on the stores' `indptr`
-    and `src` (R^T is R's arrays read by row, not a copy), with the scaled
-    values in fresh arrays: `cin` is left as it is. Combined scoring
-    divides each edge by its column's total, K's column sum plus R's source
-    sum. Split scoring gives beta * M_prior + (1 - beta) * M_subseq: K divided
-    by its own column sums, R by its own source sums. At beta = 1 or 0 the
-    store with zero weight is left out, so each limit scores bit for bit like
-    an operator built from that one store.
+    It reads the network's stores as K and R^T, with the scaled values in
+    fresh arrays: `cin` is left as it is. Combined scoring divides each edge
+    by its column's total, K's column sum plus R's source sum. Split scoring
+    gives beta * M_prior + (1 - beta) * M_subseq: K divided by its own column
+    sums, R by its own source sums. At beta = 1 or 0 the store with zero
+    weight is left out, so each limit scores bit for bit like an operator
+    built from that one store.
     """
     return _scale(cin, config, np.empty(cin.kept.n_edges), np.empty(cin.reversed.n_edges))
 
@@ -188,28 +160,24 @@ def _scale(cin: ImplicationNetwork, config: RunConfig, kept_values: np.ndarray,
     spans a store.
     """
     kept, rev = cin.kept, cin.reversed
-    n = kept.n
-    # K's columns are its destinations; R^T is R's arrays read by row
-    kept_term = _compressed("csc", kept.weight, kept.src, kept.indptr)
-    flipped_term = _compressed("csr", rev.weight, rev.src, rev.indptr)
-    # The flipped products add each node's edges in edge order: K's column
-    # sums read its columns as rows, R's source sums read R as it is stored.
-    ones = np.ones(n)
-    subsequent = _product(kept_term, ones, flip=True)
-    prior = _product(flipped_term, ones, flip=True)
+    # Each sum adds a node's edges in edge order: K's column sums read K's
+    # arrays by row, as K^T; R's source sums read R's by column, as R.
+    ones = np.ones(kept.n)
+    subsequent = _product(True, *index_arrays(kept, kept.n_edges), kept.weight, ones)
+    prior = _product(False, *index_arrays(rev, rev.n_edges), rev.weight, ones)
     if config.scoring == "combined":
         total = subsequent + prior
-        scaled = ((kept, kept_term, total, 1.0, False, kept_values),
-                  (rev, flipped_term, total, 1.0, True, reversed_values))
+        scaled = ((kept, total, 1.0, False, kept_values), (rev, total, 1.0, True, reversed_values))
         dangling = (total == 0.0).astype(np.float64)
     else:
         beta = config.beta
-        scaled = ((kept, kept_term, subsequent, 1.0 - beta, False, kept_values),
-                  (rev, flipped_term, prior, beta, True, reversed_values))
+        scaled = ((kept, subsequent, 1.0 - beta, False, kept_values),
+                  (rev, prior, beta, True, reversed_values))
         dangling = beta * (prior == 0.0) + (1.0 - beta) * (subsequent == 0.0)
-    terms = []
-    for store, term, sums, scale, transpose, values in scaled:
+    picked = []
+    for store, sums, scale, transpose, values in scaled:
         if scale == 0.0:
+            picked.append(None)
             continue
         for e0, e1, j0, bounds in _edge_chunks(store.indptr):
             divisors = (sums[store.src[e0:e1]] if transpose
@@ -217,8 +185,8 @@ def _scale(cin: ImplicationNetwork, config: RunConfig, kept_values: np.ndarray,
             np.divide(store.weight[e0:e1], divisors, out=values[e0:e1])
         if scale != 1.0:
             values *= scale
-        terms.append(replace(term, data=values))
-    return StochasticOperator(n=n, terms=tuple(terms), dangling=dangling)
+        picked.append(values)
+    return StochasticOperator(cin, *picked, dangling=dangling)
 
 
 def solve_power(op: StochasticOperator, config: RunConfig,

@@ -199,14 +199,8 @@ def split(beta: float) -> cn.RunConfig:
 
 
 def dense_matrix(op: cn.StochasticOperator) -> np.ndarray:
-    """Full matrix of a scoring operator with the dangling weights filled in; for small n only."""
-    m = np.zeros((op.n, op.n))
-    for term in op.terms:
-        major = np.repeat(np.arange(op.n), np.diff(term.indptr))
-        rows, cols = (major, term.indices) if term.format == "csr" else (term.indices, major)
-        np.add.at(m, (rows, cols), term.data)
-    m += op.dangling / op.n
-    return m
+    """Full matrix of a scoring operator with the dangling weights filled in, column j as M e_j; for small n only."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.n)])
 
 
 def solve_closed_form(op: cn.StochasticOperator, alpha: float) -> cn.ScoreVector:

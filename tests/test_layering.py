@@ -1,8 +1,9 @@
 """The settings module sits at the bottom of the package and owns every enum and range check.
 
-The package reaches scipy's sparse kernels without importing `scipy.sparse`,
-one module alone calls libc's `madvise` through `ctypes`, and the edge dumps'
-float formatter imports only numpy.
+The package reaches scipy's sparse kernels without importing `scipy.sparse`
+and calls them only on checked stores, one module alone calls libc's
+`madvise` through `ctypes`, and the edge dumps' float formatter imports only
+numpy.
 """
 
 import ast
@@ -181,6 +182,45 @@ def test_no_module_imports_scipy_sparse_but_the_kernel_fallback():
     found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
              for function in scipy_sparse_imports(parse(path))}
     assert found == SCIPY_SPARSE_ALLOWED
+
+
+# The functions that may read scipy's kernels: (module, enclosing function).
+# The kernels check no bounds; these two pass them only the arrays of an
+# implication network's stores, which `PaintingGraph` checked when it was
+# built, in the index type `_kernels.index_arrays` picks.
+KERNEL_CALLERS = {("scoring.py", "_product"), ("implication.py", "_merged")}
+
+
+def kernel_reads(tree: ast.Module):
+    """The enclosing function of each read of the name or attribute `sparsetools`."""
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "sparsetools" and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == "sparsetools"):
+                yield function
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def picks_an_index_type(tree: ast.Module) -> bool:
+    """Whether the file picks between int32 and int64 with a conditional expression."""
+    def names(node):
+        return {n.attr if isinstance(n, ast.Attribute) else n.id for n in (node.body, node.orelse)
+                if isinstance(n, (ast.Attribute, ast.Name))}
+
+    return any(isinstance(node, ast.IfExp) and names(node) == {"int32", "int64"} for node in ast.walk(tree))
+
+
+def test_the_kernels_are_called_only_on_checked_stores():
+    found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function in kernel_reads(parse(path))}
+    assert found == KERNEL_CALLERS
+    pickers = [path.name for path in sorted(PACKAGE.glob("*.py")) if picks_an_index_type(parse(path))]
+    assert pickers == ["_kernels.py"]
 
 
 def test_the_cli_imports_neither_scipy_sparse_nor_f2py():

@@ -53,6 +53,7 @@ from scipy.spatial.distance import pdist
 
 import creanet as cn
 from creanet import _floatrepr as floatrepr_module
+from creanet import _kernels
 from creanet import corpus as corpus_module
 from creanet import graph as graph_module
 from creanet import implication as implication_module
@@ -330,10 +331,26 @@ def reference_operator(cin, beta=None):
     return matrix, dangling
 
 
-def merged_network_operator(cin, beta=None):
-    """The scoring operator of a merged network: its one matrix as the only term."""
-    matrix, dangling = reference_operator(cin, beta)
-    return cn.StochasticOperator(n=cin.n, terms=(matrix,), dangling=dangling)
+class MergedNetworkOperator:
+    """The scoring operator of a merged network: its one CSC matrix and its dangling weights.
+
+    `apply` takes scipy's product and spreads the dangling share as the
+    library's operator does, so both give the same bits on the same entries.
+    """
+
+    def __init__(self, cin, beta=None):
+        self.n = cin.n
+        self.matrix, self.dangling = reference_operator(cin, beta)
+        sums = np.asarray(self.matrix.sum(axis=0)).ravel() + self.dangling
+        assert np.all(np.abs(sums - 1.0) <= scoring_module.COLUMN_SUM_TOL)
+
+    def apply(self, c):
+        out = self.matrix @ c
+        support = np.flatnonzero(self.dangling)
+        lost = float((self.dangling[support] * c[support]).sum())
+        if lost:
+            out += lost / self.n
+        return out
 
 
 def reference_solve_split(op_prior, op_subseq, alpha, beta, tol=1e-10, max_iters=1000):
@@ -1412,7 +1429,7 @@ class TestOperatorAgainstOracle:
         # label, so every entry keeps its bits; a combined column total adds
         # K's sum and R's in another order
         op = cn.normalize(net, scoring(beta))
-        want = merged_network_operator(merged(net), beta)
+        want = MergedNetworkOperator(merged(net), beta)
         assert op.dangling.tobytes() == want.dangling.tobytes()
         if beta is None:
             assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
@@ -1429,7 +1446,7 @@ class TestOperatorAgainstOracle:
         m = cn.compute_thresholds(graph, corpus.years, balancing)
         op = cn.normalize(cn.build_implication_network(graph, m, corpus.years, balancing),
                           scoring(beta))
-        want = merged_network_operator(reference_merged_network(
+        want = MergedNetworkOperator(reference_merged_network(
             graph, m, corpus.years, balancing.balance_anchor), beta)
         assert np.max(np.abs(dense_matrix(op) - dense_matrix(want))) <= 1e-15
         solving = cn.RunConfig(alpha=alpha)
@@ -1475,13 +1492,18 @@ class TestKernelsAgainstScipyMatrices:
         c = np.random.default_rng(n).dirichlet(np.ones(n))
         ones = np.ones(n)
         want = np.zeros(n)
-        for term in op.terms:
-            kind = {"csr": sparse.csr_matrix, "csc": sparse.csc_matrix}[term.format]
-            matrix = kind((term.data, term.indices, term.indptr), shape=(n, n))
+        # K's arrays read by column, R's by row as R^T
+        for store, values, by_row in ((net.kept, op.kept_values, False),
+                                      (net.reversed, op.reversed_values, True)):
+            if values is None:
+                continue
+            indptr, src = _kernels.index_arrays(store, store.n_edges)
+            kind = sparse.csr_matrix if by_row else sparse.csc_matrix
+            matrix = kind((values, src, indptr), shape=(n, n))
             product = matrix @ c
             want += product
-            assert scoring_module._product(term, c).tobytes() == product.tobytes()
-            assert scoring_module._product(term, ones, flip=True).tobytes() == \
+            assert scoring_module._product(by_row, indptr, src, values, c).tobytes() == product.tobytes()
+            assert scoring_module._product(not by_row, indptr, src, values, ones).tobytes() == \
                 (matrix.T @ ones).tobytes()
         got = op.apply(c)
         support = np.flatnonzero(op.dangling)

@@ -138,7 +138,7 @@ class TestStagesReuseMemory:
             seen["network"] = weakref.ref(network)
             seen["stores"] = (network.kept.src, network.kept.weight, network.reversed.weight)
             op = real_scale(network, *args)
-            seen["values"] = [term.data for term in op.terms]
+            seen["values"] = [op.kept_values, op.reversed_values]
             return op
 
         def solve_power(*args, **kwargs):

@@ -13,11 +13,10 @@ import creanet as cn
 from creanet import _kernels
 from creanet import implication as implication_module
 from creanet import scoring as scoring_module
-from creanet.scoring import Compressed
 
-from conftest import (COMBINED, PIONEER, balance, cin_edges, dense_matrix, edge_dst, from_edges,
-                      make_network, pioneer_corpus, random_corpus, random_network,
-                      solve_closed_form, split)
+from conftest import (COMBINED, PIONEER, balance, chain_graph, cin_edges, dense_matrix, edge_dst,
+                      from_edges, make_network, pioneer_corpus, random_corpus, random_network,
+                      solve_closed_form, split, traced_peak)
 from test_oracles import reference_normalize
 
 ALPHAS = (0.15, 0.5, 0.85)
@@ -28,7 +27,7 @@ def single_edge_network(w=0.3):
 
 
 def nnz(op):
-    return sum(term.data.size for term in op.terms)
+    return sum(values.size for values in (op.kept_values, op.reversed_values) if values is not None)
 
 
 class TestNormalize:
@@ -61,8 +60,8 @@ class TestNormalize:
         prior = nnz(cn.normalize(net, split(1.0)))
         subseq = nnz(cn.normalize(net, split(0.0)))
         assert prior + subseq == total == nnz(cn.normalize(net, split(0.5))) == net.n_edges
-        for limit in (1.0, 0.0):
-            assert len(cn.normalize(net, split(limit)).terms) == 1
+        assert cn.normalize(net, split(1.0)).kept_values is None
+        assert cn.normalize(net, split(0.0)).reversed_values is None
 
     def test_split_dangling_weights(self):
         # no prior in-edge leaves beta of a column dangling, no subsequent in-edge 1 - beta
@@ -74,16 +73,27 @@ class TestNormalize:
         op = cn.normalize(net, split(0.3))
         np.testing.assert_allclose(op.dangling, 0.3 * no_prior + 0.7 * no_subseq, rtol=0, atol=1e-16)
 
-    def test_operator_shares_the_cin_sources(self):
+    def test_operator_shares_the_cin_sources(self, monkeypatch):
         # no E-length copy of an index array, and no transposed copy of R: the
-        # terms read the stores' int32 src, K by column and R^T by row
-        net = random_network(seed=31, n=70)
+        # operator reads the stores' int32 src, K by column and R^T by row
+        graph, years = chain_graph(2000, 200)
+        net = balance(graph, years)
+        index_bytes = 4 * min(net.kept_count, net.reversed_count)
+        real = scoring_module._product
         for config in (COMBINED, split(0.5)):
-            kept, flipped = cn.normalize(net, config).terms
-            for term, store, layout in ((kept, net.kept, "csc"), (flipped, net.reversed, "csr")):
-                assert store.src.dtype == np.int32 and term.format == layout
-                assert np.shares_memory(term.indices, store.src)
-                assert np.array_equal(term.indptr, store.indptr)
+            op = cn.normalize(net, config)
+            assert traced_peak(lambda: cn.StochasticOperator(
+                net, kept_values=op.kept_values, reversed_values=op.reversed_values,
+                dangling=op.dangling)) < index_bytes / 2
+            reads = []
+            monkeypatch.setattr(scoring_module, "_product",
+                                lambda *args: reads.append(args[:3]) or real(*args))
+            op.apply(np.full(op.n, 1.0 / op.n))
+            monkeypatch.undo()
+            assert len(reads) == 2
+            for (by_row, indptr, src), store, layout in zip(reads, (net.kept, net.reversed), (False, True)):
+                assert by_row == layout and src is store.src and src.dtype == np.int32
+                assert np.array_equal(indptr, store.indptr)
 
     def test_apply_matches_dense(self):
         net = random_network(seed=32, n=60)
@@ -108,105 +118,117 @@ class TestScoreVectorValidation:
             cn.ScoreVector(scores=scores, iterations=0, residual=0.0, converged=True)
 
 
-class TestOperatorValidation:
-    def test_rejects_bad_column_sum(self):
-        from scipy import sparse
-        bad = sparse.csr_matrix(np.array([[0.0, 0.7], [0.0, 0.7]]))
-        with pytest.raises(ValueError, match="sum to 1"):
-            cn.StochasticOperator(n=2, terms=(bad,), dangling=np.array([True, False]))
+def two_store_network():
+    """K holds the edge 0 -> 1 and R the graph edge 0 -> 2, the network edge 2 -> 0; node 2 takes none."""
+    return make_network(3, kept=([0], [1], [0.4]), reversed_=([0], [2], [0.2]))
 
-    def test_rejects_entry_outside_unit_interval(self):
-        from scipy import sparse
-        bad = sparse.csr_matrix(np.array([[0.0, 2.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError, match="entries"):
-            cn.StochasticOperator(n=2, terms=(bad,), dangling=np.array([True, False]))
+
+def two_store_operator(kept_values=(1.0,), reversed_values=(1.0,), dangling=(0.0, 0.0, 1.0)):
+    """The operator of `two_store_network` on these values; a tuple becomes a float64 array."""
+    def array(values):
+        return np.array(values, dtype=np.float64) if isinstance(values, tuple) else values
+
+    return cn.StochasticOperator(two_store_network(), kept_values=array(kept_values),
+                                 reversed_values=array(reversed_values), dangling=array(dangling))
+
+
+class TestOperatorValidation:
+    """An operator reads its network's stores, which `PaintingGraph` checked; it checks what it adds."""
+
+    def test_the_stores_as_they_are_are_accepted(self):
+        # column 0 takes R^T's entry from node 2, column 1 K's from node 0, column 2 dangles
+        op = two_store_operator()
+        assert op.n == 3
+        assert dense_matrix(op).tolist() == [[0.0, 1.0, 1 / 3], [0.0, 0.0, 1 / 3], [1.0, 0.0, 1 / 3]]
+
+    def test_a_store_left_out_is_not_read(self):
+        op = two_store_operator(kept_values=None, dangling=(0.0, 1.0, 1.0))
+        assert op.kept_values is None
+        assert dense_matrix(op)[:, :2].tolist() == [[0.0, 1 / 3], [0.0, 1 / 3], [1.0, 1 / 3]]
+
+    @pytest.mark.parametrize("values", [
+        np.array([]), np.array([0.5, 0.5]), np.array([1], dtype=np.int64),
+        np.array([1.0], dtype=np.float32), np.array([1.0], dtype=">f8"), np.array([[1.0]]), [1.0],
+    ], ids=["short", "long", "int64", "float32", "big_endian", "two_dim", "list"])
+    @pytest.mark.parametrize("store", ["kept_values", "reversed_values"])
+    def test_rejects_values_not_a_float64_vector_as_long_as_the_store(self, store, values):
+        # the kernels read as many values as the store has edges, as float64
+        with pytest.raises(ValueError, match="operator values must be a float64 vector of their store's 1 edges"):
+            two_store_operator(**{store: values})
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("store", ["kept_values", "reversed_values"])
+    def test_rejects_entry_outside_unit_interval(self, store, value):
+        with pytest.raises(ValueError, match="operator entries must lie in"):
+            two_store_operator(**{store: (value,)})
+
+    @pytest.mark.parametrize("store", ["kept_values", "reversed_values"])
+    def test_rejects_bad_column_sum(self, store):
+        with pytest.raises(ValueError, match="sum to 1"):
+            two_store_operator(**{store: (0.7,)})
 
     def test_rejects_nonempty_dangling_column(self):
-        from scipy import sparse
-        m = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="dangling"):
-            cn.StochasticOperator(n=2, terms=(m,), dangling=np.array([False, True]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            two_store_operator(dangling=(0.0, 1.0, 1.0))
 
     @pytest.mark.parametrize("weight", [-0.5, 1.5, float("nan")])
     def test_rejects_dangling_weight_outside_unit_interval(self, weight):
-        # column 1 sums to 1 with weight -0.5; only the range check can catch it
-        from scipy import sparse
-        m = sparse.csr_matrix(np.array([[0.0, 0.75], [0.0, 0.75]]))
+        # with K's entry at 1.5 column 1 would sum to 1 at weight -0.5; the range check comes first
         with pytest.raises(ValueError, match="dangling weights must lie in"):
-            cn.StochasticOperator(n=2, terms=(m,), dangling=np.array([1.0, weight]))
+            two_store_operator(kept_values=(1.5,), dangling=(0.0, weight, 1.0))
 
+    @pytest.mark.parametrize("dangling", [(0.0, 1.0), (0.0, 0.0, 1.0, 1.0)], ids=["short", "long"])
+    def test_rejects_dangling_of_another_length(self, dangling):
+        with pytest.raises(ValueError, match=r"dangling must have shape \(3,\)"):
+            two_store_operator(dangling=dangling)
 
-    @pytest.mark.parametrize("entries, dangling, message", [
-        ([[0.0, 0.7], [0.0, 0.7]], [1.0, 0.0], "sum to 1"),
-        ([[0.0, 2.0], [0.0, -1.0]], [1.0, 0.0], "entries"),
-        ([[0.0, 0.75], [0.0, 0.75]], [1.0, -0.5], "dangling weights must lie in"),
-    ], ids=["column_sum", "entry", "dangling_range"])
-    def test_a_rejected_operator_leaves_dangling_writeable(self, entries, dangling, message):
-        from scipy import sparse
+    @pytest.mark.parametrize("values, dangling, message", [
+        ({"kept_values": (0.7,)}, (0.0, 0.0, 1.0), "sum to 1"),
+        ({"kept_values": (2.0,)}, (0.0, 0.0, 1.0), "entries"),
+        ({"reversed_values": np.array([1.0, 0.0])}, (0.0, 0.0, 1.0), "float64 vector"),
+        ({}, (0.0, 0.0, 1.5), "dangling weights must lie in"),
+    ], ids=["column_sum", "entry", "values_length", "dangling_range"])
+    def test_a_rejected_operator_leaves_dangling_writeable(self, values, dangling, message):
         dangling = np.array(dangling)
         with pytest.raises(ValueError, match=message):
-            cn.StochasticOperator(n=2, terms=(sparse.csr_matrix(np.array(entries)),), dangling=dangling)
+            two_store_operator(**values, dangling=dangling)
         assert dangling.flags.writeable
 
-    # Term arrays the compiled kernels would read or write out of bounds, or
-    # could not read: each is refused before any product is taken.
-    @staticmethod
-    def term(format="csr", indptr=(0, 1, 1), indices=(1,), data=(1.0,), index=np.int32,
-             indptr_index=None):
-        return Compressed(format, np.array(indptr, dtype=indptr_index or index),
-                          np.array(indices, dtype=index), np.array(data))
-
-    def test_the_unaltered_term_is_accepted(self):
-        op = cn.StochasticOperator(n=2, terms=(self.term(),), dangling=np.array([1.0, 0.0]))
-        assert dense_matrix(op).tolist() == [[0.5, 1.0], [0.5, 0.0]]
-
-    def test_rejects_a_format_other_than_csr_or_csc(self):
-        from scipy import sparse
-        coo = sparse.coo_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        for term in (coo, self.term(format="coo")):
-            with pytest.raises(ValueError, match="csr or csc"):
-                cn.StochasticOperator(n=2, terms=(term,), dangling=np.array([1.0, 0.0]))
-
-    def test_rejects_an_indptr_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="matrix must be 2x2"):
-            cn.StochasticOperator(n=2, terms=(self.term(indptr=(0, 1)),),
-                                  dangling=np.array([1.0, 0.0]))
-
-    def test_rejects_a_falling_indptr(self):
-        term = self.term(indptr=(0, 2, 1), indices=(1, 0), data=(0.5, 0.5))
-        with pytest.raises(ValueError, match="indptr must rise"):
-            cn.StochasticOperator(n=2, terms=(term,), dangling=np.array([0.5, 0.5]))
-
-    @pytest.mark.parametrize("indptr", [(0, 1, 2), (0, 0, 0), (1, 1, 1)])
-    def test_rejects_an_indptr_not_ending_at_the_entries(self, indptr):
-        with pytest.raises(ValueError, match="indptr must rise"):
-            cn.StochasticOperator(n=2, terms=(self.term(indptr=indptr),), dangling=np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("index", [2, -1, 2 ** 31 - 1])
-    def test_rejects_indices_out_of_range(self, index):
-        for format in ("csr", "csc"):
-            with pytest.raises(ValueError, match=r"indices must lie in \[0, 2\)"):
-                cn.StochasticOperator(n=2, terms=(self.term(format=format, indices=(index,)),),
-                                      dangling=np.array([1.0, 0.0]))
-
-    def test_rejects_indptr_and_indices_of_different_types(self):
-        for index, indptr_index in ((np.int32, np.int64), (np.int64, np.int32), (np.int16, np.int16)):
-            with pytest.raises(ValueError, match="one index type"):
-                cn.StochasticOperator(n=2, terms=(self.term(index=index, indptr_index=indptr_index),),
-                                      dangling=np.array([1.0, 0.0]))
-
     def test_apply_rejects_a_vector_of_another_length(self):
-        op = cn.StochasticOperator(n=2, terms=(self.term(),), dangling=np.array([1.0, 0.0]))
-        for c in (np.ones(1), np.ones(3), np.ones((2, 1))):
-            with pytest.raises(ValueError, match=r"c must have shape \(2,\)"):
+        op = two_store_operator()
+        for c in (np.ones(2), np.ones(4), np.ones((3, 1))):
+            with pytest.raises(ValueError, match=r"c must have shape \(3,\)"):
                 op.apply(c)
 
     def test_holds_and_freezes_the_callers_dangling(self):
-        from scipy import sparse
-        dangling = np.array([1.0, 0.0])
-        op = cn.StochasticOperator(n=2, terms=(sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])),),
-                                   dangling=dangling)
+        dangling = np.array([0.0, 0.0, 1.0])
+        op = two_store_operator(dangling=dangling)
         assert op.dangling is dangling and not dangling.flags.writeable
+
+    def test_keeps_the_values_not_the_network(self):
+        kept_values, reversed_values = np.array([1.0]), np.array([1.0])
+        op = two_store_operator(kept_values=kept_values, reversed_values=reversed_values)
+        assert op.kept_values is kept_values and op.reversed_values is reversed_values
+        assert not any(isinstance(value, (cn.ImplicationNetwork, cn.PaintingGraph))
+                       for value in vars(op).values())
+
+
+class TestIndexArrays:
+    """The kernels' index type is int32 up to 2**31 - 1 entries, int64 past it."""
+
+    def test_int32_reads_the_stores_own_sources(self):
+        store = random_network(seed=31, n=70).kept
+        for entries in (0, store.n_edges, 2 ** 31 - 1):
+            indptr, src = _kernels.index_arrays(store, entries)
+            assert indptr.dtype == src.dtype == np.int32
+            assert src is store.src and indptr.tolist() == store.indptr.tolist()
+
+    def test_int64_past_int32(self):
+        store = random_network(seed=31, n=70).kept
+        indptr, src = _kernels.index_arrays(store, 2 ** 31)
+        assert indptr.dtype == src.dtype == np.int64
+        assert not np.shares_memory(src, store.src) and not np.shares_memory(indptr, store.indptr)
+        assert src.tolist() == store.src.tolist() and indptr.tolist() == store.indptr.tolist()
 
 
 class TestTwoNodeFixture:
@@ -352,15 +374,6 @@ class TestSplit:
             assert c.min() >= floor
 
         cn.solve_power(op, cn.RunConfig(alpha=0.85), on_iteration=check)
-
-    def test_mismatched_node_counts_rejected(self):
-        from scipy import sparse
-        m = sparse.csr_matrix((2, 2))
-        with pytest.raises(ValueError, match="matrix must be 3x3"):
-            cn.StochasticOperator(n=3, terms=(m,), dangling=np.ones(3))
-        with pytest.raises(ValueError, match="dangling must have shape"):
-            cn.StochasticOperator(n=2, terms=(m,), dangling=np.ones(3))
-
 
 class TestPioneerFixture:
     def test_pipeline_scores_pioneer_above_copies(self):

@@ -239,7 +239,7 @@ class TestRunTimeMachine:
             return graph
 
         def solve_power(op, *args, **kwargs):
-            kept_values = op.terms[0].data
+            kept_values = op.kept_values
             baseline = built[0][0]
             if made:
                 ref, weight = made[-1]
