@@ -13,7 +13,8 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -120,14 +121,14 @@ class Corpus:
         return Corpus(artifacts, self.features)
 
 
-def _parse_year(raw: str, where: str) -> int:
+def _parse_year(raw: str, where: str, row_no: int) -> int:
     text = (raw or "").strip()
     if not text:
-        raise IngestError(f"{where}: missing year")
+        raise IngestError(f"{where} {row_no}: missing year")
     try:
         return int(text)
     except ValueError:
-        raise IngestError(f"{where}: year '{text}' is not an integer") from None
+        raise IngestError(f"{where} {row_no}: year '{text}' is not an integer") from None
 
 
 def read_manifest(path: str | Path) -> list[Artifact]:
@@ -151,66 +152,128 @@ def read_manifest(path: str | Path) -> list[Artifact]:
         if unknown:
             raise IngestError(f"{path}: unknown manifest column(s) {unknown}")
         col = {name: header.index(name) for name in header}
+        id_col, year_col, width = col["id"], col["year"], len(header)
+        labels = [col.get(name) for name in MANIFEST_OPTIONAL]
+
+        def opt(row: list[str], at: int | None) -> str | None:
+            return None if at is None else row[at].strip() or None
 
         artifacts: list[Artifact] = []
         seen: dict[str, int] = {}
+        where = f"{path}: manifest row"
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            where = f"{path}: manifest row {row_no}"
-            if len(row) != len(header):
-                raise IngestError(f"{where}: expected {len(header)} columns, got {len(row)}")
-            art_id = row[col["id"]].strip()
+            if len(row) != width:
+                raise IngestError(f"{where} {row_no}: expected {width} columns, got {len(row)}")
+            art_id = row[id_col].strip()
             if not art_id:
-                raise IngestError(f"{where}: empty id")
+                raise IngestError(f"{where} {row_no}: empty id")
             if art_id in seen:
                 raise IngestError(f"{path}: duplicate artifact id '{art_id}' "
                                   f"(manifest rows {seen[art_id]} and {row_no})")
             seen[art_id] = row_no
-            year = _parse_year(row[col["year"]], where)
-
-            def opt(name: str) -> str | None:
-                if name not in col:
-                    return None
-                value = row[col[name]].strip()
-                return value or None
-
-            artifacts.append(
-                Artifact(id=art_id, year=year, artist=opt("artist"), style=opt("style"), genre=opt("genre"))
-            )
+            year = _parse_year(row[year_col], where, row_no)
+            artist, style, genre = (opt(row, at) for at in labels)
+            artifacts.append(Artifact(id=art_id, year=year, artist=artist, style=style, genre=genre))
     if not artifacts:
         raise IngestError(f"{path}: manifest contains no artifacts")
     return artifacts
 
 
+def _csv_rows(records: Iterable[list[str]], where: str, row_no: int,
+              dim: int | None) -> Iterator[list[float]]:
+    """The feature rows of the csv `records`, numbered from `row_no + 1`, as lists of floats.
+
+    This alone defines what a CSV feature file may hold. A record with no
+    cells, or only blank ones, is skipped; every other cell is read by
+    `float`, and a row must have `dim` values (the first row's count when
+    `dim` is None), all finite. A fault raises `IngestError` naming its row.
+    """
+    for row_no, row in enumerate(records, start=row_no + 1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise IngestError(f"{where} row {row_no}: non-numeric value") from None
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise IngestError(f"{where} row {row_no}: expected {dim} values, got {len(values)}")
+        if not all(math.isfinite(v) for v in values):
+            raise IngestError(f"{where} row {row_no}: non-finite value")
+        yield values
+
+
+def _numeric_block(lines: list[str], dim: int | None) -> np.ndarray | None:
+    """The rows of a block of lines as numpy's C reader parses them, or None where it may not.
+
+    The reader gives `float`'s bits for every cell it accepts, but it takes
+    the ASCII separators 0x1c-0x1f for whitespace, where `float` does not,
+    so only ASCII text without them is handed to it; non-ASCII digits and
+    spaces, which `float` reads, are left to the row parser. A block of
+    blank lines, which the reader warns about, a width other than `dim`, a
+    non-finite value or any cell it rejects (a quote, `1_5`, a blank or
+    missing cell, a ragged row, text) gives None.
+    """
+    text = "".join(lines)
+    if not text.isascii() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    if len(text) <= 2 * len(lines) and set(lines) <= {"\n", "\r", "\r\n"}:
+        return None
+    del text
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (dim is not None and block.shape[1] != dim) or not np.isfinite(block).all():
+        return None
+    return block
+
+
 def _read_features_csv(path: Path, aspect: str) -> np.ndarray:
-    rows: list[list[float]] = []
-    dim: int | None = None
+    """A CSV file's feature rows as float64, read and parsed a block of lines at a time.
+
+    A block is whole lines of about `_CHUNK_BYTES // 4` characters, parsed
+    by numpy's C reader (`_numeric_block`) or, where that may not parse it,
+    by `_csv_rows`, with the same result. A quoted cell may span lines, so
+    from a rejected block that holds a quote on, `_csv_rows` reads the rest
+    of the file. The matrix grows in place, to the row count the share of
+    the file read so far predicts, and no second copy of it is made.
+    """
+    where = f"feature file '{path}' (aspect '{aspect}')"
+    size = path.stat().st_size
+    vectors = np.empty((0, 0))
+    n = row_no = 0  # rows kept, and csv records read
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise IngestError(
-                    f"feature file '{path}' (aspect '{aspect}') row {row_no}: non-numeric value"
-                ) from None
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise IngestError(
-                    f"feature file '{path}' (aspect '{aspect}') row {row_no}: "
-                    f"expected {dim} values, got {len(values)}"
-                )
-            if not all(math.isfinite(v) for v in values):
-                raise IngestError(
-                    f"feature file '{path}' (aspect '{aspect}') row {row_no}: non-finite value"
-                )
-            rows.append(values)
-    if not rows:
-        raise IngestError(f"feature file '{path}' (aspect '{aspect}') contains no rows")
-    return np.asarray(rows, dtype=np.float64)
+
+        def keep(rows: np.ndarray) -> None:
+            nonlocal n
+            want = n + rows.shape[0]
+            if want > vectors.shape[0]:
+                predicted = -(-want * size // fh.buffer.tell())  # rows in the file at this rate
+                vectors.resize((max(want, predicted), rows.shape[1]), refcheck=False)
+            vectors[n:want] = rows
+            n = want
+
+        for lines in iter(lambda: fh.readlines(max(1, _CHUNK_BYTES // 4)), []):
+            dim = vectors.shape[1] if n else None
+            block = _numeric_block(lines, dim)
+            if block is not None:
+                keep(block)
+            else:
+                quoted = any('"' in line for line in lines)
+                rows = _csv_rows(csv.reader(chain(lines, fh) if quoted else lines), where, row_no, dim)
+                step = 1  # rows of about 32 bytes a value, once the first row gives the width
+                while batch := list(islice(rows, step)):
+                    keep(np.array(batch))
+                    step = max(1, _CHUNK_BYTES // (32 * vectors.shape[1]))
+            row_no += len(lines)
+    if not n:
+        raise IngestError(f"{where} contains no rows")
+    vectors.resize((n, vectors.shape[1]), refcheck=False)
+    return vectors
 
 
 def _read_features_binary(path: Path, aspect: str) -> np.ndarray:

@@ -17,7 +17,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +31,13 @@ from .similarity import check_sigma, distance_weights, pair_weights
 # keep its block of candidate values, and so its partition, under
 # `_SLAB_BYTES`: at least one, whatever its width.
 _SLAB_BYTES = 1 << 21
+
+# A slab weighs its picks, and cuts its rows that need an exact cut, in
+# groups of rows whose scratch stays under `_SLAB_BYTES`, at about
+# `_PICK_BYTES` a pick or a candidate cut exactly: the pick's weight, the
+# index gathers and float64 temporaries of `pair_weights`, and the bound,
+# cap and band arrays of the exact cut.
+_PICK_BYTES = 80
 
 # A slab's ranking product is taken in panels of this many block entries, as
 # many columns as fit beside its rows. At dim 16, OpenBLAS runs a product this
@@ -250,19 +257,21 @@ def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarra
 
 def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray, cols: np.ndarray,
                 order: np.ndarray, position: np.ndarray, k: int,
-                sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Top-K picks of every row of one ranking slab, each row's picks sorted by source.
+                sigma: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Top-K picks of every row of one ranking slab, a group of rows at a time.
 
     Row i is the destination x at year-order position dest[i], with n_cand[i]
-    candidates; `cols` holds the year-ordered features, one row per
-    dimension, and the squared norms in its last row, and `position` maps an
-    artifact to its year-order position. block[i, c] is d^2 - |x|^2 between x
+    candidates; dest, and so n_cand, ascend. `cols` holds the year-ordered
+    features, one row per dimension, and the squared norms in its last row,
+    and `position` maps an artifact to its year-order position. block[i, c] is d^2 - |x|^2 between x
     and the artifact at position c0 + c, or +inf where that artifact is not
     one of x's candidates. One `argpartition` takes each row's k smallest
-    values, and only those picks are weighed, a feature dimension at a time,
-    so that no temporary outgrows the block. Returns (row, count, src,
-    weight): the slab rows that have picks, how many each has, and the picks
-    of those rows one after another.
+    values, and only those picks are weighed. Yields (row, count, src,
+    weight) for each group of rows: the rows that have picks, how many each
+    has, and their picks one after another, each row's sorted by source.
+    Rows are weighed in groups of about `_SLAB_BYTES // _PICK_BYTES` picks,
+    or candidates of rows cut exactly, so that beside the block and its
+    partition a slab holds one group's scratch, whatever k and its height.
     """
     # Certifying a row's picks. block holds v = fl([-2x, 1] . [y, s_y]) with
     # s_y = fl(|y|^2) and m = dim + 1 terms. In any summation order, with or
@@ -288,53 +297,59 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
     slack = 4.0 * (dim + 3) * 2.0 ** -53 * (np.sqrt(sx) + np.sqrt(r2)) ** 2
     floor = np.zeros(r)  # a candidate lighter than its row's floor is never picked
     fast = np.zeros(r, dtype=bool)
-    rows, counts, src_parts, w_parts = [], [], [], []
-    big = np.flatnonzero(n_cand > k)
+    group = max(1, _SLAB_BYTES // _PICK_BYTES)  # picks, or candidates cut exactly, of one group
+    big = np.arange(np.searchsorted(n_cand, k, side="right"), r)  # n_cand ascends
     if big.size:
-        part = np.argpartition(block if big.size == r else block[big], k, axis=1)
-        top = np.sort(order[part[:, :k] + c0], axis=1)
+        part = np.argpartition(block[big[0]:], k, axis=1)
+        picked = part[:, :k]
+        picked += c0
+        top = order[picked]
+        top.sort(axis=1)
         after = block[big, part[:, k]]  # each row's (k+1)-th smallest value
-        del part  # as large as the block; free it before the picks are weighed
-        w = pair_weights(cols[:dim], dest[big, None], position[top], sigma)
-        floor[big] = w.min(axis=1)
-        with np.errstate(over="ignore"):
-            cap = distance_weights(sx[big] + after - slack[big], sigma)
-        ok = floor[big] > cap
-        fast[big[ok]] = True
-        rows.append(big[ok])
-        counts.append(np.full(int(ok.sum()), k, dtype=np.int64))
-        src_parts.append(top[ok].ravel())
-        w_parts.append(w[ok].ravel())
+        del part, picked  # as large as the block; free them before the picks are weighed
+        step = max(1, group // k)
+        for g0 in range(0, big.size, step):
+            rows, picks = big[g0:g0 + step], top[g0:g0 + step]
+            w = pair_weights(cols[:dim], dest[rows, None], position[picks], sigma)
+            floor[rows] = w.min(axis=1)
+            with np.errstate(over="ignore"):
+                cap = distance_weights(sx[rows] + after[g0:g0 + step] - slack[rows], sigma)
+            ok = floor[rows] > cap
+            fast[rows[ok]] = True
+            yield rows[ok], np.full(int(ok.sum()), k, dtype=np.int64), picks[ok].ravel(), w[ok].ravel()
+        del top  # the exact cuts read none of it
     # Every other row (a tie near the cut, an underflowed pick, at most k
     # candidates) is cut exactly: its top k weigh at least its floor (0 for
     # a row with at most k candidates) and more than 0, so only candidates whose
     # cap reaches both are weighed; the heaviest k survive, ties at the cut
     # going to the smaller source, and underflowed weights are dropped.
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        bound = block[slow]
-        bound += sx[slow, None]
-        bound -= slack[slow, None]
+    step = max(1, group // c)
+    for g0 in range(0, slow.size, step):
+        rows = slow[g0:g0 + step]
+        bound = block[rows]
+        bound += sx[rows, None]
+        bound -= slack[rows, None]
         with np.errstate(over="ignore"):
             cap = distance_weights(bound, sigma)
         del bound
-        band_row, band_col = np.nonzero((cap >= floor[slow, None]) & (cap > 0.0))
+        band_row, band_col = np.nonzero((cap >= floor[rows, None]) & (cap > 0.0))
         del cap
-        band_w = pair_weights(cols[:dim], dest[slow[band_row]], band_col + c0, sigma)
-        band_src = order[band_col + c0]
-        band_size = np.bincount(band_row, minlength=slow.size)
+        band_col += c0
+        band_w = pair_weights(cols[:dim], dest[rows[band_row]], band_col, sigma)
+        band_src = order[band_col]
+        band_size = np.bincount(band_row, minlength=rows.size)
         band_end = np.cumsum(band_size)
-        for i, lo, hi in zip(slow, band_end - band_size, band_end):
+        counts, src_parts, w_parts = [], [], []
+        for lo, hi in zip(band_end - band_size, band_end):
             keep = band_w[lo:hi] > 0.0
             wk, sk = band_w[lo:hi][keep], band_src[lo:hi][keep]
             sel = _select_top_k(wk, sk, k)
             sel = sel[np.argsort(sk[sel])]
-            rows.append(np.array([i]))
-            counts.append(np.array([sel.size]))
+            counts.append(sel.size)
             src_parts.append(sk[sel])
             w_parts.append(wk[sel])
-    return (np.concatenate(rows), np.concatenate(counts),
-            np.concatenate(src_parts), np.concatenate(w_parts))
+        yield rows, np.array(counts, dtype=np.int64), np.concatenate(src_parts), np.concatenate(w_parts)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -472,13 +487,13 @@ def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
                 block[r0:r1, :a_lo[h] - c0] = np.inf
                 block[r0:r1, a_hi[h] - c0:b_lo[h] - c0] = np.inf
                 block[r0:r1, starts[h] - c0:] = np.inf
-            r, picks, s, w = _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
-                                         config.k, sigma)
-            dst = order[p[r]]
-            pos = _ranges(room[dst], picks)
-            src[pos] = s
-            weight[pos] = w
-            count[dst] = picks
+            for r, picks, s, w in _slab_top_k(block, p, c0, n_cand[g], cols, order, position,
+                                              config.k, sigma):
+                dst = order[p[r]]
+                pos = _ranges(room[dst], picks)
+                src[pos] = s
+                weight[pos] = w
+                count[dst] = picks
 
     _on_two_workers(work, len(slabs))
     indptr = np.concatenate(([0], np.cumsum(count)))
@@ -602,15 +617,23 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     lightest = np.zeros(n)
     full = np.flatnonzero(count == k)
     lightest[full] = graph.weight[graph.indptr[full] + ranks[graph.indptr[full + 1] - 1]]
+    # The (artifact, row) pairs are weighed in chunks of `_edge_chunks`' size:
+    # earlier[i] enters the rows at layout positions lo[i] + [0, span[i]),
+    # its pairs [pairs[i], pairs[i + 1]) of all.
     sorted_years = years[layout.order]
+    earlier = moved[years[moved] < old[moved]]
+    lo = np.searchsorted(sorted_years, years[earlier], side="right")
+    span = np.searchsorted(sorted_years, old[earlier], side="right") - lo
+    pairs = np.concatenate(([0], np.cumsum(span)))
     e_row, e_src, e_w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for m in moved[years[moved] < old[moved]].tolist():
-        lo, hi = np.searchsorted(sorted_years, [years[m], old[m]], side="right")
-        rows = layout.order[lo:hi].astype(np.int64)  # int64, so that `c_row * n` below cannot wrap
-        w = pair_weights(layout.cols[:-1], np.arange(lo, hi), layout.position[m], sigma)
+    for e0, e1, i0, bounds in _edge_chunks(pairs):
+        arts = np.repeat(np.arange(i0, i0 + bounds.size - 1), np.diff(bounds))
+        at = np.arange(e0, e1) - pairs[arts] + lo[arts]  # the layout position of each pair's row
+        rows = layout.order[at].astype(np.int64)  # int64, so that `c_row * n` below cannot wrap
+        w = pair_weights(layout.cols[:-1], at, layout.position[earlier[arts]], sigma)
         keep = (w > 0.0) & (w >= lightest[rows]) & ~rebuild[rows]
         e_row.append(rows[keep])
-        e_src.append(np.full(int(keep.sum()), m))
+        e_src.append(earlier[arts[keep]])
         e_w.append(w[keep])
     e_row, e_src, e_w = np.concatenate(e_row), np.concatenate(e_src), np.concatenate(e_w)
 

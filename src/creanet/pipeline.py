@@ -21,6 +21,7 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable
 
@@ -217,11 +218,11 @@ def write_scores_csv(results: dict[str, PipelineResult], corpus: Corpus,
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "year", "aspect", "score", "rank"])
+        years = corpus.years.tolist()
         for aspect, result in results.items():
-            ranks = score_ranks(result.score.scores, corpus.ids)
-            for i, artifact in enumerate(corpus.artifacts):
-                writer.writerow([artifact.id, artifact.year, aspect,
-                                 repr(float(result.score.scores[i])), int(ranks[i])])
+            scores = result.score.scores
+            writer.writerows(zip(corpus.ids, years, repeat(aspect), map(repr, scores.tolist()),
+                                 score_ranks(scores, corpus.ids).tolist()))
 
 
 def _threshold_stats(thresholds: np.ndarray | None, mode: str) -> dict:

@@ -9,7 +9,7 @@ from scipy.spatial.distance import pdist
 import creanet as cn
 from creanet import corpus as corpus_module
 
-from conftest import make_corpus, write_features_binary
+from conftest import make_corpus, traced_peak, write_features_binary
 
 
 def write(path, text):
@@ -112,6 +112,19 @@ class TestFeatureFiles:
         p = write(tmp_path / "f.csv", "1.0,2.0\nnan,0.0\n")
         with pytest.raises(cn.IngestError, match="row 2"):
             cn.read_features(p, "visual")
+
+    def test_csv_read_holds_one_copy_of_the_matrix(self, tmp_path):
+        # 300 rows of the paper's 2,659 dimensions: blocks of lines are parsed
+        # into one matrix that grows in place, so the read peaks under 1.5
+        # times the matrix (a list of Python floats per row took over 5 times)
+        x = np.random.default_rng(6).normal(size=(300, 2659))
+        p = tmp_path / "f.csv"
+        with p.open("w", encoding="utf-8") as fh:
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in x.tolist())
+        got = []
+        peak = traced_peak(lambda: got.append(cn.read_features(p, "visual")))
+        assert got[0].tobytes() == x.tobytes()
+        assert peak < 1.5 * x.nbytes
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import mmap
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,6 +559,38 @@ class TestByteBudgets:
                 assert nbytes <= budget or (one_row and nbytes <= block_bytes)
             floor += nbytes > budget
         assert (floor > 0) == (rows < 1)  # half a row: the widest rows rank alone, over budget
+
+    def test_slab_scratch_stays_near_budget(self, monkeypatch):
+        # The first slab's rows mostly have at most k candidates, so they are
+        # cut exactly, and later slabs hold about k picks a row. Beside its
+        # block, a slab holds its partition (at most a block) and the sorted
+        # picks, then one group's weights, or bound, cap and band, under the
+        # budget: twice the budget in all, whatever k.
+        corpus = random_corpus(seed=65, n=1500, dim=16, year_lo=1400, year_hi=1900)
+        config, budget = cn.RunConfig(k=300), 1 << 18
+        monkeypatch.setattr(graph_module, "_SLAB_BYTES", budget)
+        use_cpus(monkeypatch, 1)
+        real = graph_module._slab_top_k
+        slabs = []
+
+        def slab_top_k(block, dest, c0, n_cand, *args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from real(block, dest, c0, n_cand, *args)
+            slabs.append((block.shape, int(np.count_nonzero(n_cand <= config.k)),
+                          tracemalloc.get_traced_memory()[1] - before))
+
+        monkeypatch.setattr(graph_module, "_slab_top_k", slab_top_k)
+        tracemalloc.start()
+        try:
+            graph = cn.build_graph(corpus, "visual", config, 4.0)
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert_same_graph(graph, cn.build_graph(corpus, "visual", config, 4.0))
+        (rows, _), exact, _ = slabs[0]
+        assert exact > 0.9 * rows and len(slabs) > 10
+        assert max(scratch for _, _, scratch in slabs) <= 2 * budget
 
     def test_edge_ranks_under_budget(self, monkeypatch):
         corpus = random_corpus(seed=62, n=300, dim=3, year_lo=1500, year_hi=1530)

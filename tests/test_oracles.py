@@ -15,8 +15,9 @@ operator whose dangling columns carry fractional weights, scores straight from
 K and R^T instead of the merged network, updates the time machine's
 baseline graph per run instead of rebuilding it, calls scipy's compiled
 sparse kernels on the stores' arrays instead of through scipy's matrices,
-and takes sigma's all-pairs distances in numpy instead of with `pdist`. The implementations they
-replaced live here, and every test asserts that both give the same bits,
+takes sigma's all-pairs distances in numpy instead of with `pdist`, and
+parses CSV features a block of lines at a time with numpy's C reader instead
+of a Python float per value. The implementations they replaced live here, and every test asserts that both give the same bits,
 except where the sums run in another order: the split at fractional beta, and
 combined scoring from K and R^T, agree with the merged-network operator to the
 last few bits. The graph oracle weighs every candidate pair on its own with
@@ -33,7 +34,11 @@ earliest year, one-artifact years, every artifact moved, rebuilt rows over
 several slabs, and the window prior. The build's slab loop, run by two
 workers, must give the bits of the serial loop (one available CPU) and of the
 oracle for 1, 2, 3 and many slabs, several slab sizes, the window prior, the
-update's listed rows and a thread switch every microsecond.
+update's listed rows and a thread switch every microsecond; the picks weighed
+in groups of one row or a few, and the update's entrants weighed in chunks of
+one pair or a few, must give the same bits. The CSV feature reader must give
+the oracle's array bits, or its exception and message, on a table of odd
+inputs, on random files and with a fault in a later block of lines.
 """
 
 import contextlib
@@ -42,6 +47,7 @@ import dataclasses
 import inspect
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -62,7 +68,8 @@ from creanet import timemachine as timemachine_module
 
 from conftest import (COMBINED, balance, cin_edges, count_thread_starts, dense_matrix, edge_dst,
                       from_edges, make_corpus, random_corpus, random_network, solve_closed_form,
-                      planned_slabs, split, use_cpus, use_slab_rows, visual_similarity)
+                      planned_slabs, split, use_cpus, use_edge_chunk, use_slab_rows,
+                      visual_similarity)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +442,34 @@ def reference_solve_split_closed_form(op_prior, op_subseq, alpha, beta):
     return cn.ScoreVector(scores=scores, iterations=0, residual=0.0, converged=True)
 
 
+def reference_read_features(path, aspect):
+    """`corpus.read_features` of a CSV file, read a row at a time with every value a Python float."""
+    rows, dim = [], None
+    where = f"feature file '{path}' (aspect '{aspect}')"
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for row_no, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    raise cn.IngestError(f"{where} row {row_no}: non-numeric value") from None
+                if dim is None:
+                    dim = len(values)
+                elif len(values) != dim:
+                    raise cn.IngestError(f"{where} row {row_no}: expected {dim} values, "
+                                         f"got {len(values)}")
+                if not all(math.isfinite(v) for v in values):
+                    raise cn.IngestError(f"{where} row {row_no}: non-finite value")
+                rows.append(values)
+    except UnicodeDecodeError:
+        raise cn.IngestError(f"{where}: neither CSV text nor CRFT binary") from None
+    if not rows:
+        raise cn.IngestError(f"{where} contains no rows")
+    return np.asarray(rows, dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # Helpers.
 
@@ -618,6 +653,25 @@ def test_weights_do_not_depend_on_slab_size(monkeypatch, prior, window):
     assert_same_graph(graphs[0], reference_build_graph(corpus, "visual", config, sigma))
 
 
+@pytest.mark.parametrize("pick_bytes", [1 << 21, 1 << 11])
+def test_weights_do_not_depend_on_pick_groups(monkeypatch, pick_bytes):
+    # groups of one row, then of a few rows cut exactly and hundreds of rows
+    # with a clean cut; duplicated and grid features tie across the cut
+    rng = np.random.default_rng(14)
+    base = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+    base[20:] += rng.normal(scale=1e-9, size=(20, 3))
+    corpus = make_corpus(rng.integers(1500, 1530, size=300), base[rng.integers(0, 40, size=300)])
+    for k, sigma in ((1, 0.5), (4, 1.0), (12, 3.0), (200, 0.05)):
+        config = cn.RunConfig(k=k)
+        whole = cn.build_graph(corpus, "visual", config, sigma)
+        monkeypatch.setattr(graph_module, "_PICK_BYTES", pick_bytes)
+        grouped, fallback_rows = count_fallback_rows(corpus, config, sigma)
+        monkeypatch.undo()
+        assert fallback_rows > 0
+        assert_same_graph(grouped, whole)
+        assert_same_graph(grouped, reference_build_graph(corpus, "visual", config, sigma))
+
+
 def builds_on_one_and_two_cpus(monkeypatch, build):
     """`build()` with one available CPU and with two; the second must start the helper."""
     starts = count_thread_starts(monkeypatch)
@@ -795,6 +849,17 @@ class TestGraphUpdateAgainstOracle:
         corpus = random_corpus(seed=28, n=300, dim=4, year_lo=1500, year_hi=1560)
         years = 3200 - corpus.years  # 1640-1700, the order of the years reversed
         assert_update_like_rebuild(corpus, cn.RunConfig(k=9), 1.2, years)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_entrants_weighed_in_chunks(self, monkeypatch, chunk):
+        # the (moved artifact, entered row) pairs are weighed a chunk at a
+        # time; a chunk may start and end inside one artifact's rows
+        corpus = random_corpus(seed=29, n=300, dim=3, year_lo=1500, year_hi=1540)
+        rng = np.random.default_rng(30)
+        use_edge_chunk(monkeypatch, chunk)
+        for move in ("back", "wander"):
+            assert_update_like_rebuild(corpus, cn.RunConfig(k=6), 1.0,
+                                       redate(corpus, rng, 0.05, move))
 
     @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
     def test_rebuilt_rows_span_several_slabs(self, monkeypatch, prior, window):
@@ -1549,3 +1614,132 @@ class TestSigmaAgainstPdist:
         x = np.random.default_rng(3).normal(size=(90, 7)).astype(np.float32)
         want = float(np.median(pdist(x, "euclidean")))
         assert cn.estimate_sigma(cn.FeatureSet("visual", x), seed=0) == want
+
+
+# ---------------------------------------------------------------------------
+# The CSV feature reader parses blocks of lines with numpy's C reader and
+# hands every block that reader rejects, or may read otherwise, to the row
+# parser; a row at a time with Python floats is the oracle.
+
+def read_outcome(read, path):
+    """The array `read(path, "visual")` returns, or the type and message of what it raises.
+
+    A warning is raised as an error, so a reader that warns differs from the oracle.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read(path, "visual")
+    except Exception as exc:  # compared with the oracle's
+        return type(exc), str(exc)
+
+
+def assert_reads_like_oracle(path):
+    got, want = read_outcome(cn.read_features, path), read_outcome(reference_read_features, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+CSV_INPUTS = {
+    "plain": "1.5,-2.25\n3,4\n",
+    "bom": "\ufeff1.5,2\n3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "cr_only": "1,2\r3,4\r",
+    "no_final_newline": "1,2\n3,4",
+    "blank_lines": "\n1,2\n\n\r\n3,4\n\n",
+    "whitespace_only_line": "1,2\n  \t\n3,4\n",
+    "comma_only_line": "1,2\n,\n3,4\n,,\n",
+    "quoted_cells": '"1",2\n3," 4 "\n',
+    "quoted_newline": '"1\n",2\n3,4\n',
+    "quoted_newline_then_fault": '1,2\n"3\n",4\n5,x\n',
+    "quoted_text": '1,2\n"a,b",3\n',
+    "underscore": "1_5,2\n3,4\n",
+    "signs_and_points": "+1.5,.5\n5.,-0.0\n-.5e3,+5E-1\n",
+    "subnormals": "4.9e-324,2.2250738585072014e-308\n1e-400,2.5e-320\n",
+    "long_digits": "0.1000000000000000055511151231257827,3.14159265358979323846264338327950288\n",
+    "nan": "1,2\nnan,0\n",
+    "minus_infinity": "1,2\n3,-Infinity\n",
+    "overflow": "1,2\n1e400,0\n",
+    "ragged_short": "1,2\n3\n",
+    "ragged_long": "1,2\n3,4,5\n",
+    "text_cell": "1,2\n3,abc\n",
+    "trailing_commas": "1,2,\n3,4,\n",
+    "hash_line": "#x,y\n1,2\n",
+    "hash_cell": "1,#2\n",
+    "hex": "0x1p3,2\n",
+    "empty": "",
+    "only_blank_lines": "\n\r\n\n",
+    "only_whitespace": "  \n\t\n",
+    "spaces_around_cells": " 1 ,\t2 \n\x0b3\x0c,4\n",
+    "ascii_separators": "\x1c1,2\n",
+    "unit_separator_after": "1,2\x1f\n",
+    "non_ascii_space": "\xa01,2\n",
+    "non_ascii_digits": "\u0661,2\n",
+    "one_column": "1\n2\n\n3\n",
+    "nul": "1,2\x00\n",
+    "inner_space": "1 2,3\n",
+}
+
+
+class TestCsvFeaturesAgainstRowParser:
+    @pytest.mark.parametrize("block", [None, 8, 40])
+    @pytest.mark.parametrize("name", sorted(CSV_INPUTS))
+    def test_table(self, tmp_path, monkeypatch, name, block):
+        if block is not None:  # about block / 4 characters of lines a block
+            monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", block)
+        path = tmp_path / "f.csv"
+        path.write_bytes(CSV_INPUTS[name].encode("utf-8"))
+        assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("fault", ["text", "ragged", "nan", "quote", "comma", "whitespace",
+                                       "underscore", "none"])
+    @pytest.mark.parametrize("block", [64, 1000, None])
+    def test_fault_in_a_later_block(self, tmp_path, monkeypatch, fault, block):
+        # 40 rows of repr'd values, then a row that the C reader rejects, then more rows
+        if block is not None:
+            monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", block)
+        rng = np.random.default_rng(5)
+        rows = [",".join(map(repr, row)) for row in rng.normal(size=(60, 3)).tolist()]
+        rows[40] = {"text": "1,x,3", "ragged": "1,2", "nan": "1,nan,3", "quote": '"1",2,3',
+                    "comma": ",,", "whitespace": "  ", "underscore": "1_0,2,3",
+                    "none": rows[40]}[fault]
+        path = tmp_path / "f.csv"
+        path.write_text("\r\n".join(rows) + "\r\n", encoding="utf-8", newline="")
+        assert_reads_like_oracle(path)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_files(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        numbers = ["1", "-2.5", "+1.5", ".5", "5.", "1e3", "4.9e-324", "1e-400", " 7 ", "\t8",
+                   "0.1", "-0"]
+        odd = ["1_5", "nan", "-Infinity", "1e400", "0x1p3", "", " ", "abc", '"4"', '"5\n"',
+               "#", "\x1c1", "\xa02", "\u0661", "1 2"]
+        lines = []
+        for _ in range(int(rng.integers(0, 30))):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", " ", ",", ",,,"])))
+                continue
+            width = 3 if rng.random() < 0.95 else int(rng.integers(1, 5))
+            cells = [str(rng.choice(odd if rng.random() < 0.03 else numbers)) for _ in range(width)]
+            lines.append(",".join(cells))
+        ends = [str(rng.choice(["\n", "\r\n", "\r"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if rng.random() < 0.2:
+            text = "\ufeff" + text
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for block in (None, int(rng.integers(1, 200))):
+            if block is not None:
+                monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", block)
+            assert_reads_like_oracle(path)
+
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(bytes(range(256)) * 4)
+        got = read_outcome(cn.read_features, path)
+        assert got == read_outcome(reference_read_features, path)
+        assert got[1].endswith("neither CSV text nor CRFT binary")
