@@ -43,19 +43,23 @@ config = cn.RunConfig(k=15)
 result = cn.run_pipeline(corpus, "visual", config)
 
 # The result keeps each stage's counts, not its arrays, which the pipeline
-# writes over as it goes; build_network gives the graph, thresholds and network.
-graph, thresholds, net = cn.build_network(corpus, "visual", config, result.sigma)
+# writes over as it goes. The public stages, run one by one, leave their
+# inputs as they are and give the arrays themselves.
+graph = cn.build_graph(corpus, "visual", config, result.sigma)
+thresholds = cn.compute_thresholds(graph, corpus.years, config)
+net = cn.build_implication_network(graph, thresholds, corpus.years, config)
+op = cn.normalize(net, config)  # the column-stochastic operator the power iteration applies
+score = cn.solve_power(op, config)
 print(f"kernel bandwidth (median heuristic): {result.sigma:.3f}")
 print(f"similarity graph: {graph.n_edges} edges over {n} artifacts, "
       f"balancing threshold m = {thresholds[0]:.4f}")
 print(f"implication network: {net.kept.n_edges} kept (subsequent), "
       f"{net.reversed.n_edges} reversed (prior), {net.dropped_count} dropped; "
       f"{result.dangling_count} nodes with no incoming edge")
-op = cn.normalize(net, config)  # the column-stochastic operator the power iteration applies
 print(f"scoring operator: K and R^T scaled, {op.kept_values.size + op.reversed_values.size} "
       f"entries, {int(np.count_nonzero(op.dangling))} columns spread over every node")
-print(f"power iteration: {result.score.iterations} iterations, "
-      f"residual {result.score.residual:.2e}")
+print(f"power iteration: {score.iterations} iterations, residual {score.residual:.2e}; "
+      f"scores equal run_pipeline's: {np.array_equal(score.scores, result.score.scores)}")
 
 scores = result.score.scores
 ranks = cn.score_ranks(scores, corpus.ids)

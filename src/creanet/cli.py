@@ -16,8 +16,8 @@ from .config import (ConfigError, check_known_keys, config_from_mapping,
 from .corpus import ingest_corpus
 from .graph import build_graph, write_graph_csv
 from .implication import write_cin_csv
-from .pipeline import (_fork_pair, build_network, resolve_sigma, run_multi_aspect,
-                       write_run_meta, write_scores_csv)
+from .pipeline import (_fork_pair, _network, resolve_sigma, run_multi_aspect, write_run_meta,
+                       write_scores_csv)
 from .svgplot import write_scatter_svg
 from .timemachine import run_time_machine, write_report_csv, write_runs_csv
 
@@ -170,20 +170,15 @@ def _cmd_dump_graph(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     for i, aspect in enumerate(corpus.aspects):
-        sigma = resolve_sigma(corpus, aspect, config)
-        graph = build_graph(corpus, aspect, config, sigma)
+        graph = build_graph(corpus, aspect, config, resolve_sigma(corpus, aspect, config))
         graph_path = out / _aspect_filename("graph", aspect, i == 0, "csv")
         cin_path = out / _aspect_filename("cin", aspect, i == 0, "csv")
-
-        def write_cin() -> None:
-            nonlocal graph
-            network = build_network(corpus, aspect, config, sigma, graph)[2]
-            # The forked child writes graph.csv from its own copy, and the
-            # network's stores are copies: free the graph before they are merged.
-            graph = None
-            write_cin_csv(network, corpus.ids, cin_path)
-
-        _fork_pair(lambda: write_graph_csv(graph, corpus.ids, graph_path), write_cin)
+        # The forked child writes graph.csv from its own pages, while this
+        # process balances the graph in its memory: no copy of its edges.
+        _fork_pair(lambda: write_graph_csv(graph, corpus.ids, graph_path),
+                   lambda: write_cin_csv(_network(graph, corpus.years, config)[1], corpus.ids,
+                                         cin_path))
+        del graph  # spent: free it before the next aspect's build
     return EXIT_OK
 
 

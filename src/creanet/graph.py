@@ -103,19 +103,20 @@ def _libc_madvise() -> Callable[[int, int, int], int] | None:
 _MADVISE = _libc_madvise()
 
 
-def _release(values: np.ndarray, start: int, stop: int) -> None:
+def _release(values: np.ndarray, start: int, stop: int, final: bool = False) -> None:
     """Hand the memory that lies wholly inside `values[start:stop]` back to the system.
 
     For a caller whose values there are spent. The memory goes back in
     aligned `_RELEASE_BYTES` blocks: none is resident until it is written
     again, and a read before that gets zeros. The partial blocks at both
-    ends, which may hold values outside the span, are kept. It is a hint:
-    where `madvise` cannot be called, or fails, nothing changes.
+    ends, which may hold values outside the span, are kept; when the span is
+    `final`, never written again, only the partial pages at its ends are. It
+    is a hint: where `madvise` cannot be called, or fails, nothing changes.
     """
     span = values[start:stop]
     if _MADVISE is None or not span.flags.c_contiguous:
         return
-    at, block = span.ctypes.data, _RELEASE_BYTES
+    at, block = span.ctypes.data, mmap.PAGESIZE if final else _RELEASE_BYTES
     first, last = -(-at // block) * block, (at + span.nbytes) // block * block
     if first < last:
         _MADVISE(first, last - first, mmap.MADV_DONTNEED)  # -1 on failure: the memory stays
@@ -509,8 +510,8 @@ def _top_k(layout: _YearLayout, config: RunConfig, sigma: float,
             at += np.arange(e0, e1)
             src[e0:e1] = src[at]
             weight[e0:e1] = weight[at]
-        _release(src, edges, src.size)
-        _release(weight, edges, weight.size)
+        _release(src, edges, src.size, final=True)
+        _release(weight, edges, weight.size, final=True)
         src, weight = src[:edges], weight[:edges]
     return indptr, src, weight
 

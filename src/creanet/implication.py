@@ -222,8 +222,9 @@ def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: Run
     a chunk is read before its K is written. Once a chunk's R and K are
     written, `kept_into` holds nothing from K's end up to the chunk's end
     that is read before K writes it, so the memory wholly inside that span
-    goes back to the system then (`graph._release`), and the graph's values
-    past K's end may read as zeros after. The graph is no longer a graph after.
+    goes back to the system then (`graph._release`), after the last chunk down
+    to the page, as does R's store before R; the graph's values past K's end
+    may read as zeros after. The graph is no longer a graph after.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (graph.n,):
@@ -276,11 +277,14 @@ def _balance(graph: PaintingGraph, m: np.ndarray, years: np.ndarray, config: Run
             np.take(src[e0:e1], picked, out=to_src[at], mode="clip")
             np.take(b, picked, out=to_weight[at], mode="clip")
         np.negative(store_weight[at_down], out=store_weight[at_down])  # m - w, -(w - m) to the bit
-        if kept_into is not None:
-            _release(kept_src, kept_end, e1)
-            _release(kept_weight, kept_end, e1)
+        if kept_into is not None:  # after the last chunk, nothing writes past K's end
+            _release(kept_src, kept_end, e1, final=e1 == graph.n_edges)
+            _release(kept_weight, kept_end, e1, final=e1 == graph.n_edges)
     _reverse_in_chunks(store_src[reversed_start:])
     _reverse_in_chunks(store_weight[reversed_start:])
+    if kept_into is not None:  # the store's front before R, in a page R's first write faulted in
+        _release(store_src, 0, reversed_start, final=True)
+        _release(store_weight, 0, reversed_start, final=True)
     indptrs = np.zeros((2, graph.n + 1), dtype=np.int64)
     np.cumsum(counts, axis=1, out=indptrs[:, 1:])
     kept = PaintingGraph(n=graph.n, indptr=indptrs[0], src=kept_src[:kept_end],

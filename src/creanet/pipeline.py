@@ -10,8 +10,9 @@ stage before it: balancing writes K over the graph's own arrays and, on
 Linux, hands their pages past K back to the system as it goes, so that K and
 R together hold about one graph's memory; normalization divides K's and R's
 weights in place. A `PipelineResult`
-keeps the counts and statistics `run_meta.json` records, not the arrays;
-`build_network`, which leaves its graph as it is, gives those.
+keeps the counts and statistics `run_meta.json` records, not the arrays.
+`dump-graph` balances through `_network` too, the one route from a graph to
+its network.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import json
 import os
 import pickle
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -31,7 +33,7 @@ from .config import RunConfig
 from .corpus import Corpus, estimate_sigma
 from .graph import PaintingGraph, build_graph
 from .implication import (ImplicationNetwork, _balance, _nearest_rank_percentile,
-                          build_implication_network, compute_thresholds)
+                          compute_thresholds)
 from .scoring import ScoreVector, _scale, solve_power
 
 
@@ -41,7 +43,7 @@ class PipelineResult:
 
     It holds counts and statistics, not the stages' per-edge arrays, which
     `run_pipeline` writes over or frees as soon as no later stage reads
-    them; `build_network` gives the graph, thresholds and network themselves.
+    them; the public stages, which leave their inputs as they are, give those.
     `threshold_stats` holds the balancing threshold(s): the global m, or the
     min, nearest-rank median and max of the local ones, each None when the
     graph has no edges and balancing had nothing to judge.
@@ -66,14 +68,21 @@ def _fork_pair(first: Callable[[], Any], second: Callable[[], Any]) -> tuple[Any
     A child exception is raised here with its own type and message, after
     `second()` has finished; an exception of `second()` wins. A child that
     dies without a result raises `OSError`. The child is reaped on every path.
-    Where there is no `os.fork`, the two run one after the other.
+    Where there is no `os.fork`, the two run here one after the other,
+    `first()` before `second()`, so `second()` may consume what `first()` reads.
+    Python >= 3.12 warns when a process with threads forks; OpenBLAS's pool
+    is such threads, and stops at a fork (`pthread_atfork`), so that one
+    warning is ignored around the fork.
     """
     if not hasattr(os, "fork"):
         return first(), second()
     read_fd, write_fd = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, use of "
+                                    r"fork\(\) may lead to deadlocks in the child\.", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
         os.close(read_fd)
         os.close(write_fd)
         raise
@@ -118,29 +127,18 @@ def resolve_sigma(corpus: Corpus, aspect: str, config: RunConfig) -> float:
     return float(configured)
 
 
-def build_network(corpus: Corpus, aspect: str, config: RunConfig, sigma: float,
-                  graph: PaintingGraph | None = None
-                  ) -> tuple[PaintingGraph, np.ndarray | None, ImplicationNetwork]:
-    """Similarity graph, balancing thresholds and implication network of one aspect.
-
-    `graph`, when given, is the similarity graph already built for these
-    settings; it is left as it is. The thresholds are None when the graph
-    has no edges and balancing had nothing to judge.
-    """
-    if graph is None:
-        graph = build_graph(corpus, aspect, config, sigma)
-    return (graph, *_network(graph, corpus.years, config, kept_into=None))
-
-
-def _network(graph: PaintingGraph, years: np.ndarray, config: RunConfig,
-             kept_into: tuple[np.ndarray, np.ndarray] | None
+def _network(graph: PaintingGraph, years: np.ndarray, config: RunConfig
              ) -> tuple[np.ndarray | None, ImplicationNetwork]:
-    """Thresholds and implication network of `graph`, K written to `kept_into` (see `_balance`) if given."""
+    """Thresholds and implication network of `graph`, balanced in the graph's own memory.
+
+    The graph's `src` and `weight` become K's store (see `_balance`), so the
+    graph is no longer a graph once this returns. The thresholds are None
+    when the graph has no edges and balancing had nothing to judge.
+    """
     if graph.n_edges == 0:
         return None, ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
     thresholds = compute_thresholds(graph, years, config)
-    if kept_into is None:
-        return thresholds, build_implication_network(graph, thresholds, years, config)
+    kept_into = (_handed_over(graph.src), _handed_over(graph.weight))
     return thresholds, _balance(graph, thresholds, years, config, kept_into=kept_into)
 
 
@@ -175,8 +173,7 @@ def run_pipeline(corpus: Corpus, aspect: str, config: RunConfig, sigma: float | 
 
     made = build_graph(corpus, aspect, config, sigma) if graph is None else graph()
     graph_edges = made.n_edges
-    kept_into = (_handed_over(made.src), _handed_over(made.weight))
-    thresholds, network = _network(made, corpus.years, config, kept_into)
+    thresholds, network = _network(made, corpus.years, config)
     threshold_stats = _threshold_stats(thresholds, config.balancing_mode)
     del made, thresholds  # the graph's arrays now hold K
     entered = np.diff(network.kept.indptr) > 0  # the nodes with an edge into them in K + R^T

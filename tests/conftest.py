@@ -182,6 +182,22 @@ def balance(graph: cn.PaintingGraph, years,
     return cn.build_implication_network(graph, m, years, config)
 
 
+def build_stages(corpus: cn.Corpus, aspect: str, config: cn.RunConfig, sigma: float,
+                 graph: cn.PaintingGraph | None = None):
+    """(graph, thresholds, network) of one aspect, stage by stage; the graph is left as it is.
+
+    `graph`, when given, is the similarity graph already built for these
+    settings. The thresholds are None when the graph has no edges, and the
+    network is then the graph's, as the pipeline scores it.
+    """
+    if graph is None:
+        graph = cn.build_graph(corpus, aspect, config, sigma)
+    if graph.n_edges == 0:
+        return graph, None, cn.ImplicationNetwork(kept=graph, reversed=graph, dropped_count=0)
+    m = cn.compute_thresholds(graph, corpus.years, config)
+    return graph, m, cn.build_implication_network(graph, m, corpus.years, config)
+
+
 def random_network(seed: int, n: int, k: int = 8, p: float = 50.0) -> cn.ImplicationNetwork:
     """Implication network of a random corpus, for solver-level tests."""
     corpus = random_corpus(seed, n, 6)

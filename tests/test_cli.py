@@ -5,15 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import creanet as cn
+from creanet import cli as cli_module
 from creanet.cli import EXIT_INVALID, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 
-from conftest import make_corpus, write_corpus_files, write_features_binary
+from conftest import build_stages, make_corpus, write_corpus_files, write_features_binary
 
 
 @pytest.fixture()
@@ -442,6 +444,26 @@ class TestTimeMachine:
         assert "timemachine.seed" in capsys.readouterr().err
 
 
+def two_aspect_dump(tmp_path):
+    """A `dump-graph` argv over two aspects, less `--out`, and the manifest, features and settings it reads."""
+    rng = np.random.default_rng(56)
+    n = 120
+    years = rng.integers(1400, 1901, size=n)
+    corpus = make_corpus(years, rng.normal(size=(n, 6)))
+    corpus = cn.Corpus(corpus.artifacts, {
+        "visual": corpus.features["visual"],
+        "color": cn.FeatureSet("color", rng.normal(size=(n, 3)))})
+    manifest, paths = write_corpus_files(corpus, tmp_path / "corpus")
+    settings = {"k": "9", "balancing_mode": "local", "local_window_years": "60",
+                "min_local_sample": "5", "sigma.color": "0.8"}
+    argv = ["dump-graph", "--manifest", str(manifest)]
+    for aspect, path in paths.items():
+        argv += ["--features", f"{aspect}={path}"]
+    for key, value in settings.items():
+        argv += ["--set", f"{key}={value}"]
+    return argv, manifest, paths, settings
+
+
 class TestDumpGraph:
     def test_writes_graph_and_cin(self, tiny, tmp_path):
         out = tmp_path / "out"
@@ -498,7 +520,7 @@ class TestDumpGraph:
         corpus = cn.ingest_corpus(manifest, {"visual": features})
         config = cn.config_from_mapping(settings)
         result = cn.run_pipeline(corpus, "visual", config)
-        graph, thresholds, network = cn.build_network(corpus, "visual", config, result.sigma)
+        graph, thresholds, network = build_stages(corpus, "visual", config, result.sigma)
         assert np.unique(thresholds).size > 1
         assert (result.graph_edges, result.kept_count, result.reversed_count,
                 result.dropped_count) == (graph.n_edges, network.kept_count,
@@ -511,37 +533,56 @@ class TestDumpGraph:
     def test_two_aspects_equal_in_process_writers(self, tmp_path):
         # each aspect's two files come from two processes; their bytes must be
         # the sequential writers' own, aspect by aspect
-        rng = np.random.default_rng(56)
-        n = 120
-        years = rng.integers(1400, 1901, size=n)
-        corpus = make_corpus(years, rng.normal(size=(n, 6)))
-        corpus = cn.Corpus(corpus.artifacts, {
-            "visual": corpus.features["visual"],
-            "color": cn.FeatureSet("color", rng.normal(size=(n, 3)))})
-        manifest, paths = write_corpus_files(corpus, tmp_path / "corpus")
-        settings = {"k": "9", "balancing_mode": "local", "local_window_years": "60",
-                    "min_local_sample": "5", "sigma.color": "0.8"}
+        argv, manifest, paths, settings = two_aspect_dump(tmp_path)
         out = tmp_path / "out"
-        argv = ["dump-graph", "--manifest", str(manifest), "--out", str(out)]
-        for aspect, path in paths.items():
-            argv += ["--features", f"{aspect}={path}"]
-        for key, value in settings.items():
-            argv += ["--set", f"{key}={value}"]
-        assert main(argv) == EXIT_OK
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
 
         corpus = cn.ingest_corpus(manifest, paths)
         expected = tmp_path / "expected"
         expected.mkdir()
         for aspect, suffix in (("visual", ""), ("color", "_color")):
             config = cn.config_from_mapping(settings)
-            graph, _, network = cn.build_network(corpus, aspect, config,
-                                                 cn.resolve_sigma(corpus, aspect, config))
+            graph, _, network = build_stages(corpus, aspect, config,
+                                             cn.resolve_sigma(corpus, aspect, config))
             cn.write_graph_csv(graph, corpus.ids, expected / f"graph{suffix}.csv")
             cn.write_cin_csv(network, corpus.ids, expected / f"cin{suffix}.csv")
         names = sorted(p.name for p in expected.iterdir())
         assert sorted(p.name for p in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+    def test_two_aspects_without_fork_equal_the_forked_run(self, tmp_path, monkeypatch):
+        # with no fork, graph.csv is written before balancing consumes the graph
+        argv = two_aspect_dump(tmp_path)[0]
+        forked, serial = tmp_path / "forked", tmp_path / "serial"
+        assert main([*argv, "--out", str(forked)]) == EXIT_OK
+        monkeypatch.delattr(os, "fork")
+        assert main([*argv, "--out", str(serial)]) == EXIT_OK
+        names = sorted(p.name for p in forked.iterdir())
+        assert names == ["cin.csv", "cin_color.csv", "graph.csv", "graph_color.csv"]
+        assert sorted(p.name for p in serial.iterdir()) == names
+        for name in names:
+            assert (serial / name).read_bytes() == (forked / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "serial"])
+    def test_each_graph_is_freed_before_the_next_build(self, tmp_path, monkeypatch, fork):
+        # balancing consumes each aspect's graph; a spent graph, or its arrays
+        # that hold K, must not stay alive through the next aspect's build
+        built = []
+        build = cli_module.build_graph
+
+        def watched_build(*args):
+            alive = [ref for ref in built if ref() is not None]
+            assert not alive, f"{len(alive)} objects of an earlier aspect's graph are alive"
+            graph = build(*args)
+            built.extend(weakref.ref(obj) for obj in (graph, graph.src, graph.weight))
+            return graph
+
+        monkeypatch.setattr(cli_module, "build_graph", watched_build)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert main([*two_aspect_dump(tmp_path)[0], "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(built) == 6 and all(ref() is None for ref in built)
 
     @pytest.mark.parametrize("blocked", ["graph.csv", "cin.csv"])
     def test_directory_in_place_of_an_output_exits_io(self, styled, tmp_path, capsys, blocked):

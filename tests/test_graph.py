@@ -635,7 +635,8 @@ def aligned_up(values: np.ndarray, i: int, align: int) -> int:
 @pytest.mark.skipif(graph_module._MADVISE is None or not os.path.exists("/proc/self/status"),
                     reason="needs libc's madvise and /proc/self/status")
 class TestRelease:
-    """`graph._release` hands back the aligned blocks wholly inside a span, and touches nothing else."""
+    """`graph._release` hands back the aligned blocks (pages, for a final span) wholly inside a span,
+    and touches nothing else."""
 
     def test_whole_blocks_go_back_and_the_rest_stays(self):
         values = np.arange(1 << 21, dtype=np.float64)  # 16 MiB, every page touched
@@ -647,6 +648,20 @@ class TestRelease:
         graph_module._release(values, start, stop)
         assert before - vm_rss_bytes() > 0.8 * 8 * (last - first)
         assert not values[first:last].any()  # read back as zeros
+        kept = np.r_[0:first, last:values.size]
+        assert np.array_equal(values[kept], kept.astype(np.float64))
+
+    def test_a_final_span_goes_back_but_for_its_end_pages(self):
+        # a span never written again loses its partial blocks too, down to the pages at its ends
+        values = np.arange(1 << 21, dtype=np.float64)
+        start, stop = 100_001, 1_900_001
+        page = mmap.PAGESIZE // 8
+        first, last = aligned_up(values, start, 8 * page), aligned_up(values, stop, 8 * page) - page
+        assert start < first < last < stop
+        before = vm_rss_bytes()
+        graph_module._release(values, start, stop, final=True)
+        assert before - vm_rss_bytes() > 0.8 * 8 * (last - first)
+        assert not values[first:last].any()
         kept = np.r_[0:first, last:values.size]
         assert np.array_equal(values[kept], kept.astype(np.float64))
 

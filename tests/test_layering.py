@@ -154,6 +154,16 @@ def test_only_the_pipeline_hands_a_stage_its_inputs_memory():
     assert set(STAGE_CORES) <= pipeline_calls and "setflags" in pipeline_calls
 
 
+def test_the_cli_reaches_balancing_only_through_the_pipeline():
+    # `dump-graph` balances through `pipeline._network`, the one route from a graph to its network
+    tree = parse(PACKAGE / "cli.py")
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert not read & {"build_network", "build_implication_network", "compute_thresholds", "_balance"}
+
+
 # Imports of `scipy.sparse` allowed in the package: (module, enclosing function).
 SCIPY_SPARSE_ALLOWED = {("_kernels.py", "load")}  # the fallback when the direct load fails
 

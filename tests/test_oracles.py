@@ -66,9 +66,9 @@ from creanet import implication as implication_module
 from creanet import scoring as scoring_module
 from creanet import timemachine as timemachine_module
 
-from conftest import (COMBINED, balance, cin_edges, count_thread_starts, dense_matrix, edge_dst,
-                      from_edges, make_corpus, random_corpus, random_network, solve_closed_form,
-                      planned_slabs, split, use_cpus, use_edge_chunk, use_slab_rows,
+from conftest import (COMBINED, balance, build_stages, cin_edges, count_thread_starts, dense_matrix,
+                      edge_dst, from_edges, make_corpus, random_corpus, random_network,
+                      solve_closed_form, planned_slabs, split, use_cpus, use_edge_chunk, use_slab_rows,
                       visual_similarity)
 
 
@@ -1462,7 +1462,7 @@ class TestCsvWritersAgainstOracle:
     def test_empty_edge_lists(self, tmp_path):
         corpus = make_corpus([1500, 1500], np.eye(2), ids=["a,b", "c"])
         graph = cn.build_graph(corpus, "visual", cn.RunConfig(k=1), 1.0)
-        net = cn.build_network(corpus, "visual", cn.RunConfig(k=1), 1.0, graph)[2]
+        net = build_stages(corpus, "visual", cn.RunConfig(k=1), 1.0, graph)[2]
         empty = from_edges(ReferenceNetwork, corpus.n, [], [], [], prior=[], kept_count=0,
                            reversed_count=0, dropped_count=0)
         for write, reference, got, want in (

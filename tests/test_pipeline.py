@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from creanet import graph as graph_module
 from creanet.cli import main
 from creanet.pipeline import _fork_pair
 
-from conftest import (cin_edges, count_thread_starts, make_corpus, random_corpus, solve_closed_form,
-                      traced_peak, use_cpus, use_edge_chunk, use_slab_rows, write_corpus_files,
-                      write_features_binary)
+from conftest import (build_stages, cin_edges, count_thread_starts, make_corpus, random_corpus,
+                      solve_closed_form, traced_peak, use_cpus, use_edge_chunk, use_slab_rows,
+                      write_corpus_files, write_features_binary)
 from test_oracles import quantised_corpus, reference_percentile
 
 
@@ -40,7 +41,7 @@ def config():
 
 def stages_of(corpus, config, result):
     """The graph, thresholds and network that `run_pipeline` scored for `result`, built again."""
-    return cn.build_network(corpus, result.aspect, config, result.sigma)
+    return build_stages(corpus, result.aspect, config, result.sigma)
 
 
 class TestResolveSigma:
@@ -284,7 +285,7 @@ def test_owner_scores_like_the_stages_that_keep_their_inputs(monkeypatch, corpus
     result = cn.run_pipeline(corpus, "visual", config)
     graph = cn.build_graph(corpus, "visual", config, result.sigma)
     before = (graph.src.tobytes(), graph.weight.tobytes())
-    _, thresholds, network = cn.build_network(corpus, "visual", config, result.sigma, graph)
+    _, thresholds, network = build_stages(corpus, "visual", config, result.sigma, graph)
     op = cn.normalize(network, config)
     score = cn.solve_power(op, config)
     assert (graph.src.tobytes(), graph.weight.tobytes()) == before  # left as it was
@@ -529,6 +530,38 @@ class TestForkPair:
     def test_without_fork_both_run_here(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert _fork_pair(os.getpid, os.getpid) == (os.getpid(), os.getpid())
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    def test_the_threaded_fork_warning_is_ignored(self, monkeypatch):
+        # Python >= 3.12's os.fork() warns so once numpy has started OpenBLAS's threads
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        first, second = _fork_pair(os.getpid, os.getpid)
+        assert first != second == os.getpid()
+        assert_no_child_left()
+
+    @pytest.mark.filterwarnings("error::DeprecationWarning")
+    @pytest.mark.parametrize("message", [
+        "os.fork() is deprecated",
+        "This process (pid=7) is multi-threaded, use of forkpty() may lead to deadlocks in the child."])
+    def test_any_other_fork_warning_still_raises(self, monkeypatch, message):
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with pytest.raises(DeprecationWarning) as raised:
+            _fork_pair(os.getpid, os.getpid)
+        assert str(raised.value) == message
+        assert_no_child_left()
 
     def test_buffered_output_from_before_the_fork_appears_once(self, capfd, monkeypatch):
         buffered = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"), 1 << 16))
