@@ -22,10 +22,11 @@ Recognized keys::
     max_iters            int > 0      iteration cap (default 1000)
     seed                 u64          RNG seed (default 0)
 
-Input-path keys (no defaults): ``manifest``, ``feature.<aspect>``. The
-time-machine keys are the `TimeMachineSpec` fields under the ``timemachine.``
-prefix, defined here beside `RunConfig`. Each key of either dataclass is
-parsed by its field's annotation, and any other key is rejected.
+An ``int > 0`` key must also be below 2**63. Input-path keys (no defaults):
+``manifest``, ``feature.<aspect>``. The time-machine keys are the
+`TimeMachineSpec` fields under the ``timemachine.`` prefix, defined here beside
+`RunConfig`. Each key of either dataclass is parsed by its field's annotation,
+and any other key is rejected.
 """
 
 from __future__ import annotations
@@ -88,11 +89,10 @@ class RunConfig:
         overrides = tuple(sorted(dict(self.sigma_overrides).items()))
         object.__setattr__(self, "sigma_overrides", overrides)
         _check_types(self)
-        check(self.k >= 1, f"k must be a positive integer, got {self.k!r}")
+        _check_count("k", self.k)
         check(self.temporal_prior in TEMPORAL_PRIORS,
               f"temporal_prior must be one of {TEMPORAL_PRIORS}, got {self.temporal_prior!r}")
-        check(self.temporal_window_k >= 1,
-              f"temporal_window_k must be a positive integer, got {self.temporal_window_k!r}")
+        _check_count("temporal_window_k", self.temporal_window_k)
         check(0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha!r}")
         check(0.0 <= self.beta <= 1.0, f"beta must be in [0, 1], got {self.beta!r}")
         check(self.scoring in SCORING_MODES, f"scoring must be one of {SCORING_MODES}, got {self.scoring!r}")
@@ -108,14 +108,12 @@ class RunConfig:
               f"balancing_mode must be one of {BALANCING_MODES}, got {self.balancing_mode!r}")
         check(0.0 < self.percentile_p <= 100.0,
               f"percentile_p must be in (0, 100], got {self.percentile_p!r}")
-        check(self.local_window_years >= 1,
-              f"local_window_years must be a positive integer, got {self.local_window_years!r}")
-        check(self.min_local_sample >= 1,
-              f"min_local_sample must be a positive integer, got {self.min_local_sample!r}")
+        _check_count("local_window_years", self.local_window_years)
+        _check_count("min_local_sample", self.min_local_sample)
         check(self.balance_anchor in BALANCE_ANCHORS,
               f"balance_anchor must be one of {BALANCE_ANCHORS}, got {self.balance_anchor!r}")
         check(self.tol > 0.0, f"tol must be positive, got {self.tol!r}")
-        check(self.max_iters >= 1, f"max_iters must be a positive integer, got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters)
         _check_seed("seed", self.seed)
 
     def sigma_for(self, aspect: str) -> float | str:
@@ -158,9 +156,8 @@ class TimeMachineSpec:
                               f"got {self.group!r}")
         if not self.move_std > 0.0:
             raise ConfigError(f"timemachine.move_std must be positive, got {self.move_std!r}")
-        for name, value in (("n_test", self.n_test), ("n_runs", self.n_runs)):
-            if value < 1:
-                raise ConfigError(f"timemachine.{name} must be a positive integer, got {value!r}")
+        _check_count("timemachine.n_test", self.n_test)
+        _check_count("timemachine.n_runs", self.n_runs)
         if self.min_year is not None and self.max_year is not None:
             self.year_range(self.min_year, self.max_year)  # checks the set bounds' order
         if self.seed is not None:
@@ -178,6 +175,13 @@ class TimeMachineSpec:
             raise ConfigError(f"timemachine.min_year {lo} exceeds timemachine.max_year {hi} "
                               f"(an unset bound is the corpus's first or last year)")
         return lo, hi
+
+
+def _check_count(key: str, value: int) -> None:
+    """Reject a count below 1, or one at 2**63 or above, which numpy's int64 cannot hold."""
+    if not 1 <= value < 2 ** 63:
+        bound = "a positive integer" if value < 1 else "below 2**63"
+        raise ConfigError(f"{key} must be {bound}, got {value!r}")
 
 
 def _check_seed(key: str, value) -> None:

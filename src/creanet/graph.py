@@ -561,16 +561,6 @@ def edge_ranks(graph: PaintingGraph) -> np.ndarray:
     return ranks
 
 
-def _count_below(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """How many of each ascending run values[lo[i]:hi[i]] are below x[i], by bisection."""
-    start = lo
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        below = (lo < hi) & (values[np.minimum(mid, values.size - 1)] < x)
-        lo, hi = np.where(below, mid + 1, lo), np.where(below | (lo == hi), hi, mid)
-    return lo - start
-
-
 def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect: str,
                  config: RunConfig, sigma: float, years: np.ndarray) -> PaintingGraph:
     """`build_graph` of `corpus` re-dated to `years`, derived from its build on `corpus`.
@@ -588,7 +578,8 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
 
     Under the window prior, candidate sets depend on rank in year order, so
     every row is rebuilt. Both the rebuild and the entrants' weights read one
-    `_YearLayout` of `years`.
+    `_YearLayout` of `years`. The new graph is written a chunk of old edges at
+    a time: no scratch array but the added edges is as long as the graph.
     """
     n, k = corpus.n, config.k
     old = corpus.years
@@ -662,29 +653,31 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     new_count[rebuild] = np.diff(r_indptr)[rebuild]
     indptr = np.concatenate(([0], np.cumsum(new_count)))
 
-    # Splice: the staying old edges keep their order, and an added edge goes
-    # to its row's start plus the added and staying edges of its row with
-    # smaller sources.
-    a_row = np.concatenate((np.repeat(np.arange(n), np.diff(r_indptr)), c_row[entered]))
-    a_src = np.concatenate((r_src, c_src[entered]))
-    a_w = np.concatenate((r_w, c_w[entered]))
-    a = np.lexsort((a_src, a_row))
-    a_row, a_src, a_w = a_row[a], a_src[a], a_w[a]
-    pos = indptr[a_row] + np.arange(a.size) - np.searchsorted(a_row, a_row)
-    merged = ~rebuild[a_row]
-    m_row, m_src = a_row[merged], a_src[merged]
-    dropped_key = np.sort(c_row[lost] * n + c_src[lost])
-    pos[merged] += (_count_below(graph.src, graph.indptr[m_row], graph.indptr[m_row + 1], m_src)
-                    - np.searchsorted(dropped_key, m_row * n + m_src)
-                    + np.searchsorted(dropped_key, m_row * n))
-    stay = np.repeat(~rebuild, count)
-    stay[c_edge[lost]] = False
-    added = np.zeros(indptr[-1], dtype=bool)
-    added[pos] = True
+    # Merge the added edges (the rebuilt rows' and the winning entrants), sorted
+    # by row * n + source, into the staying old edges a chunk at a time; `np.insert`
+    # keeps added edges at one place in order. Those past the last old edge go last.
+    a_key = np.concatenate((np.repeat(np.arange(n), np.diff(r_indptr)) * n + r_src,
+                            c_row[entered] * n + c_src[entered]))
+    a = np.argsort(a_key)
+    a_key = a_key[a]
+    a_src = np.concatenate((r_src, c_src[entered]))[a]
+    a_w = np.concatenate((r_w, c_w[entered]))[a]
+    gone = np.sort(c_edge[lost])
     src = np.empty(indptr[-1], dtype=np.int32)
     weight = np.empty(indptr[-1])
-    src[pos], src[~added] = a_src, graph.src[stay]
-    weight[pos], weight[~added] = a_w, graph.weight[stay]
+    written = a0 = 0
+    for e0, e1, j0, bounds in _edge_chunks(graph.indptr):
+        dst = np.repeat(np.arange(j0, j0 + bounds.size - 1), np.diff(bounds))
+        keep = ~rebuild[dst]
+        keep[gone[np.searchsorted(gone, e0):np.searchsorted(gone, e1)] - e0] = False
+        key = dst * n + graph.src[e0:e1]
+        a1 = int(np.searchsorted(a_key, key[-1], side="right"))
+        at = np.searchsorted(key[keep], a_key[a0:a1])
+        merged = np.insert(graph.src[e0:e1][keep], at, a_src[a0:a1])
+        src[written:written + merged.size] = merged
+        weight[written:written + merged.size] = np.insert(graph.weight[e0:e1][keep], at, a_w[a0:a1])
+        written, a0 = written + merged.size, a1
+    src[written:], weight[written:] = a_src[a0:], a_w[a0:]
     return PaintingGraph(n=n, indptr=indptr, src=src, weight=weight)
 
 

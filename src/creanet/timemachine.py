@@ -10,9 +10,10 @@ anticipated should gain.
 The baseline's similarity graph is built once. Each run updates it to the
 perturbed corpus with `update_graph`, which rebuilds only the moved rows and
 the rows that lost a source, merges entering artifacts into the others, and
-equals a full rebuild bit for bit. Balancing into the kept and reversed
-stores K and R, normalization of K + R^T and the solve then run in full, as
-balancing's thresholds depend on every edge.
+equals a full rebuild bit for bit; it writes the new graph a chunk of old
+edges at a time. Balancing into the kept and reversed stores K and R,
+normalization of K + R^T and the solve then run in full, as balancing's
+thresholds depend on every edge.
 
 The baseline graph, its edge ranks and the baseline scores are computed
 once, before the runs, and every run reads only them and its own seed. So

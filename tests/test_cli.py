@@ -267,6 +267,15 @@ class TestScore:
         assert code == EXIT_INVALID
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["k", "temporal_window_k", "local_window_years"])
+    def test_count_beyond_int64_exits_invalid(self, tiny, tmp_path, capsys, key):
+        code = main(["score"] + tiny_args(tiny) + ["--set", "temporal_prior=window",
+                     "--set", "balancing_mode=local", "--set", f"{key}={2 ** 63}",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {key} must be below 2**63, got {2 ** 63}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides_config(self, tiny, tmp_path):
         out = tmp_path / "out"
         code = main(["score"] + tiny_args(tiny) +

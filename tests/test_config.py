@@ -47,6 +47,12 @@ class TestRunConfigValidation:
         ({"alpha": "0.5"}, "alpha"),
         ({"tol": "x"}, "tol"),
         ({"k": True}, "k"),
+        # the stages compare counts with numpy's int64 arrays, where 2**63 overflows
+        ({"k": 2 ** 63}, "k"),
+        ({"temporal_window_k": 2 ** 63}, "temporal_window_k"),
+        ({"local_window_years": 2 ** 63}, "local_window_years"),
+        ({"min_local_sample": 2 ** 63}, "min_local_sample"),
+        ({"max_iters": 2 ** 63}, "max_iters"),
     ])
     def test_rejects_out_of_range(self, kwargs, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -59,6 +65,8 @@ class TestRunConfigValidation:
         RunConfig(beta=1.0)
         RunConfig(percentile_p=100.0)
         RunConfig(seed=2 ** 64 - 1)
+        RunConfig(k=2 ** 63 - 1, temporal_window_k=2 ** 63 - 1, local_window_years=2 ** 63 - 1,
+                  min_local_sample=2 ** 63 - 1, max_iters=2 ** 63 - 1)
         RunConfig(sigma=3)  # ints are fine, bools are not
 
     def test_bool_sigma_rejected(self):
@@ -70,7 +78,8 @@ class TestRunConfigValidation:
         ({"temporal_prior": "always"},
          "temporal_prior must be one of ('none', 'window'), got 'always'"),
         ({"temporal_window_k": 0}, "temporal_window_k must be a positive integer, got 0"),
-    ], ids=["k", "temporal_prior", "temporal_window_k"])
+        ({"k": 2 ** 63}, "k must be below 2**63, got 9223372036854775808"),
+    ], ids=["k", "temporal_prior", "temporal_window_k", "k_beyond_int64"])
     def test_graph_key_messages(self, kwargs, message):
         with pytest.raises(ConfigError) as got:
             RunConfig(**kwargs)

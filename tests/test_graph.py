@@ -715,3 +715,21 @@ class TestUpdateGraph:
             graph, ranks, corpus, "visual", config, sigma, years)))
         assert peak < 1.5 * corpus.features["visual"].vectors.nbytes
         assert_same_graph(got[0], cn.build_graph(corpus.with_years(years), "visual", config, sigma))
+
+    def test_scratch_stays_under_half_the_graph(self):
+        # the new graph is written a chunk of old edges at a time: beside it,
+        # the update holds no array as long as the graph
+        corpus = random_corpus(seed=65, n=4000, dim=4)
+        config, sigma = cn.RunConfig(k=500), 1.0
+        graph = cn.build_graph(corpus, "visual", config, sigma)
+        ranks = graph_module.edge_ranks(graph)
+        rng = np.random.default_rng(66)
+        years = np.array(corpus.years)
+        for t in rng.choice(corpus.n, size=40, replace=False).tolist():
+            years[t] = rng.integers(1400, years[t] + 1)  # moved back
+        got = []
+        peak = traced_peak(lambda: got.append(graph_module.update_graph(
+            graph, ranks, corpus, "visual", config, sigma, years)))
+        nbytes = sum(a.nbytes for a in (got[0].indptr, got[0].src, got[0].weight))
+        assert peak - nbytes < 0.5 * nbytes
+        assert_same_graph(got[0], cn.build_graph(corpus.with_years(years), "visual", config, sigma))

@@ -852,14 +852,27 @@ class TestGraphUpdateAgainstOracle:
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_entrants_weighed_in_chunks(self, monkeypatch, chunk):
-        # the (moved artifact, entered row) pairs are weighed a chunk at a
-        # time; a chunk may start and end inside one artifact's rows
+        # the (moved artifact, entered row) pairs are weighed, and the old
+        # edges merged with the added ones, a chunk at a time; a chunk may
+        # start and end inside one artifact's rows
         corpus = random_corpus(seed=29, n=300, dim=3, year_lo=1500, year_hi=1540)
-        rng = np.random.default_rng(30)
+        config, rng = cn.RunConfig(k=6), np.random.default_rng(30)
         use_edge_chunk(monkeypatch, chunk)
-        for move in ("back", "wander"):
-            assert_update_like_rebuild(corpus, cn.RunConfig(k=6), 1.0,
-                                       redate(corpus, rng, 0.05, move))
+        for move in ("back", "wander", "forward"):
+            assert_update_like_rebuild(corpus, config, 1.0, redate(corpus, rng, 0.05, move))
+        # the last artifact is the earliest, so its row has no old edge: the
+        # edges added to it, rebuilt or entered, follow the old graph's last edge
+        years = np.array(corpus.years)
+        years[-1] = 1499
+        for moved, year in ((-1, 1520), (0, 1498)):  # the last row rebuilt; artifact 0 enters it
+            new = years.copy()
+            new[moved] = year
+            assert_update_like_rebuild(corpus.with_years(years), config, 1.0, new)
+        # a baseline of one year has no edges: every added edge follows
+        years = np.full(corpus.n, 1500)
+        new = years.copy()
+        new[7] = 1490
+        assert_update_like_rebuild(corpus.with_years(years), config, 1.0, new)
 
     @pytest.mark.parametrize("prior, window", [("none", 500), ("window", 40)])
     def test_rebuilt_rows_span_several_slabs(self, monkeypatch, prior, window):
