@@ -158,6 +158,9 @@ class TimeMachineSpec:
             raise ConfigError(f"timemachine.move_std must be positive, got {self.move_std!r}")
         _check_count("timemachine.n_test", self.n_test)
         _check_count("timemachine.n_runs", self.n_runs)
+        for key, value in (("min_year", self.min_year), ("max_year", self.max_year)):
+            if not -2 ** 63 <= (value or 0) < 2 ** 63:  # drawn years are cast to int64
+                raise ConfigError(f"timemachine.{key} must be a 64-bit integer, got {value!r}")
         if self.min_year is not None and self.max_year is not None:
             self.year_range(self.min_year, self.max_year)  # checks the set bounds' order
         if self.seed is not None:

@@ -126,9 +126,12 @@ def _parse_year(raw: str, where: str, row_no: int) -> int:
     if not text:
         raise IngestError(f"{where} {row_no}: missing year")
     try:
-        return int(text)
+        year = int(text)
     except ValueError:
         raise IngestError(f"{where} {row_no}: year '{text}' is not an integer") from None
+    if not -2 ** 63 <= year < 2 ** 63:  # the corpus holds its years as int64
+        raise IngestError(f"{where} {row_no}: year '{text}' is outside the 64-bit integer range")
+    return year
 
 
 def read_manifest(path: str | Path) -> list[Artifact]:

@@ -244,16 +244,17 @@ def _candidate_ranges(starts: np.ndarray, ends: np.ndarray,
     return a_lo, a_hi, b_lo
 
 
-def _select_top_k(weights: np.ndarray, sources: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest weights; ties at the cut favor the smaller source index."""
-    if weights.size <= k:
-        return np.arange(weights.size)
-    kth = np.partition(weights, weights.size - k)[weights.size - k]
-    above = np.flatnonzero(weights > kth)
-    need = k - above.size
-    ties = np.flatnonzero(weights == kth)
-    ties = ties[np.argsort(sources[ties])][:need]
-    return np.concatenate((above, ties))
+def _heaviest(row: np.ndarray, src: np.ndarray, weight: np.ndarray, places: np.ndarray) -> np.ndarray:
+    """Mask of the entries that win: each row's places[row] heaviest, ties to the smaller source.
+
+    row[i] in [0, places.size) is entry i's row; one lexsort ranks every
+    entry within its row.
+    """
+    size = np.bincount(row, minlength=places.size)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(size) - size, size)
+    won = np.empty(row.size, dtype=bool)
+    won[np.lexsort((src, -weight, row))] = rank < np.repeat(places, size)
+    return won
 
 
 def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray, cols: np.ndarray,
@@ -322,8 +323,8 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
     # Every other row (a tie near the cut, an underflowed pick, at most k
     # candidates) is cut exactly: its top k weigh at least its floor (0 for
     # a row with at most k candidates) and more than 0, so only candidates whose
-    # cap reaches both are weighed; the heaviest k survive, ties at the cut
-    # going to the smaller source, and underflowed weights are dropped.
+    # cap reaches both are weighed. A row keeps all its weights above 0 if it
+    # has at most k, else the k that `_heaviest` picks, as the update cuts.
     slow = np.flatnonzero(~fast)
     step = max(1, group // c)
     for g0 in range(0, slow.size, step):
@@ -339,18 +340,12 @@ def _slab_top_k(block: np.ndarray, dest: np.ndarray, c0: int, n_cand: np.ndarray
         band_col += c0
         band_w = pair_weights(cols[:dim], dest[rows[band_row]], band_col, sigma)
         band_src = order[band_col]
-        band_size = np.bincount(band_row, minlength=rows.size)
-        band_end = np.cumsum(band_size)
-        counts, src_parts, w_parts = [], [], []
-        for lo, hi in zip(band_end - band_size, band_end):
-            keep = band_w[lo:hi] > 0.0
-            wk, sk = band_w[lo:hi][keep], band_src[lo:hi][keep]
-            sel = _select_top_k(wk, sk, k)
-            sel = sel[np.argsort(sk[sel])]
-            counts.append(sel.size)
-            src_parts.append(sk[sel])
-            w_parts.append(wk[sel])
-        yield rows, np.array(counts, dtype=np.int64), np.concatenate(src_parts), np.concatenate(w_parts)
+        keep = band_w > 0.0
+        cut = keep & (np.bincount(band_row[keep], minlength=rows.size) > k)[band_row]
+        keep[cut] = _heaviest(band_row[cut], band_src[cut], band_w[cut], np.full(rows.size, k))
+        band_row, band_src, band_w = band_row[keep], band_src[keep], band_w[keep]
+        picks = np.argsort(band_row * order.size + band_src)
+        yield rows, np.bincount(band_row, minlength=rows.size), band_src[picks], band_w[picks]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -632,18 +627,16 @@ def update_graph(graph: PaintingGraph, ranks: np.ndarray, corpus: Corpus, aspect
     # A row with c edges and e entrants keeps its c - t heaviest edges,
     # t = min(c, e): when there are any, t = e, so fewer than c - t + e = c <= k
     # others outrank each. Its t lightest edges and the entrants contest the
-    # k - (c - t) places left, heaviest first, ties to the smaller source.
-    rows_in, n_in = np.unique(e_row, return_counts=True)
+    # k - (c - t) places left, by the build's exact cut: `_heaviest`.
+    rows_in, e_at, n_in = np.unique(e_row, return_inverse=True, return_counts=True)
     t = np.minimum(count[rows_in], n_in)
     tail = graph.indptr[np.repeat(rows_in, t)] + ranks[_ranges(graph.indptr[rows_in + 1] - t, t)]
-    c_row = np.concatenate((np.repeat(rows_in, t), e_row))
+    c_at = np.concatenate((np.repeat(np.arange(rows_in.size), t), e_at))  # the row's place in rows_in
     c_src = np.concatenate((graph.src[tail], e_src))
     c_w = np.concatenate((graph.weight[tail], e_w))
     c_edge = np.concatenate((tail, np.full(e_row.size, -1)))  # the old edge, or -1 if entering
-    c = np.lexsort((c_src, -c_w, c_row))
-    places = np.repeat(k - count[rows_in] + t, t + n_in)
-    won = np.arange(c.size) - np.repeat(np.cumsum(t + n_in) - t - n_in, t + n_in) < places
-    c_row, c_src, c_w, c_edge = c_row[c], c_src[c], c_w[c], c_edge[c]
+    won = _heaviest(c_at, c_src, c_w, k - count[rows_in] + t)
+    c_row = rows_in[c_at]
     lost = ~won & (c_edge >= 0)
     entered = won & (c_edge < 0)
 

@@ -88,6 +88,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'x'" in err
 
+    @pytest.mark.parametrize("command", ["validate", "score", "dump-graph", "timemachine"])
+    def test_year_beyond_int64_exits_invalid(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("id,year\nx,1500\ny,99999999999999999999\n", encoding="utf-8")
+        features = tmp_path / "f.csv"
+        features.write_text("1.0\n2.0\n", encoding="utf-8")
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        experiment = (["--set", "timemachine.group=ids=x", "--set", "timemachine.move=back"]
+                      if command == "timemachine" else [])
+        code = main([command, "--manifest", str(manifest), "--features", f"visual={features}"]
+                    + experiment + out)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "row 2" in err and "64-bit" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_feature_file_exits_io(self, tiny, capsys):
         manifest, _ = tiny
         code = main(["validate", "--manifest", str(manifest),
@@ -428,6 +444,20 @@ class TestTimeMachine:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "timemachine.min_year" in err and "timemachine.max_year" in err
+        assert not (out / "runs.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("min_year", 2 ** 63), ("max_year", 10 ** 20),
+                                            ("min_year", -2 ** 63 - 1)])
+    def test_year_bound_beyond_int64_exits_invalid(self, styled, tmp_path, capsys, key, value):
+        manifest, features = styled
+        out = tmp_path / "out"
+        code = main(["timemachine", "--manifest", str(manifest),
+                     "--features", f"visual={features}", "--set", "k=8",
+                     "--set", "timemachine.group=style=late", "--set", "timemachine.move=back",
+                     "--set", "timemachine.n_test=2", "--set", "timemachine.n_runs=1",
+                     "--set", f"timemachine.{key}={value}", "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: timemachine.{key} must be a 64-bit integer, got {value}\n"
         assert not (out / "runs.csv").exists()
 
     def test_non_convergence_exits_numerical_but_writes(self, styled, tmp_path, capsys):

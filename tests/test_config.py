@@ -8,7 +8,8 @@ import pytest
 
 from creanet import config as config_module
 from creanet.config import (ConfigError, RunConfig, TimeMachineSpec, check_known_keys,
-                            config_from_mapping, load_config_file, parse_config_text)
+                            config_from_mapping, load_config_file, parse_config_text,
+                            spec_from_mapping)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -113,6 +114,23 @@ class TestRunConfigValidation:
         echo = RunConfig(sigma_overrides={"b": 2.0, "a": 1.0}).as_dict()
         assert json.loads(json.dumps(echo)) == echo
         assert list(echo["sigma_overrides"]) == ["a", "b"]
+
+
+class TestTimeMachineYearBounds:
+    @pytest.mark.parametrize("key", ["min_year", "max_year"])
+    @pytest.mark.parametrize("value", [2 ** 63, 10 ** 20, -2 ** 63 - 1])
+    def test_year_beyond_int64_names_key(self, key, value):
+        # drawn years are cast to int64, where these would wrap
+        with pytest.raises(ConfigError) as got:
+            TimeMachineSpec(group="ids=a", move="back", **{key: value})
+        assert str(got.value) == f"timemachine.{key} must be a 64-bit integer, got {value}"
+        with pytest.raises(ConfigError, match=f"timemachine.{key} must be a 64-bit integer"):
+            spec_from_mapping({"timemachine.group": "ids=a", "timemachine.move": "back",
+                               f"timemachine.{key}": str(value)})
+
+    def test_int64_extremes_accepted(self):
+        spec = TimeMachineSpec(group="ids=a", move="back", min_year=-2 ** 63, max_year=2 ** 63 - 1)
+        assert spec.year_range(1500, 1900) == (-2 ** 63, 2 ** 63 - 1)
 
 
 class TestParseConfigText:

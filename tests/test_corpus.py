@@ -61,6 +61,18 @@ class TestManifest:
         with pytest.raises(cn.IngestError, match="row 2.*not an integer"):
             cn.read_manifest(p)
 
+    @pytest.mark.parametrize("year", ["9223372036854775808", "99999999999999999999",
+                                      "-9223372036854775809"])
+    def test_year_beyond_int64_names_row(self, tmp_path, year):
+        p = write(tmp_path / "m.csv", f"id,year\na,1500\nb,{year}\n")
+        with pytest.raises(cn.IngestError) as got:
+            cn.read_manifest(p)
+        assert str(got.value) == f"{p}: manifest row 2: year '{year}' is outside the 64-bit integer range"
+
+    def test_int64_extreme_years_accepted(self, tmp_path):
+        p = write(tmp_path / "m.csv", f"id,year\na,{-2 ** 63}\nb,{2 ** 63 - 1}\n")
+        assert [a.year for a in cn.read_manifest(p)] == [-2 ** 63, 2 ** 63 - 1]
+
     def test_blank_rows_skipped(self, tmp_path):
         p = write(tmp_path / "m.csv", "id,year\na,1500\n\nb,1600\n")
         assert len(cn.read_manifest(p)) == 2

@@ -2,8 +2,8 @@
 
 The package reaches scipy's sparse kernels without importing `scipy.sparse`
 and calls them only on checked stores, one module alone calls libc's
-`madvise` through `ctypes`, and the edge dumps' float formatter imports only
-numpy.
+`madvise` through `ctypes`, one graph function ranks edges heaviest first,
+and the edge dumps' float formatter imports only numpy.
 """
 
 import ast
@@ -201,15 +201,15 @@ def test_no_module_imports_scipy_sparse_but_the_kernel_fallback():
 KERNEL_CALLERS = {("scoring.py", "_product"), ("implication.py", "_merged")}
 
 
-def kernel_reads(tree: ast.Module):
-    """The enclosing function of each read of the name or attribute `sparsetools`."""
+def reads(tree: ast.Module, name: str):
+    """The enclosing function of each read of the name or attribute `name`."""
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == "sparsetools" and isinstance(child.ctx, ast.Load)
-                    or isinstance(child, ast.Attribute) and child.attr == "sparsetools"):
+            if (isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == name):
                 yield function
             yield from visit(child, function)
 
@@ -227,10 +227,15 @@ def picks_an_index_type(tree: ast.Module) -> bool:
 
 def test_the_kernels_are_called_only_on_checked_stores():
     found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
-             for function in kernel_reads(parse(path))}
+             for function in reads(parse(path), "sparsetools")}
     assert found == KERNEL_CALLERS
     pickers = [path.name for path in sorted(PACKAGE.glob("*.py")) if picks_an_index_type(parse(path))]
     assert pickers == ["_kernels.py"]
+
+
+def test_only_one_graph_function_ranks_heaviest_first():
+    # the build's exact cut and the update's contest share one tie rule: heaviest, then smaller source
+    assert set(reads(parse(PACKAGE / "graph.py"), "lexsort")) == {"_heaviest"}
 
 
 def test_the_cli_imports_neither_scipy_sparse_nor_f2py():

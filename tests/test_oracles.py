@@ -1,13 +1,14 @@
 """The simple graph build, CIN assembly, percentiles, CSV writers and operator, kept as oracles.
 
 The library ranks each slab of destinations with one matrix product and one
-partial selection and weighs only the pairs it keeps, writes the picks
-straight into destination order, keeps the implication network as the graph's
-own kept and reversed edges (K and R, the network being K + R^T) instead of
-merging them into one sorted store, counts and then fills K and R a chunk of
-edges at a time instead of gathering them at full-length position arrays,
-reads percentiles with a partition, finds
-local thresholds in one sweep over weight ranks, cuts window candidates as two
+partial selection and weighs only the pairs it keeps, ranks the rows it
+cuts exactly, and the update's contest, with one lexsort instead of a
+selection per row, writes the picks straight into destination order, keeps
+the implication network as the graph's own kept and reversed edges (K and
+R, the network being K + R^T) instead of merging them into one sorted store,
+counts and then fills K and R a chunk of edges at a time instead of
+gathering them at full-length position arrays, reads percentiles with a
+partition, finds local thresholds in one sweep over weight ranks, cuts window candidates as two
 position ranges per year group, writes edge dumps a chunk at a time as
 numpy bytes (`repr` itself is the oracle of their weights' bytes), takes
 operator column sums from a sparse product, scores the beta split with one
@@ -506,11 +507,10 @@ def assert_same_report(got, want):
 
 
 def count_fallback_rows(corpus, config, sigma):
-    """Build the graph and count the rows that went through the per-row selection."""
-    with mock.patch.object(graph_module, "_select_top_k",
-                           wraps=graph_module._select_top_k) as spy:
+    """Build the graph and count the rows cut exactly: the rows of each `_heaviest` call."""
+    with mock.patch.object(graph_module, "_heaviest", wraps=graph_module._heaviest) as spy:
         graph = cn.build_graph(corpus, "visual", config, sigma)
-    return graph, spy.call_count
+    return graph, sum(call.args[3].size for call in spy.call_args_list)
 
 
 def quantised_corpus(seed, n, dim, levels, year_lo, year_hi):
@@ -548,6 +548,29 @@ kernel_sigmas = st.sampled_from([0.01, 0.3, 1.0, 4.0])
 
 # ---------------------------------------------------------------------------
 # Graph build.
+
+class TestHeaviestAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                             max_size=12), max_size=6),
+           st.lists(st.integers(0, 14), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+    def test_rows(self, rows, places, seed):
+        # ties and zero weights within a row, places from 0 to above its size,
+        # the rows' entries interleaved, each row's sources distinct
+        rng = np.random.default_rng(seed)
+        places = np.array(places[:len(rows)], dtype=np.int64)
+        sizes = [len(w) for w in rows]
+        row = np.repeat(np.arange(len(rows)), sizes)
+        weight = np.array([w for ws in rows for w in ws], dtype=np.float64)
+        src = np.array([s for size in sizes for s in rng.permutation(30)[:size]], dtype=np.int64)
+        mix = rng.permutation(row.size)
+        row, src, weight = row[mix], src[mix], weight[mix]
+        won = graph_module._heaviest(row, src, weight, places)
+        assert won.dtype == bool and won.shape == row.shape
+        for r in range(len(rows)):
+            at = np.flatnonzero(row == r)
+            want = reference_select_top_k(weight[at], src[at], places[r]) if places[r] else []
+            assert np.array_equal(np.flatnonzero(won[at]), np.sort(want))
 
 class TestGraphAgainstOracle:
     @settings(max_examples=150, deadline=None)
